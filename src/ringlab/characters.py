@@ -86,15 +86,16 @@ class CharacterGroup:
     # -- enumeration ---------------------------------------------------------
 
     def coeff_matrix(self) -> np.ndarray:
-        """(count x k) matrix of coefficient tuples in lexicographic order."""
+        """Read-only (count x k) matrix of coefficient tuples in lexicographic
+        order."""
         if self._coeff_matrix is None:
             grids = np.meshgrid(
                 *[np.arange(m, dtype=np.int64) for m in self.radices],
                 indexing="ij",
             )
-            self._coeff_matrix = np.stack(grids, axis=-1).reshape(
-                -1, len(self.radices)
-            )
+            matrix = np.stack(grids, axis=-1).reshape(-1, len(self.radices))
+            matrix.flags.writeable = False
+            self._coeff_matrix = matrix
         return self._coeff_matrix
 
     def char_at(self, position: int) -> Character:
@@ -102,11 +103,13 @@ class CharacterGroup:
         return Character(self, coeffs, position)
 
     def char_from_coeffs(self, coeffs: Sequence[int]) -> Character:
-        coeffs = tuple(int(s) % m for s, m in zip(coeffs, self.radices))
+        """The character with these coefficients, each reduced mod its
+        radix; ValueError unless there is exactly one per radix."""
         if len(coeffs) != len(self.radices):
             raise ValueError(
                 f"expected {len(self.radices)} coefficients, got {len(coeffs)}"
             )
+        coeffs = tuple(int(s) % m for s, m in zip(coeffs, self.radices))
         position = 0
         for s, m in zip(coeffs, self.radices):
             position = position * m + s

@@ -170,9 +170,9 @@ def _cmd_expsum(args) -> tuple[dict, int]:
         group = character_group(ring)
         try:
             coeffs = tuple(int(c) for c in args.char.split(","))
+            char = group.char_from_coeffs(coeffs)
         except ValueError as exc:
-            raise ParseError(f"bad character coefficients {args.char!r}") from exc
-        char = group.char_from_coeffs(coeffs)
+            raise ParseError(f"bad character coefficients {args.char!r}: {exc}") from exc
         value = harmonics.exp_sum(ring, P, char)
         result["single_character"] = {
             "coeffs": list(coeffs),
@@ -205,32 +205,26 @@ def _cmd_tebound(args) -> tuple[dict, int]:
     if args.random < 1:
         raise ParseError("--random must be at least 1")
     fs = harmonics.random_functions(ring, args.random, args.seed)
-    rows = []
-    all_ok = True
-    max_gap = 0.0
-    k = 0
-    for i in range(args.random):
-        rep = harmonics.te_estimate(ring, P, fs[i], ddeg_mode=args.mode, seed=args.seed)
-        rows.append(
-            {
-                "lhs": rep.lhs,
-                "rhs": rep.rhs,
-                "ratio": rep.ratio,
-                "route_gap": rep.route_gap,
-                "satisfied": rep.satisfied,
-            }
-        )
-        all_ok = all_ok and rep.satisfied
-        max_gap = max(max_gap, rep.route_gap)
-        k = rep.k
+    rep = harmonics.te_estimate(ring, P, fs, ddeg_mode=args.mode, seed=args.seed)
+    rows = [
+        {
+            "lhs": float(rep.lhs[i]),
+            "rhs": float(rep.rhs[i]),
+            "ratio": float(rep.ratio[i]),
+            "route_gap": float(rep.route_gap[i]),
+            "satisfied": bool(rep.satisfied[i]),
+        }
+        for i in range(args.random)
+    ]
+    all_ok = bool(rep.satisfied.all())
     summary = {
         "ring_spec": ring.spec_string(),
         "poly": str(P),
         "count": args.random,
-        "k": k,
+        "k": rep.k,
         "all_satisfied": all_ok,
-        "max_route_gap": max_gap,
-        "max_ratio": max(r["ratio"] for r in rows),
+        "max_route_gap": float(rep.route_gap.max()),
+        "max_ratio": float(rep.ratio.max()),
         "functions": rows,
     }
     return _envelope("tebound", summary, seed=args.seed), EXIT_OK if all_ok else EXIT_BOUND
@@ -239,6 +233,10 @@ def _cmd_tebound(args) -> tuple[dict, int]:
 def _cmd_vdc(args) -> tuple[dict, int]:
     ring = make_ring(args.ring)
     H = _parse_subgroup(ring, args.subgroup)
+    if args.k < 1:
+        raise ParseError("--k must be at least 1")
+    if args.random < 1:
+        raise ParseError("--random must be at least 1")
     fs = harmonics.random_functions(ring, args.random, args.seed)
     report = harmonics.vdc_check(ring, H, fs, args.k)
     result = report.to_dict()
@@ -267,6 +265,8 @@ def _cmd_sarkozy(args) -> tuple[dict, int]:
     result: dict = {"ring_spec": ring.spec_string(), "poly": str(P)}
     code = EXIT_OK
     if args.measured is not None:
+        if args.measured < 0:
+            raise ParseError("--measured must be a nonnegative set size")
         size = args.measured
         result["measured_source"] = "external"
     else:
@@ -329,12 +329,14 @@ def _cmd_paley(args) -> tuple[dict, int]:
         elif spec == "structured":
             uni = paley.uniformity_measure(graph, mode="structured")
         elif spec.startswith("sampled:"):
-            parts = spec.split(":")
-            if len(parts) != 3:
-                raise ParseError("want sampled:<count>:<seed>")
-            uni = paley.uniformity_measure(
-                graph, mode="sampled", count=int(parts[1]), seed=int(parts[2])
-            )
+            try:
+                _, count, seed = spec.split(":")
+                count, seed = int(count), int(seed)
+            except ValueError as exc:
+                raise ParseError("want sampled:<count>:<seed>") from exc
+            if count < 1:
+                raise ParseError("sampled uniformity needs a count of at least 1")
+            uni = paley.uniformity_measure(graph, mode="sampled", count=count, seed=seed)
         elif spec.startswith("file:"):
             try:
                 payload = json.loads(Path(spec[5:]).read_text())

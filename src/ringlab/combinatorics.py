@@ -34,7 +34,7 @@ from .characters import character_table
 from .errors import HypothesisUnmet, ParseError, WorkGuardExceeded
 from .harmonics import exp_sums_all
 from .polynomials import RingPoly, bound_parameters, derivational_degree
-from .rings import Ring, WorkError, ZModRing, _monic_polys, _pdivmod, _pmul, _ptrim, is_prime, poly_is_irreducible
+from .rings import Ring, ZModRing, _monic_polys, _pdivmod, _pmul, _ptrim, is_prime, poly_is_irreducible
 from .subgroups import constant_in_subgroup
 
 
@@ -76,14 +76,9 @@ def config_count(ring: Ring, P: RingPoly, A, B) -> ConfigCountReport:
     a01[A] = 1
     b01 = np.zeros(n, dtype=np.int64)
     b01[B] = 1
-    try:
-        table = ring.add_table()
-        count = int(a01 @ (b01[table] @ mult))
-    except WorkError:
-        idx = np.arange(n, dtype=np.int64)
-        count = 0
-        for v in np.flatnonzero(mult):
-            count += int(mult[v]) * int(a01 @ b01[ring.add_vec(idx, int(v))])
+    count = 0
+    for v in np.flatnonzero(mult):
+        count += int(mult[v]) * int(a01 @ b01[ring.translation(v)])
     expectation = len(A) * len(B)
     deviation = abs(count - expectation)
     if len(A) and len(B):
@@ -133,14 +128,13 @@ def forbidden_differences(ring: Ring, P: RingPoly) -> np.ndarray:
     return D[D != 0]
 
 
-def _adjacency_masks(ring: Ring, D: np.ndarray) -> list[int]:
-    n = ring.order
-    adj = [0] * n
-    idx = np.arange(n, dtype=np.int64)
+def adjacency_masks(ring: Ring, D) -> list[int]:
+    """Neighbour bitmasks of the Cayley graph with connection set D: bit y
+    of entry x is set when y = x + d for some d in D."""
+    adj = [0] * ring.order
     for d in D:
-        nbrs = ring.add_vec(idx, int(d))
-        for x in range(n):
-            adj[x] |= 1 << int(nbrs[x])
+        for x, y in enumerate(ring.translation(d).tolist()):
+            adj[x] |= 1 << y
     return adj
 
 
@@ -271,7 +265,7 @@ def difference_free_max(
             verified=verify_difference_free(ring, P, witness),
             seed=seed if mode == "greedy" else None,
         )
-    adj = _adjacency_masks(ring, D)
+    adj = adjacency_masks(ring, D)
     if mode == "exact":
         size, mask = _max_independent_set(adj)
         used_seed = None

@@ -14,7 +14,8 @@ where d = deg P and k is the derivational degree. The same constant controls
 how far the polynomial average E_y f(x + P(y)) sits from the average of f
 over the coset H + P(0) in L^2, which is the quantitative total ergodicity
 estimate; the two are tied together by Parseval, and te_estimate reports both
-the direct enumeration and the Fourier-side evaluation of the left side.
+the direct enumeration and the Fourier-side evaluation of the left side as an
+independent check pair.
 
 Also here: the van der Corput inequality along a subgroup, and the root
 count bound (a nonzero polynomial in l variables with per-variable degrees
@@ -38,7 +39,7 @@ from .characters import (
 )
 from .errors import WorkGuardExceeded, ZeroPolynomial
 from .polynomials import RingPoly, bound_parameters, derivational_degree
-from .rings import Ring, WorkError
+from .rings import Ring
 from .subgroups import SubgroupSet, value_subgroup
 
 BOUND_TOL = 1e-9
@@ -201,13 +202,17 @@ def character_bound_check(
 
 @dataclass
 class TEReport:
+    """Total ergodicity report. For a batch of test functions the
+    per-function fields (lhs, rhs, ratio, fourier_lhs, route_gap, f_norm,
+    satisfied) are arrays with one entry per function."""
+
     ring_spec: str
     poly: str
-    lhs: float
-    rhs: float
-    ratio: float
-    fourier_lhs: float
-    route_gap: float
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    ratio: float | np.ndarray
+    fourier_lhs: float | np.ndarray
+    route_gap: float | np.ndarray
     k: int
     k_method: str
     k_certified: bool
@@ -216,8 +221,8 @@ class TEReport:
     lpf: int
     subgroup_size: int
     shift: int
-    f_norm: float
-    satisfied: bool
+    f_norm: float | np.ndarray
+    satisfied: bool | np.ndarray
     seed: int | None = None
 
     def to_dict(self) -> dict:
@@ -236,33 +241,48 @@ def te_estimate(
 
     lhs = || E_y f(x + P(y)) - E_{z in H} f(x + z + P(0)) ||_{L^2_x}, with
     both norms normalised by |R|. The right side is the total ergodicity
-    constant times ||f||. The left side is evaluated twice: by direct
-    enumeration and through Parseval on the character side; the report
-    carries both and their gap.
+    constant times ||f||. f is one function of shape (order,) or a batch of
+    shape (count, order); the polynomial data, the degree and every
+    transform are computed once for the whole batch.
+
+    The left side is evaluated twice, by direct enumeration of translates
+    and through Parseval on the character side. The two routes share no
+    arithmetic, so route_gap is an independent check of both.
     """
-    f = np.asarray(f, dtype=np.complex128)
-    if f.shape != (ring.order,):
-        raise ValueError(f"f must have shape ({ring.order},)")
     n = ring.order
+    fs = np.asarray(f, dtype=np.complex128)
+    single = fs.ndim == 1
+    if single:
+        fs = fs[None, :]
+    if fs.ndim != 2 or fs.shape[1] != n:
+        raise ValueError(f"f must have shape ({n},) or (count, {n})")
     values, recentred, shift, H, bp, d = _poly_setup(ring, P, ddeg_mode, guard)
     k = bp.k
     lpf = ring.lpf()
 
-    lhs = _te_lhs_direct(ring, f, values, H, shift)
-    fourier = _te_lhs_fourier(ring, f, recentred, H)
+    lhs = _te_lhs_direct(ring, fs, values, H, shift)
+    fourier = _te_lhs_fourier(ring, fs, recentred, H)
 
-    f_norm = float(np.sqrt(np.mean(np.abs(f) ** 2)))
+    f_norm = np.sqrt(np.mean(np.abs(fs) ** 2, axis=1))
     power = _power_bound(bp.b, k, lpf)
-    rhs = float(power ** (1.0 / 2 ** (k - 1)) * f_norm) if k >= 1 else 0.0
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs <= BOUND_TOL else float("inf"))
-    return TEReport(
-        ring_spec=ring.spec_string(),
-        poly=str(P),
+    rhs = power ** (1.0 / 2 ** (k - 1)) * f_norm if k >= 1 else np.zeros(len(fs))
+    fallback = np.where(lhs <= BOUND_TOL, 0.0, np.inf)
+    ratio = np.divide(lhs, rhs, out=fallback, where=rhs > 0)
+    satisfied = lhs <= rhs + BOUND_TOL
+    per_function = dict(
         lhs=lhs,
         rhs=rhs,
         ratio=ratio,
         fourier_lhs=fourier,
-        route_gap=abs(lhs - fourier),
+        route_gap=np.abs(lhs - fourier),
+        f_norm=f_norm,
+        satisfied=satisfied,
+    )
+    if single:
+        per_function = {key: value[0].item() for key, value in per_function.items()}
+    return TEReport(
+        ring_spec=ring.spec_string(),
+        poly=str(P),
         k=k,
         k_method=bp.method,
         k_certified=bp.certified,
@@ -271,49 +291,41 @@ def te_estimate(
         lpf=lpf,
         subgroup_size=H.size,
         shift=shift,
-        f_norm=f_norm,
-        satisfied=bool(lhs <= rhs + BOUND_TOL),
         seed=seed,
+        **per_function,
     )
 
 
 def _te_lhs_direct(
-    ring: Ring, f: np.ndarray, values: np.ndarray, H: SubgroupSet, shift: int
-) -> float:
-    """Direct enumeration of the L^2 distance, no transforms involved."""
+    ring: Ring, fs: np.ndarray, values: np.ndarray, H: SubgroupSet, shift: int
+) -> np.ndarray:
+    """Direct route: average the translates f(x + v) with the value weights
+    of P and over the coset H + P(0), one shift at a time; no transforms."""
     n = ring.order
     w = np.bincount(values, minlength=n) / n
+    poly_avg = np.zeros(fs.shape, dtype=np.complex128)
+    for v in np.flatnonzero(w):
+        poly_avg += w[v] * fs[:, ring.translation(v)]
     coset = H.coset(shift)
-    try:
-        table = ring.add_table()
-        F = f[table]
-        poly_avg = F @ w
-        coset_avg = F[:, coset].mean(axis=1)
-    except WorkError:
-        idx = np.arange(n, dtype=np.int64)
-        poly_avg = np.zeros(n, dtype=np.complex128)
-        for v in np.flatnonzero(w):
-            poly_avg += w[v] * f[ring.add_vec(idx, int(v))]
-        coset_avg = np.zeros(n, dtype=np.complex128)
-        for z in coset:
-            coset_avg += f[ring.add_vec(idx, int(z))]
-        coset_avg /= len(coset)
-    return float(np.sqrt(np.mean(np.abs(poly_avg - coset_avg) ** 2)))
+    coset_avg = np.zeros(fs.shape, dtype=np.complex128)
+    for z in coset:
+        coset_avg += fs[:, ring.translation(z)]
+    coset_avg /= len(coset)
+    return np.sqrt(np.mean(np.abs(poly_avg - coset_avg) ** 2, axis=1))
 
 
 def _te_lhs_fourier(
-    ring: Ring, f: np.ndarray, recentred: np.ndarray, H: SubgroupSet
-) -> float:
-    """Parseval evaluation: lhs^2 = sum over non-annihilating characters of
+    ring: Ring, fs: np.ndarray, recentred: np.ndarray, H: SubgroupSet
+) -> np.ndarray:
+    """Parseval route: lhs^2 = sum over non-annihilating characters of
     |f_hat(chi)|^2 |S(chi, P)|^2."""
     n = ring.order
     counts = np.bincount(recentred, minlength=n)
     S = all_char_sums(ring, counts) / n
-    table = character_table(ring)
-    f_hat = (f @ np.conj(table)) / n
+    f_hats = (fs @ np.conj(character_table(ring))) / n
     ann = annihilator_mask(ring, H.generators)
-    contrib = (np.abs(f_hat) ** 2) * (np.abs(S) ** 2)
-    return float(np.sqrt(contrib[~ann].sum()))
+    weight = (np.abs(S) ** 2) * ~ann
+    return np.sqrt((np.abs(f_hats) ** 2) @ weight)
 
 
 def te_sweep(
@@ -323,54 +335,18 @@ def te_sweep(
     ddeg_mode: str = "auto",
     guard: int | None = None,
 ) -> dict:
-    """Batched total ergodicity check: every polynomial against every test
-    function on one ring. Returns per-pair lhs/fourier/rhs arrays. The add
-    table and the character transform of the batch are shared across
-    polynomials, which keeps large sweeps fast without changing either
-    evaluation route."""
-    n = ring.order
-    fs = np.asarray(fs, dtype=np.complex128)
-    if fs.ndim == 1:
-        fs = fs[None, :]
-    m = fs.shape[0]
-    table = ring.add_table()
-    ctable = character_table(ring)
-    f_hats = (fs @ np.conj(ctable)) / n
-    f_norms = np.sqrt(np.mean(np.abs(fs) ** 2, axis=1))
-    lpf = ring.lpf()
-
-    setups = [_poly_setup(ring, P, ddeg_mode, guard) for P in polys]
-    weights = np.stack(
-        [np.bincount(s[0], minlength=n) / n for s in setups], axis=1
-    )
-
-    lhs = np.empty((len(polys), m))
-    fourier = np.empty((len(polys), m))
-    rhs = np.empty((len(polys), m))
-    for j, f in enumerate(fs):
-        F = f[table]
-        poly_avgs = (F @ weights).T
-        for i, (values, recentred, shift, H, bp, d) in enumerate(setups):
-            coset = H.coset(shift)
-            coset_avg = F[:, coset].mean(axis=1)
-            diff = poly_avgs[i] - coset_avg
-            lhs[i, j] = np.sqrt(np.mean(np.abs(diff) ** 2))
-    for i, (values, recentred, shift, H, bp, d) in enumerate(setups):
-        counts = np.bincount(recentred, minlength=n)
-        S = all_char_sums(ring, counts) / n
-        ann = annihilator_mask(ring, H.generators)
-        weight_vec = (np.abs(S) ** 2) * (~ann)
-        fourier[i] = np.sqrt((np.abs(f_hats) ** 2) @ weight_vec)
-        k = bp.k
-        power = _power_bound(bp.b, k, lpf)
-        scale = power ** (1.0 / 2 ** (k - 1)) if k >= 1 else 0.0
-        rhs[i] = scale * f_norms
+    """Total ergodicity check of every polynomial against every test function
+    on one ring: one batched te_estimate per polynomial. Returns
+    (polynomial x function) lhs/fourier/rhs arrays."""
+    fs = np.atleast_2d(np.asarray(fs, dtype=np.complex128))
+    reps = [te_estimate(ring, P, fs, ddeg_mode, guard) for P in polys]
+    shape = (len(reps), len(fs))
     return {
-        "lhs": lhs,
-        "fourier": fourier,
-        "rhs": rhs,
-        "k": [s[4].k for s in setups],
-        "certified": [s[4].certified for s in setups],
+        "lhs": np.array([r.lhs for r in reps]).reshape(shape),
+        "fourier": np.array([r.fourier_lhs for r in reps]).reshape(shape),
+        "rhs": np.array([r.rhs for r in reps]).reshape(shape),
+        "k": [r.k for r in reps],
+        "certified": [r.k_certified for r in reps],
     }
 
 
@@ -422,12 +398,7 @@ def vdc_check(
     single = fs.ndim == 1
     if single:
         fs = fs[None, :]
-    try:
-        table = ring.add_table()
-        perms = [table[:, v] for v in H.elements]
-    except WorkError:
-        idx = np.arange(n, dtype=np.int64)
-        perms = [ring.add_vec(idx, v) for v in H.elements]
+    perms = [ring.translation(v) for v in H.elements]
 
     def level(g: np.ndarray, depth: int) -> np.ndarray:
         if depth == 0:

@@ -24,9 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from .characters import character_group
+from .combinatorics import adjacency_masks
 from .errors import CharDividesDegree, ParseError, WorkGuardExceeded
 from .polynomials import RingPoly, bound_parameters, derivational_degree
-from .rings import Ring, WorkError
+from .rings import Ring
 
 #: exhaustive uniformity sweeps iterate all 2^|R| subsets; 10 keeps the
 #: sweep near a thousand set choices
@@ -82,8 +83,11 @@ def build_paley(ring: Ring, d: int) -> PaleyGraph:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectrumReport:
+    """Cached and shared between callers, so frozen with read-only
+    eigenvalues."""
+
     ring_spec: str
     d: int
     r: int
@@ -131,6 +135,7 @@ def spectrum(graph: PaleyGraph) -> SpectrumReport:
         evals_complex = np.zeros(group.count, dtype=np.complex128)
     imag_max = float(np.abs(evals_complex.imag).max())
     evals = evals_complex.real
+    evals.flags.writeable = False
     moduli = np.abs(evals)
     idx = 1 + int(np.argmax(moduli[1:]))
     witness = tuple(int(c) for c in group.coeff_matrix()[idx])
@@ -162,7 +167,7 @@ def adjacency_matrix(graph: PaleyGraph) -> np.ndarray:
     A = np.zeros((n, n), dtype=np.int64)
     idx = np.arange(n, dtype=np.int64)
     for s in graph.connection_set:
-        A[idx, ring.add_vec(idx, int(s))] = 1
+        A[idx, ring.translation(s)] = 1
     return A
 
 
@@ -208,31 +213,11 @@ class UniformityReport:
         return dict(self.__dict__)
 
 
-def _neighbor_masks(graph: PaleyGraph) -> list[int]:
-    ring = graph.ring
-    n = ring.order
-    nbr = [0] * n
-    idx = np.arange(n, dtype=np.int64)
-    for s in graph.connection_set:
-        shifted = ring.add_vec(idx, int(s))
-        for x in range(n):
-            nbr[x] |= 1 << int(shifted[x])
-    return nbr
-
-
 def _degrees_into(graph: PaleyGraph, a01: np.ndarray) -> np.ndarray:
     """deg_A(x) = #{a in A : x ~ a} for every x, via gathers."""
-    ring = graph.ring
-    n = ring.order
-    out = np.zeros(n)
-    idx = np.arange(n, dtype=np.int64)
-    try:
-        table = ring.add_table()
-        for s in graph.connection_set:
-            out += a01[table[:, s]]
-    except WorkError:
-        for s in graph.connection_set:
-            out += a01[ring.add_vec(idx, int(s))]
+    out = np.zeros(graph.ring.order)
+    for s in graph.connection_set:
+        out += a01[graph.ring.translation(s)]
     return out
 
 
@@ -277,7 +262,7 @@ def uniformity_measure(
                 f"exhaustive uniformity is limited to order "
                 f"{EXHAUSTIVE_UNIFORMITY_CAP}, ring has order {n}"
             )
-        nbr = _neighbor_masks(graph)
+        nbr = adjacency_masks(ring, graph.connection_set)
         pairs_examined = 0
         for amask in range(1 << n):
             size_a = amask.bit_count()

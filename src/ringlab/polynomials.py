@@ -38,7 +38,7 @@ import numpy as np
 
 from .budget import work_guard
 from .errors import ParseError, WorkGuardExceeded
-from .rings import Ring, WorkError, factorize, is_prime
+from .rings import Ring, _ptrim, factorize, is_prime
 
 # Keeps the deduplicated difference frontier from exhausting memory on rings
 # where the tuple-count guard alone would admit it.
@@ -56,10 +56,7 @@ class RingPoly:
 
     @staticmethod
     def make(ring: Ring, coeffs: Sequence[int]) -> "RingPoly":
-        cs = [int(c) % ring.order for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return RingPoly(ring, tuple(cs))
+        return RingPoly(ring, _ptrim([int(c) % ring.order for c in coeffs]))
 
     @staticmethod
     def from_int_coeffs(ring: Ring, ints: Sequence[int]) -> "RingPoly":
@@ -130,14 +127,7 @@ def parse_poly_literal(ring: Ring, text: str) -> RingPoly:
                 coeffs.append(ring.from_int(int(item)))
             except ValueError:
                 raise ParseError(f"bad polynomial coefficient {item!r}") from None
-    return RingPoly(ring, _trim(coeffs))
-
-
-def _trim(cs: Sequence[int]) -> tuple[int, ...]:
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+    return RingPoly(ring, _ptrim(coeffs))
 
 
 def forward_difference(P: RingPoly, n: int) -> RingPoly:
@@ -156,7 +146,7 @@ def forward_difference(P: RingPoly, n: int) -> RingPoly:
             binom = R.from_int(math.comb(m, j))
             term = R.mul(a_m, R.mul(binom, npow[m - j]))
             out[j] = R.add(out[j], term)
-    return RingPoly(R, _trim(out))
+    return RingPoly(R, _ptrim(out))
 
 
 def digit_sum(n: int, p: int) -> int:
@@ -276,11 +266,6 @@ def _exact_ddeg(ring: Ring, P: RingPoly, guard: int | None) -> DdegResult:
     # is the largest depth at which one exists: differences of constants
     # vanish, and a depth whose functions are all zero stays zero forever.
     frontier: dict[bytes, np.ndarray] = {values.tobytes(): values}
-    idx = np.arange(n, dtype=np.int64)
-    try:
-        add_table = ring.add_table()
-    except WorkError:
-        add_table = None
     level = 0
     while True:
         active = [g for g in frontier.values() if not (g == g[0]).all()]
@@ -294,7 +279,7 @@ def _exact_ddeg(ring: Ring, P: RingPoly, guard: int | None) -> DdegResult:
             )
         next_frontier: dict[bytes, np.ndarray] = {}
         for v in range(1, n):
-            perm = add_table[:, v] if add_table is not None else ring.add_vec(idx, v)
+            perm = ring.translation(v)
             for g in active:
                 child = ring.sub_vec(g[perm], g)
                 if child.any():

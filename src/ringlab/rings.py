@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .budget import order_guard
-from .errors import NotIrreducible, NotMonic, OrderTooLarge, ParseError
+from .errors import NotIrreducible, NotMonic, OrderTooLarge, ParseError, WorkGuardExceeded
 
 _DIGIT_MATRIX_MAX_ORDER = 1 << 16
 _ADD_TABLE_MAX_ORDER = 1 << 11
@@ -322,10 +322,12 @@ class Ring:
     # -- vectorised coordinate arithmetic -----------------------------------
 
     def digit_matrix(self) -> np.ndarray:
-        """(order x k) matrix of mixed-radix coordinates, cached when small."""
+        """(order x k) read-only matrix of mixed-radix coordinates, cached
+        when small."""
         if self._digit_cache is not None:
             return self._digit_cache
         mat = self._digits_of(np.arange(self.order, dtype=np.int64))
+        mat.flags.writeable = False
         if self.order <= _DIGIT_MATRIX_MAX_ORDER:
             self._digit_cache = mat
         return mat
@@ -383,25 +385,31 @@ class Ring:
         return acc
 
     def add_table(self) -> np.ndarray:
-        """Full (order x order) addition table; entry [x, v] is x + v."""
-        if self._add_table is not None:
-            return self._add_table
+        """Read-only (order x order) addition table; entry [x, v] is x + v.
+
+        Refused with WorkGuardExceeded above order 2^11, where callers get
+        translates one shift at a time through `translation` instead.
+        """
         n = self.order
         if n > _ADD_TABLE_MAX_ORDER:
-            raise WorkError(
+            raise WorkGuardExceeded(
                 f"addition table refused for order {n} > {_ADD_TABLE_MAX_ORDER}"
             )
-        idx = np.arange(n, dtype=np.int64)
-        da = self._digits_of(idx)[:, None, :]
-        db = self._digits_of(idx)[None, :, :]
-        table = self._from_digit_array(da + db).astype(np.int32)
-        self._add_table = table
-        return table
+        if self._add_table is None:
+            idx = np.arange(n, dtype=np.int64)
+            da = self._digits_of(idx)[:, None, :]
+            db = self._digits_of(idx)[None, :, :]
+            table = self._from_digit_array(da + db).astype(np.int32)
+            table.flags.writeable = False
+            self._add_table = table
+        return self._add_table
 
-
-class WorkError(RuntimeError):
-    """Internal marker: a convenience table is too large. Callers fall back
-    to streaming arithmetic; this never escapes the public API."""
+    def translation(self, v: int) -> np.ndarray:
+        """Index array of x -> x + v over every element x: a column of the
+        addition table when the order admits one, else computed directly."""
+        if self.order <= _ADD_TABLE_MAX_ORDER:
+            return self.add_table()[:, v]
+        return self.add_vec(np.arange(self.order, dtype=np.int64), v)
 
 
 # ---------------------------------------------------------------------------

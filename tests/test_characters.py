@@ -148,3 +148,10 @@ def test_angles_for_elements_consistent_with_values():
             want = c.value(int(x))
             got = group.unit_table[angles[x, i]]
             assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_coeff_matrix_is_read_only():
+    group = character_group(make_ring("Z/12"))
+    with pytest.raises(ValueError):
+        group.coeff_matrix()[1, 0] = 5
+    assert group.char_at(1).coeffs == (1,)

@@ -68,6 +68,29 @@ def test_parse_error_exit_2():
     assert proc.stdout == ""
 
 
+BAD_INPUTS = [
+    ("vdc", "--ring", "Z/8", "--subgroup", "full", "--k", "0"),
+    ("vdc", "--ring", "Z/8", "--subgroup", "full", "--random", "0"),
+    ("paley", "--ring", "Z/13", "--d", "2", "--sets", "sampled:x:1"),
+    ("expsum", "--ring", "Z/12", "--poly", "0,0,1", "--char", "1,2"),
+    ("sarkozy", "--ring", "Z/13", "--poly", "0,0,1", "--measured", "-5"),
+]
+
+
+@pytest.mark.parametrize(
+    "args", BAD_INPUTS, ids=["vdc-k0", "vdc-random0", "paley-sampled", "expsum-char", "sarkozy-measured"]
+)
+def test_bad_inputs_exit_2(args):
+    """Malformed values are refused with a structured error, never a
+    traceback and never silently reinterpreted."""
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"]["type"] == "ParseError"
+    assert err["error"]["exit_code"] == 2
+    assert proc.stdout == ""
+
+
 def test_unknown_flag_exit_2():
     proc = run_cli("ring", "info", "Z/12", "--frobnicate")
     assert proc.returncode == 2

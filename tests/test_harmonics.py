@@ -173,10 +173,19 @@ def test_te_sweep_matches_te_estimate():
     fs = random_functions(ring, 4, 5)
     sweep = te_sweep(ring, polys, fs)
     for i, P in enumerate(polys):
+        batch = te_estimate(ring, P, fs)
+        assert batch.lhs.shape == batch.satisfied.shape == (4,)
+        assert np.array_equal(sweep["lhs"][i], batch.lhs)
+        assert np.array_equal(sweep["fourier"][i], batch.fourier_lhs)
+        assert np.array_equal(sweep["rhs"][i], batch.rhs)
+        assert sweep["k"][i] == batch.k
         for j in range(4):
             rep = te_estimate(ring, P, fs[j])
+            assert isinstance(rep.lhs, float) and isinstance(rep.satisfied, bool)
             assert sweep["lhs"][i, j] == pytest.approx(rep.lhs, abs=1e-10)
             assert sweep["rhs"][i, j] == pytest.approx(rep.rhs, abs=1e-10)
+            assert batch.ratio[j] == pytest.approx(rep.ratio, abs=1e-10)
+            assert batch.route_gap[j] < 1e-8 and bool(batch.satisfied[j]) == rep.satisfied
     assert np.all(sweep["lhs"] <= sweep["rhs"] + 1e-9)
     assert np.abs(sweep["lhs"] - sweep["fourier"]).max() < 1e-8
 

@@ -263,3 +263,18 @@ def test_spectrum_lambda2_deterministic_tie_break():
     a = spectrum(graph)
     b = spectrum(graph)
     assert a.lambda2_witness == b.lambda2_witness
+
+
+def test_cached_spectrum_is_immutable():
+    """spectrum() hands every caller the same cached report, so neither the
+    report nor its eigenvalues can be changed in place."""
+    import dataclasses
+
+    graph = build_paley(make_ring("Z/13"), 2)
+    first = spectrum(graph)
+    before = np.array(first.eigenvalues)
+    with pytest.raises(ValueError):
+        first.eigenvalues[0] = 99.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.lambda2 = 0.0
+    assert np.array_equal(spectrum(graph).eigenvalues, before)
