@@ -27,15 +27,7 @@ import numpy as np
 
 from . import __version__
 from . import combinatorics, harmonics, paley, polynomials, subgroups
-from .errors import (
-    CharDividesDegree,
-    HypothesisUnmet,
-    NotASubgroup,
-    OrderTooLarge,
-    ParseError,
-    RingLabError,
-    WorkGuardExceeded,
-)
+from .errors import ParseError, RingLabError
 from .polynomials import RingPoly, parse_poly_literal
 from .rings import Ring, make_ring
 
@@ -43,14 +35,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_GUARD = 3
 EXIT_BOUND = 4
-
-_GUARD_ERRORS = (
-    OrderTooLarge,
-    WorkGuardExceeded,
-    HypothesisUnmet,
-    CharDividesDegree,
-    NotASubgroup,
-)
 
 #: subcommands whose randomness honors --seed; batch injects its global
 #: seed into these when a job does not choose its own
@@ -97,6 +81,8 @@ def parse_element_set(ring: Ring, text: str) -> list[int]:
             raise ParseError(f"bad random family {text!r}") from exc
         if not 0 <= k <= ring.order:
             raise ParseError(f"random family size {k} out of range")
+        if seed < 0:
+            raise ParseError(f"random family seed {seed} is negative")
         rng = np.random.default_rng(seed)
         return sorted(int(v) for v in rng.choice(ring.order, size=k, replace=False))
     try:
@@ -336,6 +322,8 @@ def _cmd_paley(args) -> tuple[dict, int]:
                 raise ParseError("want sampled:<count>:<seed>") from exc
             if count < 1:
                 raise ParseError("sampled uniformity needs a count of at least 1")
+            if seed < 0:
+                raise ParseError(f"sampled uniformity seed {seed} is negative")
             uni = paley.uniformity_measure(graph, mode="sampled", count=count, seed=seed)
         elif spec.startswith("file:"):
             try:
@@ -371,7 +359,9 @@ def _cmd_batch(args) -> tuple[dict, int]:
         label = job.get("label", f"job{i}")
         if seed is not None and argv and argv[0] in _SEEDED and "--seed" not in argv:
             argv = argv + ["--seed", str(seed)]
-        doc, code = _run_job(argv)
+        doc, code = _run(argv)
+        if not doc and code != EXIT_OK:
+            doc = {"error": {"type": "ArgumentError", "args": argv}}
         overall = max(overall, code)
         row = {"label": label, "args": argv, "exit_code": code}
         if "error" in doc:
@@ -388,21 +378,27 @@ def _cmd_batch(args) -> tuple[dict, int]:
     return _envelope("batch", summary, seed=seed), overall
 
 
-def _run_job(argv: list[str]) -> tuple[dict, int]:
-    """Run one subcommand in-process, isolating its errors."""
-    parser = build_parser()
+def _run(argv: list[str] | None) -> tuple[dict, int]:
+    """Parse argv and run its subcommand. A RingLabError, raised while
+    parsing or running, becomes a structured error document: exit 2 for a
+    ParseError, 3 for every other (guard) error. An argparse usage error
+    returns an empty document; argparse has already printed the usage."""
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return {"error": {"type": "ArgumentError", "args": argv}}, (
-            int(exc.code) if exc.code else EXIT_PARSE
-        )
-    try:
+        ns = build_parser().parse_args(argv)
         return ns.handler(ns)
-    except ParseError as exc:
-        return _error_doc(exc, EXIT_PARSE), EXIT_PARSE
-    except _GUARD_ERRORS as exc:
-        return _error_doc(exc, EXIT_GUARD), EXIT_GUARD
+    except SystemExit as exc:
+        return {}, int(exc.code) if exc.code else EXIT_PARSE
+    except RingLabError as exc:
+        code = EXIT_PARSE if isinstance(exc, ParseError) else EXIT_GUARD
+        return _error_doc(exc, code), code
+
+
+def _seed(text: str) -> int:
+    """argparse type of every --seed flag: a nonnegative integer."""
+    seed = int(text)
+    if seed < 0:
+        raise ParseError(f"--seed {seed} is negative")
+    return seed
 
 
 def _error_doc(exc: Exception, code: int) -> dict:
@@ -463,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_te.add_argument("--ring", required=True)
     p_te.add_argument("--poly", required=True)
     p_te.add_argument("--random", type=int, default=20, help="number of test functions")
-    p_te.add_argument("--seed", type=int, default=0)
+    p_te.add_argument("--seed", type=_seed, default=0)
     p_te.add_argument("--mode", choices=("auto", "exact", "bound"), default="auto")
     p_te.set_defaults(handler=_cmd_tebound)
 
@@ -476,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_vdc.add_argument("--k", type=int, default=1)
     p_vdc.add_argument("--random", type=int, default=20)
-    p_vdc.add_argument("--seed", type=int, default=0)
+    p_vdc.add_argument("--seed", type=_seed, default=0)
     p_vdc.set_defaults(handler=_cmd_vdc)
 
     p_rc = sub.add_parser("rootcount", help="root count against the degree bound")
@@ -492,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sk.add_argument("--ring", required=True)
     p_sk.add_argument("--poly", required=True)
     p_sk.add_argument("--search", choices=("exact", "greedy"), default="exact")
-    p_sk.add_argument("--seed", type=int, default=0)
+    p_sk.add_argument("--seed", type=_seed, default=0)
     p_sk.add_argument(
         "--measured",
         type=int,
@@ -519,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sets",
         help="uniformity sweep: exhaustive | structured | sampled:<n>:<seed> | file:<path>",
     )
-    p_pal.add_argument("--seed", type=int, default=0)
+    p_pal.add_argument("--seed", type=_seed, default=0)
     p_pal.add_argument(
         "--edges", action="store_true", help="print the edge list (u v per line) and exit"
     )
@@ -534,20 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else EXIT_PARSE
-    try:
-        doc, code = ns.handler(ns)
-    except ParseError as exc:
-        print(_dumps(_error_doc(exc, EXIT_PARSE)), file=sys.stderr)
-        return EXIT_PARSE
-    except _GUARD_ERRORS as exc:
-        print(_dumps(_error_doc(exc, EXIT_GUARD)), file=sys.stderr)
-        return EXIT_GUARD
-    if doc:
+    doc, code = _run(argv)
+    if "error" in doc:
+        print(_dumps(doc), file=sys.stderr)
+    elif doc:
         print(_dumps(doc))
     return code
 

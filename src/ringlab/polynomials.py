@@ -5,9 +5,9 @@ every (k+1)-fold iterated difference
 
     d_{n_1, ..., n_{k+1}} P(x)
 
-vanishes at every point of the ring. It is computed exactly by breadth-first
-exploration of difference functions (deduplicating value tables), or bounded
-cheaply from the exponents of P:
+vanishes at every point of the ring. It is computed exactly by taking
+differences along an additive basis (below), or bounded cheaply from the
+exponents of P:
 
   * characteristic a prime p: the maximum base-p digit sum of the exponents
     is an upper bound, and is the exact formal answer for a single monomial;
@@ -23,9 +23,12 @@ cheaply from the exponents of P:
     factor: x^4 over Z/4 has derivational degree 2, but the base-2 digit sum
     of 4 is 1.
 
-Exact verification over all direction tuples is guarded: confirming degree k
-inspects |R|^(k+1) tuples in the worst case, and the guard refuses once that
-exceeds the work budget.
+Exact verification searches along the cyclic generators g_1..g_r of (R, +)
+(r <= log2 |R|). Difference operators commute and d_{a+b} = d_a + d_b +
+d_a d_b, so every (k+1)-fold difference is a sum of products of at least
+k+1 generator differences; checking each multiset of k+1 generators once
+suffices. Confirming degree k evaluates at most C(k+r, r) value tables of
+length |R|, and the guard refuses once that work exceeds the budget.
 """
 
 from __future__ import annotations
@@ -39,11 +42,6 @@ import numpy as np
 from .budget import work_guard
 from .errors import ParseError, WorkGuardExceeded
 from .rings import Ring, _ptrim, factorize, is_prime
-
-# Keeps the deduplicated difference frontier from exhausting memory on rings
-# where the tuple-count guard alone would admit it.
-_FRONTIER_CELL_CAP = 1 << 26
-
 
 @dataclass(frozen=True)
 class RingPoly:
@@ -236,9 +234,10 @@ def derivational_degree(
 ) -> DdegResult:
     """Derivational degree of P as a function on the ring.
 
-    mode "exact" forces full verification (WorkGuardExceeded if the tuple
-    space is too big), "bound" forces the cheap estimate, and "auto" tries
-    exact first and falls back to the bound.
+    mode "exact" forces full verification (WorkGuardExceeded once the
+    difference tables it evaluates exceed the work guard), "bound" forces
+    the cheap estimate, and "auto" tries exact first and falls back to the
+    bound.
     """
     if mode not in ("exact", "bound", "auto"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -255,40 +254,35 @@ def derivational_degree(
 def _exact_ddeg(ring: Ring, P: RingPoly, guard: int | None) -> DdegResult:
     budget = work_guard(guard)
     n = ring.order
-    if n > budget:
+    spent = n
+    if spent > budget:
         raise WorkGuardExceeded(
             f"exact derivational degree needs at least {n} work, budget {budget}"
         )
     values = P.values()
     if not values.any():
         return DdegResult(0, "exact", True)
-    # Distinct nonzero difference functions at the current depth. The answer
-    # is the largest depth at which one exists: differences of constants
-    # vanish, and a depth whose functions are all zero stays zero forever.
-    frontier: dict[bytes, np.ndarray] = {values.tobytes(): values}
-    level = 0
+    shifts = [ring.translation(int(g)) for g in ring._places]
+    # Level m holds the nonzero differences d_{g_i1} ... d_{g_im} P with
+    # i1 <= ... <= im, each paired with im; a zero function has only zero
+    # differences, so it is dropped.
+    level, frontier = 0, [(values, 0)]
     while True:
-        active = [g for g in frontier.values() if not (g == g[0]).all()]
+        active = [(f, j) for f, j in frontier if not (f == f[0]).all()]
         if not active:
-            # Every child difference is the zero function.
             return DdegResult(level, "exact", True)
-        if n ** (level + 2) > budget:
-            raise WorkGuardExceeded(
-                f"exact derivational degree of {P} on {ring.spec_string()} "
-                f"needs {n}^{level + 2} tuple work, budget {budget}"
-            )
-        next_frontier: dict[bytes, np.ndarray] = {}
-        for v in range(1, n):
-            perm = ring.translation(v)
-            for g in active:
-                child = ring.sub_vec(g[perm], g)
+        frontier = []
+        for f, j in active:
+            for i in range(j, len(shifts)):
+                spent += n
+                if spent > budget:
+                    raise WorkGuardExceeded(
+                        f"exact derivational degree of {P} on {ring.spec_string()} "
+                        f"needs more than {budget} work at depth {level + 1}"
+                    )
+                child = ring.sub_vec(f[shifts[i]], f)
                 if child.any():
-                    next_frontier[child.tobytes()] = child
-            if (len(next_frontier) + 1) * n > _FRONTIER_CELL_CAP:
-                raise WorkGuardExceeded(
-                    "difference frontier exceeded the memory budget"
-                )
-        frontier = next_frontier
+                    frontier.append((child, i))
         level += 1
 
 

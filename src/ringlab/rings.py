@@ -396,10 +396,11 @@ class Ring:
                 f"addition table refused for order {n} > {_ADD_TABLE_MAX_ORDER}"
             )
         if self._add_table is None:
-            idx = np.arange(n, dtype=np.int64)
-            da = self._digits_of(idx)[:, None, :]
-            db = self._digits_of(idx)[None, :, :]
-            table = self._from_digit_array(da + db).astype(np.int32)
+            # One digit place at a time, so temporaries stay n^2 int32.
+            digits = self._digits_of(np.arange(n)).astype(np.int32)
+            table = np.zeros((n, n), dtype=np.int32)
+            for d, m, place in zip(digits.T, self._radices, self._places):
+                table += ((d[:, None] + d[None, :]) % m) * int(place)
             table.flags.writeable = False
             self._add_table = table
         return self._add_table

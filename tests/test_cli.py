@@ -4,6 +4,7 @@ code classes, determinism modulo the header timestamp, and batch isolation.
 
 import importlib.resources
 import json
+import os
 import subprocess
 import sys
 
@@ -11,11 +12,12 @@ import jsonschema
 import pytest
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "ringlab.cli", *args],
         capture_output=True,
         text=True,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -74,12 +76,20 @@ BAD_INPUTS = [
     ("paley", "--ring", "Z/13", "--d", "2", "--sets", "sampled:x:1"),
     ("expsum", "--ring", "Z/12", "--poly", "0,0,1", "--char", "1,2"),
     ("sarkozy", "--ring", "Z/13", "--poly", "0,0,1", "--measured", "-5"),
+    ("tebound", "--ring", "Z/8", "--poly", "0,0,1", "--seed", "-1"),
+    ("vdc", "--ring", "Z/8", "--subgroup", "full", "--seed", "-1"),
+    ("sarkozy", "--ring", "Z/13", "--poly", "0,0,1", "--seed", "-1"),
+    ("paley", "--ring", "Z/13", "--d", "2", "--seed", "-1"),
+    ("sarkozy", "--ring", "Z/13", "--poly", "0,0,1", "--sets", "squares", "random:3:-1"),
+    ("paley", "--ring", "Z/13", "--d", "2", "--sets", "sampled:3:-1"),
+]
+BAD_INPUT_IDS = [
+    "vdc-k0", "vdc-random0", "paley-sampled", "expsum-char", "sarkozy-measured",
+    "tebound-seed", "vdc-seed", "sarkozy-seed", "paley-seed", "random-seed", "sampled-seed",
 ]
 
 
-@pytest.mark.parametrize(
-    "args", BAD_INPUTS, ids=["vdc-k0", "vdc-random0", "paley-sampled", "expsum-char", "sarkozy-measured"]
-)
+@pytest.mark.parametrize("args", BAD_INPUTS, ids=BAD_INPUT_IDS)
 def test_bad_inputs_exit_2(args):
     """Malformed values are refused with a structured error, never a
     traceback and never silently reinterpreted."""
@@ -101,6 +111,18 @@ def test_order_guard_exit_3():
     assert proc.returncode == 3
     err = json.loads(proc.stderr)
     assert err["error"]["type"] == "OrderTooLarge"
+
+
+def test_exact_ddeg_work_guard_exit_3():
+    proc = run_cli(
+        "poly", "ddeg", "--ring", "Z/97", "--poly", "0,0,1", "--mode", "exact",
+        env={"RINGLAB_WORK_GUARD": "200"},
+    )
+    assert proc.returncode == 3
+    err = json.loads(proc.stderr)
+    assert err["error"]["type"] == "WorkGuardExceeded"
+    assert err["error"]["exit_code"] == 3
+    assert proc.stdout == ""
 
 
 def test_non_subgroup_exit_3():
@@ -186,6 +208,29 @@ def test_batch_isolation(tmp_path, validator):
     assert jobs["te"]["exit_code"] == 0
     assert "--seed" in jobs["te"]["args"]
     assert doc["result"]["overall_exit"] == 3
+
+
+def test_batch_job_error_does_not_stop_manifest(tmp_path, validator):
+    """A job whose handler raises becomes an error row; the jobs around it
+    still report."""
+    manifest = {
+        "jobs": [
+            {"label": "ok", "args": ["ring", "info", "Z/12"]},
+            {"label": "bad", "args": ["paley", "--ring", "Z/13", "--d", "2", "--sets", "sampled:3:-1"]},
+        ],
+    }
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    proc = run_cli("batch", str(path))
+    assert proc.returncode == 2
+    doc = json.loads(proc.stdout)
+    validator.validate(doc)
+    jobs = {j["label"]: j for j in doc["result"]["jobs"]}
+    assert jobs["ok"]["exit_code"] == 0
+    assert jobs["ok"]["result"]["order"] == 12
+    assert jobs["bad"]["exit_code"] == 2
+    assert jobs["bad"]["error"]["type"] == "ParseError"
+    assert jobs["bad"]["error"]["exit_code"] == 2
 
 
 def test_batch_empty_manifest(tmp_path):

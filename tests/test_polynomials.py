@@ -5,8 +5,12 @@ is the identity map, so its derivational degree is 1, and the exact search
 must agree with that.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringlab.errors import ParseError, WorkGuardExceeded
 from ringlab.polynomials import (
@@ -191,6 +195,92 @@ def test_ddeg_bound_agrees_with_exact_on_catalog():
                 assert bound.k == exact.k, (spec, coeffs)
             else:
                 assert bound.k >= exact.k, (spec, coeffs)
+
+
+def all_direction_ddeg(ring, P) -> int:
+    """Test oracle for orders up to 64: the least k such that every
+    (k+1)-fold difference of P vanishes, over every tuple of nonzero
+    directions, deduplicating difference tables at each depth. The package
+    searches the additive basis instead; this walks all n - 1 directions."""
+    shifts = [ring.add_vec(np.arange(ring.order), v) for v in range(1, ring.order)]
+    values = P.values()
+    frontier = {values.tobytes(): values}
+    k = 0
+    while True:
+        active = [g for g in frontier.values() if not (g == g[0]).all()]
+        if not active:
+            return k
+        frontier = {}
+        for shift in shifts:
+            for g in active:
+                child = ring.sub_vec(g[shift], g)
+                if child.any():
+                    frontier[child.tobytes()] = child
+        k += 1
+
+
+# Rings of order at most 64 for each of the five constructors.
+ORACLE_RINGS = {
+    "Z": ("Z/8", "Z/9", "Z/12", "Z/13", "Z/35"),
+    "GF": ("GF(4)", "GF(8)", "GF(9)", "GF(16)", "GF(25)"),
+    "GR": ("GR(2,2,2)", "GR(3,2,1)", "GR(2,3,2)"),
+    "PQ": ("PQ(q=2;g=0,0,1)", "PQ(q=2;g=0,1,1)", "PQ(q=3;g=0,0,1)", "PQ(q=4;g=0,0,1)"),
+    "prod": ("prod(Z/4;GF(4))", "prod(Z/3;GF(4))", "prod(Z/5;Z/7)"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_RINGS))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_basis_search_matches_all_directions(family, data):
+    spec = data.draw(st.sampled_from(ORACLE_RINGS[family]), label="ring")
+    ring = make_ring(spec)
+    coeffs = data.draw(
+        st.lists(st.integers(0, ring.order - 1), min_size=1, max_size=5),
+        label="coeffs",
+    )
+    P = RingPoly.make(ring, coeffs)
+    res = derivational_degree(ring, P, mode="exact")
+    assert res.certified and res.method == "exact"
+    assert res.k == all_direction_ddeg(ring, P)
+
+
+@pytest.mark.parametrize(
+    "spec, coeffs, want",
+    [
+        ("GF(4)", (0, 0, 0, 0, 1), 1),  # x^4 = x as functions on GF(4)
+        ("Z/4", (0, 0, 0, 0, 1), 2),
+        ("GF(8)", (0, 0, 0, 0, 0, 0, 0, 0, 1), 1),  # x^8 = x on GF(8)
+        ("prod(GF(4);GF(9))", (0, 1, 1, 0, 1), 2),
+    ],
+)
+def test_ddeg_below_degree(spec, coeffs, want):
+    """Cases where the functional degree falls below deg P."""
+    ring = make_ring(spec)
+    P = RingPoly.from_int_coeffs(ring, coeffs)
+    assert P.degree > want
+    assert derivational_degree(ring, P, mode="exact").k == want
+    assert all_direction_ddeg(ring, P) == want
+
+
+def test_ddeg_exact_guard_counts_basis_differences():
+    """Certifying k costs n * C(k + r, r) work when no difference vanishes
+    early (x^3 on GF(8): r = 3 generators, k = 2); one unit less refuses."""
+    ring = make_ring("GF(8)")
+    P = RingPoly.make(ring, (0, 0, 0, 1))
+    r, k = len(ring.additive_orders()), 2
+    need = ring.order * math.comb(k + r, r)
+    assert derivational_degree(ring, P, mode="exact", guard=need).k == k
+    with pytest.raises(WorkGuardExceeded):
+        derivational_degree(ring, P, mode="exact", guard=need - 1)
+
+
+def test_ddeg_certified_on_gf4096():
+    """x^3 + x^5 + x^7 on GF(4096): twelve generators, certified k = 3."""
+    ring = make_ring("GF(4096)")
+    P = RingPoly.make(ring, (0, 0, 0, 1, 0, 1, 0, 1))
+    res = derivational_degree(ring, P)
+    assert (res.k, res.method, res.certified) == (3, "exact", True)
 
 
 def test_ddeg_exact_mode_respects_guard():
