@@ -8,8 +8,10 @@ s_i mod m_i, acting by
 
 where c_i(x) are the mixed-radix coordinates of x. All angle arithmetic is
 exact: angles live in Z/L with L = lcm(m_i), and a complex exponential is
-evaluated only once per angle class. Character sums are computed through an
-integer histogram of angles, never by accumulating floats per element.
+evaluated only once per angle class: `char_sum` goes through an integer
+histogram of angles. The sums over every character (`all_char_sums`) are
+one multidimensional DFT over (R, +); `character_table` is the independent
+n x n route, for checks on modest orders.
 
 Characters are enumerated in lexicographic coefficient order, so the trivial
 character always comes first. The coefficient tuples range over the same
@@ -121,14 +123,10 @@ class CharacterGroup:
 
     # -- vectorised angles -----------------------------------------------------
 
-    def weight_matrix(self) -> np.ndarray:
-        """(count x k) matrix: row j holds s_i * (L / m_i) for character j."""
-        return self.coeff_matrix() * np.asarray(self.coord_weights, dtype=np.int64)
-
     def angles_for_elements(self, elements: np.ndarray) -> np.ndarray:
         """(len(elements) x count) exact angle matrix mod L."""
         D = self.ring._digits_of(np.asarray(elements, dtype=np.int64))
-        return (D @ self.weight_matrix().T) % self.L
+        return (D * self.coord_weights) @ self.coeff_matrix().T % self.L
 
     def angles_single(self, coeffs: Sequence[int], elements: np.ndarray) -> np.ndarray:
         w = np.asarray(
@@ -168,17 +166,11 @@ def char_sum(ring: Ring, char: Character, values: Iterable[int]) -> complex:
 
 def all_char_sums(ring: Ring, counts: np.ndarray) -> np.ndarray:
     """Vector of sum_x counts[x] chi(x) over every character, in enumeration
-    order. counts is indexed by element and may be any real weights; exact
-    integer counts stay exact through the histogram."""
-    group = character_group(ring)
-    n = ring.order
-    counts = np.asarray(counts)
-    angles = group.angles_for_elements(np.arange(n, dtype=np.int64))
-    out = np.empty(group.count, dtype=np.complex128)
-    for j in range(group.count):
-        hist = np.bincount(angles[:, j], weights=counts, minlength=group.L)
-        out[j] = hist @ group.unit_table
-    return out
+    order: one DFT of the (real or complex) weights over (R, +). The first
+    digit is least significant in the element index, so the axes come out
+    last digit first and are reversed into enumeration order."""
+    cube = np.asarray(counts).reshape(ring.additive_orders()[::-1])
+    return (np.fft.ifftn(cube) * ring.order).transpose().reshape(-1)
 
 
 def character_table(ring: Ring) -> np.ndarray:
@@ -193,10 +185,7 @@ def annihilator_mask(ring: Ring, generators: Sequence[int]) -> np.ndarray:
     """Boolean mask over the character enumeration: True where the character
     kills every generator. Exact: a character kills x iff its angle is 0."""
     group = character_group(ring)
-    gens = np.asarray(list(generators), dtype=np.int64)
-    if gens.size == 0:
-        return np.ones(group.count, dtype=bool)
-    angles = group.angles_for_elements(gens)
+    angles = group.angles_for_elements(np.asarray(list(generators), dtype=np.int64))
     return (angles == 0).all(axis=0)
 
 

@@ -18,6 +18,7 @@ field is the timestamp, isolated in the header.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -387,7 +388,7 @@ def _run(argv: list[str] | None) -> tuple[dict, int]:
         ns = build_parser().parse_args(argv)
         return ns.handler(ns)
     except SystemExit as exc:
-        return {}, int(exc.code) if exc.code else EXIT_PARSE
+        return {}, EXIT_PARSE if exc.code is None else int(exc.code)
     except RingLabError as exc:
         code = EXIT_PARSE if isinstance(exc, ParseError) else EXIT_GUARD
         return _error_doc(exc, code), code
@@ -415,7 +416,10 @@ def _dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged, so main and every batch job share it."""
     parser = argparse.ArgumentParser(
         prog="ringlab",
         description="finite principal ideal rings and their exponential sum, "

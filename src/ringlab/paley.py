@@ -7,8 +7,8 @@ of the adjacency operator with eigenvalue
 
     lambda(chi) = sum over s in S of chi(s).
 
-Spectra are computed exclusively through these character sums (exact
-integer angles into one table of roots of unity), never with a numerical
+Spectra are computed exclusively through these character sums (one DFT of
+the indicator of S over the additive group), never with a numerical
 eigensolver. Around them: the epsilon-uniformity measure (exhaustive on
 tiny rings, sampled or structured otherwise), the spectral floor
 lambda_2 / (8r), the sufficient unit-density criterion, and the
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .characters import character_group
+from .characters import all_char_sums, character_group
 from .combinatorics import adjacency_masks
 from .errors import CharDividesDegree, ParseError, WorkGuardExceeded
 from .polynomials import RingPoly, bound_parameters, derivational_degree
@@ -118,21 +118,17 @@ _SPECTRA: dict[tuple[str, int], SpectrumReport] = {}
 
 
 def spectrum(graph: PaleyGraph) -> SpectrumReport:
-    """One eigenvalue per character, by exact angle histogram sums over the
-    connection set. lambda2 takes the first maximizer in character
-    enumeration order."""
+    """One eigenvalue per character: the character sums of the connection
+    set's indicator, one DFT over (R, +). lambda2 takes the first maximizer
+    in character enumeration order."""
     key = (graph.ring.spec_string(), graph.d)
     cached = _SPECTRA.get(key)
     if cached is not None:
         return cached
     ring = graph.ring
     group = character_group(ring)
-    S = np.asarray(graph.connection_set, dtype=np.int64)
-    if S.size:
-        angles = group.angles_for_elements(S)
-        evals_complex = group.unit_table[angles].sum(axis=0)
-    else:
-        evals_complex = np.zeros(group.count, dtype=np.complex128)
+    indicator = np.bincount(graph.connection_set, minlength=ring.order)
+    evals_complex = all_char_sums(ring, indicator)
     imag_max = float(np.abs(evals_complex.imag).max())
     evals = evals_complex.real
     evals.flags.writeable = False

@@ -220,6 +220,9 @@ class Ring:
         for i in range(1, len(self._radices)):
             places[i] = places[i - 1] * self._radices[i - 1]
         self._places = places
+        # Every digit mod 2: the element index is the bit vector of its
+        # coordinates, so addition and subtraction are XOR and x = -x.
+        self._binary = all(m == 2 for m in self._radices)
 
     # -- scalar coordinate arithmetic --------------------------------------
 
@@ -345,18 +348,22 @@ class Ring:
         return (ds % self._radices_arr) @ self._places
 
     def add_vec(self, a, b) -> np.ndarray:
-        da = self._digits_of(np.asarray(a, dtype=np.int64))
-        db = self._digits_of(np.asarray(b, dtype=np.int64))
-        return self._from_digit_array(da + db)
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        if self._binary:
+            return np.bitwise_xor(a, b)
+        return self._from_digit_array(self._digits_of(a) + self._digits_of(b))
 
     def neg_vec(self, a) -> np.ndarray:
-        da = self._digits_of(np.asarray(a, dtype=np.int64))
-        return self._from_digit_array(-da)
+        a = np.asarray(a, dtype=np.int64)
+        if self._binary:
+            return a.copy()
+        return self._from_digit_array(-self._digits_of(a))
 
     def sub_vec(self, a, b) -> np.ndarray:
-        da = self._digits_of(np.asarray(a, dtype=np.int64))
-        db = self._digits_of(np.asarray(b, dtype=np.int64))
-        return self._from_digit_array(da - db)
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        if self._binary:
+            return np.bitwise_xor(a, b)
+        return self._from_digit_array(self._digits_of(a) - self._digits_of(b))
 
     def mul_vec(self, a, b) -> np.ndarray:
         raise NotImplementedError

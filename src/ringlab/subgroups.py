@@ -1,8 +1,9 @@
 """Subgroups of the additive group generated by polynomial value sets.
 
 A SubgroupSet is a verified additive subgroup stored as a sorted element
-tuple plus a bitmask for O(1) membership. The main constructor closes a
-generating set under addition by breadth-first search; sets supplied as
+tuple plus a bitmask for O(1) membership. The closure picks a basis of at
+most log2 |R| generators and grows the group by doubling steps along each;
+the value subgroup keeps that basis as its generators. Sets supplied as
 already-closed are re-verified unless they came from the closure itself.
 """
 
@@ -89,27 +90,33 @@ class SubgroupSet:
         )
 
 
-def _closure(ring: Ring, generators: Sequence[int]) -> tuple[int, ...]:
-    """Close a generating set under addition (0 is always included)."""
-    gens = np.unique(np.asarray(list(generators), dtype=np.int64))
+def _closure(ring: Ring, generators: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Close a generating set under addition (0 is always included); return
+    the sorted elements and a basis. Each basis element g is the first
+    generator outside the group S so far, so it at least doubles S, which
+    grows by S <- S + {0, step}, step <- 2 step from step = g until nothing
+    is new (S + 2^j g inside S forces S + g inside S)."""
+    gens = np.asarray(generators, dtype=np.int64)
     known = np.zeros(ring.order, dtype=bool)
     known[0] = True
-    if gens.size == 0:
-        return (0,)
-    frontier = gens[~known[gens]]
-    known[frontier] = True
-    while frontier.size:
-        sums = ring.add_vec(frontier[:, None], gens[None, :]).ravel()
-        sums = np.unique(sums)
-        fresh = sums[~known[sums]]
-        known[fresh] = True
-        frontier = fresh
-    return tuple(int(x) for x in np.flatnonzero(known))
+    members, basis = np.zeros(1, dtype=np.int64), []
+    while (pending := gens[~known[gens]]).size:
+        step = int(pending[0])
+        basis.append(step)
+        while True:
+            shifted = ring.add_vec(members, step)
+            fresh = shifted[~known[shifted]]
+            if fresh.size == 0:
+                break
+            known[fresh] = True
+            members = np.concatenate([members, fresh])
+            step = ring.add(step, step)
+    return tuple(np.flatnonzero(known).tolist()), tuple(basis)
 
 
 def from_generators(ring: Ring, generators: Iterable[int]) -> SubgroupSet:
     gens = tuple(int(g) for g in generators)
-    return SubgroupSet(ring, _closure(ring, gens), gens)
+    return SubgroupSet(ring, _closure(ring, gens)[0], gens)
 
 
 def from_elements(ring: Ring, elements: Iterable[int], verify: bool = True) -> SubgroupSet:
@@ -118,7 +125,7 @@ def from_elements(ring: Ring, elements: Iterable[int], verify: bool = True) -> S
     if verify:
         if not elems or elems[0] != 0:
             raise NotASubgroup("a subgroup must contain 0")
-        closed = _closure(ring, elems)
+        closed, _ = _closure(ring, elems)
         if closed != elems:
             raise NotASubgroup(
                 f"set of size {len(elems)} closes to size {len(closed)}"
@@ -131,7 +138,9 @@ def trivial_subgroup(ring: Ring) -> SubgroupSet:
 
 
 def full_subgroup(ring: Ring) -> SubgroupSet:
-    return SubgroupSet(ring, tuple(range(ring.order)), (ring.one,))
+    """All of R, generated by the cyclic generators of (R, +)."""
+    gens = tuple(int(p) for p in ring._places)
+    return SubgroupSet(ring, tuple(range(ring.order)), gens)
 
 
 _VALUE_SUBGROUP_CACHE: dict[tuple[str, tuple[int, ...], bool], SubgroupSet] = {}
@@ -149,8 +158,7 @@ def value_subgroup(ring: Ring, P: RingPoly, subtract_constant: bool = True) -> S
         c = int(values[0])
         if c != 0:
             values = ring.sub_vec(values, c)
-    gens = tuple(int(v) for v in np.unique(values))
-    result = SubgroupSet(ring, _closure(ring, gens), gens)
+    result = SubgroupSet(ring, *_closure(ring, np.unique(values)))
     _VALUE_SUBGROUP_CACHE[key] = result
     return result
 

@@ -16,7 +16,7 @@ from ringlab.characters import (
     characters,
 )
 from ringlab.rings import make_ring
-from ringlab.subgroups import value_subgroup
+from ringlab.subgroups import full_subgroup, value_subgroup
 from ringlab.polynomials import RingPoly
 
 SPECS = ("Z/12", "GF(8)", "GR(3,2,2)", "PQ(q=2;g=0,1,1)", "prod(Z/4;GF(4))")
@@ -155,3 +155,12 @@ def test_coeff_matrix_is_read_only():
     with pytest.raises(ValueError):
         group.coeff_matrix()[1, 0] = 5
     assert group.char_at(1).coeffs == (1,)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_full_subgroup_annihilator_is_trivial(spec):
+    """The full subgroup's generators generate all of R, so only the
+    trivial character annihilates it."""
+    ring = make_ring(spec)
+    ann = annihilator(ring, full_subgroup(ring))
+    assert [c.index for c in ann] == [0]

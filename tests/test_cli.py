@@ -270,3 +270,68 @@ def test_set_families():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["config"]["size_b"] == 4
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [(("--help",), 0), (("expsum", "-h"), 0), (("expsum", "--bogus"), 2)],
+    ids=["help", "expsum-help", "bogus-flag"],
+)
+def test_help_exits_0_and_usage_errors_exit_2(args, code):
+    proc = run_cli(*args)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stdout.startswith("usage: ringlab")
+
+
+def _result(text):
+    doc = json.loads(text)
+    doc.pop("header")
+    return doc
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    """main builds its parser once per process; consecutive calls with other
+    subcommands and flags still report what a fresh process reports, and a
+    failing batch job is still isolated."""
+    from ringlab.cli import main
+
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "jobs": [
+            {"label": "bad", "args": ["vdc", "--ring", "Z/8", "--subgroup", "0,4,5"]},
+            {"label": "ok", "args": ["subgroup", "--ring", "Z/12", "--poly", "0,0,1"]},
+        ],
+    }))
+    runs = [
+        (("expsum", "--ring", "Z/13", "--poly", "0,0,1", "--table"), 0),
+        (("paley", "--ring", "Z/13", "--d", "2", "--sets", "structured", "--seed", "3"), 0),
+        (("subgroup", "--ring", "GF(9)", "--poly", "0,0,1", "--raw-values"), 0),
+        (("expsum", "--ring", "GF(9)", "--poly", "0,0,1"), 0),
+        (("batch", str(manifest)), 3),
+    ]
+    for args, code in runs:
+        assert main(list(args)) == code
+        in_process = capsys.readouterr().out
+        fresh = run_cli(*args)
+        assert fresh.returncode == code
+        assert _result(in_process) == _result(fresh.stdout)
+    jobs = {j["label"]: j for j in _result(in_process)["result"]["jobs"]}
+    assert jobs["bad"]["error"]["type"] == "NotASubgroup"
+    assert jobs["ok"]["exit_code"] == 0
+
+
+@pytest.mark.parametrize(
+    "spec,poly",
+    [("GR(2,2,8)", "0,0,0,1"), ("Z/65536", "0,0,1")],
+)
+def test_expsum_bound_at_order_2_16(spec, poly, validator):
+    """Character sums and the value-subgroup closure stay near O(n) in time
+    and memory at order 2^16, where n x n tables do not fit."""
+    proc = run_cli("expsum", "--ring", spec, f"--poly={poly}", "--mode", "bound")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    validator.validate(doc)
+    result = doc["result"]
+    assert result["bound_satisfied"]
+    assert result["annihilator_size"] * result["subgroup_size"] == 65536

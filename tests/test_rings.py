@@ -247,3 +247,30 @@ def test_cached_arrays_are_read_only():
             arr[0] = 1
     assert ring.add_table()[0, 0] == 0
     assert ring.digit_matrix()[0].tolist() == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["GF(2)", "GF(8)", "GF(64)", "PQ(q=4;g=0,0,1)", "GR(2,1,3)", "prod(GF(4);GF(8))"],
+)
+def test_xor_kernels_match_digit_path(spec):
+    """Rings whose every radix is 2 add and subtract by XOR and negate by
+    copying; the results equal the generic digit-wise arithmetic, for
+    scalars, vectors and broadcast shapes alike."""
+    ring = make_ring(spec)
+    assert ring._binary
+
+    def digit_add(a, b, sign=1):
+        a, b = np.asarray(a), np.asarray(b)
+        return ring._from_digit_array(ring._digits_of(a) + sign * ring._digits_of(b))
+
+    rng = np.random.default_rng(5)
+    xs = np.arange(ring.order, dtype=np.int64)
+    col = rng.integers(0, ring.order, (7, 1))
+    pairs = [(xs[:, None], xs[None, :]), (col, xs[None, :6]), (xs, 3 % ring.order), (1, 1)]
+    for a, b in pairs:
+        np.testing.assert_array_equal(ring.add_vec(a, b), digit_add(a, b))
+        np.testing.assert_array_equal(ring.sub_vec(a, b), digit_add(a, b, -1))
+        np.testing.assert_array_equal(ring.neg_vec(a), ring._from_digit_array(-ring._digits_of(a)))
+        assert ring.add_vec(a, b).shape == np.broadcast(a, b).shape
+    assert not make_ring("Z/4")._binary and not make_ring("GF(9)")._binary
