@@ -3,8 +3,11 @@
 A set A is difference-free for P when no two distinct a, b in A satisfy
 b - a = P(x) for some x. The forbidden differences form the connection set
 D = ({P(x)} union {-P(x)}) minus {0} of a Cayley graph, and the extremal
-difference-free set is exactly a maximum independent set of that graph,
-found here by branch and bound with a greedy clique-cover bound.
+difference-free set is exactly a maximum independent set of that graph.
+Exact mode finds it by branch and bound on neighbour bitmasks with a greedy
+clique-cover bound; since the graph is vertex-transitive, the search only
+takes the branch that puts vertex 0 in the set. Greedy mode walks the graph
+through translates v + D with no adjacency table, in O(|R| + |D|) memory.
 
 The size of any difference-free set is controlled by
 
@@ -157,6 +160,8 @@ def _clique_cover_bound(cand: int, adj: list[int]) -> int:
 
 
 def _max_independent_set(adj: list[int]) -> tuple[int, int]:
+    """Maximum independent set of a Cayley graph by branch and bound, as
+    (size, bitmask). The graph must be vertex-transitive (see below)."""
     n = len(adj)
     best_size = 0
     best_mask = 0
@@ -173,37 +178,36 @@ def _max_independent_set(adj: list[int]) -> tuple[int, int]:
         expand(cand & ~(adj[v] | (1 << v)), size + 1, mask | (1 << v))
         expand(cand & ~(1 << v), size, mask)
 
-    expand((1 << n) - 1, 0, 0)
+    # Root cut: the graph is vertex-transitive, so some maximum independent
+    # set contains vertex 0, and the include-0 branch alone reaches alpha.
+    # The exclude-0 branch could only tie it, and a tie never replaces the
+    # best, so it is skipped.
+    expand(((1 << n) - 1) & ~(adj[0] | 1), 1, 1)
     return best_size, best_mask
 
 
-def _greedy_independent_set(adj: list[int], seed: int) -> tuple[int, int]:
-    """Max-degree-last greedy: strip highest-degree vertices first (seeded
-    tie-break), then add back in reverse order when still independent."""
-    n = len(adj)
+def _greedy_independent_set(ring: Ring, D: np.ndarray, seed: int) -> np.ndarray:
+    """Max-degree-last greedy on the Cayley graph with connection set D:
+    strip highest-degree vertices first (seeded tie-break over the ascending
+    tie list), then add back in reverse order when still independent.
+    Returns the witness as a boolean mask. Neighbours of v are the translates
+    v + D; D is symmetric without 0, so every degree starts at |D|. A removed
+    vertex is set to -1 and only falls from there, below every live one."""
+    n = ring.order
     rng = np.random.default_rng(seed)
-    degrees = [adj[v].bit_count() for v in range(n)]
-    alive = [True] * n
-    removal: list[int] = []
-    live_adj = list(adj)
-    for _ in range(n):
-        max_deg = max(d for v, d in enumerate(degrees) if alive[v])
-        ties = [v for v in range(n) if alive[v] and degrees[v] == max_deg]
-        v = int(ties[rng.integers(len(ties))])
-        removal.append(v)
-        alive[v] = False
-        rest = live_adj[v]
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if alive[u]:
-                degrees[u] -= 1
-                live_adj[u] &= ~(1 << v)
-    mask = 0
-    for v in reversed(removal):
-        if not (adj[v] & mask):
-            mask |= 1 << v
-    return mask.bit_count(), mask
+    degrees = np.full(n, D.size, dtype=np.int64)
+    removal = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        ties = np.flatnonzero(degrees == degrees.max())
+        v = ties[rng.integers(len(ties))]
+        removal[i] = v
+        degrees[v] = -1
+        degrees[ring.add_vec(v, D)] -= 1
+    chosen = np.zeros(n, dtype=bool)
+    for v in removal[::-1]:
+        if not chosen[ring.add_vec(v, D)].any():
+            chosen[v] = True
+    return chosen
 
 
 def verify_difference_free(ring: Ring, P: RingPoly, elements: Sequence[int]) -> bool:
@@ -243,7 +247,8 @@ def difference_free_max(
 ) -> DifferenceFreeReport:
     """Largest (exact mode) or greedily large (greedy mode) difference-free
     set for P. Exact mode is branch and bound on the forbidden-difference
-    Cayley graph and requires |R| <= 64."""
+    Cayley graph and requires |R| <= 64. Greedy mode is the seeded
+    max-degree-last greedy on the same graph, O(|R| |D|) time."""
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
     n = ring.order
@@ -265,20 +270,19 @@ def difference_free_max(
             verified=verify_difference_free(ring, P, witness),
             seed=seed if mode == "greedy" else None,
         )
-    adj = adjacency_masks(ring, D)
     if mode == "exact":
-        size, mask = _max_independent_set(adj)
+        _, mask = _max_independent_set(adjacency_masks(ring, D))
+        witness = [v for v in range(n) if mask >> v & 1]
         used_seed = None
     else:
-        size, mask = _greedy_independent_set(adj, seed)
+        witness = np.flatnonzero(_greedy_independent_set(ring, D, seed)).tolist()
         used_seed = seed
-    witness = [v for v in range(n) if mask >> v & 1]
     verified = verify_difference_free(ring, P, witness)
     return DifferenceFreeReport(
         ring_spec=ring.spec_string(),
         poly=str(P),
         mode=mode,
-        size=size,
+        size=len(witness),
         witness=witness,
         verified=verified,
         seed=used_seed,

@@ -66,10 +66,11 @@ def build_paley(ring: Ring, d: int) -> PaleyGraph:
     if d < 2:
         raise ParseError("Paley construction needs d >= 2")
     xs = np.arange(ring.order, dtype=np.int64)
-    powers = np.unique(ring.pow_vec(xs, d))
+    all_powers = ring.pow_vec(xs, d)
+    powers = np.unique(all_powers)
     S = np.union1d(powers, ring.neg_vec(powers))
     S = S[S != 0]
-    kernel = int((ring.pow_vec(xs, d) == ring.one).sum())
+    kernel = int((all_powers == ring.one).sum())
     minus_one = int(ring.neg(ring.one)) in set(int(v) for v in powers)
     return PaleyGraph(
         ring=ring,

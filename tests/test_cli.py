@@ -125,6 +125,34 @@ def test_exact_ddeg_work_guard_exit_3():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("RINGLAB_ORDER_GUARD", ("ring", "info", "Z/12")),
+        ("RINGLAB_WORK_GUARD", ("poly", "ddeg", "--ring", "Z/12", "--poly", "0,0,1")),
+    ],
+)
+def test_bad_guard_value_exit_2(name, args, value):
+    """A guard variable that is not a positive integer is refused, not read
+    as the default."""
+    proc = run_cli(*args, env={name: value})
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err["error"]["type"] == "ParseError"
+    assert name in err["error"]["message"]
+    assert proc.stdout == ""
+
+
+def test_greedy_sarkozy_at_order_4096(validator):
+    proc = run_cli("sarkozy", "--ring", "Z/4096", "--poly=0,0,1", "--search", "greedy")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    validator.validate(doc)
+    free = doc["result"]["difference_free"]
+    assert free["verified"] and free["size"] == len(free["witness"])
+
+
 def test_non_subgroup_exit_3():
     proc = run_cli("vdc", "--ring", "Z/8", "--subgroup", "0,4,5", "--k", "1")
     assert proc.returncode == 3

@@ -2,13 +2,25 @@
 intersectivity oracle. The maximum-set sizes asserted here were frozen
 after brute-force sweeps over every subset (see the oracle tests below,
 which repeat that enumeration for rings small enough to afford it).
+
+The greedy search walks the Cayley graph through translates and the exact
+search skips the root's exclude branch; both are checked against the
+bitmask versions they replaced, kept here as oracles.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_polynomials import ORACLE_RINGS
 
 from ringlab.errors import HypothesisUnmet, WorkGuardExceeded
 from ringlab.combinatorics import (
+    _clique_cover_bound,
+    _greedy_independent_set,
+    _max_independent_set,
+    adjacency_masks,
     config_count,
     config_count_fourier,
     difference_free_max,
@@ -123,6 +135,120 @@ def test_witnesses_pass_independent_scan():
         rep = difference_free_max(ring, P, mode="exact")
         assert verify_difference_free(ring, P, rep.witness)
         assert rep.verified
+
+
+def greedy_oracle(adj, seed):
+    """The bitmask greedy: strip highest-degree vertices first (seeded
+    tie-break over the ascending tie list), then add back in reverse order
+    when still independent. Returns (size, mask)."""
+    n = len(adj)
+    rng = np.random.default_rng(seed)
+    degrees = [adj[v].bit_count() for v in range(n)]
+    alive = [True] * n
+    removal = []
+    live_adj = list(adj)
+    for _ in range(n):
+        max_deg = max(d for v, d in enumerate(degrees) if alive[v])
+        ties = [v for v in range(n) if alive[v] and degrees[v] == max_deg]
+        v = int(ties[rng.integers(len(ties))])
+        removal.append(v)
+        alive[v] = False
+        rest = live_adj[v]
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if alive[u]:
+                degrees[u] -= 1
+                live_adj[u] &= ~(1 << v)
+    mask = 0
+    for v in reversed(removal):
+        if not (adj[v] & mask):
+            mask |= 1 << v
+    return mask.bit_count(), mask
+
+
+def uncut_search_oracle(adj):
+    """Branch and bound over both branches of every vertex, the root's
+    included. Returns (size, mask)."""
+    best_size = 0
+    best_mask = 0
+
+    def expand(cand, size, mask):
+        nonlocal best_size, best_mask
+        if not cand:
+            if size > best_size:
+                best_size, best_mask = size, mask
+            return
+        if size + _clique_cover_bound(cand, adj) <= best_size:
+            return
+        v = (cand & -cand).bit_length() - 1
+        expand(cand & ~(adj[v] | (1 << v)), size + 1, mask | (1 << v))
+        expand(cand & ~(1 << v), size, mask)
+
+    expand((1 << len(adj)) - 1, 0, 0)
+    return best_size, best_mask
+
+
+def _assert_greedy_matches_oracle(ring, P, seed):
+    D = forbidden_differences(ring, P)
+    rep = difference_free_max(ring, P, mode="greedy", seed=seed)
+    if D.size == 0:
+        assert rep.witness == list(range(ring.order))
+        return
+    size, mask = greedy_oracle(adjacency_masks(ring, D), seed)
+    assert rep.size == size
+    assert rep.witness == [v for v in range(ring.order) if mask >> v & 1]
+    assert rep.verified
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_RINGS))
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_greedy_and_root_cut_match_bitmask_oracles(family, data):
+    ring = make_ring(data.draw(st.sampled_from(ORACLE_RINGS[family]), label="ring"))
+    coeffs = data.draw(
+        st.lists(st.integers(0, ring.order - 1), min_size=2, max_size=5),
+        label="coeffs",
+    )
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    P = RingPoly.make(ring, coeffs)
+    _assert_greedy_matches_oracle(ring, P, seed)
+    D = forbidden_differences(ring, P)
+    if D.size:
+        adj = adjacency_masks(ring, D)
+        assert _max_independent_set(adj) == uncut_search_oracle(adj)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "spec, coeffs",
+    [
+        ("Z/512", (0, 0, 1)),
+        ("Z/1024", (0, 0, 1)),
+        ("GF(1024)", (0, 0, 0, 1)),
+        ("GR(2,2,5)", (0, 0, 1)),
+    ],
+)
+def test_greedy_matches_oracle_at_order_1024(spec, coeffs, seed):
+    ring = make_ring(spec)
+    _assert_greedy_matches_oracle(ring, RingPoly.make(ring, coeffs), seed)
+
+
+@pytest.mark.parametrize(
+    "spec, coeffs",
+    [("Z/97", (0, 0, 1)), ("GF(27)", (0, 1, 1)), ("PQ(q=4;g=0,0,1)", (0, 0, 1)),
+     ("prod(Z/4;GF(4))", (0, 0, 1)), ("GR(2,2,3)", (0, 0, 0, 1))],
+)
+def test_greedy_witness_is_maximal(spec, coeffs):
+    """Every vertex outside the witness has a neighbour inside it, so no
+    element can be added without creating a forbidden difference."""
+    ring = make_ring(spec)
+    P = RingPoly.make(ring, coeffs)
+    D = forbidden_differences(ring, P)
+    chosen = _greedy_independent_set(ring, D, seed=5)
+    for v in np.flatnonzero(~chosen):
+        assert chosen[ring.add_vec(v, D)].any(), v
+    assert not any(chosen[ring.add_vec(v, D)].any() for v in np.flatnonzero(chosen))
 
 
 def test_greedy_never_beats_exact():
