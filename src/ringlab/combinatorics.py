@@ -16,17 +16,20 @@ The size of any difference-free set is controlled by
 with C = (B(d, char) (k-1))^(1/2^(k-1)), valid when P has a root or its
 constant term lies in the value subgroup.
 
-The intersectivity oracle sweeps prime (or irreducible) power moduli up to
-a bound, lifting roots Hensel-style: a root whose derivative valuation v
-satisfies j >= 2v + 1 at level j lifts forever, other roots are extended
-exhaustively one level at a time. A level with no roots is a witness of
-non-intersectivity and is re-verified by a full scan of the quotient.
+P is intersective over a ring of integers O (here Z or F_p[t]) iff it has
+a root mod pi^j for every prime pi and every j. One Hensel climb, on Python
+ints or on F_p[t] elements, checks this for each pi with N(pi) <= B up to
+N(pi^j) <= B^2: a root whose derivative valuation v satisfies j >= 2v + 1
+at level j lifts forever, other roots are extended one level at a time. A
+level with no roots is a witness, re-checked by scanning O/pi^j with the
+ring kernels.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,7 +40,17 @@ from .characters import character_table
 from .errors import HypothesisUnmet, ParseError, WorkGuardExceeded
 from .harmonics import exp_sums_all
 from .polynomials import RingPoly, bound_parameters, derivational_degree
-from .rings import Ring, ZModRing, _monic_polys, _pdivmod, _pmul, _ptrim, is_prime, poly_is_irreducible
+from .rings import (
+    PolyQuotientRing,
+    Ring,
+    ZModRing,
+    _monic_polys,
+    _pdivmod,
+    _pmul,
+    _ptrim,
+    is_prime,
+    poly_is_irreducible,
+)
 from .subgroups import constant_in_subgroup
 
 
@@ -378,305 +391,202 @@ class IntersectivityVerdict:
         return dict(self.__dict__)
 
 
-def _int_poly_eval(coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
+@dataclass(order=True, slots=True)
+class _FpPoly:
+    """An element of F_p[t], with the + * % // truth value and order that
+    the Hensel climb also uses on Python ints. c holds the ascending
+    coefficients mod p, already trimmed; an int operand stands for the
+    constant it reduces to."""
+
+    c: tuple[int, ...]
+    F: Ring
+
+    @classmethod
+    def encode(cls, c, F: Ring) -> "_FpPoly":
+        """Integers by base-p digits, a negative one negated; sequences as
+        coefficient lists mod p."""
+        if isinstance(c, (list, tuple)):
+            return cls(_ptrim([int(x) % F.order for x in c]), F)
+        digits, rest = [], abs(int(c))
+        while rest:
+            rest, d = divmod(rest, F.order)
+            digits.append(d)
+        return cls(tuple(digits), F) * (1 if int(c) >= 0 else -1)
+
+    def _coeffs(self, other) -> tuple[int, ...]:
+        return other.c if isinstance(other, _FpPoly) else _ptrim((other % self.F.order,))
+
+    def __add__(self, other) -> "_FpPoly":
+        a, b = self.c, self._coeffs(other)
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, y in enumerate(b):
+            out[i] = (out[i] + y) % self.F.order
+        return _FpPoly(_ptrim(out), self.F)
+
+    def __mul__(self, other) -> "_FpPoly":
+        return _FpPoly(_pmul(self.c, self._coeffs(other), self.F), self.F)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other: "_FpPoly") -> "_FpPoly":
+        return _FpPoly(_pdivmod(self.c, other.c, self.F)[0], self.F)
+
+    def __mod__(self, other: "_FpPoly") -> "_FpPoly":
+        return _FpPoly(_pdivmod(self.c, other.c, self.F)[1], self.F)
+
+    def __bool__(self) -> bool:
+        return bool(self.c)
+
+
+def _horner(coeffs: Sequence, x):
+    rest = reversed(coeffs)
+    acc = next(rest)
+    for c in rest:
         acc = acc * x + c
     return acc
 
 
-def _int_poly_derivative(coeffs: Sequence[int]) -> list[int]:
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def _valuation_int(value: int, p: int) -> float:
-    if value == 0:
-        return math.inf
-    v = 0
-    while value % p == 0:
-        value //= p
-        v += 1
-    return v
-
-
-def _verify_integer_witness(coeffs: Sequence[int], modulus: int) -> bool:
-    """Independent scan of the whole quotient with modular powers."""
-    for x in range(modulus):
-        total = sum(c * pow(x, i, modulus) for i, c in enumerate(coeffs))
-        if total % modulus == 0:
-            return False
-    return True
-
-
-def _integer_prime_analysis(coeffs, deriv, p: int, level_cap: int):
-    """Climb p, p^2, ... : returns ('resolved', j), ('witness', j), or
-    ('capped', j) with j the last level that was fully examined."""
-    roots = [r for r in range(p) if _int_poly_eval(coeffs, r) % p == 0]
-    j = 1
-    modulus = p
-    while True:
-        if not roots:
-            return "witness", j
-        for r in roots:
-            if _int_poly_eval(coeffs, r) == 0:
-                return "resolved", j
-            v = _valuation_int(_int_poly_eval(deriv, r), p)
-            if v != math.inf and j >= 2 * v + 1:
-                return "resolved", j
-        if modulus * p > level_cap:
-            return "capped", j
-        next_modulus = modulus * p
-        lifted = []
-        for r in roots:
-            for t in range(p):
-                cand = r + modulus * t
-                if _int_poly_eval(coeffs, cand) % next_modulus == 0:
-                    lifted.append(cand)
-        roots = lifted
-        modulus = next_modulus
-        j += 1
-
-
-def _intersectivity_integers(coeffs: list[int], bound: int) -> IntersectivityVerdict:
-    deriv = _int_poly_derivative(coeffs)
-    level_cap = bound * bound
-    witnesses = []
-    unresolved = []
-    resolved = 0
-    for p in range(2, bound + 1):
-        if not is_prime(p):
-            continue
-        outcome, j = _integer_prime_analysis(coeffs, deriv, p, level_cap)
-        if outcome == "witness":
-            witnesses.append((p**j, p, j))
-        elif outcome == "resolved":
-            resolved += 1
-        else:
-            unresolved.append({"prime": p, "checked_through": p**j})
-    if witnesses:
-        modulus, p, j = min(witnesses)
-        verified = _verify_integer_witness(coeffs, modulus)
-        witness = {"prime": p, "exponent": j, "modulus": modulus}
-        return IntersectivityVerdict(
-            family="INTEGERS",
-            poly=list(coeffs),
-            bound_checked=bound,
-            status=STATUS_WITNESS,
-            witness=witness,
-            witness_verified=verified,
-            moduli_resolved=resolved,
-            unresolved=unresolved,
-        )
-    return IntersectivityVerdict(
-        family="INTEGERS",
-        poly=list(coeffs),
-        bound_checked=bound,
-        status=STATUS_INTERSECTIVE,
-        witness=None,
-        witness_verified=None,
-        moduli_resolved=resolved,
-        unresolved=unresolved,
-    )
-
-
-def _fpt_encode(c, p: int) -> tuple[int, ...]:
-    """Integer to F_p[t] by base-p digits; negative integers negate the
-    encoded polynomial. Sequences are taken as coefficient lists mod p."""
-    if isinstance(c, (list, tuple)):
-        return _ptrim(tuple(int(x) % p for x in c))
-    c = int(c)
-    neg = c < 0
-    c = abs(c)
-    digits = []
-    while c:
-        digits.append(c % p)
-        c //= p
-    if neg:
-        digits = [(-d) % p for d in digits]
-    return _ptrim(tuple(digits))
-
-
-def _fpt_add(a, b, F) -> tuple[int, ...]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = F.add(out[i], c)
-    return _ptrim(tuple(out))
-
-
-def _fpt_eval(poly_coeffs, x, F) -> tuple[int, ...]:
-    acc: tuple[int, ...] = ()
-    for c in reversed(poly_coeffs):
-        acc = _fpt_add(_pmul(acc, x, F), c, F)
-    return acc
-
-
-def _fpt_valuation(value, g, F) -> float:
+def _valuation(value, pi) -> float:
+    """The exponent of pi in value; infinite for zero."""
     if not value:
         return math.inf
     v = 0
-    while True:
-        q, rem = _pdivmod(value, g, F)
-        if rem:
-            return v
-        value = q
-        v += 1
-        if not value:
-            return math.inf
+    while not value % pi:
+        value, v = value // pi, v + 1
+    return v
 
 
-def _fpt_reduce(value, modulus, F):
-    return _pdivmod(value, modulus, F)[1]
-
-
-def _all_polys_below(degree: int, p: int):
-    for tup in itertools.product(range(p), repeat=degree):
-        yield _ptrim(tuple(tup))
-
-
-def _fpt_prime_analysis(coeffs, deriv, g, p: int, degree_cap: int, F):
-    e = len(g) - 1
-    roots = [
-        r for r in _all_polys_below(e, F.order)
-        if not _fpt_reduce(_fpt_eval(coeffs, r, F), g, F)
-    ]
-    j = 1
-    modulus = g
-    while True:
-        if not roots:
-            return "witness", j
+def _hensel_climb(coeffs, deriv, pi, residues: Sequence, top: int) -> tuple[str, int]:
+    """Climb pi, pi^2, ..., pi^top: ('resolved', j), ('witness', j) or
+    ('capped', j), with j the last level examined in full. A root r mod
+    pi^j settles every level when P(r) = 0 or j >= 2 v(P'(r)) + 1; the
+    other roots lift to r + pi^j t, t over the residues mod pi."""
+    roots = [r for r in residues if not _horner(coeffs, r) % pi]
+    j, modulus = 1, pi
+    while roots:
         for r in roots:
-            if not _fpt_eval(coeffs, r, F):
+            if not _horner(coeffs, r) or j >= 2 * _valuation(_horner(deriv, r), pi) + 1:
                 return "resolved", j
-            v = _fpt_valuation(_fpt_eval(deriv, r, F), g, F)
-            if v != math.inf and j >= 2 * v + 1:
-                return "resolved", j
-        if (j + 1) * e > degree_cap:
+        if j == top:
             return "capped", j
-        next_modulus = _pmul(modulus, g, F)
-        lifted = []
-        for r in roots:
-            for c in _all_polys_below(e, F.order):
-                cand = _fpt_add(r, _pmul(modulus, c, F), F)
-                if not _fpt_reduce(_fpt_eval(coeffs, cand, F), next_modulus, F):
-                    lifted.append(cand)
-        roots = lifted
-        modulus = next_modulus
-        j += 1
+        steps = [modulus * t for t in residues]
+        j, modulus = j + 1, modulus * pi
+        roots = [x for r in roots for x in (r + s for s in steps)
+                 if not _horner(coeffs, x) % modulus]
+    return "witness", j
 
 
-def _verify_fpt_witness(coeffs, g, j: int, p: int, F, guard: int | None) -> bool:
-    e = len(g) - 1
-    total_degree = j * e
-    if p**total_degree > work_guard(guard):
-        raise WorkGuardExceeded(
-            f"witness verification needs {p}^{total_degree} evaluations"
-        )
-    modulus = g
-    for _ in range(j - 1):
-        modulus = _pmul(modulus, g, F)
-    for r in _all_polys_below(total_degree, p):
-        if not _fpt_reduce(_fpt_eval(coeffs, r, F), modulus, F):
-            return False
-    return True
+def _sweep(coeffs, primes, residues, B: int):
+    """The climb at every prime pi in primes, given as (pi, N(pi)) with
+    N(pi) <= B, through every level with N(pi^j) <= B^2. Returns the least
+    witness (N(pi^j), pi, j) or None, the number of resolved primes, and
+    the capped ones as (pi, j, N(pi^j))."""
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    witnesses, capped, resolved = [], [], 0
+    for pi, norm in primes:
+        top = next(j for j in itertools.count(1) if norm ** (j + 1) > B * B)
+        outcome, j = _hensel_climb(coeffs, deriv, pi, residues(pi), top)
+        if outcome == "witness":
+            witnesses.append((norm**j, pi, j))
+        elif outcome == "resolved":
+            resolved += 1
+        else:
+            capped.append((pi, j, norm**j))
+    return min(witnesses, default=None), resolved, capped
 
 
-def _intersectivity_fpt(raw_coeffs: list, bound: int, p: int, guard: int | None) -> IntersectivityVerdict:
-    if not is_prime(p):
-        raise ParseError(f"FPT needs a prime p, got {p}")
-    F = ZModRing(p)
-    coeffs = [_fpt_encode(c, p) for c in raw_coeffs]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    if len(coeffs) < 2:
-        raise ParseError("intersectivity needs a nonconstant polynomial")
-    deriv = []
-    for i, c in enumerate(coeffs):
-        if i == 0:
-            continue
-        scaled = tuple(F.mul(x, i % p) for x in c)
-        deriv.append(_ptrim(scaled))
-    degree_cap = 2 * bound
-    witnesses = []
-    unresolved = []
-    resolved = 0
-    for e in range(1, bound + 1):
-        for g in _monic_polys(F, e):
-            if not poly_is_irreducible(g, F):
-                continue
-            outcome, j = _fpt_prime_analysis(coeffs, deriv, g, p, degree_cap, F)
-            if outcome == "witness":
-                witnesses.append((j * e, list(g), j))
-            elif outcome == "resolved":
-                resolved += 1
-            else:
-                unresolved.append({"g": list(g), "checked_exponent": j})
-    if witnesses:
-        total_degree, g_list, j = min(witnesses)
-        g = tuple(g_list)
-        verified = _verify_fpt_witness(coeffs, g, j, p, F, guard)
-        witness = {
-            "g": g_list,
-            "exponent": j,
-            "quotient_order": p**total_degree,
-        }
-        return IntersectivityVerdict(
-            family="FPT",
-            poly=[list(c) for c in coeffs],
-            bound_checked=bound,
-            status=STATUS_WITNESS,
-            witness=witness,
-            witness_verified=verified,
-            moduli_resolved=resolved,
-            unresolved=unresolved,
-            p=p,
-        )
-    return IntersectivityVerdict(
-        family="FPT",
-        poly=[list(c) for c in coeffs],
-        bound_checked=bound,
-        status=STATUS_INTERSECTIVE,
-        witness=None,
-        witness_verified=None,
-        moduli_resolved=resolved,
-        unresolved=unresolved,
-        p=p,
-    )
+def _witness_has_no_root(ring: Ring, coeffs: Sequence[int]) -> bool:
+    """Independent check of a witness O/pi^j: evaluate P on every element
+    with the ring kernels, which share no arithmetic with the scalar climb."""
+    values = ring.eval_poly_vec(coeffs, np.arange(ring.order, dtype=np.int64))
+    return not (values == 0).any()
 
 
 def intersectivity_oracle(
     family: str,
     coeffs: Sequence,
     bound: int,
-    p: int | None = None,
     guard: int | None = None,
 ) -> IntersectivityVerdict:
-    """Bounded intersectivity check over the integers or over F_p[t].
+    """Bounded intersectivity check over Z ("INTEGERS") or F_p[t] ("FPT(p)").
 
-    family is "INTEGERS" or "FPT(p)" (or "FPT" with p given separately).
-    Over the integers, coeffs are plain integers and the sweep covers
-    primes up to bound, prime powers up to bound^2. Over F_p[t], integer
-    coefficients are read as base-p encodings of polynomials in t, the
-    sweep covers irreducibles of degree up to bound and powers g^j with
-    j deg(g) <= 2 bound.
+    The climb runs at every prime pi with N(pi) <= B through the levels
+    with N(pi^j) <= B^2, for B = bound over Z and B = p^bound over F_p[t]
+    (irreducibles of degree up to bound). Over F_p[t], integer coefficients
+    are base-p encodings of polynomials in t. The witness is the least
+    (N(pi^j), pi, j) with no root; its re-check charges N(pi^j) against the
+    work guard.
     """
     fam = family.strip().upper()
-    if fam.startswith("FPT(") and fam.endswith(")"):
-        p = int(fam[4:-1])
-        fam = "FPT"
     if bound < 1:
         raise ParseError("bound must be a positive integer")
-    coeffs = list(coeffs)
     if fam == "INTEGERS":
-        ints = [int(c) for c in coeffs]
-        while ints and ints[-1] == 0:
-            ints.pop()
-        if len(ints) < 2:
-            raise ParseError("intersectivity needs a nonconstant polynomial")
-        return _intersectivity_integers(ints, bound)
-    if fam == "FPT":
-        if p is None:
-            raise ParseError("FPT family needs a prime, e.g. FPT(5)")
-        return _intersectivity_fpt(coeffs, bound, p, guard)
-    raise ParseError(f"unknown family {family!r}")
+        p, B = None, bound
+        P = [int(c) for c in coeffs]
+        primes = [(q, q) for q in range(2, bound + 1) if is_prime(q)]
+        residues = range
+
+        def quotient(pi, j, N):
+            return ZModRing(N, guard=N), [c % N for c in P]
+
+        def witness_of(pi, j, N):
+            return {"prime": pi, "exponent": j, "modulus": N}
+
+        def capped_of(pi, j, N):
+            return {"prime": pi, "checked_through": N}
+
+    elif fam.startswith("FPT"):
+        m = re.fullmatch(r"FPT\((\d+)\)", fam)
+        if not m or not is_prime(int(m.group(1))):
+            raise ParseError(f"FPT family needs a prime, e.g. FPT(5); got {family!r}")
+        p = int(m.group(1))
+        B = p**bound
+        F = ZModRing(p)
+        P = [_FpPoly.encode(c, F) for c in coeffs]
+        primes = [(_FpPoly(g, F), p**e) for e in range(1, bound + 1)
+                  for g in _monic_polys(F, e) if poly_is_irreducible(g, F)]
+        below = [[_FpPoly(_ptrim(t), F) for t in itertools.product(range(p), repeat=e)]
+                 for e in range(bound + 1)]
+
+        def residues(g):
+            return below[len(g.c) - 1]
+
+        def quotient(g, j, N):
+            gj = math.prod([g] * j)
+            Q = PolyQuotientRing(F, gj.c, guard=N)
+            return Q, [Q.from_coeffs((c % gj).c) for c in P]
+
+        def witness_of(g, j, N):
+            return {"g": list(g.c), "exponent": j, "quotient_order": N}
+
+        def capped_of(g, j, N):
+            return {"g": list(g.c), "checked_exponent": j}
+
+    else:
+        raise ParseError(f"unknown family {family!r}")
+    while P and not P[-1]:
+        P.pop()
+    if len(P) < 2:
+        raise ParseError("intersectivity needs a nonconstant polynomial")
+    least, resolved, capped = _sweep(P, primes, residues, B)
+    witness = verified = None
+    if least is not None:
+        N, pi, j = least
+        if N > work_guard(guard):
+            raise WorkGuardExceeded(f"witness re-check needs {N} evaluations")
+        # The work guard bounds the scan, so the quotient skips the order guard.
+        verified = _witness_has_no_root(*quotient(pi, j, N))
+        witness = witness_of(pi, j, N)
+    return IntersectivityVerdict(
+        family="INTEGERS" if p is None else "FPT",
+        poly=[c if p is None else list(c.c) for c in P],
+        bound_checked=bound,
+        status=STATUS_INTERSECTIVE if witness is None else STATUS_WITNESS,
+        witness=witness,
+        witness_verified=verified,
+        moduli_resolved=resolved,
+        unresolved=[capped_of(*entry) for entry in capped],
+        p=p,
+    )

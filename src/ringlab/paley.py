@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .characters import all_char_sums, character_group
-from .combinatorics import adjacency_masks
+from .combinatorics import _element_set, adjacency_masks
 from .errors import CharDividesDegree, ParseError, WorkGuardExceeded
 from .polynomials import RingPoly, bound_parameters, derivational_degree
 from .rings import Ring
@@ -235,9 +235,10 @@ def uniformity_measure(
     N(A,B) counting ordered adjacent pairs in A x B. Exhaustive mode
     (|R| <= 10) maximizes exactly: for each A the optimal B is a sign
     class of the centered degree vector, so only 2^|R| set choices are
-    scanned. Sampled and structured modes report the maximum over the
-    examined pairs only; each examined pair is also checked against the
-    expander mixing certificate lambda2 sqrt(|A||B|) + 0.5.
+    scanned. Sampled, structured and explicit modes report the maximum over
+    the examined pairs only; each examined pair is also checked against the
+    expander mixing certificate lambda2 sqrt(|A||B|) + 0.5. Explicit sets
+    follow the element-set rule: duplicates merge, a bad index is a ParseError.
     """
     ring = graph.ring
     n = ring.order
@@ -298,7 +299,7 @@ def uniformity_measure(
         elif mode == "explicit":
             if pairs is None:
                 raise ParseError("explicit mode needs set pairs")
-            pair_list = [(list(a), list(b)) for a, b in pairs]
+            pair_list = [[_element_set(ring, s).tolist() for s in pair] for pair in pairs]
         else:
             raise ParseError(f"unknown uniformity mode {mode!r}")
         pairs_examined = len(pair_list)

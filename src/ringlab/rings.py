@@ -80,22 +80,24 @@ def prime_power(q: int) -> tuple[int, int]:
 # Dense univariate polynomial helpers over a coefficient ring.
 #
 # Polynomials are tuples of element indices, ascending degree, no trailing
-# zeros. These helpers are only used at construction time (canonical moduli,
-# irreducibility checks, factoring quotient moduli), so scalar arithmetic on
-# the coefficient ring is fast enough.
+# zeros. These helpers are used at construction time (canonical moduli,
+# irreducibility checks, factoring quotient moduli) and by the F_p[t]
+# elements of the intersectivity oracle, so scalar arithmetic on the
+# coefficient ring is fast enough.
 # ---------------------------------------------------------------------------
 
 
 def _ptrim(c: Sequence[int]) -> tuple[int, ...]:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+    n = len(c)
+    while n and c[n - 1] == 0:
+        n -= 1
+    return tuple(c[:n])
 
 
 def _pmul(a: Sequence[int], b: Sequence[int], F: "Ring") -> tuple[int, ...]:
     if not a or not b:
         return ()
+    add, mul = F.add, F.mul
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
@@ -103,7 +105,7 @@ def _pmul(a: Sequence[int], b: Sequence[int], F: "Ring") -> tuple[int, ...]:
         for j, bj in enumerate(b):
             if bj == 0:
                 continue
-            out[i + j] = F.add(out[i + j], F.mul(ai, bj))
+            out[i + j] = add(out[i + j], mul(ai, bj))
     return _ptrim(out)
 
 
@@ -115,6 +117,7 @@ def _pdivmod(a: Sequence[int], b: Sequence[int], F: "Ring") -> tuple[tuple[int, 
     db = len(b) - 1
     if db == 0:
         return _ptrim(a), ()
+    sub, mul = F.sub, F.mul
     quot = [0] * max(len(rem) - db, 0)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
@@ -122,7 +125,7 @@ def _pdivmod(a: Sequence[int], b: Sequence[int], F: "Ring") -> tuple[tuple[int, 
             continue
         quot[i - db] = c
         for j in range(db + 1):
-            rem[i - db + j] = F.sub(rem[i - db + j], F.mul(c, b[j]))
+            rem[i - db + j] = sub(rem[i - db + j], mul(c, b[j]))
     return _ptrim(quot), _ptrim(rem)
 
 

@@ -82,10 +82,13 @@ BAD_INPUTS = [
     ("paley", "--ring", "Z/13", "--d", "2", "--seed", "-1"),
     ("sarkozy", "--ring", "Z/13", "--poly", "0,0,1", "--sets", "squares", "random:3:-1"),
     ("paley", "--ring", "Z/13", "--d", "2", "--sets", "sampled:3:-1"),
+    ("intersective", "--family", "FPT(x)", "--poly", "1,1", "--bound", "2"),
+    ("intersective", "--family", "FPT()", "--poly", "1,1", "--bound", "2"),
 ]
 BAD_INPUT_IDS = [
     "vdc-k0", "vdc-random0", "paley-sampled", "expsum-char", "sarkozy-measured",
     "tebound-seed", "vdc-seed", "sarkozy-seed", "paley-seed", "random-seed", "sampled-seed",
+    "fpt-not-a-number", "fpt-empty",
 ]
 
 
@@ -98,6 +101,39 @@ def test_bad_inputs_exit_2(args):
     err = json.loads(proc.stderr)
     assert err["error"]["type"] == "ParseError"
     assert err["error"]["exit_code"] == 2
+    assert proc.stdout == ""
+
+
+def _paley_file(tmp_path, pairs):
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(pairs))
+    return run_cli("paley", "--ring", "Z/13", "--d", "2", "--sets", f"file:{path}")
+
+
+def test_paley_file_sets_follow_the_element_set_rule(tmp_path, validator):
+    """A JSON array of [A, B] pairs; a repeated index counts once, as in
+    every other element-set argument."""
+    proc = _paley_file(tmp_path, [[[1, 2, 3], [4, 5]], [[0], []]])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    validator.validate(doc)
+    uni = doc["result"]["uniformity"]
+    assert uni["mode"] == "explicit" and uni["pairs_examined"] == 2
+    assert uni["witness_a"] == [1, 2, 3]
+    again = _paley_file(tmp_path, [[[3, 1, 2, 1, 3], [5, 4, 4]], [[0, 0], []]])
+    assert json.loads(again.stdout)["result"]["uniformity"] == uni
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[[[1, 13], [2]]], [[[1], [-1]]], [[[-13], [2]]]],
+    ids=["past-the-end", "negative", "negative-wraps-to-0"],
+)
+def test_paley_file_bad_index_exit_2(tmp_path, pairs):
+    proc = _paley_file(tmp_path, pairs)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)["error"]
+    assert err["type"] == "ParseError" and err["exit_code"] == 2
     assert proc.stdout == ""
 
 

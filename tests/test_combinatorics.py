@@ -5,7 +5,9 @@ which repeat that enumeration for rings small enough to afford it).
 
 The greedy search walks the Cayley graph through translates and the exact
 search skips the root's exclude branch; both are checked against the
-bitmask versions they replaced, kept here as oracles.
+bitmask versions they replaced, kept here as oracles. The intersectivity
+oracle runs one Hensel climb for Z and F_p[t]; it is checked against the
+two scalar climbs it replaced, kept in hensel_oracle.py.
 """
 
 import numpy as np
@@ -13,12 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hensel_oracle import reference_verdict
 from test_polynomials import ORACLE_RINGS
 
-from ringlab.errors import HypothesisUnmet, WorkGuardExceeded
+from ringlab.errors import HypothesisUnmet, ParseError, WorkGuardExceeded
 from ringlab.combinatorics import (
     _clique_cover_bound,
     _greedy_independent_set,
+    _witness_has_no_root,
     _max_independent_set,
     adjacency_masks,
     config_count,
@@ -30,7 +34,7 @@ from ringlab.combinatorics import (
     verify_difference_free,
 )
 from ringlab.polynomials import RingPoly
-from ringlab.rings import make_ring
+from ringlab.rings import PolyQuotientRing, ZModRing, make_ring
 
 
 def test_config_count_full_sets():
@@ -416,3 +420,80 @@ def test_intersective_rejects_constant():
 def test_intersective_rejects_unknown_family():
     with pytest.raises(Exception):
         intersectivity_oracle("RATIONALS", [0, 1], 10)
+
+
+@pytest.mark.parametrize("family", ["FPT", "FPT()", "FPT(x)", "FPT(4)", "FPT(5"])
+def test_intersective_fpt_needs_a_prime(family):
+    with pytest.raises(ParseError):
+        intersectivity_oracle(family, [1, 1], 2)
+
+
+@pytest.mark.parametrize(
+    "family, coeffs, bound",
+    [
+        ("INTEGERS", [-4352, 0, 1], 40),
+        ("FPT(3)", [-162, 0, 1], 2),
+        ("INTEGERS", [-162, 0, 1], 5),
+    ],
+)
+def test_intersective_capped_cases_match_oracle(family, coeffs, bound):
+    """Each leaves a prime unresolved at the B^2 cap and still finds a
+    witness elsewhere. x^2 - 162 with bound 5 stops at 9 = 3^2, since
+    27 > 5^2: its roots 0, 3, 6 mod 9 are all singular."""
+    v = intersectivity_oracle(family, coeffs, bound)
+    assert v.unresolved and v.status == "WITNESS_FOUND"
+    assert v.to_dict() == reference_verdict(family, coeffs, bound)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    coeffs=st.lists(st.integers(-5000, 5000), min_size=2, max_size=4),
+    bound=st.integers(1, 40),
+)
+def test_intersective_integers_match_oracle(coeffs, bound):
+    try:
+        want = reference_verdict("INTEGERS", coeffs, bound)
+    except ParseError:
+        with pytest.raises(ParseError):
+            intersectivity_oracle("INTEGERS", coeffs, bound)
+        return
+    assert intersectivity_oracle("INTEGERS", coeffs, bound).to_dict() == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_intersective_fpt_match_oracle(data):
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    bound = data.draw(st.integers(1, {2: 4, 3: 3, 5: 2}[p]), label="bound")
+    coeffs = data.draw(st.lists(st.integers(-300, 300), min_size=2, max_size=4), label="coeffs")
+    family = f"FPT({p})"
+    try:
+        want = reference_verdict(family, coeffs, bound)
+    except ParseError:
+        with pytest.raises(ParseError):
+            intersectivity_oracle(family, coeffs, bound)
+        return
+    assert intersectivity_oracle(family, coeffs, bound).to_dict() == want
+
+
+@pytest.mark.parametrize(
+    "family, coeffs, bound, order",
+    [("INTEGERS", [-2, 0, 1], 30, 3), ("FPT(2)", [2, 0, 1], 3, 4)],
+)
+def test_intersective_witness_recheck_charges_the_work_guard(family, coeffs, bound, order):
+    """The re-check scans all N(pi^j) elements of the witness quotient, and
+    charges them against the work guard in both families."""
+    assert intersectivity_oracle(family, coeffs, bound, guard=order).witness_verified
+    with pytest.raises(WorkGuardExceeded):
+        intersectivity_oracle(family, coeffs, bound, guard=order - 1)
+
+
+def test_witness_recheck_sees_a_root():
+    """x^2 + 1 has no root mod 4 but x^2 + 3 does (x = 1); over F_2[t] mod
+    t^2, y^2 + t has none and y^2 + 1 has y = 1 (t is index 2 there)."""
+    z4 = ZModRing(4)
+    assert _witness_has_no_root(z4, [1, 0, 1])
+    assert not _witness_has_no_root(z4, [3, 0, 1])
+    q = PolyQuotientRing(ZModRing(2), (0, 0, 1))
+    assert _witness_has_no_root(q, [2, 0, 1])
+    assert not _witness_has_no_root(q, [1, 0, 1])
