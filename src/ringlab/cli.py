@@ -329,9 +329,12 @@ def _cmd_paley(args) -> tuple[dict, int]:
         elif spec.startswith("file:"):
             try:
                 payload = json.loads(Path(spec[5:]).read_text())
-                pairs = [(list(map(int, a)), list(map(int, b))) for a, b in payload]
+                pairs = [(list(a), list(b)) for a, b in payload]
             except (OSError, ValueError, TypeError) as exc:
                 raise ParseError(f"cannot read pair file: {exc}") from exc
+            # Only JSON integers name elements; 1.7, true and "2" are refused.
+            if not all(type(x) is int for a, b in pairs for x in a + b):
+                raise ParseError("pair file entries must be JSON integers")
             uni = paley.uniformity_measure(graph, mode="explicit", pairs=pairs)
         else:
             raise ParseError(f"unknown set source {spec!r}")

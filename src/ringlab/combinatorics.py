@@ -27,6 +27,7 @@ ring kernels.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -516,16 +517,17 @@ def intersectivity_oracle(
     with N(pi^j) <= B^2, for B = bound over Z and B = p^bound over F_p[t]
     (irreducibles of degree up to bound). Over F_p[t], integer coefficients
     are base-p encodings of polynomials in t. The witness is the least
-    (N(pi^j), pi, j) with no root; its re-check charges N(pi^j) against the
-    work guard.
+    (N(pi^j), pi, j) with no root. B^2 bounds the first level's
+    sum_{N(pi) <= B} N(pi) evaluations and the witness re-check's N(pi^j),
+    so it is charged against the work guard before any prime is enumerated.
     """
     fam = family.strip().upper()
     if bound < 1:
         raise ParseError("bound must be a positive integer")
     if fam == "INTEGERS":
-        p, B = None, bound
+        p, base, exponent = None, bound, 1
         P = [int(c) for c in coeffs]
-        primes = [(q, q) for q in range(2, bound + 1) if is_prime(q)]
+        primes = ((q, q) for q in range(2, bound + 1) if is_prime(q))
         residues = range
 
         def quotient(pi, j, N):
@@ -542,16 +544,18 @@ def intersectivity_oracle(
         if not m or not is_prime(int(m.group(1))):
             raise ParseError(f"FPT family needs a prime, e.g. FPT(5); got {family!r}")
         p = int(m.group(1))
-        B = p**bound
+        base, exponent = p, bound
         F = ZModRing(p)
         P = [_FpPoly.encode(c, F) for c in coeffs]
-        primes = [(_FpPoly(g, F), p**e) for e in range(1, bound + 1)
-                  for g in _monic_polys(F, e) if poly_is_irreducible(g, F)]
-        below = [[_FpPoly(_ptrim(t), F) for t in itertools.product(range(p), repeat=e)]
-                 for e in range(bound + 1)]
+        primes = ((_FpPoly(g, F), p**e) for e in range(1, bound + 1)
+                  for g in _monic_polys(F, e) if poly_is_irreducible(g, F))
+
+        @functools.cache
+        def below(e):
+            return [_FpPoly(_ptrim(t), F) for t in itertools.product(range(p), repeat=e)]
 
         def residues(g):
-            return below[len(g.c) - 1]
+            return below(len(g.c) - 1)
 
         def quotient(g, j, N):
             gj = math.prod([g] * j)
@@ -570,12 +574,14 @@ def intersectivity_oracle(
         P.pop()
     if len(P) < 2:
         raise ParseError("intersectivity needs a nonconstant polynomial")
-    least, resolved, capped = _sweep(P, primes, residues, B)
+    limit = work_guard(guard)
+    # A huge exponent fails on its bit length alone, before the power is built.
+    if exponent > limit.bit_length() or base ** (2 * exponent) > limit:
+        raise WorkGuardExceeded(f"climb charges B^2 = {base}^{2 * exponent} > work guard {limit}")
+    least, resolved, capped = _sweep(P, primes, residues, base**exponent)
     witness = verified = None
     if least is not None:
         N, pi, j = least
-        if N > work_guard(guard):
-            raise WorkGuardExceeded(f"witness re-check needs {N} evaluations")
         # The work guard bounds the scan, so the quotient skips the order guard.
         verified = _witness_has_no_root(*quotient(pi, j, N))
         witness = witness_of(pi, j, N)

@@ -226,6 +226,10 @@ class Ring:
         # Every digit mod 2: the element index is the bit vector of its
         # coordinates, so addition and subtraction are XOR and x = -x.
         self._binary = all(m == 2 for m in self._radices)
+        # Every radix a power of two: each digit is a bit field (a lane) of
+        # the index, and H holds the top bit of every lane.
+        self._lanes = all(m & (m - 1) == 0 for m in self._radices)
+        self._lane_top = sum(m // 2 * int(pl) for m, pl in zip(self._radices, places))
 
     # -- scalar coordinate arithmetic --------------------------------------
 
@@ -351,21 +355,32 @@ class Ring:
         return (ds % self._radices_arr) @ self._places
 
     def add_vec(self, a, b) -> np.ndarray:
+        """a + b elementwise, broadcasting. XOR when every radix is 2; on
+        other lane rings the low bits of each lane add in one pass and the
+        top bits are put back by XOR, so no carry crosses a lane (Warren,
+        Hacker's Delight 2-18); else digit by digit."""
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         if self._binary:
             return np.bitwise_xor(a, b)
+        if self._lanes:
+            H = self._lane_top
+            return ((a & ~H) + (b & ~H)) ^ ((a ^ b) & H)
         return self._from_digit_array(self._digits_of(a) + self._digits_of(b))
 
     def neg_vec(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        if self._binary:
-            return a.copy()
+        if self._lanes:
+            return self.sub_vec(0, a)
         return self._from_digit_array(-self._digits_of(a))
 
     def sub_vec(self, a, b) -> np.ndarray:
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         if self._binary:
             return np.bitwise_xor(a, b)
+        if self._lanes:
+            # Each lane of a | H is at least H's bit and each lane of b & ~H
+            # below it, so no borrow leaves a lane and no mask is needed.
+            H = self._lane_top
+            return ((a | H) - (b & ~H)) ^ ((a ^ ~b) & H)
         return self._from_digit_array(self._digits_of(a) - self._digits_of(b))
 
     def mul_vec(self, a, b) -> np.ndarray:
@@ -395,10 +410,14 @@ class Ring:
         return acc
 
     def add_table(self) -> np.ndarray:
-        """Read-only (order x order) addition table; entry [x, v] is x + v.
+        """Read-only (order x order) int32 addition table; entry [x, v] is
+        x + v, and the table is symmetric.
 
-        Refused with WorkGuardExceeded above order 2^11, where callers get
-        translates one shift at a time through `translation` instead.
+        Lane rings fill it in row blocks of about 2^18 entries, one
+        `add_vec` call per block; other radices add one digit place at a
+        time, so temporaries stay n^2 int32. Refused with WorkGuardExceeded
+        above order 2^11, where callers get translates one shift at a time
+        through `translation` instead.
         """
         n = self.order
         if n > _ADD_TABLE_MAX_ORDER:
@@ -406,20 +425,26 @@ class Ring:
                 f"addition table refused for order {n} > {_ADD_TABLE_MAX_ORDER}"
             )
         if self._add_table is None:
-            # One digit place at a time, so temporaries stay n^2 int32.
-            digits = self._digits_of(np.arange(n)).astype(np.int32)
             table = np.zeros((n, n), dtype=np.int32)
-            for d, m, place in zip(digits.T, self._radices, self._places):
-                table += ((d[:, None] + d[None, :]) % m) * int(place)
+            xs = np.arange(n, dtype=np.int64)
+            if self._lanes:
+                rows = max(1, (1 << 18) // n)
+                for r in range(0, n, rows):
+                    table[r:r + rows] = self.add_vec(xs[r:r + rows, None], xs)
+            else:
+                digits = self._digits_of(xs).astype(np.int32)
+                for d, m, place in zip(digits.T, self._radices, self._places):
+                    table += ((d[:, None] + d[None, :]) % m) * int(place)
             table.flags.writeable = False
             self._add_table = table
         return self._add_table
 
     def translation(self, v: int) -> np.ndarray:
-        """Index array of x -> x + v over every element x: a column of the
-        addition table when the order admits one, else computed directly."""
+        """Index array of x -> x + v over every element x: row v of the
+        addition table (a contiguous row, equal to column v by symmetry)
+        when the order admits one, else computed directly."""
         if self.order <= _ADD_TABLE_MAX_ORDER:
-            return self.add_table()[:, v]
+            return self.add_table()[v]
         return self.add_vec(np.arange(self.order, dtype=np.int64), v)
 
 

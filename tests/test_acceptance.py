@@ -122,7 +122,7 @@ def test_character_bound_across_catalog():
             if ring.order <= 64:
                 assert rep.k_certified, (spec, lit)
     assert violations == []
-    assert time.perf_counter() - t0 < 60.0
+    assert time.perf_counter() - t0 < 10.0
 
 
 @pytest.mark.criterion(3, "quantitative total-ergodicity estimate")
@@ -139,7 +139,7 @@ def test_total_ergodicity_across_catalog():
         gap = float(np.max(np.abs(sweep["lhs"] - sweep["fourier"])))
         assert gap < 1e-8, spec
         assert np.all(sweep["lhs"] <= sweep["rhs"] + 1e-9), spec
-    assert time.perf_counter() - t0 < 120.0
+    assert time.perf_counter() - t0 < 20.0
 
 
 # Subgroups are named by generator index tuples; "trivial" and "full" are

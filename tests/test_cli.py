@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -137,6 +138,21 @@ def test_paley_file_bad_index_exit_2(tmp_path, pairs):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [[[[1.7, 2], [3]]], [[[1, True], [2]]], [[[1], ["2"]]]],
+    ids=["float", "bool", "digit-string"],
+)
+def test_paley_file_non_integer_entry_exit_2(tmp_path, pairs):
+    """Only JSON integers name elements; [[[1.7, true], [2]]] used to run
+    as A = {1}."""
+    proc = _paley_file(tmp_path, pairs)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)["error"]
+    assert err["type"] == "ParseError" and err["exit_code"] == 2
+    assert proc.stdout == ""
+
+
 def test_unknown_flag_exit_2():
     proc = run_cli("ring", "info", "Z/12", "--frobnicate")
     assert proc.returncode == 2
@@ -158,6 +174,22 @@ def test_exact_ddeg_work_guard_exit_3():
     err = json.loads(proc.stderr)
     assert err["error"]["type"] == "WorkGuardExceeded"
     assert err["error"]["exit_code"] == 3
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "family, poly, bound",
+    [("INTEGERS", "-2,0,1", "100000"), ("FPT(2)", "0,0,1", "14")],
+)
+def test_intersective_norm_cap_work_guard_exit_3(family, poly, bound):
+    """B^2 past the work guard is refused before the climb starts; both
+    commands used to run until a timeout stopped them."""
+    start = time.perf_counter()
+    proc = run_cli("intersective", "--family", family, f"--poly={poly}", "--bound", bound)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 3, proc.stderr
+    err = json.loads(proc.stderr)["error"]
+    assert err["type"] == "WorkGuardExceeded" and err["exit_code"] == 3
     assert proc.stdout == ""
 
 

@@ -477,15 +477,16 @@ def test_intersective_fpt_match_oracle(data):
 
 
 @pytest.mark.parametrize(
-    "family, coeffs, bound, order",
-    [("INTEGERS", [-2, 0, 1], 30, 3), ("FPT(2)", [2, 0, 1], 3, 4)],
+    "family, coeffs, bound, cap",
+    [("INTEGERS", [-2, 0, 1], 30, 30**2), ("FPT(2)", [2, 0, 1], 3, (2**3) ** 2)],
 )
-def test_intersective_witness_recheck_charges_the_work_guard(family, coeffs, bound, order):
-    """The re-check scans all N(pi^j) elements of the witness quotient, and
-    charges them against the work guard in both families."""
-    assert intersectivity_oracle(family, coeffs, bound, guard=order).witness_verified
+def test_intersective_charges_the_norm_cap_squared(family, coeffs, bound, cap):
+    """Before any prime is enumerated the climb charges B^2 against the work
+    guard in both families; B^2 also covers the witness re-check, which
+    scans N(pi^j) <= B^2 elements."""
+    assert intersectivity_oracle(family, coeffs, bound, guard=cap).witness_verified
     with pytest.raises(WorkGuardExceeded):
-        intersectivity_oracle(family, coeffs, bound, guard=order - 1)
+        intersectivity_oracle(family, coeffs, bound, guard=cap - 1)
 
 
 def test_witness_recheck_sees_a_root():

@@ -1,7 +1,8 @@
 """The translation operator x -> x + v and its path for large orders.
 
-Every translate in the package comes from Ring.translation: a column of the
-addition table up to order 2^11, and computed one shift at a time above it.
+Every translate in the package comes from Ring.translation: row v of the
+addition table (equal to column v, the table being symmetric) up to order
+2^11, and computed one shift at a time above it.
 Lowering the cap below a ring's order sends every caller down the second
 path, which must reproduce what the table gives.
 """
