@@ -18,6 +18,10 @@ character always comes first. The coefficient tuples range over the same
 coordinate system as the elements, which realises the self-duality of the
 additive group: annihilators of subgroups can be read off exactly by integer
 comparisons.
+
+A CharacterGroup is a light view on its ring; its unit table and coefficient
+matrix are built once, kept read-only in the ring's memo (`Ring.memo`) and
+freed with the ring.
 """
 
 from __future__ import annotations
@@ -81,24 +85,22 @@ class CharacterGroup:
         self.radices = radices
         self.L = math.lcm(*radices)
         self.coord_weights = tuple(self.L // m for m in radices)
-        self.unit_table = np.exp(2j * np.pi * np.arange(self.L) / self.L)
+        L = self.L
+        self.unit_table = ring.memo("unit_table", lambda: np.exp(2j * np.pi * np.arange(L) / L))
         self.count = ring.order
-        self._coeff_matrix: np.ndarray | None = None
 
     # -- enumeration ---------------------------------------------------------
 
     def coeff_matrix(self) -> np.ndarray:
         """Read-only (count x k) matrix of coefficient tuples in lexicographic
-        order."""
-        if self._coeff_matrix is None:
-            grids = np.meshgrid(
-                *[np.arange(m, dtype=np.int64) for m in self.radices],
-                indexing="ij",
-            )
-            matrix = np.stack(grids, axis=-1).reshape(-1, len(self.radices))
-            matrix.flags.writeable = False
-            self._coeff_matrix = matrix
-        return self._coeff_matrix
+        order, kept in the ring's memo."""
+        return self.ring.memo("coeff_matrix", self._build_coeff_matrix)
+
+    def _build_coeff_matrix(self) -> np.ndarray:
+        grids = np.meshgrid(
+            *[np.arange(m, dtype=np.int64) for m in self.radices], indexing="ij"
+        )
+        return np.stack(grids, axis=-1).reshape(-1, len(self.radices))
 
     def char_at(self, position: int) -> Character:
         coeffs = tuple(int(c) for c in self.coeff_matrix()[position])
@@ -136,15 +138,10 @@ class CharacterGroup:
         return (D @ w) % self.L
 
 
-_GROUP_CACHE: dict[Ring, CharacterGroup] = {}
-
-
 def character_group(ring: Ring) -> CharacterGroup:
-    group = _GROUP_CACHE.get(ring)
-    if group is None:
-        group = CharacterGroup(ring)
-        _GROUP_CACHE[ring] = group
-    return group
+    """The dual of (R, +). A new view on each call, so that the ring's memo
+    holds no reference back to the ring; its arrays come from the memo."""
+    return CharacterGroup(ring)
 
 
 def characters(ring: Ring) -> Iterator[Character]:
@@ -173,12 +170,13 @@ def all_char_sums(ring: Ring, counts: np.ndarray) -> np.ndarray:
     return (np.fft.ifftn(cube) * ring.order).transpose().reshape(-1)
 
 
-def character_table(ring: Ring) -> np.ndarray:
-    """(order x count) complex matrix of chi_j(x). Rows are elements, columns
+def character_table(ring: Ring, elements: np.ndarray | None = None) -> np.ndarray:
+    """(len(elements) x count) complex matrix of chi_j(x), for x over the
+    given elements (every element by default). Rows are elements, columns
     characters in enumeration order. Intended for rings of modest order."""
     group = character_group(ring)
-    angles = group.angles_for_elements(np.arange(ring.order, dtype=np.int64))
-    return group.unit_table[angles]
+    rows = np.arange(ring.order) if elements is None else elements
+    return group.unit_table[group.angles_for_elements(rows)]
 
 
 def annihilator_mask(ring: Ring, generators: Sequence[int]) -> np.ndarray:

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from . import combinatorics, harmonics, paley, polynomials, subgroups
+from .characters import character_group
 from .errors import ParseError, RingLabError
 from .polynomials import RingPoly, parse_poly_literal
 from .rings import Ring, make_ring
@@ -152,8 +153,6 @@ def _cmd_expsum(args) -> tuple[dict, int]:
     report = harmonics.character_bound_check(ring, P, ddeg_mode=args.mode)
     result = report.to_dict()
     if args.char is not None:
-        from .characters import character_group
-
         group = character_group(ring)
         try:
             coeffs = tuple(int(c) for c in args.char.split(","))
@@ -169,8 +168,6 @@ def _cmd_expsum(args) -> tuple[dict, int]:
         }
     if args.table:
         S = harmonics.exp_sums_all(ring, P)
-        from .characters import character_group
-
         group = character_group(ring)
         coeff_rows = group.coeff_matrix()
         result["characters"] = [

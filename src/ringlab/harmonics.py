@@ -44,6 +44,8 @@ from .subgroups import SubgroupSet, value_subgroup
 
 BOUND_TOL = 1e-9
 ROUTE_TOL = 1e-8
+# Entries of one row block of the character table in the Parseval route.
+_TABLE_BLOCK = 1 << 16
 
 
 def random_functions(ring: Ring, count: int, seed: int) -> np.ndarray:
@@ -318,11 +320,16 @@ def _te_lhs_fourier(
     ring: Ring, fs: np.ndarray, recentred: np.ndarray, H: SubgroupSet
 ) -> np.ndarray:
     """Parseval route: lhs^2 = sum over non-annihilating characters of
-    |f_hat(chi)|^2 |S(chi, P)|^2."""
+    |f_hat(chi)|^2 |S(chi, P)|^2. f_hat is summed over row blocks of the
+    character table, so no order x order table is ever held."""
     n = ring.order
     counts = np.bincount(recentred, minlength=n)
     S = all_char_sums(ring, counts) / n
-    f_hats = (fs @ np.conj(character_table(ring))) / n
+    rows = max(1, _TABLE_BLOCK // n)
+    f_hats = sum(
+        fs[:, r:r + rows] @ np.conj(character_table(ring, np.arange(r, min(r + rows, n))))
+        for r in range(0, n, rows)
+    ) / n
     ann = annihilator_mask(ring, H.generators)
     weight = (np.abs(S) ** 2) * ~ann
     return np.sqrt((np.abs(f_hats) ** 2) @ weight)

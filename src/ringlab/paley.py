@@ -86,8 +86,8 @@ def build_paley(ring: Ring, d: int) -> PaleyGraph:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Cached and shared between callers, so frozen with read-only
-    eigenvalues."""
+    """Kept in the ring's memo and shared by every caller on that ring, so
+    frozen with read-only eigenvalues."""
 
     ring_spec: str
     d: int
@@ -115,17 +115,15 @@ class SpectrumReport:
         }
 
 
-_SPECTRA: dict[tuple[str, int], SpectrumReport] = {}
-
-
 def spectrum(graph: PaleyGraph) -> SpectrumReport:
     """One eigenvalue per character: the character sums of the connection
     set's indicator, one DFT over (R, +). lambda2 takes the first maximizer
-    in character enumeration order."""
-    key = (graph.ring.spec_string(), graph.d)
-    cached = _SPECTRA.get(key)
-    if cached is not None:
-        return cached
+    in character enumeration order. Computed once per ring and d, and kept
+    in the ring's memo."""
+    return graph.ring.memo(("spectrum", graph.d), lambda: _spectrum(graph))
+
+
+def _spectrum(graph: PaleyGraph) -> SpectrumReport:
     ring = graph.ring
     group = character_group(ring)
     indicator = np.bincount(graph.connection_set, minlength=ring.order)
@@ -137,7 +135,7 @@ def spectrum(graph: PaleyGraph) -> SpectrumReport:
     idx = 1 + int(np.argmax(moduli[1:]))
     witness = tuple(int(c) for c in group.coeff_matrix()[idx])
     lambda2 = float(moduli[idx])
-    report = SpectrumReport(
+    return SpectrumReport(
         ring_spec=ring.spec_string(),
         d=graph.d,
         r=graph.r,
@@ -149,8 +147,6 @@ def spectrum(graph: PaleyGraph) -> SpectrumReport:
         trace=float(evals.sum()),
         trace_squared=float((evals**2).sum()),
     )
-    _SPECTRA[key] = report
-    return report
 
 
 def adjacency_matrix(graph: PaleyGraph) -> np.ndarray:
@@ -218,6 +214,22 @@ def _degrees_into(graph: PaleyGraph, a01: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair_deviation(
+    graph: PaleyGraph, a: list[int], b: list[int], lam2: float
+) -> tuple[float, float]:
+    """|N(A,B) - (r/|V|) |A||B|| for one pair, and its slack against the
+    expander mixing certificate lambda2 sqrt(|A||B|) + 0.5."""
+    n = graph.ring.order
+    a01 = np.zeros(n)
+    if a:
+        a01[np.asarray(a, dtype=np.int64)] = 1.0
+    deg_a = _degrees_into(graph, a01)
+    N = float(deg_a[np.asarray(b, dtype=np.int64)].sum()) if b else 0.0
+    raw_dev = abs(N - graph.r * len(a) * len(b) / n)
+    cert = lam2 * math.sqrt(len(a) * len(b)) + 0.5
+    return raw_dev, raw_dev - cert
+
+
 def _mask_to_list(mask: int, n: int) -> list[int]:
     return [v for v in range(n) if mask >> v & 1]
 
@@ -248,9 +260,6 @@ def uniformity_measure(
     best = -1.0
     best_a: list[int] = []
     best_b: list[int] = []
-    mixing_checked = 0
-    mixing_ok = True
-    mixing_worst = -math.inf
     lam2 = spectrum(graph).lambda2
     used_seed: int | None = None
 
@@ -277,7 +286,9 @@ def uniformity_measure(
                 sign = 1 if pos >= neg else -1
                 best_b = [x for x in range(n) if sign * centered[x] > 0]
         best /= r * n
-        pair_list = [(best_a, best_b)]
+        _, mixing_worst = _pair_deviation(graph, best_a, best_b, lam2)
+        mixing_checked = 1
+        mixing_ok = mixing_worst <= 0
     else:
         if mode == "sampled":
             rng = np.random.default_rng(seed)
@@ -303,35 +314,17 @@ def uniformity_measure(
         else:
             raise ParseError(f"unknown uniformity mode {mode!r}")
         pairs_examined = len(pair_list)
+        mixing_checked, mixing_ok, mixing_worst = 0, True, -math.inf
         for a, b in pair_list:
-            a01 = np.zeros(n)
-            if a:
-                a01[np.asarray(a, dtype=np.int64)] = 1.0
-            deg_a = _degrees_into(graph, a01)
-            N = float(deg_a[np.asarray(b, dtype=np.int64)].sum()) if b else 0.0
-            raw_dev = abs(N - r * len(a) * len(b) / n)
+            raw_dev, slack = _pair_deviation(graph, a, b, lam2)
             dev = raw_dev / (r * n)
             if dev > best:
                 best = dev
                 best_a, best_b = sorted(a), sorted(b)
-            cert = lam2 * math.sqrt(len(a) * len(b)) + 0.5
             mixing_checked += 1
-            slack = raw_dev - cert
             mixing_worst = max(mixing_worst, slack)
             if slack > 0:
                 mixing_ok = False
-
-    if mode == "exhaustive":
-        a01 = np.zeros(n)
-        if best_a:
-            a01[np.asarray(best_a, dtype=np.int64)] = 1.0
-        deg_a = _degrees_into(graph, a01)
-        N = float(deg_a[np.asarray(best_b, dtype=np.int64)].sum()) if best_b else 0.0
-        raw_dev = abs(N - r * len(best_a) * len(best_b) / n)
-        cert = lam2 * math.sqrt(len(best_a) * len(best_b)) + 0.5
-        mixing_checked = 1
-        mixing_worst = raw_dev - cert
-        mixing_ok = mixing_worst <= 0
 
     return UniformityReport(
         ring_spec=ring.spec_string(),

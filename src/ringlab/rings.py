@@ -35,7 +35,6 @@ import numpy as np
 from .budget import order_guard
 from .errors import NotIrreducible, NotMonic, OrderTooLarge, ParseError, WorkGuardExceeded
 
-_DIGIT_MATRIX_MAX_ORDER = 1 << 16
 _ADD_TABLE_MAX_ORDER = 1 << 11
 
 
@@ -185,7 +184,13 @@ def factor_poly(poly: Sequence[int], F: "Ring") -> list[tuple[tuple[int, ...], i
 @functools.lru_cache(maxsize=None)
 def canonical_irreducible(p: int, e: int) -> tuple[int, ...]:
     """The lexicographically smallest monic irreducible of degree e over Z/p,
-    comparing ascending-degree coefficient vectors."""
+    comparing ascending-degree coefficient vectors.
+
+    Memoised for the whole process, unlike the per-ring values in
+    `Ring.memo`: the result depends on (p, e) alone and holds no ring, while
+    the trial-division search is slow (26 ms for p = 2, e = 12 on a 2-vCPU
+    VM) and a batch builds the same fields job after job.
+    """
     field = ZModRing(p, _guard_checked=True)
     if e == 1:
         return (0, 1)
@@ -215,8 +220,7 @@ class Ring:
     _radices: tuple[int, ...]
 
     def __init__(self) -> None:
-        self._digit_cache: np.ndarray | None = None
-        self._add_table: np.ndarray | None = None
+        self._memo: dict = {}
         radices = np.asarray(self._radices, dtype=np.int64)
         self._radices_arr = radices
         places = np.ones(len(self._radices), dtype=np.int64)
@@ -230,6 +234,19 @@ class Ring:
         # the index, and H holds the top bit of every lane.
         self._lanes = all(m & (m - 1) == 0 for m in self._radices)
         self._lane_top = sum(m // 2 * int(pl) for m, pl in zip(self._radices, places))
+
+    def memo(self, key, build):
+        """The value of `build()` for this ring and key: built on the first
+        call, then returned as is for as long as the ring lives. A numpy
+        array is made read-only before it is kept, since every caller shares
+        it. No value may refer back to the ring: a ring in a reference cycle
+        outlives its last user until the cyclic collector runs."""
+        if key not in self._memo:
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._memo[key] = value
+        return self._memo[key]
 
     # -- scalar coordinate arithmetic --------------------------------------
 
@@ -331,17 +348,6 @@ class Ring:
 
     # -- vectorised coordinate arithmetic -----------------------------------
 
-    def digit_matrix(self) -> np.ndarray:
-        """(order x k) read-only matrix of mixed-radix coordinates, cached
-        when small."""
-        if self._digit_cache is not None:
-            return self._digit_cache
-        mat = self._digits_of(np.arange(self.order, dtype=np.int64))
-        mat.flags.writeable = False
-        if self.order <= _DIGIT_MATRIX_MAX_ORDER:
-            self._digit_cache = mat
-        return mat
-
     def _digits_of(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         out = np.empty(a.shape + (len(self._radices),), dtype=np.int64)
@@ -424,20 +430,21 @@ class Ring:
             raise WorkGuardExceeded(
                 f"addition table refused for order {n} > {_ADD_TABLE_MAX_ORDER}"
             )
-        if self._add_table is None:
-            table = np.zeros((n, n), dtype=np.int32)
-            xs = np.arange(n, dtype=np.int64)
-            if self._lanes:
-                rows = max(1, (1 << 18) // n)
-                for r in range(0, n, rows):
-                    table[r:r + rows] = self.add_vec(xs[r:r + rows, None], xs)
-            else:
-                digits = self._digits_of(xs).astype(np.int32)
-                for d, m, place in zip(digits.T, self._radices, self._places):
-                    table += ((d[:, None] + d[None, :]) % m) * int(place)
-            table.flags.writeable = False
-            self._add_table = table
-        return self._add_table
+        return self.memo("add_table", self._build_add_table)
+
+    def _build_add_table(self) -> np.ndarray:
+        n = self.order
+        table = np.zeros((n, n), dtype=np.int32)
+        xs = np.arange(n, dtype=np.int64)
+        if self._lanes:
+            rows = max(1, (1 << 18) // n)
+            for r in range(0, n, rows):
+                table[r:r + rows] = self.add_vec(xs[r:r + rows, None], xs)
+        else:
+            digits = self._digits_of(xs).astype(np.int32)
+            for d, m, place in zip(digits.T, self._radices, self._places):
+                table += ((d[:, None] + d[None, :]) % m) * int(place)
+        return table
 
     def translation(self, v: int) -> np.ndarray:
         """Index array of x -> x + v over every element x: row v of the
@@ -484,17 +491,22 @@ class ZModRing(Ring):
     def from_int(self, n: int) -> int:
         return n % self.n
 
+    def _reduce(self, x: np.ndarray) -> np.ndarray:
+        """x mod n; a mask when n is a power of two, which two's complement
+        makes right for negative x too."""
+        return x & (self.n - 1) if self._lanes else x % self.n
+
     def add_vec(self, a, b) -> np.ndarray:
-        return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.n
+        return self._reduce(np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64))
 
     def neg_vec(self, a) -> np.ndarray:
-        return (-np.asarray(a, dtype=np.int64)) % self.n
+        return self._reduce(-np.asarray(a, dtype=np.int64))
 
     def sub_vec(self, a, b) -> np.ndarray:
-        return (np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)) % self.n
+        return self._reduce(np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64))
 
     def mul_vec(self, a, b) -> np.ndarray:
-        return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.n
+        return self._reduce(np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64))
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         return [(p, e) for p, e in self._factorization]
@@ -541,15 +553,8 @@ class _PolyModRing(Ring):
             np.array(rows, dtype=np.int64) if rows else np.zeros((0, r), dtype=np.int64)
         )
 
-    def _coeffs(self, x: int) -> list[int]:
-        out = []
-        for _ in range(self._deg):
-            x, d = divmod(x, self.modulus)
-            out.append(d)
-        return out
-
     def mul(self, a: int, b: int) -> int:
-        ca, cb = self._coeffs(a), self._coeffs(b)
+        ca, cb = self.digits(a), self.digits(b)
         r = self._deg
         conv = [0] * (2 * r - 1)
         for i, ai in enumerate(ca):
@@ -628,7 +633,7 @@ class FiniteFieldRing(_PolyModRing):
         return f"GF({self.q};h={','.join(str(c) for c in self.defining)})"
 
     def element_str(self, x: int) -> str:
-        return _poly_str(self._coeffs(x), "u")
+        return _poly_str(self.digits(x), "u")
 
 
 class GaloisRingRing(_PolyModRing):
@@ -695,7 +700,7 @@ class GaloisRingRing(_PolyModRing):
         return base[:-1] + f";f={','.join(str(c) for c in self.defining)})"
 
     def element_str(self, x: int) -> str:
-        return _poly_str(self._coeffs(x), "w")
+        return _poly_str(self.digits(x), "w")
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +751,6 @@ class PolyQuotientRing(Ring):
                 ]
                 rows.append(list(current))
         self._red_rows = rows
-        self._factors: list[tuple[tuple[int, ...], int]] | None = None
 
     def coeffs(self, x: int) -> list[int]:
         out = []
@@ -817,10 +821,8 @@ class PolyQuotientRing(Ring):
             result = result * self.q + c
         return result
 
-    def modulus_factors(self) -> list[tuple[tuple[int, ...], int]]:
-        if self._factors is None:
-            self._factors = factor_poly(self.g, self.base)
-        return self._factors
+    def modulus_factors(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        return self.memo("modulus_factors", lambda: tuple(factor_poly(self.g, self.base)))
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         profile = [

@@ -1,7 +1,7 @@
 """Subgroups of the additive group generated by polynomial value sets.
 
 A SubgroupSet is a verified additive subgroup stored as a sorted element
-tuple plus a bitmask for O(1) membership. The closure picks a basis of at
+tuple, with membership by binary search. The closure picks a basis of at
 most log2 |R| generators and grows the group by doubling steps along each;
 the value subgroup keeps that basis as its generators. Sets supplied as
 already-closed are re-verified unless they came from the closure itself.
@@ -9,6 +9,7 @@ already-closed are re-verified unless they came from the closure itself.
 
 from __future__ import annotations
 
+import bisect
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -21,19 +22,16 @@ from .rings import Ring
 class SubgroupSet:
     """An additive subgroup with fast membership and stable identity."""
 
-    __slots__ = ("ring", "elements", "generators", "_mask")
+    __slots__ = ("ring", "elements", "generators")
 
     def __init__(self, ring: Ring, elements: tuple[int, ...], generators: tuple[int, ...]):
         self.ring = ring
         self.elements = elements
         self.generators = generators
-        mask = 0
-        for e in elements:
-            mask |= 1 << e
-        self._mask = mask
 
     def __contains__(self, x: int) -> bool:
-        return bool((self._mask >> x) & 1)
+        i = bisect.bisect_left(self.elements, x)
+        return i < len(self.elements) and self.elements[i] == x
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -143,24 +141,21 @@ def full_subgroup(ring: Ring) -> SubgroupSet:
     return SubgroupSet(ring, tuple(range(ring.order)), gens)
 
 
-_VALUE_SUBGROUP_CACHE: dict[tuple[str, tuple[int, ...], bool], SubgroupSet] = {}
-
-
 def value_subgroup(ring: Ring, P: RingPoly, subtract_constant: bool = True) -> SubgroupSet:
     """The subgroup generated by the values of P, optionally recentred by
-    subtracting P(0) from every value first."""
-    key = (ring.spec_string(), P.coeffs, subtract_constant)
-    cached = _VALUE_SUBGROUP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    values = P.values()
-    if subtract_constant:
-        c = int(values[0])
-        if c != 0:
-            values = ring.sub_vec(values, c)
-    result = SubgroupSet(ring, *_closure(ring, np.unique(values)))
-    _VALUE_SUBGROUP_CACHE[key] = result
-    return result
+    subtracting P(0) from every value first. The closure runs once per
+    ring, P and recentring; the ring's memo keeps its elements and basis,
+    and each call wraps them in a new SubgroupSet, which refers to the ring."""
+
+    def build() -> tuple[tuple[int, ...], tuple[int, ...]]:
+        values = P.values()
+        if subtract_constant:
+            c = int(values[0])
+            if c != 0:
+                values = ring.sub_vec(values, c)
+        return _closure(ring, np.unique(values))
+
+    return SubgroupSet(ring, *ring.memo(("value_subgroup", P.coeffs, subtract_constant), build))
 
 
 def constant_in_subgroup(ring: Ring, P: RingPoly) -> bool:

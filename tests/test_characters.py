@@ -56,6 +56,15 @@ def test_orthogonality(spec):
     assert np.allclose(gram, n * np.eye(n), atol=1e-9)
 
 
+@pytest.mark.parametrize("spec", SPECS)
+def test_table_rows_for_given_elements(spec):
+    ring = make_ring(spec)
+    T = character_table(ring)
+    picked = np.array([ring.order - 1, 0, ring.order // 2], dtype=np.int64)
+    np.testing.assert_array_equal(character_table(ring, picked), T[picked])
+    assert character_table(ring, picked[:0]).shape == (0, ring.order)
+
+
 def test_row_sums_vanish_for_nontrivial():
     ring = make_ring("GR(3,2,2)")
     T = character_table(ring)
@@ -154,7 +163,10 @@ def test_coeff_matrix_is_read_only():
     group = character_group(make_ring("Z/12"))
     with pytest.raises(ValueError):
         group.coeff_matrix()[1, 0] = 5
+    with pytest.raises(ValueError):
+        group.unit_table[1] = 0
     assert group.char_at(1).coeffs == (1,)
+    assert group.char_at(1).value(3) == pytest.approx(1j)
 
 
 @pytest.mark.parametrize("spec", SPECS)

@@ -5,6 +5,8 @@ add_vec, sub_vec and neg_vec act on whole indices with masked carries and
 borrows, and the addition table is filled in row blocks by add_vec. Both
 are checked here against the digit-wise arithmetic and the per-place table
 they replace, on random Galois rings and products of order at most 1024.
+Z/2^k reduces all four of its kernels with the mask n - 1; they are checked
+against `% n` up to Z/4096.
 """
 
 import numpy as np
@@ -12,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab.rings import make_ring
+from ringlab.rings import ZModRing, make_ring
 
 LANES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 MAX_LOG_ORDER = 10
+MAX_LOG_ZMOD = 12
 
 
 def _gr(n, r):
@@ -43,6 +46,14 @@ def lane_specs(draw):
     )
 
 
+@st.composite
+def lane_or_zmod_specs(draw):
+    """lane_specs, or Z/2^k with k = 1..12."""
+    if draw(st.booleans(), label="zmod"):
+        return f"Z/{2 ** draw(st.integers(1, MAX_LOG_ZMOD), label='k')}"
+    return draw(lane_specs())
+
+
 def _digit_path(ring, a, b, sign):
     """a + sign * b digit by digit: the route for radices that are not
     powers of two."""
@@ -61,11 +72,12 @@ def _table_by_places(ring):
 
 
 @LANES
-@given(spec=lane_specs(), data=st.data())
+@given(spec=lane_or_zmod_specs(), data=st.data())
 def test_lane_kernels_match_digit_path(spec, data):
     ring = make_ring(spec)
     n = ring.order
-    assert n <= 1 << MAX_LOG_ORDER and ring._lanes
+    zmod = isinstance(ring, ZModRing)
+    assert n <= 1 << (MAX_LOG_ZMOD if zmod else MAX_LOG_ORDER) and ring._lanes
     seed = data.draw(st.integers(0, 2**16), label="seed")
     rng = np.random.default_rng(seed)
     xs = np.arange(n, dtype=np.int64)
@@ -82,6 +94,13 @@ def test_lane_kernels_match_digit_path(spec, data):
         got = ring.neg_vec(a)
         assert got.shape == np.shape(a)
         np.testing.assert_array_equal(got, _digit_path(ring, 0, a, -1))
+    if zmod:
+        for a, b in pairs:
+            a, b = np.asarray(a), np.asarray(b)
+            np.testing.assert_array_equal(ring.add_vec(a, b), (a + b) % n)
+            np.testing.assert_array_equal(ring.sub_vec(a, b), (a - b) % n)
+            np.testing.assert_array_equal(ring.neg_vec(a), -a % n)
+            np.testing.assert_array_equal(ring.mul_vec(a, b), (a * b) % n)
 
 
 @LANES

@@ -4,6 +4,8 @@ set-based closure (plain Python sets, no bitmask machinery).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringlab.errors import NotASubgroup
 from ringlab.polynomials import RingPoly
@@ -66,6 +68,25 @@ def test_membership_bitmask():
     members = set(closure_oracle(ring, [6]))
     for x in range(ring.order):
         assert (x in H) == (x in members)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    spec=st.sampled_from(
+        ["Z/24", "Z/97", "GF(9)", "GF(16)", "GR(2,2,2)", "PQ(q=3;g=0,0,1)", "prod(Z/4;Z/6)"]
+    ),
+    data=st.data(),
+)
+def test_membership_matches_the_element_set(spec, data):
+    """Membership agrees with the element set, also just outside the index
+    range on both sides."""
+    ring = make_ring(spec)
+    n = ring.order
+    gens = data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="gens")
+    for H in (from_generators(ring, gens), trivial_subgroup(ring), full_subgroup(ring)):
+        members = set(H.elements)
+        for x in range(-3, n + 3):
+            assert (x in H) == (x in members)
 
 
 def test_value_subgroup_x2_on_dual_numbers():
