@@ -88,12 +88,10 @@ def parse_element_set(ring: Ring, text: str) -> list[int]:
         rng = np.random.default_rng(seed)
         return sorted(int(v) for v in rng.choice(ring.order, size=k, replace=False))
     try:
-        out = sorted({int(tok) for tok in text.split(",") if tok.strip() != ""})
+        tokens = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ParseError(f"bad element set {text!r}") from exc
-    if out and (out[0] < 0 or out[-1] >= ring.order):
-        raise ParseError("set elements must be valid element indices")
-    return out
+    return combinatorics._element_set(ring, tokens).tolist()
 
 
 def _parse_subgroup(ring: Ring, text: str) -> subgroups.SubgroupSet:
@@ -291,8 +289,7 @@ def _cmd_paley(args) -> tuple[dict, int]:
     ring = make_ring(args.ring)
     graph = paley.build_paley(ring, args.d)
     if args.edges:
-        for u, v in paley.edges(graph):
-            print(f"{u} {v}")
+        sys.stdout.writelines(f"{u} {v}\n" for u, v in paley.edges(graph))
         return {}, EXIT_OK
     result: dict = {"graph": graph.spec_dict()}
     spec_report = paley.spectrum(graph)

@@ -56,8 +56,14 @@ from .subgroups import constant_in_subgroup
 
 
 def _element_set(ring: Ring, elements) -> np.ndarray:
-    out = np.unique(np.asarray(list(elements), dtype=np.int64))
-    if out.size and (out[0] < 0 or out[-1] >= ring.order):
+    """The sorted distinct element indices; ParseError if one is out of
+    range, however large."""
+    try:
+        out = np.unique(np.asarray(list(elements), dtype=np.int64))
+        in_range = not out.size or (out[0] >= 0 and out[-1] < ring.order)
+    except OverflowError:
+        in_range = False
+    if not in_range:
         raise ParseError("set elements must be valid element indices")
     return out
 
@@ -94,8 +100,8 @@ def config_count(ring: Ring, P: RingPoly, A, B) -> ConfigCountReport:
     b01 = np.zeros(n, dtype=np.int64)
     b01[B] = 1
     count = 0
-    for v in np.flatnonzero(mult):
-        count += int(mult[v]) * int(a01 @ b01[ring.translation(v)])
+    for v, row in ring.translates(np.flatnonzero(mult)):
+        count += int(mult[v]) * int(a01 @ b01[row])
     expectation = len(A) * len(B)
     deviation = abs(count - expectation)
     if len(A) and len(B):
@@ -149,8 +155,8 @@ def adjacency_masks(ring: Ring, D) -> list[int]:
     """Neighbour bitmasks of the Cayley graph with connection set D: bit y
     of entry x is set when y = x + d for some d in D."""
     adj = [0] * ring.order
-    for d in D:
-        for x, y in enumerate(ring.translation(d).tolist()):
+    for _, row in ring.translates(D):
+        for x, y in enumerate(row.tolist()):
             adj[x] |= 1 << y
     return adj
 

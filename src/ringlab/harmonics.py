@@ -306,12 +306,12 @@ def _te_lhs_direct(
     n = ring.order
     w = np.bincount(values, minlength=n) / n
     poly_avg = np.zeros(fs.shape, dtype=np.complex128)
-    for v in np.flatnonzero(w):
-        poly_avg += w[v] * fs[:, ring.translation(v)]
+    for v, row in ring.translates(np.flatnonzero(w)):
+        poly_avg += w[v] * fs[:, row]
     coset = H.coset(shift)
     coset_avg = np.zeros(fs.shape, dtype=np.complex128)
-    for z in coset:
-        coset_avg += fs[:, ring.translation(z)]
+    for _, row in ring.translates(coset):
+        coset_avg += fs[:, row]
     coset_avg /= len(coset)
     return np.sqrt(np.mean(np.abs(poly_avg - coset_avg) ** 2, axis=1))
 
@@ -405,7 +405,7 @@ def vdc_check(
     single = fs.ndim == 1
     if single:
         fs = fs[None, :]
-    perms = [ring.translation(v) for v in H.elements]
+    perms = ring.add_table(H.elements)
 
     def level(g: np.ndarray, depth: int) -> np.ndarray:
         if depth == 0:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -65,13 +65,10 @@ def build_paley(ring: Ring, d: int) -> PaleyGraph:
     the flag."""
     if d < 2:
         raise ParseError("Paley construction needs d >= 2")
-    xs = np.arange(ring.order, dtype=np.int64)
-    all_powers = ring.pow_vec(xs, d)
-    powers = np.unique(all_powers)
-    S = np.union1d(powers, ring.neg_vec(powers))
-    S = S[S != 0]
+    all_powers, powers, pm = _power_sets(ring, d)
+    S = pm[pm != 0]
     kernel = int((all_powers == ring.one).sum())
-    minus_one = int(ring.neg(ring.one)) in set(int(v) for v in powers)
+    minus_one = bool((powers == ring.neg(ring.one)).any())
     return PaleyGraph(
         ring=ring,
         d=d,
@@ -82,6 +79,14 @@ def build_paley(ring: Ring, d: int) -> PaleyGraph:
         minus_one_is_power=minus_one,
         char_divides_degree=ring.characteristic % d == 0,
     )
+
+
+def _power_sets(ring: Ring, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x^d for every x in index order, the sorted distinct d-th powers, and
+    the sorted plus-minus d-th powers {x^d} union {-x^d}."""
+    all_powers = ring.pow_vec(np.arange(ring.order, dtype=np.int64), d)
+    powers = np.unique(all_powers)
+    return all_powers, powers, np.union1d(powers, ring.neg_vec(powers))
 
 
 @dataclass(frozen=True)
@@ -159,8 +164,8 @@ def adjacency_matrix(graph: PaleyGraph) -> np.ndarray:
         )
     A = np.zeros((n, n), dtype=np.int64)
     idx = np.arange(n, dtype=np.int64)
-    for s in graph.connection_set:
-        A[idx, ring.translation(s)] = 1
+    for _, row in ring.translates(graph.connection_set):
+        A[idx, row] = 1
     return A
 
 
@@ -175,16 +180,15 @@ def eigenvector_identity_error(graph: PaleyGraph) -> float:
     return float(np.abs(A @ table - table * evals[None, :]).max())
 
 
-def edges(graph: PaleyGraph) -> list[tuple[int, int]]:
-    """Edge list with u < v, one line per unordered edge."""
+def edges(graph: PaleyGraph) -> Iterator[tuple[int, int]]:
+    """Every unordered edge once as (u, v) with u < v, in lexicographic
+    order, one vertex at a time: the neighbours of u are u + S."""
     ring = graph.ring
-    out = []
+    S = np.asarray(graph.connection_set, dtype=np.int64)
     for u in range(ring.order):
-        for s in graph.connection_set:
-            v = ring.add(u, int(s))
-            if u < v:
-                out.append((u, v))
-    return sorted(set(out))
+        nbrs = np.sort(ring.add_vec(u, S))
+        for v in nbrs[nbrs > u].tolist():
+            yield u, v
 
 
 @dataclass
@@ -209,8 +213,8 @@ class UniformityReport:
 def _degrees_into(graph: PaleyGraph, a01: np.ndarray) -> np.ndarray:
     """deg_A(x) = #{a in A : x ~ a} for every x, via gathers."""
     out = np.zeros(graph.ring.order)
-    for s in graph.connection_set:
-        out += a01[graph.ring.translation(s)]
+    for _, row in graph.ring.translates(graph.connection_set):
+        out += a01[row]
     return out
 
 
@@ -403,23 +407,17 @@ def quasirandomness_verdict(graph: PaleyGraph) -> QuasirandomnessVerdict:
 
     bad_sizes = []
     for size, fld in ring.residue_fields():
+        if _power_sets(fld, d)[2].size == fld.order:
+            continue
         if size == ring.order:
             # the zero ideal of a field: its residue field is the ring
             # itself, where Weil-bound behavior takes over and no fiber
             # structure persists, so it is left out of the census
-            xs = np.arange(fld.order, dtype=np.int64)
-            powers = np.unique(fld.pow_vec(xs, d))
-            pm = np.union1d(powers, fld.neg_vec(powers))
-            if pm.size < fld.order:
-                notes.append(
-                    "plus-minus d-th powers do not cover the field itself; "
-                    "zero-ideal residue field excluded from the bad-prime census"
-                )
-            continue
-        xs = np.arange(fld.order, dtype=np.int64)
-        powers = np.unique(fld.pow_vec(xs, d))
-        pm = np.union1d(powers, fld.neg_vec(powers))
-        if pm.size < fld.order:
+            notes.append(
+                "plus-minus d-th powers do not cover the field itself; "
+                "zero-ideal residue field excluded from the bad-prime census"
+            )
+        else:
             bad_sizes.append(size)
     if bad_sizes:
         necessary = max(

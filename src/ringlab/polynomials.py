@@ -262,7 +262,7 @@ def _exact_ddeg(ring: Ring, P: RingPoly, guard: int | None) -> DdegResult:
     values = P.values()
     if not values.any():
         return DdegResult(0, "exact", True)
-    shifts = [ring.translation(int(g)) for g in ring._places]
+    shifts = ring.add_table(ring._places)
     # Level m holds the nonzero differences d_{g_i1} ... d_{g_im} P with
     # i1 <= ... <= im, each paired with im; a zero function has only zero
     # differences, so it is dropped.

@@ -10,6 +10,9 @@ the coordinate vector, least significant coordinate first. Index 0 is always
 the zero element, and the multiplicative identity is always index 1 for the
 single-component constructions. Element indices are plain Python ints, which
 keeps bulk arithmetic vectorisable with numpy and makes reports JSON-stable.
+Every translate x -> x + v comes from `Ring.add_table(shifts)`, which builds
+only the rows asked for; `Ring.translates` hands them out in blocks of
+bounded size.
 
 Ring specs use a small textual grammar:
 
@@ -33,9 +36,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .budget import order_guard
-from .errors import NotIrreducible, NotMonic, OrderTooLarge, ParseError, WorkGuardExceeded
+from .errors import NotIrreducible, NotMonic, OrderTooLarge, ParseError
 
-_ADD_TABLE_MAX_ORDER = 1 << 11
+#: entries per block of rows that `Ring.translates` builds at once
+_TRANSLATE_BLOCK = 1 << 18
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -280,16 +284,7 @@ class Ring:
         raise NotImplementedError
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            raise ValueError("negative exponents are not defined here")
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return _power(self.mul, a, e) if e else self.one
 
     def from_int(self, n: int) -> int:
         ds = self.digits(self.one)
@@ -393,15 +388,12 @@ class Ring:
         raise NotImplementedError
 
     def pow_vec(self, a, e: int) -> np.ndarray:
+        """a^e elementwise, always as a new array."""
         a = np.asarray(a, dtype=np.int64)
-        result = np.full(a.shape, self.one, dtype=np.int64)
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul_vec(result, base)
-            base = self.mul_vec(base, base)
-            e >>= 1
-        return result
+        if e == 0:
+            return np.full(a.shape, self.one, dtype=np.int64)
+        result = _power(self.mul_vec, a, e)
+        return a.copy() if result is a else result
 
     def eval_poly_vec(self, coeffs: Sequence[int], xs) -> np.ndarray:
         """Evaluate sum_j coeffs[j] x^j at every x in xs (Horner)."""
@@ -415,44 +407,37 @@ class Ring:
                 acc = self.add_vec(acc, np.full(xs.shape, c, dtype=np.int64))
         return acc
 
-    def add_table(self) -> np.ndarray:
-        """Read-only (order x order) int32 addition table; entry [x, v] is
-        x + v, and the table is symmetric.
+    def add_table(self, shifts) -> np.ndarray:
+        """Rows x -> x + v over every element x, one row per shift v in the
+        order given, repeats included: one `add_vec` over the
+        (len(shifts), order) grid. Nothing is kept, and no row is built
+        that was not asked for."""
+        column = np.asarray(shifts, dtype=np.int64).reshape(-1, 1)
+        return self.add_vec(np.arange(self.order, dtype=np.int64), column)
 
-        Lane rings fill it in row blocks of about 2^18 entries, one
-        `add_vec` call per block; other radices add one digit place at a
-        time, so temporaries stay n^2 int32. Refused with WorkGuardExceeded
-        above order 2^11, where callers get translates one shift at a time
-        through `translation` instead.
-        """
-        n = self.order
-        if n > _ADD_TABLE_MAX_ORDER:
-            raise WorkGuardExceeded(
-                f"addition table refused for order {n} > {_ADD_TABLE_MAX_ORDER}"
-            )
-        return self.memo("add_table", self._build_add_table)
+    def translates(self, shifts):
+        """(v, row of x -> x + v) for each shift v in order, the rows built
+        by `add_table` in blocks of about 2^18 entries, so memory stays
+        bounded at every order however many shifts are asked for."""
+        shifts = np.asarray(shifts, dtype=np.int64)
+        step = max(1, _TRANSLATE_BLOCK // self.order)
+        for start in range(0, shifts.size, step):
+            block = shifts[start:start + step]
+            yield from zip(block.tolist(), self.add_table(block))
 
-    def _build_add_table(self) -> np.ndarray:
-        n = self.order
-        table = np.zeros((n, n), dtype=np.int32)
-        xs = np.arange(n, dtype=np.int64)
-        if self._lanes:
-            rows = max(1, (1 << 18) // n)
-            for r in range(0, n, rows):
-                table[r:r + rows] = self.add_vec(xs[r:r + rows, None], xs)
-        else:
-            digits = self._digits_of(xs).astype(np.int32)
-            for d, m, place in zip(digits.T, self._radices, self._places):
-                table += ((d[:, None] + d[None, :]) % m) * int(place)
-        return table
 
-    def translation(self, v: int) -> np.ndarray:
-        """Index array of x -> x + v over every element x: row v of the
-        addition table (a contiguous row, equal to column v by symmetry)
-        when the order admits one, else computed directly."""
-        if self.order <= _ADD_TABLE_MAX_ORDER:
-            return self.add_table()[v]
-        return self.add_vec(np.arange(self.order, dtype=np.int64), v)
+def _power(mul, a, e: int):
+    """a^e for e >= 1 by left-to-right binary powering: bit_length(e) - 1
+    squarings and popcount(e) - 1 further products (Knuth, TAOCP vol. 2,
+    4.6.3), the fewest that binary powering needs."""
+    if e < 0:
+        raise ValueError("negative exponents are not defined here")
+    result = a
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, a)
+    return result
 
 
 # ---------------------------------------------------------------------------

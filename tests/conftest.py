@@ -1,9 +1,18 @@
 """Shared pytest plumbing: acceptance criteria are marked tests whose
-pass/fail status is replayed as one line each at the end of the run."""
+pass/fail status is replayed as one line each at the end of the run, and
+no test sees the guard variables of the shell that runs it."""
 
 import pytest
 
 _RESULTS = {}
+
+
+@pytest.fixture(autouse=True)
+def _no_guard_variables(monkeypatch):
+    """Every test starts with the default guards, whatever the shell
+    exports; a test that needs a guard sets it itself."""
+    monkeypatch.delenv("RINGLAB_ORDER_GUARD", raising=False)
+    monkeypatch.delenv("RINGLAB_WORK_GUARD", raising=False)
 
 
 def pytest_configure(config):

@@ -12,6 +12,10 @@ import time
 import jsonschema
 import pytest
 
+from ringlab.cli import parse_element_set
+from ringlab.errors import ParseError
+from ringlab.rings import make_ring
+
 
 def run_cli(*args, env=None):
     return subprocess.run(
@@ -127,8 +131,8 @@ def test_paley_file_sets_follow_the_element_set_rule(tmp_path, validator):
 
 @pytest.mark.parametrize(
     "pairs",
-    [[[[1, 13], [2]]], [[[1], [-1]]], [[[-13], [2]]]],
-    ids=["past-the-end", "negative", "negative-wraps-to-0"],
+    [[[[1, 13], [2]]], [[[1], [-1]]], [[[-13], [2]]], [[[1, 2**70], [2]]]],
+    ids=["past-the-end", "negative", "negative-wraps-to-0", "beyond-int64"],
 )
 def test_paley_file_bad_index_exit_2(tmp_path, pairs):
     proc = _paley_file(tmp_path, pairs)
@@ -356,6 +360,17 @@ def test_batch_malformed_manifest_exit_2(tmp_path):
     path.write_text("{nope")
     proc = run_cli("batch", str(path))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "text", ["1,13", "-1", "1,99999999999999999999999", "-99999999999999999999999"]
+)
+def test_explicit_set_bad_index_message(text):
+    """The explicit-index branch follows the element-set rule of the library,
+    with its message, for indices of any size."""
+    with pytest.raises(ParseError, match="set elements must be valid element indices"):
+        parse_element_set(make_ring("Z/13"), text)
+    assert parse_element_set(make_ring("Z/13"), " 3,1,,1 ") == [1, 3]
 
 
 def test_set_families():

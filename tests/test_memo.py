@@ -27,7 +27,7 @@ def _use_every_layer(ring):
     character_bound_check(ring, P)
     te_estimate(ring, P, random_functions(ring, 2, 1), seed=1)
     spectrum(build_paley(ring, 3))
-    ring.add_table()
+    ring.add_table(range(ring.order))
 
 
 @pytest.mark.parametrize("spec", SPECS)

@@ -6,6 +6,8 @@ Paley graphs on Z/q have nontrivial eigenvalues (-1 +/- sqrt(q))/2, each
 with multiplicity (q-1)/2.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -126,12 +128,38 @@ def test_adjacency_matrix_shape():
 
 def test_edges_five_cycle():
     graph = build_paley(make_ring("Z/5"), 2)
-    assert edges(graph) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+    assert list(edges(graph)) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
 
 
 def test_edge_count():
     graph = build_paley(make_ring("Z/17"), 2)
-    assert len(edges(graph)) == 17 * graph.r // 2
+    assert len(list(edges(graph))) == 17 * graph.r // 2
+
+
+@pytest.mark.parametrize(
+    "spec, d",
+    [("Z/12", 2), ("GF(9)", 2), ("PQ(q=2;g=1,0,1)", 3), ("GR(2,2,2)", 3), ("prod(Z/3;GF(4))", 3)],
+)
+def test_edges_match_brute_force(spec, d):
+    """The streamed edges are exactly the sorted pairs u < v with v - u in S,
+    counted by scalar arithmetic over every pair."""
+    ring = make_ring(spec)
+    graph = build_paley(ring, d)
+    S = set(graph.connection_set)
+    want = [
+        (u, v) for u in range(ring.order) for v in range(u + 1, ring.order)
+        if ring.sub(v, u) in S
+    ]
+    assert list(edges(graph)) == want
+
+
+def test_first_edge_streams_without_the_edge_list():
+    """Z/4096 has about 4.2 million edges; the first one comes before the
+    rest are built."""
+    graph = build_paley(make_ring("Z/4096"), 2)
+    start = time.perf_counter()
+    assert next(edges(graph)) == (0, 1)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_complete_graph_when_all_units_hit():

@@ -7,6 +7,7 @@ polynomial arithmetic, no shared code) and compared entry by entry.
 import numpy as np
 import pytest
 
+from ringlab.characters import character_group
 from ringlab.errors import NotIrreducible, NotMonic, OrderTooLarge, ParseError
 from ringlab.rings import Ring, make_ring
 
@@ -173,6 +174,35 @@ def test_vector_ops_match_scalar():
     assert all(ring.pow_vec(a, 3)[i] == ring.pow(int(a[i]), 3) for i in range(50))
 
 
+@pytest.mark.parametrize(
+    "spec", ["Z/12", "GF(9)", "PQ(q=2;g=1,0,1)", "GR(2,2,2)", "prod(Z/3;GF(4))"]
+)
+def test_pow_makes_the_fewest_multiplications(spec, monkeypatch):
+    """Binary powering needs bit_length(d) - 1 squarings and popcount(d) - 1
+    further products; pow_vec and pow make no more, agree with repeated
+    multiplication, and pow_vec always returns a new array."""
+    ring = make_ring(spec)
+    mul_vec, mul = ring.mul_vec, ring.mul
+    calls = []
+    monkeypatch.setattr(ring, "mul_vec", lambda a, b: calls.append("vec") or mul_vec(a, b))
+    monkeypatch.setattr(ring, "mul", lambda a, b: calls.append("scalar") or mul(a, b))
+    xs = np.arange(ring.order)
+    want = np.full(ring.order, ring.one)
+    for d in range(10):
+        fewest = max(0, d.bit_count() + d.bit_length() - 2)
+        calls.clear()
+        got = ring.pow_vec(xs, d)
+        assert calls == ["vec"] * fewest, d
+        np.testing.assert_array_equal(got, want)
+        assert not np.shares_memory(got, xs)
+        calls.clear()
+        assert [ring.pow(int(x), d) for x in xs] == want.tolist()
+        assert calls == ["scalar"] * (fewest * ring.order), d
+        want = mul_vec(want, xs)
+    with pytest.raises(ValueError):
+        ring.pow_vec(xs, -1)
+
+
 def test_units_count_multiplicative():
     r1 = make_ring("Z/8")
     r2 = make_ring("GF(9)")
@@ -242,10 +272,11 @@ def test_eval_poly_vec_matches_horner():
 
 def test_cached_arrays_are_read_only():
     ring = make_ring("GF(9)")
-    for arr in (ring.add_table(), ring.translation(4)):
+    group = character_group(ring)
+    for arr in (group.coeff_matrix(), group.unit_table):
         with pytest.raises(ValueError):
             arr[0] = 1
-    assert ring.add_table()[0, 0] == 0
+    assert group.coeff_matrix()[0, 0] == 0
 
 
 @pytest.mark.parametrize(
