@@ -94,6 +94,19 @@ def parse_element_set(ring: Ring, text: str) -> list[int]:
     return combinatorics._element_set(ring, tokens).tolist()
 
 
+def _only_json_integers(value) -> bool:
+    """Whether every leaf of the nested lists in value is a JSON integer:
+    1.7, true, "2" and null are refused, not truncated or converted."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif type(item) is not int:
+            return False
+    return True
+
+
 def _parse_subgroup(ring: Ring, text: str) -> subgroups.SubgroupSet:
     text = text.strip()
     if text == "full":
@@ -231,8 +244,10 @@ def _cmd_rootcount(args) -> tuple[dict, int]:
     ring = make_ring(args.ring)
     try:
         coeffs = json.loads(args.coeffs)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"coefficients must be a JSON array: {exc}") from exc
+    if not _only_json_integers(coeffs):
+        raise ParseError("coefficients must be JSON integers")
     try:
         report = harmonics.root_count_bound_check(ring, coeffs)
     except ValueError as exc:
@@ -326,8 +341,7 @@ def _cmd_paley(args) -> tuple[dict, int]:
                 pairs = [(list(a), list(b)) for a, b in payload]
             except (OSError, ValueError, TypeError) as exc:
                 raise ParseError(f"cannot read pair file: {exc}") from exc
-            # Only JSON integers name elements; 1.7, true and "2" are refused.
-            if not all(type(x) is int for a, b in pairs for x in a + b):
+            if not _only_json_integers(pairs):
                 raise ParseError("pair file entries must be JSON integers")
             uni = paley.uniformity_measure(graph, mode="explicit", pairs=pairs)
         else:

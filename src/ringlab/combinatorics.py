@@ -358,8 +358,8 @@ def sarkozy_bound_check(
     k = bp.k
     lpf = ring.lpf()
     if k >= 1:
-        C = (bp.b * (k - 1)) ** (1.0 / 2 ** (k - 1))
-        bound = C * ring.order * lpf ** (-1.0 / 2 ** (k - 1)) + d * ring.order / lpf
+        C = (bp.b * (k - 1)) ** (2.0 ** (1 - k))
+        bound = C * ring.order * lpf ** -(2.0 ** (1 - k)) + d * ring.order / lpf
     else:
         C = 0.0
         bound = d * ring.order / lpf

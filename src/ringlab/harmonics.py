@@ -157,7 +157,9 @@ def character_bound_check(
         flags.append("DEGENERATE")
 
     if checked.any():
-        lhs_powers = moduli[checked] ** (2 ** (k - 1)) if k >= 1 else moduli[checked]
+        # x ** 2^j in floats is 0, 1 or inf for x below, at or above 1 once
+        # j >= 1023, as for j = 1023, and 2^1024 itself overflows a float.
+        lhs_powers = moduli[checked] ** (2.0 ** min(k - 1, 1023)) if k >= 1 else moduli[checked]
         worst = int(np.argmax(lhs_powers))
         checked_idx = np.flatnonzero(checked)
         max_checked = float(moduli[checked_idx[worst]])
@@ -267,7 +269,7 @@ def te_estimate(
 
     f_norm = np.sqrt(np.mean(np.abs(fs) ** 2, axis=1))
     power = _power_bound(bp.b, k, lpf)
-    rhs = power ** (1.0 / 2 ** (k - 1)) * f_norm if k >= 1 else np.zeros(len(fs))
+    rhs = power ** (2.0 ** (1 - k)) * f_norm if k >= 1 else np.zeros(len(fs))
     fallback = np.where(lhs <= BOUND_TOL, 0.0, np.inf)
     ratio = np.divide(lhs, rhs, out=fallback, where=rhs > 0)
     satisfied = lhs <= rhs + BOUND_TOL
@@ -469,7 +471,10 @@ def root_count_bound_check(
     coeffs is a nested list: level i indexes the exponent of variable i,
     innermost entries are element indices.
     """
-    arr = np.asarray(coeffs, dtype=np.int64)
+    try:
+        arr = np.asarray(coeffs, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("coefficients must be element indices") from None
     if arr.ndim == 0:
         arr = arr[None]
     if arr.ndim > 3:

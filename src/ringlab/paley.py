@@ -395,7 +395,7 @@ def quasirandomness_verdict(graph: PaleyGraph) -> QuasirandomnessVerdict:
     u = ring.units_count() / ring.order
     notes = []
     if k >= 2:
-        sufficient = 3 * d * B * (k - 1) * (1 - u) ** (1.0 / 2 ** (k - 1))
+        sufficient = 3 * d * B * (k - 1) * (1 - u) ** (2.0 ** (1 - k))
     else:
         sufficient = None
         notes.append(

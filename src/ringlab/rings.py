@@ -14,6 +14,14 @@ Every translate x -> x + v comes from `Ring.add_table(shifts)`, which builds
 only the rows asked for; `Ring.translates` hands them out in blocks of
 bounded size.
 
+GF(p^e), GR(p,n,r) and PQ(q;g) are each a coefficient ring modulo a monic
+polynomial, and share one multiplication kernel (`_PolyModRing.mul_vec`):
+the integer 2-D convolution of the two operands' digit grids (m
+coefficients by e digits), reduced mod the characteristic M, mapped through
+one reduction matrix L whose row (b, a) holds the digits of u^a t^b, and
+reduced mod M again. Z/N keeps its own kernels; products multiply factor
+by factor; scalar `mul` is `mul_vec` on 0-d arrays.
+
 Ring specs use a small textual grammar:
 
     Z/12
@@ -84,9 +92,9 @@ def prime_power(q: int) -> tuple[int, int]:
 #
 # Polynomials are tuples of element indices, ascending degree, no trailing
 # zeros. These helpers are used at construction time (canonical moduli,
-# irreducibility checks, factoring quotient moduli) and by the F_p[t]
-# elements of the intersectivity oracle, so scalar arithmetic on the
-# coefficient ring is fast enough.
+# reduction matrices, irreducibility checks, factoring quotient moduli) and
+# by the F_p[t] elements of the intersectivity oracle, so scalar arithmetic
+# on the coefficient ring is fast enough.
 # ---------------------------------------------------------------------------
 
 
@@ -127,8 +135,10 @@ def _pdivmod(a: Sequence[int], b: Sequence[int], F: "Ring") -> tuple[tuple[int, 
         if c == 0:
             continue
         quot[i - db] = c
-        for j in range(db + 1):
-            rem[i - db + j] = sub(rem[i - db + j], mul(c, b[j]))
+        rem[i] = 0
+        for j in range(db):
+            if b[j]:
+                rem[i - db + j] = sub(rem[i - db + j], mul(c, b[j]))
     return _ptrim(quot), _ptrim(rem)
 
 
@@ -213,9 +223,9 @@ class Ring:
     """Common element-index arithmetic over a fixed additive coordinate system.
 
     Subclasses must set `order`, `characteristic`, `_radices` and implement
-    `mul`, `mul_vec`, `prime_ideal_profile`, `residue_fields` and
-    `spec_string`. Addition is generic: it acts digit-wise on the mixed-radix
-    coordinates.
+    `mul_vec`, `prime_ideal_profile`, `residue_fields` and `spec_string`.
+    Addition is generic: it acts digit-wise on the mixed-radix coordinates.
+    Scalar `mul` is `mul_vec` on 0-d arrays unless a subclass overrides it.
     """
 
     order: int
@@ -281,7 +291,7 @@ class Ring:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return int(self.mul_vec(a, b))
 
     def pow(self, a: int, e: int) -> int:
         return _power(self.mul, a, e) if e else self.one
@@ -387,6 +397,13 @@ class Ring:
     def mul_vec(self, a, b) -> np.ndarray:
         raise NotImplementedError
 
+    def _reduce(self, x: np.ndarray) -> np.ndarray:
+        """x mod the characteristic, for rings whose every radix is the
+        characteristic; a mask when it is a power of two, which two's
+        complement makes right for negative x too."""
+        M = self.characteristic
+        return x & (M - 1) if self._lanes else x % M
+
     def pow_vec(self, a, e: int) -> np.ndarray:
         """a^e elementwise, always as a new array."""
         a = np.asarray(a, dtype=np.int64)
@@ -476,11 +493,6 @@ class ZModRing(Ring):
     def from_int(self, n: int) -> int:
         return n % self.n
 
-    def _reduce(self, x: np.ndarray) -> np.ndarray:
-        """x mod n; a mask when n is a power of two, which two's complement
-        makes right for negative x too."""
-        return x & (self.n - 1) if self._lanes else x % self.n
-
     def add_vec(self, a, b) -> np.ndarray:
         return self._reduce(np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64))
 
@@ -504,74 +516,72 @@ class ZModRing(Ring):
 
 
 # ---------------------------------------------------------------------------
-# Modulus-based constructions: coefficients mod a base modulus, reduced by a
-# monic polynomial. Covers GF(p^e) (base Z/p) and Galois rings (base Z/p^n).
+# A coefficient ring modulo a monic polynomial: GF(p^e) = (Z/p)[u]/(h),
+# GR(p,n,r) = (Z/p^n)[w]/(f) and PQ(q;g) = GF(q)[t]/(g), one kernel for all.
 # ---------------------------------------------------------------------------
 
 
 class _PolyModRing(Ring):
-    """Shared machinery for GF(p^e) and GR(p,n,r): elements are polynomials
-    of degree < r with integer coefficients mod `modulus`, multiplied modulo
-    a monic defining polynomial whose reduction rows are precomputed."""
+    """Polynomials of degree < m over a coefficient ring, multiplied modulo a
+    monic polynomial of degree m. Each such ring is a Z/M-algebra with every
+    radix M, its characteristic, and one kernel multiplies them all.
 
-    modulus: int
-    defining: tuple[int, ...]
+    An element is a grid of m coefficients by e digits: e = 1 over Z/M, and
+    e = log_p q over GF(q), where digit j*e + a is the u^a part of the
+    coefficient of t^j. A product is the integer 2-D convolution of the two
+    grids, reduced mod M, then mapped through the reduction matrix L, whose
+    row (b, a) holds the digits of u^a t^b, and reduced mod M again.
+    """
 
-    def _setup_poly(self, modulus: int, defining: tuple[int, ...]) -> None:
-        self.modulus = modulus
-        self.defining = defining
-        r = len(defining) - 1
-        self._deg = r
-        # rows[j] = coefficient vector of w^(r+j) mod defining, fully reduced
-        rows = []
-        if r >= 2:
-            current = [(-c) % modulus for c in defining[:-1]]
-            rows.append(list(current))
-            for _ in range(1, r - 1):
-                shifted = [0] + current[:-1]
-                lead = current[-1]
-                current = [
-                    (shifted[i] + lead * rows[0][i]) % modulus for i in range(r)
-                ]
-                rows.append(list(current))
-        self._red_rows = (
-            np.array(rows, dtype=np.int64) if rows else np.zeros((0, r), dtype=np.int64)
-        )
+    def __init__(self, coeff: Ring, modulus: tuple[int, ...]) -> None:
+        super().__init__()
+        m, e, M = len(modulus) - 1, len(coeff.additive_orders()), self.characteristic
+        t_powers = [(0,) * b + (coeff.one,) for b in range(m)]
+        for _ in range(m - 1):
+            t_powers.append(_pdivmod((0,) + t_powers[-1], modulus, coeff)[1])
+        T = np.array([t + (0,) * (m - len(t)) for t in t_powers], dtype=np.int64)
+        # u^a for a < 2e - 1 are the rows of GF(q)'s own reduction matrix.
+        U = coeff._L @ coeff._places if e > 1 else np.array([coeff.one])
+        L = coeff._digits_of(coeff.mul_vec(T[:, None, :], U[None, :, None]))
+        # Every sum the kernel forms has at most (2m-1)(2e-1) terms, each a
+        # product of two digits below M; the narrowest signed type that holds
+        # it keeps the kernel exact (object past int64: exact, slow).
+        self._dtype = np.min_scalar_type(-1 - T.shape[0] * U.size * (M - 1) ** 2)
+        self._L = L.reshape(-1, m * e).astype(self._dtype)
+        self._grid = (m, e)
+        # Row (b, a) of L with b < m and a < e is the unit vector of digit
+        # b*e + a, so the kernel takes those rows as they are and multiplies
+        # only the others.
+        self._high = [(r, row[:, None]) for r, row in enumerate(self._L)
+                      if r // (2 * e - 1) >= m or r % (2 * e - 1) >= e]
 
-    def mul(self, a: int, b: int) -> int:
-        ca, cb = self.digits(a), self.digits(b)
-        r = self._deg
-        conv = [0] * (2 * r - 1)
-        for i, ai in enumerate(ca):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(cb):
-                conv[i + j] += ai * bj
-        out = [c % self.modulus for c in conv[:r]]
-        for j in range(r - 1):
-            hi = conv[r + j] % self.modulus if r + j < len(conv) else 0
-            if hi:
-                row = self._red_rows[j]
-                for i in range(r):
-                    out[i] = (out[i] + hi * int(row[i])) % self.modulus
-        return self.from_digits(out)
+    def _digit_grid(self, a: np.ndarray) -> np.ndarray:
+        """The digits of every entry of a, shaped (m, e) + a.shape."""
+        M = self.characteristic
+        # Rows of at least one entry: an object row takes their entries as
+        # Python ints, where a 0-d array would be stored whole.
+        out = np.empty((len(self._radices), a.size), dtype=self._dtype)
+        rest = a.reshape(-1)
+        for i in range(len(out) - 1):
+            high = rest // M
+            out[i] = rest - high * M
+            rest = high
+        out[-1] = rest
+        return out.reshape(self._grid + a.shape)
 
     def mul_vec(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        a, b = np.broadcast_arrays(a, b)
-        r = self._deg
-        da = self._digits_of(a)
-        db = self._digits_of(b)
-        conv = np.zeros(a.shape + (2 * r - 1,), dtype=np.int64)
-        for i in range(r):
-            for j in range(r):
-                conv[..., i + j] += da[..., i] * db[..., j]
-        conv %= self.modulus
-        out = conv[..., :r]
-        if r > 1:
-            out = (out + conv[..., r:] @ self._red_rows) % self.modulus
-        return out @ self._places
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        (m, e), da, db = self._grid, self._digit_grid(a), self._digit_grid(b)
+        conv = np.zeros((2 * m - 1, 2 * e - 1) + a.shape, dtype=self._dtype)
+        term = np.empty_like(db)
+        for j, c in itertools.product(range(m), range(e)):
+            conv[j:j + m, c:c + e] += np.multiply(da[j, c], db, out=term)
+        conv = self._reduce(conv)
+        rows = conv.reshape(len(self._L), -1)
+        out = conv[:m, :e].reshape(m * e, -1)
+        for r, row in self._high:
+            out += row * rows[r]
+        return (self._places @ self._reduce(out)).astype(np.int64).reshape(a.shape)
 
 
 class FiniteFieldRing(_PolyModRing):
@@ -603,8 +613,8 @@ class FiniteFieldRing(_PolyModRing):
         self.characteristic = p
         self.one = 1
         self._radices = (p,) * e
-        super().__init__()
-        self._setup_poly(p, h)
+        self.defining = h
+        super().__init__(ZModRing(p, _guard_checked=True), h)
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         return [(self.q, 1)]
@@ -663,8 +673,8 @@ class GaloisRingRing(_PolyModRing):
         self.characteristic = pn
         self.one = 1
         self._radices = (pn,) * r
-        super().__init__()
-        self._setup_poly(pn, f)
+        self.defining = f
+        super().__init__(ZModRing(pn, _guard_checked=True), f)
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         return [(self.p**self.r, self.n_exp)]
@@ -693,8 +703,8 @@ class GaloisRingRing(_PolyModRing):
 # ---------------------------------------------------------------------------
 
 
-class PolyQuotientRing(Ring):
-    """Quotient of a polynomial ring over GF(q) by a monic modulus g.
+class PolyQuotientRing(_PolyModRing):
+    """Quotient of a polynomial ring over Z/p or GF(q) by a monic modulus g.
 
     Elements are polynomials in t of degree < deg g with coefficients in the
     base field, encoded base q: coefficient j occupies digit-place q^j.
@@ -708,8 +718,9 @@ class PolyQuotientRing(Ring):
             raise ParseError("PQ: modulus coefficients must be base field indices")
         if g[-1] != base.one:
             raise NotMonic("PQ: modulus must be monic")
-        if not base.is_field:
-            raise ParseError("PQ: coefficient ring must be a field")
+        # The kernel reads the base's digits as powers of one generator u.
+        if not isinstance(base, (ZModRing, FiniteFieldRing)) or not base.is_field:
+            raise ParseError("PQ: coefficient ring must be Z/p or GF(q)")
         m = len(g) - 1
         order = base.order**m
         _check_order(order, guard)
@@ -721,21 +732,7 @@ class PolyQuotientRing(Ring):
         self.characteristic = base.characteristic
         self.one = 1
         self._radices = base.additive_orders() * m
-        super().__init__()
-        # rows[j] = coefficients of t^(m+j) mod g, fully reduced
-        rows = []
-        if m >= 2:
-            current = [base.neg(c) for c in g[:-1]]
-            rows.append(list(current))
-            for _ in range(1, m - 1):
-                shifted = [0] + current[:-1]
-                lead = current[-1]
-                current = [
-                    base.add(shifted[i], base.mul(lead, rows[0][i]))
-                    for i in range(m)
-                ]
-                rows.append(list(current))
-        self._red_rows = rows
+        super().__init__(base, g)
 
     def coeffs(self, x: int) -> list[int]:
         out = []
@@ -749,62 +746,6 @@ class PolyQuotientRing(Ring):
         for c in reversed(list(cs)):
             x = x * self.q + c
         return x
-
-    def mul(self, a: int, b: int) -> int:
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        m = self.m
-        conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(ca):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(cb):
-                if bj == 0:
-                    continue
-                conv[i + j] = self.base.add(conv[i + j], self.base.mul(ai, bj))
-        out = conv[:m]
-        for j in range(m - 1):
-            hi = conv[m + j]
-            if hi:
-                row = self._red_rows[j]
-                for i in range(m):
-                    out[i] = self.base.add(out[i], self.base.mul(hi, row[i]))
-        return self.from_coeffs(out)
-
-    def _coeff_cols(self, a: np.ndarray) -> list[np.ndarray]:
-        cols = []
-        rest = a
-        for _ in range(self.m):
-            rest, d = np.divmod(rest, self.q)
-            cols.append(d)
-        return cols
-
-    def mul_vec(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        a, b = np.broadcast_arrays(a, b)
-        m = self.m
-        ca = self._coeff_cols(a)
-        cb = self._coeff_cols(b)
-        zeros = np.zeros(a.shape, dtype=np.int64)
-        conv: list[np.ndarray] = [zeros] * (2 * m - 1)
-        for i in range(m):
-            for j in range(m):
-                conv[i + j] = self.base.add_vec(
-                    conv[i + j], self.base.mul_vec(ca[i], cb[j])
-                )
-        out = list(conv[:m])
-        for j in range(m - 1):
-            hi = conv[m + j]
-            row = self._red_rows[j]
-            for i in range(m):
-                if row[i] != 0:
-                    out[i] = self.base.add_vec(
-                        out[i], self.base.mul_vec(hi, np.int64(row[i]))
-                    )
-        result = np.zeros(a.shape, dtype=np.int64)
-        for c in reversed(out):
-            result = result * self.q + c
-        return result
 
     def modulus_factors(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         return self.memo("modulus_factors", lambda: tuple(factor_poly(self.g, self.base)))
@@ -875,27 +816,15 @@ class ProductRing(Ring):
             x = x * f.order + c
         return x
 
-    def mul(self, a: int, b: int) -> int:
-        return self.join(
-            [
-                f.mul(ca, cb)
-                for f, ca, cb in zip(self.factors, self.split(a), self.split(b))
-            ]
-        )
-
     def mul_vec(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        a, b = np.broadcast_arrays(a, b)
-        rest_a, rest_b = a, b
-        comps = []
+        """Factor by factor; each factor's kernel broadcasts a against b."""
+        rest_a, rest_b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        result, place = 0, 1
         for f in self.factors:
             rest_a, ca = np.divmod(rest_a, f.order)
             rest_b, cb = np.divmod(rest_b, f.order)
-            comps.append(f.mul_vec(ca, cb))
-        result = np.zeros(a.shape, dtype=np.int64)
-        for f, c in zip(reversed(self.factors), reversed(comps)):
-            result = result * f.order + c
+            result = result + place * f.mul_vec(ca, cb)
+            place *= f.order
         return result
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:

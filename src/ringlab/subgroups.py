@@ -161,7 +161,7 @@ def value_subgroup(ring: Ring, P: RingPoly, subtract_constant: bool = True) -> S
 def constant_in_subgroup(ring: Ring, P: RingPoly) -> bool:
     """Whether P(0) lies in the subgroup generated by {P(x) - P(0)}."""
     H = value_subgroup(ring, P, subtract_constant=True)
-    return P.evaluate(0) in H
+    return P.constant_term() in H
 
 
 def coset_average(

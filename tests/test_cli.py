@@ -8,13 +8,20 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import ringlab
 from ringlab.cli import parse_element_set
 from ringlab.errors import ParseError
 from ringlab.rings import make_ring
+
+# The child imports the same ringlab as the tests, installed or not.
+_PYTHONPATH = os.pathsep.join(
+    filter(None, [str(Path(ringlab.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 
 def run_cli(*args, env=None):
@@ -22,7 +29,7 @@ def run_cli(*args, env=None):
         [sys.executable, "-m", "ringlab.cli", *args],
         capture_output=True,
         text=True,
-        env=None if env is None else {**os.environ, **env},
+        env={**os.environ, "PYTHONPATH": _PYTHONPATH, **(env or {})},
     )
 
 
@@ -89,11 +96,16 @@ BAD_INPUTS = [
     ("paley", "--ring", "Z/13", "--d", "2", "--sets", "sampled:3:-1"),
     ("intersective", "--family", "FPT(x)", "--poly", "1,1", "--bound", "2"),
     ("intersective", "--family", "FPT()", "--poly", "1,1", "--bound", "2"),
+    ("rootcount", "--ring", "Z/7", "--coeffs", "[1.5,1]"),
+    ("rootcount", "--ring", "Z/7", "--coeffs", "[true,1]"),
+    ("rootcount", "--ring", "Z/7", "--coeffs", "[99999999999999999999999,1]"),
+    ("rootcount", "--ring", "Z/7", "--coeffs", "1e400"),
 ]
 BAD_INPUT_IDS = [
     "vdc-k0", "vdc-random0", "paley-sampled", "expsum-char", "sarkozy-measured",
     "tebound-seed", "vdc-seed", "sarkozy-seed", "paley-seed", "random-seed", "sampled-seed",
-    "fpt-not-a-number", "fpt-empty",
+    "fpt-not-a-number", "fpt-empty", "rootcount-float", "rootcount-bool",
+    "rootcount-beyond-int64", "rootcount-infinity",
 ]
 
 
@@ -107,6 +119,29 @@ def test_bad_inputs_exit_2(args):
     assert err["error"]["type"] == "ParseError"
     assert err["error"]["exit_code"] == 2
     assert proc.stdout == ""
+
+
+X_1100 = ",".join(["0"] * 1100 + ["1"])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("expsum", "--ring", "Z/9", "--poly", X_1100, "--mode", "bound"),
+        ("tebound", "--ring", "Z/9", "--poly", X_1100, "--mode", "bound", "--random", "1"),
+        ("sarkozy", "--ring", "Z/9", "--poly", X_1100, "--measured", "3"),
+        ("paley", "--ring", "Z/25", "--d", "1100"),
+    ],
+    ids=["expsum", "tebound", "sarkozy", "paley"],
+)
+def test_exponent_2_to_the_k_beyond_float_range(args, validator):
+    """k = 1100 puts 2^(k-1) past the float range; the bounds that raise
+    to the power 2^(k-1) or its reciprocal still report."""
+    proc = run_cli(*args)
+    assert proc.returncode in (0, 4), proc.stderr
+    doc = json.loads(proc.stdout)
+    validator.validate(doc)
+    assert doc["kind"] == args[0]
 
 
 def _paley_file(tmp_path, pairs):

@@ -1,15 +1,19 @@
 """Ring constructions against independent oracles.
 
-The Galois ring tables are rebuilt here from scratch (dict-based modular
-polynomial arithmetic, no shared code) and compared entry by entry.
+The Galois ring tables are rebuilt here from scratch (modular polynomial
+arithmetic on coefficient tuples, no shared code) and compared entry by
+entry. The same tuples, nested one level for PQ over GF(p^e), are the oracle
+for `mul_vec` on every constructor.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ringlab.characters import character_group
 from ringlab.errors import NotIrreducible, NotMonic, OrderTooLarge, ParseError
-from ringlab.rings import Ring, make_ring
+from ringlab.rings import PolyQuotientRing, ProductRing, Ring, ZModRing, make_ring
 
 
 def test_zmod_info():
@@ -55,33 +59,77 @@ def test_galois_ring_invariants():
     assert ring.additive_orders() == (9, 9)
 
 
-def _poly_oracle_tables(p, n, defining):
-    """Independent arithmetic for (Z/p^n)[x]/(f): coefficient tuples,
-    schoolbook multiplication, remainder by the monic f."""
-    mod = p**n
+def _poly_oracle_tables(p, n, defining, inner=None):
+    """Independent arithmetic for C[x]/(f): coefficient tuples, schoolbook
+    multiplication, remainder by the monic f. C is Z/p^n; or, when `inner`
+    is the defining polynomial of GF(p^e) over Z/p, C is that field with
+    its elements as tuples, multiplied by this function one level down, and
+    f's coefficients are such tuples."""
     deg = len(defining) - 1
+    if inner is None:
+        mod = p**n
+        zero = 0
+
+        def c_add(x, y):
+            return (x + y) % mod
+
+        def c_mul(x, y):
+            return x * y % mod
+
+        def c_neg(x):
+            return -x % mod
+
+    else:
+        c_add, c_mul = _poly_oracle_tables(p, 1, inner)
+        zero = (0,) * (len(inner) - 1)
+
+        def c_neg(x):
+            return tuple(-c % p for c in x)
 
     def red(cs):
         cs = list(cs)
         while len(cs) > deg:
             lead = cs.pop()
             for i in range(deg):
-                cs[-deg + i] = (cs[-deg + i] - lead * defining[i]) % mod
+                cs[-deg + i] = c_add(cs[-deg + i], c_neg(c_mul(lead, defining[i])))
         while len(cs) < deg:
-            cs.append(0)
-        return tuple(c % mod for c in cs)
+            cs.append(zero)
+        return tuple(cs)
 
     def mul(a, b):
-        out = [0] * (2 * deg - 1)
+        out = [zero] * (2 * deg - 1)
         for i, ai in enumerate(a):
             for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+                out[i + j] = c_add(out[i + j], c_mul(ai, bj))
         return red(out)
 
     def add(a, b):
-        return tuple((x + y) % mod for x, y in zip(a, b))
+        return tuple(c_add(x, y) for x, y in zip(a, b))
 
     return add, mul
+
+
+def _tower_oracle(ring):
+    """(encode, mul): an element index as coefficient tuples (nested for PQ
+    over GF(p^e), one per factor for a product), and the oracle product of
+    two encoded elements."""
+    if isinstance(ring, ProductRing):
+        parts = [_tower_oracle(f) for f in ring.factors]
+        return (
+            lambda x: tuple(enc(c) for (enc, _), c in zip(parts, ring.split(x))),
+            lambda a, b: tuple(mul(x, y) for (_, mul), x, y in zip(parts, a, b)),
+        )
+    if isinstance(ring, ZModRing):
+        return (lambda x: x), (lambda a, b: a * b % ring.n)
+    if isinstance(ring, PolyQuotientRing):
+        base, p = ring.base, ring.characteristic
+        if base.order == p:
+            return ring.digits, _poly_oracle_tables(p, 1, ring.g)[1]
+        g = tuple(base.digits(c) for c in ring.g)
+        _, mul = _poly_oracle_tables(p, 1, g, inner=base.defining)
+        return (lambda x: tuple(base.digits(c) for c in ring.coeffs(x))), mul
+    _, mul = _poly_oracle_tables(ring.p, getattr(ring, "n_exp", 1), ring.defining)
+    return ring.digits, mul
 
 
 def test_galois_ring_tables_match_oracle():
@@ -169,9 +217,72 @@ def test_vector_ops_match_scalar():
     a = rng.integers(0, ring.order, 50)
     b = rng.integers(0, ring.order, 50)
     assert all(ring.add_vec(a, b)[i] == ring.add(int(a[i]), int(b[i])) for i in range(50))
-    assert all(ring.mul_vec(a, b)[i] == ring.mul(int(a[i]), int(b[i])) for i in range(50))
     assert all(ring.neg_vec(a)[i] == ring.neg(int(a[i])) for i in range(50))
     assert all(ring.pow_vec(a, 3)[i] == ring.pow(int(a[i]), 3) for i in range(50))
+
+
+@st.composite
+def kernel_specs(draw, max_order=1 << 12):
+    """GF(p^e), GR(p,n,r), PQ over GF(p) or GF(p^e) with a random monic g
+    (irreducible or not), or a product of two of these; degrees are cut to
+    keep the order at most max_order where degree 1 allows it."""
+    kind = draw(st.sampled_from(["gf", "gr", "pq", "prod"]), label="kind")
+    if kind == "prod":
+        small = kernel_specs(max_order=64).filter(lambda s: not s.startswith("prod"))
+        return f"prod({draw(small, label='left')};{draw(small, label='right')})"
+    p = draw(st.sampled_from([2, 3, 5, 7]), label="p")
+    if kind == "pq":
+        q = p ** draw(st.integers(1, 3), label="e")
+        m = draw(st.integers(1, 3), label="m")
+        if q**m > max_order:
+            m = 1
+        g = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m), label="g") + [1]
+        return f"PQ(q={q};g={','.join(map(str, g))})"
+    n = draw(st.integers(1, 3), label="n") if kind == "gr" else 1
+    r = draw(st.integers(1, 4), label="r")
+    while r > 1 and p ** (n * r) > max_order:
+        r -= 1
+    return f"GR({p},{n},{r})" if kind == "gr" else f"GF({p**r})"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spec=kernel_specs(), seed=st.integers(0, 2**32 - 1))
+@example(spec="GF(1048573)", seed=1)
+@example(spec="GR(2,20,1)", seed=2)
+@example(spec="GF(65536)", seed=3)
+@example(spec="PQ(q=4;g=2,1,1)", seed=4)
+@example(spec="PQ(q=4;g=0,0,1)", seed=5)
+@example(spec="PQ(q=256;g=0,0,1)", seed=6)
+@example(spec="GF(3037000493)", seed=7)
+@example(spec="GF(4294967311)", seed=8)
+def test_mul_vec_matches_tower_oracle(spec, seed):
+    """mul_vec against products of coefficient tuples, on flat arrays,
+    broadcast grids, 0-d arrays, plain ints and empty arrays. GF(3037000493)
+    holds its digit products in int64 at the edge; GF(4294967311) does not,
+    and multiplies with object integers."""
+    ring = make_ring(spec, guard=1 << 33)
+    encode, mul = _tower_oracle(ring)
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        return rng.integers(0, ring.order, shape, dtype=np.int64)
+
+    pairs = [
+        (draw(40), draw(40)),
+        (draw((5, 1)), draw((1, 6))),
+        (draw(7), draw(())),
+        (draw(()), draw(())),
+        (int(draw(())), int(draw(()))),
+        (np.int64(ring.order - 1), ring.order - 2),
+        (draw((0, 3)), draw(3)),
+    ]
+    for a, b in pairs:
+        got = ring.mul_vec(a, b)
+        assert got.dtype == np.int64 and got.shape == np.broadcast(a, b).shape
+        for x, y, z in zip(*(v.ravel() for v in np.broadcast_arrays(a, b, got))):
+            assert encode(int(z)) == mul(encode(int(x)), encode(int(y))), (spec, x, y)
+    x, y = (int(v) for v in draw(2))
+    assert ring.mul(x, y) == int(ring.mul_vec(x, y))
 
 
 @pytest.mark.parametrize(
@@ -197,7 +308,8 @@ def test_pow_makes_the_fewest_multiplications(spec, monkeypatch):
         assert not np.shares_memory(got, xs)
         calls.clear()
         assert [ring.pow(int(x), d) for x in xs] == want.tolist()
-        assert calls == ["scalar"] * (fewest * ring.order), d
+        # Scalar mul may itself call mul_vec on 0-d arrays: count its layer only.
+        assert calls.count("scalar") == fewest * ring.order, d
         want = mul_vec(want, xs)
     with pytest.raises(ValueError):
         ring.pow_vec(xs, -1)
