@@ -10,8 +10,9 @@ where c_i(x) are the mixed-radix coordinates of x. All angle arithmetic is
 exact: angles live in Z/L with L = lcm(m_i), and a complex exponential is
 evaluated only once per angle class: `char_sum` goes through an integer
 histogram of angles. The sums over every character (`all_char_sums`) are
-one multidimensional DFT over (R, +); `character_table` is the independent
-n x n route, for checks on modest orders.
+one multidimensional DFT over (R, +), and so is every convolution with a
+measure on (R, +) (`convolve`); `character_table` is the independent route,
+whole for modest orders or a few columns for sampled checks.
 
 Characters are enumerated in lexicographic coefficient order, so the trivial
 character always comes first. The coefficient tuples range over the same
@@ -125,10 +126,16 @@ class CharacterGroup:
 
     # -- vectorised angles -----------------------------------------------------
 
-    def angles_for_elements(self, elements: np.ndarray) -> np.ndarray:
-        """(len(elements) x count) exact angle matrix mod L."""
+    def angles_for_elements(
+        self, elements: np.ndarray, chars: np.ndarray | None = None
+    ) -> np.ndarray:
+        """(len(elements) x len(chars)) exact angle matrix mod L, over every
+        character by default."""
         D = self.ring._digits_of(np.asarray(elements, dtype=np.int64))
-        return (D * self.coord_weights) @ self.coeff_matrix().T % self.L
+        coeffs = self.coeff_matrix()
+        if chars is not None:
+            coeffs = coeffs[np.asarray(chars, dtype=np.int64)]
+        return (D * self.coord_weights) @ coeffs.T % self.L
 
     def angles_single(self, coeffs: Sequence[int], elements: np.ndarray) -> np.ndarray:
         w = np.asarray(
@@ -161,22 +168,48 @@ def char_sum(ring: Ring, char: Character, values: Iterable[int]) -> complex:
     return complex(hist @ group.unit_table)
 
 
-def all_char_sums(ring: Ring, counts: np.ndarray) -> np.ndarray:
-    """Vector of sum_x counts[x] chi(x) over every character, in enumeration
-    order: one DFT of the (real or complex) weights over (R, +). The first
-    digit is least significant in the element index, so the axes come out
-    last digit first and are reversed into enumeration order."""
-    cube = np.asarray(counts).reshape(ring.additive_orders()[::-1])
-    return (np.fft.ifftn(cube) * ring.order).transpose().reshape(-1)
+def _element_cube(ring: Ring, w: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """w of shape (..., order) as the element cube (..., m_k, ..., m_1) and
+    the cube's axes: the first digit is least significant in the element
+    index, so in C order the axes come out last digit first."""
+    w = np.asarray(w)
+    radices = ring.additive_orders()
+    axes = tuple(range(w.ndim - 1, w.ndim - 1 + len(radices)))
+    return w.reshape(w.shape[:-1] + radices[::-1]), axes
 
 
-def character_table(ring: Ring, elements: np.ndarray | None = None) -> np.ndarray:
-    """(len(elements) x count) complex matrix of chi_j(x), for x over the
-    given elements (every element by default). Rows are elements, columns
-    characters in enumeration order. Intended for rings of modest order."""
+def all_char_sums(ring: Ring, w: np.ndarray) -> np.ndarray:
+    """sum_x w[..., x] chi(x) for every character, in enumeration order: one
+    DFT over (R, +) of each row of the (real or complex) weights, shape
+    (..., order). The transform runs on the element cube, whose axes are
+    then reversed into enumeration order."""
+    cube, axes = _element_cube(ring, w)
+    sums = np.fft.ifftn(cube, axes=axes) * ring.order
+    perm = tuple(range(axes[0])) + axes[::-1]
+    return sums.transpose(perm).reshape(cube.shape[:axes[0]] + (ring.order,))
+
+
+def convolve(ring: Ring, fs: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """g(x) = sum_v mu(v) f(x + v) for every x and every row f of fs, shape
+    (..., order). The DFT of g is the DFT of f times sum_v mu(v) e(k.v),
+    which carries the opposite sign to the DFT: a correlation, not a
+    convolution in the strict sense. No character order is involved."""
+    cube, axes = _element_cube(ring, fs)
+    mu_hat = np.fft.ifftn(np.asarray(mu).reshape(cube.shape[axes[0]:])) * ring.order
+    g = np.fft.ifftn(np.fft.fftn(cube, axes=axes) * mu_hat, axes=axes)
+    return g.reshape(np.shape(fs))
+
+
+def character_table(
+    ring: Ring, elements: np.ndarray | None = None, chars: np.ndarray | None = None
+) -> np.ndarray:
+    """Complex matrix of chi_j(x), rows x over the given elements (every
+    element by default), columns j over the given character positions
+    (every character by default) in enumeration order. The full table is
+    n x n, for rings of modest order."""
     group = character_group(ring)
     rows = np.arange(ring.order) if elements is None else elements
-    return group.unit_table[group.angles_for_elements(rows)]
+    return group.unit_table[group.angles_for_elements(rows, chars)]
 
 
 def annihilator_mask(ring: Ring, generators: Sequence[int]) -> np.ndarray:

@@ -140,6 +140,7 @@ def _cmd_ddeg(args) -> tuple[dict, int]:
         "k": res.k,
         "method": res.method,
         "certified": res.certified,
+        "fallback_reason": res.fallback_reason,
     }
     return _envelope("poly-ddeg", result), EXIT_OK
 
@@ -207,6 +208,7 @@ def _cmd_tebound(args) -> tuple[dict, int]:
             "rhs": float(rep.rhs[i]),
             "ratio": float(rep.ratio[i]),
             "route_gap": float(rep.route_gap[i]),
+            "sample_gap": float(rep.sample_gap[i]),
             "satisfied": bool(rep.satisfied[i]),
         }
         for i in range(args.random)
@@ -219,6 +221,8 @@ def _cmd_tebound(args) -> tuple[dict, int]:
         "k": rep.k,
         "all_satisfied": all_ok,
         "max_route_gap": float(rep.route_gap.max()),
+        "sample_rows": rep.sample_rows,
+        "max_sample_gap": float(rep.sample_gap.max()),
         "max_ratio": float(rep.ratio.max()),
         "functions": rows,
     }
@@ -304,7 +308,7 @@ def _cmd_paley(args) -> tuple[dict, int]:
     ring = make_ring(args.ring)
     graph = paley.build_paley(ring, args.d)
     if args.edges:
-        sys.stdout.writelines(f"{u} {v}\n" for u, v in paley.edges(graph))
+        sys.stdout.writelines(paley.edge_lines(graph))
         return {}, EXIT_OK
     result: dict = {"graph": graph.spec_dict()}
     spec_report = paley.spectrum(graph)

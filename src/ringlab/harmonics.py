@@ -13,9 +13,13 @@ For characters that do not annihilate the subgroup H generated by the
 where d = deg P and k is the derivational degree. The same constant controls
 how far the polynomial average E_y f(x + P(y)) sits from the average of f
 over the coset H + P(0) in L^2, which is the quantitative total ergodicity
-estimate; the two are tied together by Parseval, and te_estimate reports both
-the direct enumeration and the Fourier-side evaluation of the left side as an
-independent check pair.
+estimate. The difference of the two averages is one convolution of f with a
+measure on (R, +), so te_estimate evaluates its norm in O(n log n) twice:
+by the transform route, which forms the convolution and takes its norm, and
+by the Parseval route, which sums |f_hat|^2 |S|^2 over the characters that
+do not annihilate H. A sampled exact check recomputes the convolution at a
+few seeded points from translates, and f_hat and S at a few seeded
+characters from columns of the character table.
 
 Also here: the van der Corput inequality along a subgroup, and the root
 count bound (a nonzero polynomial in l variables with per-variable degrees
@@ -36,6 +40,7 @@ from .characters import (
     char_sum,
     character_group,
     character_table,
+    convolve,
 )
 from .errors import WorkGuardExceeded, ZeroPolynomial
 from .polynomials import RingPoly, bound_parameters, derivational_degree
@@ -44,8 +49,11 @@ from .subgroups import SubgroupSet, value_subgroup
 
 BOUND_TOL = 1e-9
 ROUTE_TOL = 1e-8
-# Entries of one row block of the character table in the Parseval route.
-_TABLE_BLOCK = 1 << 16
+# Points and characters of the sampled exact check in te_estimate, and the
+# constant mixed with the report's seed to draw them, which keeps the
+# sample apart from the seed's own stream of test functions.
+SAMPLE_ROWS = 16
+_SAMPLE_SEED = 0x7E57
 
 
 def random_functions(ring: Ring, count: int, seed: int) -> np.ndarray:
@@ -116,6 +124,7 @@ class CharacterBoundReport:
     margin: float
     annihilator_max_error: float
     flags: list[str] = field(default_factory=list)
+    fallback_reason: str | None = None
 
     def to_dict(self) -> dict:
         out = dict(self.__dict__)
@@ -201,14 +210,15 @@ def character_bound_check(
         margin=margin,
         annihilator_max_error=ann_err,
         flags=flags,
+        fallback_reason=bp.fallback_reason,
     )
 
 
 @dataclass
 class TEReport:
     """Total ergodicity report. For a batch of test functions the
-    per-function fields (lhs, rhs, ratio, fourier_lhs, route_gap, f_norm,
-    satisfied) are arrays with one entry per function."""
+    per-function fields (lhs, rhs, ratio, fourier_lhs, route_gap,
+    sample_gap, f_norm, satisfied) are arrays with one entry per function."""
 
     ring_spec: str
     poly: str
@@ -217,6 +227,8 @@ class TEReport:
     ratio: float | np.ndarray
     fourier_lhs: float | np.ndarray
     route_gap: float | np.ndarray
+    sample_gap: float | np.ndarray
+    sample_rows: int
     k: int
     k_method: str
     k_certified: bool
@@ -249,9 +261,17 @@ def te_estimate(
     shape (count, order); the polynomial data, the degree and every
     transform are computed once for the whole batch.
 
-    The left side is evaluated twice, by direct enumeration of translates
-    and through Parseval on the character side. The two routes share no
-    arithmetic, so route_gap is an independent check of both.
+    The difference of the averages is g(x) = sum_v mu(v) f(x + v), with mu
+    the value weights of P minus the uniform measure on H + P(0). lhs is
+    the norm of g formed by `convolve`; fourier_lhs is its Parseval form,
+    the sum of |f_hat(chi)|^2 |S(chi, P)|^2 over the characters that do not
+    annihilate H, f_hat and S from one batched `all_char_sums`. Both cost
+    O(n log n). The sampled exact check uses no transform: g at SAMPLE_ROWS
+    seeded points, from the translates x + P(y) and x + H + P(0), and f_hat
+    and S at as many seeded characters, from those columns of
+    `character_table` (Freivalds' check of a product on random vectors).
+    sample_gap is the largest difference it finds. The sample is drawn from
+    a constant mixed with seed, so equal calls give equal reports.
     """
     n = ring.order
     fs = np.asarray(f, dtype=np.complex128)
@@ -264,8 +284,29 @@ def te_estimate(
     k = bp.k
     lpf = ring.lpf()
 
-    lhs = _te_lhs_direct(ring, fs, values, H, shift)
-    fourier = _te_lhs_fourier(ring, fs, recentred, H)
+    coset = H.coset(shift)
+    mu = np.bincount(values, minlength=n) / n
+    mu[coset] -= 1 / len(coset)
+    g = convolve(ring, fs, mu)
+    lhs = np.sqrt(np.mean(np.abs(g) ** 2, axis=1))
+
+    # Row 0 gives S(chi, P - P(0)), the other rows the conjugates of f_hat.
+    batch = np.vstack([np.bincount(recentred, minlength=n), np.conj(fs)])
+    sums = all_char_sums(ring, batch) / n
+    weight = (np.abs(sums[0]) ** 2) * ~annihilator_mask(ring, H.generators)
+    fourier = np.sqrt((np.abs(sums[1:]) ** 2) @ weight)
+
+    rng = np.random.default_rng((_SAMPLE_SEED, seed or 0))
+    m = min(SAMPLE_ROWS, n)
+    xs, chars = (rng.choice(n, size=m, replace=False) for _ in range(2))
+    by_values, by_coset = (ring.add_vec(xs[:, None], v) for v in (values, coset))
+    exact_g = np.array([row[by_values].mean(axis=1) - row[by_coset].mean(axis=1) for row in fs])
+    # einsum, not a BLAS product: threaded zgemm on thin matrices can wait
+    # milliseconds for an idle core.
+    exact_sums = np.einsum("cx,xj->cj", batch, character_table(ring, chars=chars)) / n
+    char_gap = np.abs(exact_sums - sums[:, chars]).max(axis=1)
+    row_gap = np.abs(exact_g - g[:, xs]).max(axis=1)
+    sample_gap = np.maximum(np.maximum(row_gap, char_gap[1:]), char_gap[0])
 
     f_norm = np.sqrt(np.mean(np.abs(fs) ** 2, axis=1))
     power = _power_bound(bp.b, k, lpf)
@@ -279,6 +320,7 @@ def te_estimate(
         ratio=ratio,
         fourier_lhs=fourier,
         route_gap=np.abs(lhs - fourier),
+        sample_gap=sample_gap,
         f_norm=f_norm,
         satisfied=satisfied,
     )
@@ -287,6 +329,7 @@ def te_estimate(
     return TEReport(
         ring_spec=ring.spec_string(),
         poly=str(P),
+        sample_rows=m,
         k=k,
         k_method=bp.method,
         k_certified=bp.certified,
@@ -298,43 +341,6 @@ def te_estimate(
         seed=seed,
         **per_function,
     )
-
-
-def _te_lhs_direct(
-    ring: Ring, fs: np.ndarray, values: np.ndarray, H: SubgroupSet, shift: int
-) -> np.ndarray:
-    """Direct route: average the translates f(x + v) with the value weights
-    of P and over the coset H + P(0), one shift at a time; no transforms."""
-    n = ring.order
-    w = np.bincount(values, minlength=n) / n
-    poly_avg = np.zeros(fs.shape, dtype=np.complex128)
-    for v, row in ring.translates(np.flatnonzero(w)):
-        poly_avg += w[v] * fs[:, row]
-    coset = H.coset(shift)
-    coset_avg = np.zeros(fs.shape, dtype=np.complex128)
-    for _, row in ring.translates(coset):
-        coset_avg += fs[:, row]
-    coset_avg /= len(coset)
-    return np.sqrt(np.mean(np.abs(poly_avg - coset_avg) ** 2, axis=1))
-
-
-def _te_lhs_fourier(
-    ring: Ring, fs: np.ndarray, recentred: np.ndarray, H: SubgroupSet
-) -> np.ndarray:
-    """Parseval route: lhs^2 = sum over non-annihilating characters of
-    |f_hat(chi)|^2 |S(chi, P)|^2. f_hat is summed over row blocks of the
-    character table, so no order x order table is ever held."""
-    n = ring.order
-    counts = np.bincount(recentred, minlength=n)
-    S = all_char_sums(ring, counts) / n
-    rows = max(1, _TABLE_BLOCK // n)
-    f_hats = sum(
-        fs[:, r:r + rows] @ np.conj(character_table(ring, np.arange(r, min(r + rows, n))))
-        for r in range(0, n, rows)
-    ) / n
-    ann = annihilator_mask(ring, H.generators)
-    weight = (np.abs(S) ** 2) * ~ann
-    return np.sqrt((np.abs(f_hats) ** 2) @ weight)
 
 
 def te_sweep(

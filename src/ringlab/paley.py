@@ -180,15 +180,30 @@ def eigenvector_identity_error(graph: PaleyGraph) -> float:
     return float(np.abs(A @ table - table * evals[None, :]).max())
 
 
-def edges(graph: PaleyGraph) -> Iterator[tuple[int, int]]:
-    """Every unordered edge once as (u, v) with u < v, in lexicographic
-    order, one vertex at a time: the neighbours of u are u + S."""
+def _upper_neighbours(graph: PaleyGraph) -> Iterator[tuple[int, list[int]]]:
+    """(u, sorted neighbours v > u) for every vertex u in order: the
+    neighbours of u are u + S, one `add_vec` per vertex."""
     ring = graph.ring
     S = np.asarray(graph.connection_set, dtype=np.int64)
     for u in range(ring.order):
         nbrs = np.sort(ring.add_vec(u, S))
-        for v in nbrs[nbrs > u].tolist():
+        yield u, nbrs[nbrs > u].tolist()
+
+
+def edges(graph: PaleyGraph) -> Iterator[tuple[int, int]]:
+    """Every unordered edge once as (u, v) with u < v, in lexicographic
+    order, one vertex at a time."""
+    for u, vs in _upper_neighbours(graph):
+        for v in vs:
             yield u, v
+
+
+def edge_lines(graph: PaleyGraph) -> Iterator[str]:
+    """The edges of `edges` as text, one "u v" line each: one string per
+    vertex, its neighbours formatted by a single str.join."""
+    for u, vs in _upper_neighbours(graph):
+        if vs:
+            yield f"{u} " + f"\n{u} ".join(map(str, vs)) + "\n"
 
 
 @dataclass

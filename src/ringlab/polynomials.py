@@ -34,7 +34,7 @@ length |R|, and the guard refuses once that work exceeds the budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -178,12 +178,14 @@ class DdegResult:
     (deg P, exact when every prime factor of the characteristic exceeds it,
     otherwise just a bound), or "digit-sum" (exponent digit sums; an upper
     bound in general). `certified` is True when k is the exact functional
-    value rather than an upper bound.
+    value rather than an upper bound. `fallback_reason` is the guard's
+    message when mode "auto" gave up the exact route, else None.
     """
 
     k: int
     method: str
     certified: bool
+    fallback_reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,7 @@ class BoundParams:
     `k`, `method`, `certified` describe the exponent; `b` is the constant;
     `functional_k` is the derivational degree of P as a function on the
     ring (or its certified-or-not upper bound, per the DdegResult it came
-    from), kept for reporting.
+    from), kept for reporting, and `fallback_reason` is that DdegResult's.
     """
 
     k: int
@@ -202,6 +204,7 @@ class BoundParams:
     certified: bool
     b: int
     functional_k: int
+    fallback_reason: str | None = None
 
 
 def bound_parameters(ring: Ring, degree: int, dres: DdegResult) -> BoundParams:
@@ -218,12 +221,13 @@ def bound_parameters(ring: Ring, degree: int, dres: DdegResult) -> BoundParams:
     functionally of degree 2, yet the character supported on the GF(9)
     factor has |S|^2 = 1/3, above (k - 1)/lpf = 1/4.
     """
+    why = dres.fallback_reason
     if dres.k == 0:
-        return BoundParams(0, dres.method, dres.certified, 1, 0)
+        return BoundParams(0, dres.method, dres.certified, 1, 0, why)
     if is_prime(ring.characteristic):
         b = b_constant(degree, ring.characteristic)
-        return BoundParams(dres.k, dres.method, dres.certified, b, dres.k)
-    return BoundParams(degree, "degree", True, 1, dres.k)
+        return BoundParams(dres.k, dres.method, dres.certified, b, dres.k, why)
+    return BoundParams(degree, "degree", True, 1, dres.k, why)
 
 
 def derivational_degree(
@@ -247,8 +251,8 @@ def derivational_degree(
         return _bound_ddeg(ring, P)
     try:
         return _exact_ddeg(ring, P, guard)
-    except WorkGuardExceeded:
-        return _bound_ddeg(ring, P)
+    except WorkGuardExceeded as exc:
+        return replace(_bound_ddeg(ring, P), fallback_reason=str(exc))
 
 
 def _exact_ddeg(ring: Ring, P: RingPoly, guard: int | None) -> DdegResult:

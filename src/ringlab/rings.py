@@ -476,6 +476,9 @@ class ZModRing(Ring):
         self.one = 1
         self._radices = (n,)
         self._factorization = factorize(n)
+        # A product of two residues needs (n - 1)^2 to fit int64; past that,
+        # object integers keep it exact (as in _PolyModRing's kernel).
+        self._object_products = (n - 1) ** 2 >= 1 << 63
         super().__init__()
 
     def add(self, a: int, b: int) -> int:
@@ -503,7 +506,10 @@ class ZModRing(Ring):
         return self._reduce(np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64))
 
     def mul_vec(self, a, b) -> np.ndarray:
-        return self._reduce(np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64))
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        if self._object_products:
+            return np.asarray(a.astype(object) * b.astype(object) % self.n, dtype=np.int64)
+        return self._reduce(a * b)
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         return [(p, e) for p, e in self._factorization]

@@ -216,6 +216,25 @@ def test_exact_ddeg_work_guard_exit_3():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["poly ddeg", "expsum"])
+def test_auto_mode_reports_why_it_fell_back(command, validator, monkeypatch, capsys):
+    """Auto mode keeps the guard's message when the exact degree gives up,
+    and reports null when the exact degree is found."""
+    from ringlab.cli import main
+
+    args = [*command.split(), "--ring", "Z/97", "--poly", "0,0,1"]
+    assert main(args) == 0
+    exact = json.loads(capsys.readouterr().out)
+    validator.validate(exact)
+    assert exact["result"]["fallback_reason"] is None
+    monkeypatch.setenv("RINGLAB_WORK_GUARD", "200")
+    assert main(args) == 0
+    doc = json.loads(capsys.readouterr().out)
+    validator.validate(doc)
+    reason = doc["result"]["fallback_reason"]
+    assert "exact derivational degree" in reason and "200" in reason
+
+
 @pytest.mark.parametrize(
     "family, poly, bound",
     [("INTEGERS", "-2,0,1", "100000"), ("FPT(2)", "0,0,1", "14")],
@@ -290,6 +309,19 @@ def test_determinism_modulo_header():
     a.pop("header")
     b.pop("header")
     assert a == b
+
+
+def test_tebound_reports_the_sampled_check(capsys):
+    """Each function row carries its sample gap, and the summary the sample
+    size and the largest gap, on a ring with several cyclic factors."""
+    from ringlab.cli import main
+
+    args = ["tebound", "--ring", "GR(2,2,3)", "--poly", "0,1,1", "--random", "3", "--seed", "2"]
+    assert main(args) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    gaps = [row["sample_gap"] for row in result["functions"]]
+    assert result["sample_rows"] == 16
+    assert result["max_sample_gap"] == max(gaps) < 1e-8
 
 
 def test_seed_changes_functions():

@@ -11,10 +11,12 @@ import time
 import numpy as np
 import pytest
 
+from ringlab import cli
 from ringlab.errors import CharDividesDegree, ParseError
 from ringlab.paley import (
     adjacency_matrix,
     build_paley,
+    edge_lines,
     edges,
     eigenvector_identity_error,
     quasirandomness_verdict,
@@ -151,6 +153,17 @@ def test_edges_match_brute_force(spec, d):
         if ring.sub(v, u) in S
     ]
     assert list(edges(graph)) == want
+
+
+@pytest.mark.parametrize("spec, d", [("Z/64", 2), ("GF(16)", 2), ("GF(16)", 3), ("Z/5", 2)])
+def test_edge_lines_are_the_per_edge_format(spec, d, capsys):
+    """`paley --edges` writes one joined string per vertex; its output is
+    byte for byte the "u v" line of every edge."""
+    graph = build_paley(make_ring(spec), d)
+    want = "".join(f"{u} {v}\n" for u, v in edges(graph))
+    assert "".join(edge_lines(graph)) == want
+    assert cli.main(["paley", "--ring", spec, "--d", str(d), "--edges"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_first_edge_streams_without_the_edge_list():

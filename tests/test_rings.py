@@ -285,6 +285,49 @@ def test_mul_vec_matches_tower_oracle(spec, seed):
     assert ring.mul(x, y) == int(ring.mul_vec(x, y))
 
 
+def test_zmod_mul_vec_past_int64_products():
+    """(n - 1)^2 overflows int64 once n passes about 3.04e9; the product
+    used to wrap there, 4294967088 instead of 2."""
+    ring = make_ring("Z/4294967311", guard=1 << 33)
+    assert ring.mul(4294967310, 4294967309) == 2
+    assert int(ring.mul_vec(4294967310, 4294967309)) == 2
+    got = ring.mul_vec(np.array([4294967310, 3]), np.array([[4294967309], [5]]))
+    assert got.dtype == np.int64
+    assert got.tolist() == [[2, 4294967311 - 3 * 2], [4294967311 - 5, 15]]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3_037_000_000, 1 << 36),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3_037_000_499, seed=1)
+@example(n=3_037_000_500, seed=2)
+@example(n=3_037_000_501, seed=3)
+@example(n=1 << 34, seed=4)
+def test_zmod_mul_vec_matches_scalar_on_large_moduli(n, seed):
+    """mul_vec against Python-integer scalar mul around and past the int64
+    edge, on flat, broadcast, 0-d and largest-element operands."""
+    ring = make_ring(f"Z/{n}", guard=1 << 37)
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        return rng.integers(0, n, shape, dtype=np.int64)
+
+    pairs = [
+        (draw(20), draw(20)),
+        (draw((3, 1)), draw((1, 4))),
+        (draw(()), draw(())),
+        (np.int64(n - 1), n - 1),
+        (draw((0, 2)), draw(2)),
+    ]
+    for a, b in pairs:
+        got = ring.mul_vec(a, b)
+        assert got.dtype == np.int64 and got.shape == np.broadcast(a, b).shape
+        for x, y, z in zip(*(v.ravel() for v in np.broadcast_arrays(a, b, got))):
+            assert int(z) == ring.mul(int(x), int(y)), (n, x, y)
+
+
 @pytest.mark.parametrize(
     "spec", ["Z/12", "GF(9)", "PQ(q=2;g=1,0,1)", "GR(2,2,2)", "prod(Z/3;GF(4))"]
 )

@@ -1,8 +1,9 @@
 """The character side and the subgroup closure against independent routes.
 
-Every character sum is one DFT over (R, +), and the closure keeps a basis
-of at most log2 |R| elements. Each is checked here against the route it
-replaced: per-character angle histograms, a plain-set closure, the
+Every character sum and every convolution with a measure is one DFT over
+(R, +), and the closure keeps a basis of at most log2 |R| elements. Each is
+checked here against the route it replaced: per-character angle histograms,
+the character table, a sum of translates, a plain-set closure, the
 annihilator of every element of H, and the n x n angle matrix of the Paley
 connection set. Rings of order at most 64 from all five constructors.
 """
@@ -22,7 +23,9 @@ from ringlab.characters import (
     annihilator_mask,
     char_sum,
     character_group,
+    character_table,
     characters,
+    convolve,
 )
 from ringlab.paley import build_paley, spectrum
 from ringlab.polynomials import RingPoly
@@ -58,6 +61,49 @@ def test_all_char_sums_matches_angle_histograms(family, data):
         chi = group.unit_table[group.angles_single(c.coeffs, xs)]
         assert by_real[c.index] == pytest.approx(chi @ weights.real, abs=1e-9)
         assert by_complex[c.index] == pytest.approx(chi @ weights, abs=1e-9)
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_RINGS))
+@ORACLE
+@given(data=st.data())
+def test_batched_transform_and_table_columns(family, data):
+    """A batch (..., n) is transformed row by row, and the table columns
+    asked for are those of the full table, in the order asked."""
+    ring = _draw_ring(family, data)
+    n = ring.order
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    batch = rng.uniform(-1, 1, (2, 3, n)) + 1j * rng.uniform(-1, 1, (2, 3, n))
+    full = character_table(ring)
+    np.testing.assert_allclose(all_char_sums(ring, batch), batch @ full, atol=1e-9)
+    chars = rng.integers(0, n, 5)
+    np.testing.assert_array_equal(character_table(ring, chars=chars), full[:, chars])
+    picked = rng.integers(0, n, 3)
+    np.testing.assert_array_equal(
+        character_table(ring, picked, chars), full[np.ix_(picked, chars)]
+    )
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_RINGS))
+@ORACLE
+@given(data=st.data())
+def test_convolve_matches_translates(family, data):
+    """g(x) = sum_v mu(v) f(x + v), summed translate by translate; a
+    convolution with the opposite sign, f(x - v), must not pass."""
+    ring = _draw_ring(family, data)
+    n = ring.order
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    fs = rng.uniform(-1, 1, (3, n)) + 1j * rng.uniform(-1, 1, (3, n))
+    mu = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    want = np.zeros_like(fs)
+    for v, row in ring.translates(range(n)):
+        want += mu[v] * fs[:, row]
+    np.testing.assert_allclose(convolve(ring, fs, mu), want, atol=1e-9)
+    np.testing.assert_allclose(convolve(ring, fs[1], mu), want[1], atol=1e-9)
+    point = np.zeros(n)
+    point[1] = 1.0
+    np.testing.assert_allclose(
+        convolve(ring, fs, point), fs[:, ring.add_vec(np.arange(n), 1)], atol=1e-12
+    )
 
 
 @pytest.mark.parametrize("family", sorted(ORACLE_RINGS))
