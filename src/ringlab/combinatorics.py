@@ -17,18 +17,14 @@ with C = (B(d, char) (k-1))^(1/2^(k-1)), valid when P has a root or its
 constant term lies in the value subgroup.
 
 P is intersective over a ring of integers O (here Z or F_p[t]) iff it has
-a root mod pi^j for every prime pi and every j. One Hensel climb, on Python
-ints or on F_p[t] elements, checks this for each pi with N(pi) <= B up to
-N(pi^j) <= B^2: a root whose derivative valuation v satisfies j >= 2v + 1
-at level j lifts forever, other roots are extended one level at a time. A
-level with no roots is a witness, re-checked by scanning O/pi^j with the
-ring kernels.
+a root mod pi^j for every prime pi and every j. The Hensel climb of
+`hensel` checks this for each pi with N(pi) <= B up to N(pi^j) <= B^2. A
+level with no roots is a witness, re-checked here by scanning O/pi^j with
+the ring kernels, which the climb's arrays do not use.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -40,18 +36,9 @@ from .budget import work_guard
 from .characters import character_table
 from .errors import HypothesisUnmet, ParseError, WorkGuardExceeded
 from .harmonics import exp_sums_all
+from .hensel import _FpPoly, _FptLevels, _IntegerLevels, _irreducibles, _primes_upto, _sweep
 from .polynomials import RingPoly, bound_parameters, derivational_degree
-from .rings import (
-    PolyQuotientRing,
-    Ring,
-    ZModRing,
-    _monic_polys,
-    _pdivmod,
-    _pmul,
-    _ptrim,
-    is_prime,
-    poly_is_irreducible,
-)
+from .rings import PolyQuotientRing, Ring, ZModRing, is_prime
 from .subgroups import constant_in_subgroup
 
 
@@ -133,13 +120,11 @@ def config_count_fourier(ring: Ring, P: RingPoly, A, B) -> complex:
     A = _element_set(ring, A)
     B = _element_set(ring, B)
     n = ring.order
-    a01 = np.zeros(n)
-    a01[A] = 1.0
-    b01 = np.zeros(n)
-    b01[B] = 1.0
     table = character_table(ring)
-    a_hat = (a01 @ np.conj(table)) / n
-    b_hat = (b01 @ np.conj(table)) / n
+    # Sums of the members' rows, not a BLAS product with the indicator:
+    # threaded zgemv can wait milliseconds for an idle core.
+    a_hat = np.conj(table[A].sum(axis=0)) / n
+    b_hat = np.conj(table[B].sum(axis=0)) / n
     S = exp_sums_all(ring, P)
     return complex(n**2 * np.sum(np.conj(a_hat) * b_hat * S))
 
@@ -398,115 +383,9 @@ class IntersectivityVerdict:
         return dict(self.__dict__)
 
 
-@dataclass(order=True, slots=True)
-class _FpPoly:
-    """An element of F_p[t], with the + * % // truth value and order that
-    the Hensel climb also uses on Python ints. c holds the ascending
-    coefficients mod p, already trimmed; an int operand stands for the
-    constant it reduces to."""
-
-    c: tuple[int, ...]
-    F: Ring
-
-    @classmethod
-    def encode(cls, c, F: Ring) -> "_FpPoly":
-        """Integers by base-p digits, a negative one negated; sequences as
-        coefficient lists mod p."""
-        if isinstance(c, (list, tuple)):
-            return cls(_ptrim([int(x) % F.order for x in c]), F)
-        digits, rest = [], abs(int(c))
-        while rest:
-            rest, d = divmod(rest, F.order)
-            digits.append(d)
-        return cls(tuple(digits), F) * (1 if int(c) >= 0 else -1)
-
-    def _coeffs(self, other) -> tuple[int, ...]:
-        return other.c if isinstance(other, _FpPoly) else _ptrim((other % self.F.order,))
-
-    def __add__(self, other) -> "_FpPoly":
-        a, b = self.c, self._coeffs(other)
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, y in enumerate(b):
-            out[i] = (out[i] + y) % self.F.order
-        return _FpPoly(_ptrim(out), self.F)
-
-    def __mul__(self, other) -> "_FpPoly":
-        return _FpPoly(_pmul(self.c, self._coeffs(other), self.F), self.F)
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, other: "_FpPoly") -> "_FpPoly":
-        return _FpPoly(_pdivmod(self.c, other.c, self.F)[0], self.F)
-
-    def __mod__(self, other: "_FpPoly") -> "_FpPoly":
-        return _FpPoly(_pdivmod(self.c, other.c, self.F)[1], self.F)
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
-
-def _horner(coeffs: Sequence, x):
-    rest = reversed(coeffs)
-    acc = next(rest)
-    for c in rest:
-        acc = acc * x + c
-    return acc
-
-
-def _valuation(value, pi) -> float:
-    """The exponent of pi in value; infinite for zero."""
-    if not value:
-        return math.inf
-    v = 0
-    while not value % pi:
-        value, v = value // pi, v + 1
-    return v
-
-
-def _hensel_climb(coeffs, deriv, pi, residues: Sequence, top: int) -> tuple[str, int]:
-    """Climb pi, pi^2, ..., pi^top: ('resolved', j), ('witness', j) or
-    ('capped', j), with j the last level examined in full. A root r mod
-    pi^j settles every level when P(r) = 0 or j >= 2 v(P'(r)) + 1; the
-    other roots lift to r + pi^j t, t over the residues mod pi."""
-    roots = [r for r in residues if not _horner(coeffs, r) % pi]
-    j, modulus = 1, pi
-    while roots:
-        for r in roots:
-            if not _horner(coeffs, r) or j >= 2 * _valuation(_horner(deriv, r), pi) + 1:
-                return "resolved", j
-        if j == top:
-            return "capped", j
-        steps = [modulus * t for t in residues]
-        j, modulus = j + 1, modulus * pi
-        roots = [x for r in roots for x in (r + s for s in steps)
-                 if not _horner(coeffs, x) % modulus]
-    return "witness", j
-
-
-def _sweep(coeffs, primes, residues, B: int):
-    """The climb at every prime pi in primes, given as (pi, N(pi)) with
-    N(pi) <= B, through every level with N(pi^j) <= B^2. Returns the least
-    witness (N(pi^j), pi, j) or None, the number of resolved primes, and
-    the capped ones as (pi, j, N(pi^j))."""
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    witnesses, capped, resolved = [], [], 0
-    for pi, norm in primes:
-        top = next(j for j in itertools.count(1) if norm ** (j + 1) > B * B)
-        outcome, j = _hensel_climb(coeffs, deriv, pi, residues(pi), top)
-        if outcome == "witness":
-            witnesses.append((norm**j, pi, j))
-        elif outcome == "resolved":
-            resolved += 1
-        else:
-            capped.append((pi, j, norm**j))
-    return min(witnesses, default=None), resolved, capped
-
-
 def _witness_has_no_root(ring: Ring, coeffs: Sequence[int]) -> bool:
     """Independent check of a witness O/pi^j: evaluate P on every element
-    with the ring kernels, which share no arithmetic with the scalar climb."""
+    with the ring kernels, which share no arithmetic with the climb."""
     values = ring.eval_poly_vec(coeffs, np.arange(ring.order, dtype=np.int64))
     return not (values == 0).any()
 
@@ -533,8 +412,9 @@ def intersectivity_oracle(
     if fam == "INTEGERS":
         p, base, exponent = None, bound, 1
         P = [int(c) for c in coeffs]
-        primes = ((q, q) for q in range(2, bound + 1) if is_prime(q))
-        residues = range
+
+        def levels():
+            return _IntegerLevels(P, _primes_upto(bound), bound)
 
         def quotient(pi, j, N):
             return ZModRing(N, guard=N), [c % N for c in P]
@@ -553,15 +433,9 @@ def intersectivity_oracle(
         base, exponent = p, bound
         F = ZModRing(p)
         P = [_FpPoly.encode(c, F) for c in coeffs]
-        primes = ((_FpPoly(g, F), p**e) for e in range(1, bound + 1)
-                  for g in _monic_polys(F, e) if poly_is_irreducible(g, F))
 
-        @functools.cache
-        def below(e):
-            return [_FpPoly(_ptrim(t), F) for t in itertools.product(range(p), repeat=e)]
-
-        def residues(g):
-            return below(len(g.c) - 1)
+        def levels():
+            return _FptLevels(P, F, _irreducibles(p, bound), p**bound)
 
         def quotient(g, j, N):
             gj = math.prod([g] * j)
@@ -584,7 +458,7 @@ def intersectivity_oracle(
     # A huge exponent fails on its bit length alone, before the power is built.
     if exponent > limit.bit_length() or base ** (2 * exponent) > limit:
         raise WorkGuardExceeded(f"climb charges B^2 = {base}^{2 * exponent} > work guard {limit}")
-    least, resolved, capped = _sweep(P, primes, residues, base**exponent)
+    least, resolved, capped = _sweep(P, levels(), base**exponent)
     witness = verified = None
     if least is not None:
         N, pi, j = least

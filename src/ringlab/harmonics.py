@@ -54,6 +54,9 @@ ROUTE_TOL = 1e-8
 # sample apart from the seed's own stream of test functions.
 SAMPLE_ROWS = 16
 _SAMPLE_SEED = 0x7E57
+# Entries of one block of the sampled check's rows and character columns,
+# each of order length: at order 2^20 the 16 rows at once took 512 MB.
+_SAMPLE_BLOCK = 1 << 18
 
 
 def random_functions(ring: Ring, count: int, seed: int) -> np.ndarray:
@@ -299,11 +302,15 @@ def te_estimate(
     rng = np.random.default_rng((_SAMPLE_SEED, seed or 0))
     m = min(SAMPLE_ROWS, n)
     xs, chars = (rng.choice(n, size=m, replace=False) for _ in range(2))
-    by_values, by_coset = (ring.add_vec(xs[:, None], v) for v in (values, coset))
-    exact_g = np.array([row[by_values].mean(axis=1) - row[by_coset].mean(axis=1) for row in fs])
-    # einsum, not a BLAS product: threaded zgemm on thin matrices can wait
-    # milliseconds for an idle core.
-    exact_sums = np.einsum("cx,xj->cj", batch, character_table(ring, chars=chars)) / n
+    exact_g = np.empty((len(fs), m), dtype=np.complex128)
+    exact_sums = np.empty((len(batch), m), dtype=np.complex128)
+    step = max(1, _SAMPLE_BLOCK // n)
+    for block in (slice(s, s + step) for s in range(0, m, step)):
+        by_values, by_coset = (ring.add_vec(xs[block, None], v) for v in (values, coset))
+        exact_g[:, block] = [row[by_values].mean(axis=1) - row[by_coset].mean(axis=1) for row in fs]
+        # einsum, not a BLAS product: threaded zgemm on thin matrices can
+        # wait milliseconds for an idle core.
+        exact_sums[:, block] = np.einsum("cx,xj->cj", batch, character_table(ring, chars=chars[block])) / n
     char_gap = np.abs(exact_sums - sums[:, chars]).max(axis=1)
     row_gap = np.abs(exact_g - g[:, xs]).max(axis=1)
     sample_gap = np.maximum(np.maximum(row_gap, char_gap[1:]), char_gap[0])

@@ -6,18 +6,20 @@ which repeat that enumeration for rings small enough to afford it).
 The greedy search walks the Cayley graph through translates and the exact
 search skips the root's exclude branch; both are checked against the
 bitmask versions they replaced, kept here as oracles. The intersectivity
-oracle runs one Hensel climb for Z and F_p[t]; it is checked against the
-two scalar climbs it replaced, kept in hensel_oracle.py.
+oracle runs one level-batched Hensel climb for Z and F_p[t]; it is checked
+against the two scalar climbs it replaced, kept in hensel_oracle.py, and its
+prime sieve against trial division.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hensel_oracle import reference_verdict
+from hensel_oracle import _integer_prime_analysis, reference_verdict
 from test_polynomials import ORACLE_RINGS
 
+from ringlab import hensel
 from ringlab.errors import HypothesisUnmet, ParseError, WorkGuardExceeded
 from ringlab.combinatorics import (
     _clique_cover_bound,
@@ -33,8 +35,9 @@ from ringlab.combinatorics import (
     sarkozy_bound_check,
     verify_difference_free,
 )
+from ringlab.hensel import _IntegerLevels, _irreducibles, _sweep
 from ringlab.polynomials import RingPoly
-from ringlab.rings import PolyQuotientRing, ZModRing, make_ring
+from ringlab.rings import PolyQuotientRing, ZModRing, _monic_polys, make_ring, poly_is_irreducible
 
 
 def test_config_count_full_sets():
@@ -450,6 +453,11 @@ def test_intersective_capped_cases_match_oracle(family, coeffs, bound):
     coeffs=st.lists(st.integers(-5000, 5000), min_size=2, max_size=4),
     bound=st.integers(1, 40),
 )
+@example(coeffs=[-1, 0, 1], bound=40)
+@example(coeffs=[0, 0, 1], bound=40)
+@example(coeffs=[-2, 0, 1], bound=40)
+@example(coeffs=[1, 1, 1], bound=40)
+@example(coeffs=[-4, 0, 0, 1], bound=40)
 def test_intersective_integers_match_oracle(coeffs, bound):
     try:
         want = reference_verdict("INTEGERS", coeffs, bound)
@@ -460,12 +468,21 @@ def test_intersective_integers_match_oracle(coeffs, bound):
     assert intersectivity_oracle("INTEGERS", coeffs, bound).to_dict() == want
 
 
+@st.composite
+def fpt_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]), label="p")
+    bound = draw(st.integers(1, {2: 4, 3: 3, 5: 2}[p]), label="bound")
+    coeffs = draw(st.lists(st.integers(-300, 300), min_size=2, max_size=4), label="coeffs")
+    return p, coeffs, bound
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_intersective_fpt_match_oracle(data):
-    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
-    bound = data.draw(st.integers(1, {2: 4, 3: 3, 5: 2}[p]), label="bound")
-    coeffs = data.draw(st.lists(st.integers(-300, 300), min_size=2, max_size=4), label="coeffs")
+@given(case=fpt_cases())
+@example(case=(5, [0, 1, 1], 3))
+@example(case=(3, [1, 0, 1], 4))
+@example(case=(2, [0, 0, 1], 6))
+def test_intersective_fpt_match_oracle(case):
+    p, coeffs, bound = case
     family = f"FPT({p})"
     try:
         want = reference_verdict(family, coeffs, bound)
@@ -474,6 +491,52 @@ def test_intersective_fpt_match_oracle(data):
             intersectivity_oracle(family, coeffs, bound)
         return
     assert intersectivity_oracle(family, coeffs, bound).to_dict() == want
+
+
+CLIMB_CASES = [
+    ("INTEGERS", [-1, 0, 1], 40),
+    ("INTEGERS", [-3, 0, 1], 30),
+    ("INTEGERS", [-162, 0, 1], 5),
+    ("INTEGERS", [-4352, 0, 1], 40),
+    ("FPT(2)", [1, 1, 1], 4),
+    ("FPT(2)", [0, 0, 1], 5),
+    ("FPT(3)", [-162, 0, 1], 2),
+    ("FPT(3)", [1, 0, 1], 3),
+    ("FPT(5)", [0, 1, 1], 2),
+    ("FPT(5)", [2, 0, 1], 2),
+]
+
+
+def test_intersective_verdicts_do_not_depend_on_blocks(monkeypatch):
+    """A block of a few entries splits every level into many blocks, often
+    of one candidate; the verdicts stay those of the default block."""
+    want = [intersectivity_oracle(*case).to_dict() for case in CLIMB_CASES]
+    monkeypatch.setattr(hensel, "_CLIMB_BLOCK", 7)
+    assert [intersectivity_oracle(*case).to_dict() for case in CLIMB_CASES] == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_irreducible_sieve_matches_trial_division(p):
+    F = ZModRing(p)
+    top = {2: 6, 3: 6, 5: 5}[p]
+    sieved = [[tuple(g) + (1,) for g in rows.tolist()] for rows in _irreducibles(p, top)]
+    trial = [[g for g in _monic_polys(F, e) if poly_is_irreducible(g, F)] for e in range(1, top + 1)]
+    assert sieved == trial
+
+
+def test_integer_climb_switches_to_object_integers():
+    """At the prime q = 65537 the level-2 modulus q^2 squared overflows
+    int64. P = (x - x0)(x - x0 - q) with x0 = q^2 - 1 has the double root
+    q - 1 mod q, which does not settle at level 1, and the exact root x0
+    among its lifts mod q^2. Horner on x0 mod q^2 multiplies two residues
+    near q^2, so int64 would lose x0 and leave q capped."""
+    q = 65537
+    x0 = q * q - 1
+    P = [x0 * (x0 + q), -(2 * x0 + q), 1]
+    levels = _IntegerLevels(P, [q], q)
+    assert levels.dtype is object
+    assert _sweep(P, levels, q) == (None, 1, [])
+    assert _integer_prime_analysis(P, P[1:2] + [2], q, q * q) == ("resolved", 2)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,10 @@
 The Galois ring tables are rebuilt here from scratch (modular polynomial
 arithmetic on coefficient tuples, no shared code) and compared entry by
 entry. The same tuples, nested one level for PQ over GF(p^e), are the oracle
-for `mul_vec` on every constructor.
+for `mul_vec` on every constructor. The ring axioms and the spec
+round trip are Hypothesis properties over specs of all five constructors,
+and the canonical modulus search is checked against the full scan it
+shortened.
 """
 
 import numpy as np
@@ -13,7 +16,17 @@ from hypothesis import strategies as st
 
 from ringlab.characters import character_group
 from ringlab.errors import NotIrreducible, NotMonic, OrderTooLarge, ParseError
-from ringlab.rings import PolyQuotientRing, ProductRing, Ring, ZModRing, make_ring
+from ringlab.rings import (
+    PolyQuotientRing,
+    ProductRing,
+    Ring,
+    ZModRing,
+    _monic_polys,
+    canonical_irreducible,
+    is_prime,
+    make_ring,
+    poly_is_irreducible,
+)
 
 
 def test_zmod_info():
@@ -189,28 +202,6 @@ def test_digits_round_trip():
             assert ring.from_digits(ring.digits(i)) == i
 
 
-def test_ring_axioms_random_sweep():
-    """Seeded triples through associativity, commutativity, distributivity
-    on one ring of each variant."""
-    rng = np.random.default_rng(20240814)
-    specs = ("Z/36", "GF(16)", "PQ(q=3;g=1,1,1)", "GR(2,3,2)", "prod(Z/5;GF(4))")
-    for spec in specs:
-        ring = make_ring(spec)
-        n = ring.order
-        for _ in range(200):
-            a, b, c = (int(v) for v in rng.integers(0, n, 3))
-            assert ring.add(a, b) == ring.add(b, a)
-            assert ring.mul(a, b) == ring.mul(b, a)
-            assert ring.add(ring.add(a, b), c) == ring.add(a, ring.add(b, c))
-            assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
-            assert ring.mul(a, ring.add(b, c)) == ring.add(
-                ring.mul(a, b), ring.mul(a, c)
-            )
-            assert ring.add(a, ring.neg(a)) == 0
-            assert ring.mul(a, ring.one) == a
-            assert ring.sub(a, b) == ring.add(a, ring.neg(b))
-
-
 def test_vector_ops_match_scalar():
     rng = np.random.default_rng(7)
     ring = make_ring("GR(3,2,2)")
@@ -243,6 +234,107 @@ def kernel_specs(draw, max_order=1 << 12):
     while r > 1 and p ** (n * r) > max_order:
         r -= 1
     return f"GR({p},{n},{r})" if kind == "gr" else f"GF({p**r})"
+
+
+@st.composite
+def explicit_specs(draw):
+    """GF(q;h=...) or GR(p,n,r;f=...) of order at most 2^12, with h drawn
+    from the monic irreducibles of its degree and f lifting one mod p^n."""
+    p = draw(st.sampled_from([2, 3, 5]), label="p")
+    r = draw(st.integers(2, {2: 4, 3: 3, 5: 2}[p]), label="r")
+    F = ZModRing(p)
+    h = draw(st.sampled_from([g for g in _monic_polys(F, r) if poly_is_irreducible(g, F)]), label="h")
+    if draw(st.booleans(), label="gf"):
+        return f"GF({p**r};h={','.join(map(str, h))})"
+    n = draw(st.integers(1, 2), label="n")
+    lifts = draw(st.lists(st.integers(0, p ** (n - 1) - 1), min_size=r, max_size=r), label="lifts")
+    f = [c + p * k for c, k in zip(h, lifts)] + [1]
+    return f"GR({p},{n},{r};f={','.join(map(str, f))})"
+
+
+@st.composite
+def ring_specs(draw):
+    """Specs of all five constructors: Z/N, GF, GR and PQ (canonical and
+    explicit moduli) and products, one factor of which may be a Z/N."""
+    kind = draw(st.sampled_from(["zn", "kernel", "explicit", "prod"]), label="spec kind")
+    if kind == "zn":
+        return f"Z/{draw(st.integers(2, 1 << 12), label='N')}"
+    if kind == "kernel":
+        return draw(kernel_specs(), label="kernel spec")
+    if kind == "explicit":
+        return draw(explicit_specs(), label="explicit spec")
+    small = kernel_specs(max_order=64).filter(lambda s: not s.startswith("prod"))
+    return f"prod(Z/{draw(st.integers(2, 64), label='N')};{draw(small, label='right')})"
+
+
+RING_AXIOM_SPECS = ("Z/36", "GF(16)", "PQ(q=3;g=1,1,1)", "GR(2,3,2)", "prod(Z/5;GF(4))")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spec=ring_specs(), seed=st.integers(0, 2**32 - 1))
+@example(spec=RING_AXIOM_SPECS[0], seed=0)
+@example(spec=RING_AXIOM_SPECS[1], seed=1)
+@example(spec=RING_AXIOM_SPECS[2], seed=2)
+@example(spec=RING_AXIOM_SPECS[3], seed=3)
+@example(spec=RING_AXIOM_SPECS[4], seed=4)
+def test_ring_axioms_random_sweep(spec, seed):
+    """Associativity, commutativity, distributivity, identities and
+    negation on seeded triples, with the vector kernels on 256 triples and
+    the scalar operations on the first 8, which must agree."""
+    ring = make_ring(spec)
+    a, b, c = np.random.default_rng(seed).integers(0, ring.order, (3, 256))
+    add, mul = ring.add_vec, ring.mul_vec
+    assert (add(a, b) == add(b, a)).all()
+    assert (mul(a, b) == mul(b, a)).all()
+    assert (add(add(a, b), c) == add(a, add(b, c))).all()
+    assert (mul(mul(a, b), c) == mul(a, mul(b, c))).all()
+    assert (mul(a, add(b, c)) == add(mul(a, b), mul(a, c))).all()
+    assert (add(a, ring.neg_vec(a)) == 0).all()
+    assert (add(a, 0) == a).all()
+    assert (mul(a, ring.one) == a).all()
+    assert (ring.sub_vec(a, b) == add(a, ring.neg_vec(b))).all()
+    products, sums = mul(a, b), add(a, b)
+    for x, y, xy, s in zip(a[:8].tolist(), b[:8].tolist(), products.tolist(), sums.tolist()):
+        assert ring.mul(x, y) == xy and ring.add(x, y) == s
+        assert ring.sub(s, y) == x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spec=ring_specs(), seed=st.integers(0, 2**32 - 1))
+@example(spec="Z/12", seed=0)
+@example(spec="GF(27)", seed=1)
+@example(spec="GR(3,2,2)", seed=2)
+@example(spec="PQ(q=2;g=0,1,1)", seed=3)
+@example(spec="prod(Z/4;GF(4))", seed=4)
+@example(spec="GF(9;h=2,2,1)", seed=5)
+@example(spec="GR(2,2,2;f=3,1,1)", seed=6)
+def test_spec_string_round_trip(spec, seed):
+    """make_ring(ring.spec_string()) is the same ring: the same spec string,
+    order, prime ideal profile and products."""
+    ring = make_ring(spec)
+    again = make_ring(ring.spec_string())
+    assert again.spec_string() == ring.spec_string()
+    assert again.order == ring.order
+    assert again.prime_ideal_profile() == ring.prime_ideal_profile()
+    a, b = np.random.default_rng(seed).integers(0, ring.order, (2, 64))
+    assert (again.mul_vec(a, b) == ring.mul_vec(a, b)).all()
+
+
+def full_scan_canonical(p, e):
+    """The search canonical_irreducible shortened: every monic polynomial of
+    degree e in order, constant term 0 included."""
+    field = ZModRing(p)
+    return next(g for g in _monic_polys(field, e) if poly_is_irreducible(g, field))
+
+
+def test_canonical_irreducible_matches_full_scan():
+    """Every p^e <= 2^12, and GF(2^20), whose modulus u^20 + u^3 + 1 the
+    full scan finds in seconds, too slow to repeat here."""
+    cases = [(p, e) for p in range(2, 1 << 12) if is_prime(p)
+             for e in range(1, 13) if p**e <= 1 << 12]
+    for p, e in cases:
+        assert canonical_irreducible(p, e) == full_scan_canonical(p, e), (p, e)
+    assert canonical_irreducible(2, 20) == (1,) + (0,) * 16 + (1, 0, 0, 1)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -402,15 +494,6 @@ def test_order_guard_env_override(monkeypatch):
         make_ring("Z/128")
     monkeypatch.setenv("RINGLAB_ORDER_GUARD", "200")
     assert make_ring("Z/128").order == 128
-
-
-def test_spec_string_round_trip():
-    specs = ("Z/12", "GF(4)", "GF(27)", "GR(3,2,2)", "PQ(q=2;g=0,1,1)", "prod(Z/4;GF(4))")
-    for spec in specs:
-        ring = make_ring(spec)
-        again = make_ring(ring.spec_string())
-        assert again.order == ring.order
-        assert again.prime_ideal_profile() == ring.prime_ideal_profile()
 
 
 def test_eval_poly_vec_matches_horner():

@@ -92,3 +92,17 @@ def test_sample_is_fixed_by_the_seed():
     c = te_estimate(ring, P, fs, seed=2)
     assert np.array_equal(a.sample_gap, b.sample_gap)
     assert np.array_equal(a.lhs, c.lhs) and np.array_equal(a.fourier_lhs, c.fourier_lhs)
+
+
+@pytest.mark.parametrize("spec", ["Z/64", "GF(256)", "prod(Z/8;GF(125))"])
+def test_sample_blocks_leave_the_report_unchanged(spec, monkeypatch):
+    """The sampled check gathers its rows and character columns in blocks;
+    blocks of one row each give the same bits as one block."""
+    ring = make_ring(spec)
+    P = RingPoly.make(ring, (1, 0, 0, 1))
+    fs = random_functions(ring, 3, 5)
+    whole = te_estimate(ring, P, fs, ddeg_mode="bound", seed=4)
+    monkeypatch.setattr(harmonics, "_SAMPLE_BLOCK", 1)
+    split = te_estimate(ring, P, fs, ddeg_mode="bound", seed=4)
+    assert np.array_equal(whole.sample_gap, split.sample_gap)
+    assert np.array_equal(whole.lhs, split.lhs)
