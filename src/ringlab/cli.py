@@ -232,8 +232,8 @@ def _cmd_tebound(args) -> tuple[dict, int]:
 def _cmd_vdc(args) -> tuple[dict, int]:
     ring = make_ring(args.ring)
     H = _parse_subgroup(ring, args.subgroup)
-    if args.k < 1:
-        raise ParseError("--k must be at least 1")
+    if not 1 <= args.k <= harmonics.VDC_MAX_K:
+        raise ParseError(f"--k must be between 1 and {harmonics.VDC_MAX_K}")
     if args.random < 1:
         raise ParseError("--random must be at least 1")
     fs = harmonics.random_functions(ring, args.random, args.seed)

@@ -23,6 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .budget import work_guard
 from .characters import all_char_sums, character_group
 from .combinatorics import _element_set, adjacency_masks
 from .errors import CharDividesDegree, ParseError, WorkGuardExceeded
@@ -270,6 +271,8 @@ def uniformity_measure(
     the examined pairs only; each examined pair is also checked against the
     expander mixing certificate lambda2 sqrt(|A||B|) + 0.5. Explicit sets
     follow the element-set rule: duplicates merge, a bad index is a ParseError.
+    Sampled mode charges count x order against the work guard before it
+    draws.
     """
     ring = graph.ring
     n = ring.order
@@ -310,6 +313,11 @@ def uniformity_measure(
         mixing_ok = mixing_worst <= 0
     else:
         if mode == "sampled":
+            budget = work_guard()
+            if count * n > budget:
+                raise WorkGuardExceeded(
+                    f"{count} sampled pairs of order {n} need {count * n} work, budget {budget}"
+                )
             rng = np.random.default_rng(seed)
             used_seed = seed
             pair_list = []
@@ -394,6 +402,9 @@ def quasirandomness_verdict(graph: PaleyGraph) -> QuasirandomnessVerdict:
 
     spectral_epsilon_floor: lambda2 / (8r); epsilon-uniformity for smaller
     epsilon would contradict the eigenvalue bound.
+
+    The d + 1 coefficients of x^d are charged against the work guard
+    before they are built.
     """
     if graph.char_divides_degree:
         raise CharDividesDegree(
@@ -402,6 +413,9 @@ def quasirandomness_verdict(graph: PaleyGraph) -> QuasirandomnessVerdict:
         )
     ring = graph.ring
     d = graph.d
+    budget = work_guard()
+    if d + 1 > budget:
+        raise WorkGuardExceeded(f"x^{d} has {d + 1} coefficients, budget {budget}")
     monomial = RingPoly.make(ring, (0,) * d + (ring.one,))
     dres = derivational_degree(ring, monomial)
     bp = bound_parameters(ring, d, dres)

@@ -100,12 +100,15 @@ BAD_INPUTS = [
     ("rootcount", "--ring", "Z/7", "--coeffs", "[true,1]"),
     ("rootcount", "--ring", "Z/7", "--coeffs", "[99999999999999999999999,1]"),
     ("rootcount", "--ring", "Z/7", "--coeffs", "1e400"),
+    ("vdc", "--ring", "Z/8", "--subgroup", "trivial", "--k", "11"),
+    ("vdc", "--ring", "Z/8", "--subgroup", "trivial", "--k", "12"),
+    ("vdc", "--ring", "Z/8", "--subgroup", "trivial", "--k", "990"),
 ]
 BAD_INPUT_IDS = [
     "vdc-k0", "vdc-random0", "paley-sampled", "expsum-char", "sarkozy-measured",
     "tebound-seed", "vdc-seed", "sarkozy-seed", "paley-seed", "random-seed", "sampled-seed",
     "fpt-not-a-number", "fpt-empty", "rootcount-float", "rootcount-bool",
-    "rootcount-beyond-int64", "rootcount-infinity",
+    "rootcount-beyond-int64", "rootcount-infinity", "vdc-k11", "vdc-k12", "vdc-k990",
 ]
 
 
@@ -119,6 +122,34 @@ def test_bad_inputs_exit_2(args):
     assert err["error"]["type"] == "ParseError"
     assert err["error"]["exit_code"] == 2
     assert proc.stdout == ""
+
+
+# Inputs whose allocation passes the default work guard: each is refused
+# before anything is allocated or sampled. They used to end in a
+# MemoryError or OverflowError traceback, or run for minutes.
+GUARD_INPUTS = [
+    ("vdc", "--ring", "Z/64", "--subgroup", "full", "--k", "1", "--random", "1000000"),
+    ("tebound", "--ring", "Z/1024", "--poly=0,0,1", "--random", "100000000"),
+    ("paley", "--ring", "Z/13", "--d", "4294967296"),
+    ("paley", "--ring", "Z/13", "--d", "99999999999999999999"),
+    ("paley", "--ring", "Z/13", "--d", "2", "--sets", "sampled:99999999999:1"),
+]
+
+
+@pytest.mark.parametrize(
+    "args", GUARD_INPUTS,
+    ids=["vdc-random", "tebound-random", "paley-d-2to32", "paley-d-1e20", "paley-sampled-count"],
+)
+def test_guard_inputs_exit_3(args, capsys):
+    from ringlab.cli import main
+
+    start = time.perf_counter()
+    assert main(list(args)) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    error = json.loads(err)["error"]
+    assert error["type"] == "WorkGuardExceeded" and error["exit_code"] == 3
+    assert out == ""
 
 
 X_1100 = ",".join(["0"] * 1100 + ["1"])
