@@ -2,16 +2,16 @@
 
 Two budgets protect against accidentally huge computations: an order guard on
 ring construction and a work guard on exhaustive sweeps (difference spaces,
-root counting, subgroup duals). Both can be overridden per call or through
-the environment variables RINGLAB_ORDER_GUARD and RINGLAB_WORK_GUARD, which
-must hold positive integers when set.
+root counting, subgroup duals). They are set only through the environment
+variables RINGLAB_ORDER_GUARD and RINGLAB_WORK_GUARD, which must hold
+positive integers when set; this module is the one place that reads them.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import ParseError
+from .errors import ParseError, WorkGuardExceeded
 
 DEFAULT_ORDER_GUARD = 1 << 20
 DEFAULT_WORK_GUARD = 1 << 24
@@ -32,13 +32,17 @@ def _from_env(name: str, fallback: int) -> int:
     return value
 
 
-def order_guard(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
+def order_guard() -> int:
     return _from_env("RINGLAB_ORDER_GUARD", DEFAULT_ORDER_GUARD)
 
 
-def work_guard(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
+def work_guard() -> int:
     return _from_env("RINGLAB_WORK_GUARD", DEFAULT_WORK_GUARD)
+
+
+def charge(work, what: str) -> None:
+    """Refuse `what` with WorkGuardExceeded when its work exceeds the work
+    guard; call it before the work is allocated."""
+    limit = work_guard()
+    if work > limit:
+        raise WorkGuardExceeded(f"{what} needs {work} work, budget {limit}")

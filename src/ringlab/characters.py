@@ -220,13 +220,12 @@ def annihilator_mask(ring: Ring, generators: Sequence[int]) -> np.ndarray:
     return (angles == 0).all(axis=0)
 
 
-def annihilator(ring: Ring, subgroup, guard: int | None = None) -> list[Character]:
+def annihilator(ring: Ring, subgroup) -> list[Character]:
     """All characters annihilating the given subgroup (a SubgroupSet or any
-    iterable of elements). Guarded to rings of order at most 2^12."""
-    limit = _ANNIHILATOR_MAX_ORDER if guard is None else guard
-    if ring.order > limit:
+    iterable of elements). Limited to rings of order at most 2^12."""
+    if ring.order > _ANNIHILATOR_MAX_ORDER:
         raise WorkGuardExceeded(
-            f"annihilator enumeration refused for order {ring.order} > {limit}"
+            f"annihilator enumeration refused for order {ring.order} > {_ANNIHILATOR_MAX_ORDER}"
         )
     gens = getattr(subgroup, "generators", None)
     if gens is None:

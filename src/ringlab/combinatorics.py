@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .budget import work_guard
+from .budget import charge, work_guard
 from .characters import character_table
 from .errors import HypothesisUnmet, ParseError, WorkGuardExceeded
 from .harmonics import exp_sums_all
@@ -248,7 +248,6 @@ def difference_free_max(
     P: RingPoly,
     mode: str = "exact",
     seed: int = 0,
-    guard: int | None = None,
 ) -> DifferenceFreeReport:
     """Largest (exact mode) or greedily large (greedy mode) difference-free
     set for P. Exact mode is branch and bound on the forbidden-difference
@@ -257,12 +256,10 @@ def difference_free_max(
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
     n = ring.order
-    if mode == "exact":
-        cap = _EXACT_INDEPENDENCE_CAP if guard is None else min(guard, _EXACT_INDEPENDENCE_CAP)
-        if n > cap:
-            raise WorkGuardExceeded(
-                f"exact search is limited to order {cap}, ring has order {n}"
-            )
+    if mode == "exact" and n > _EXACT_INDEPENDENCE_CAP:
+        raise WorkGuardExceeded(
+            f"exact search is limited to order {_EXACT_INDEPENDENCE_CAP}, ring has order {n}"
+        )
     D = forbidden_differences(ring, P)
     if D.size == 0:
         witness = list(range(n))
@@ -317,7 +314,6 @@ def sarkozy_bound_check(
     P: RingPoly,
     measured_size: int,
     ddeg_mode: str = "auto",
-    guard: int | None = None,
 ) -> SarkozyReport:
     """The difference-free size bound C |R| lpf^(-1/2^(k-1)) + d |R| / lpf.
 
@@ -338,7 +334,7 @@ def sarkozy_bound_check(
             "the size bound is not asserted in this case"
         )
     d = P.degree
-    dres = derivational_degree(ring, P, mode=ddeg_mode, guard=guard)
+    dres = derivational_degree(ring, P, mode=ddeg_mode)
     bp = bound_parameters(ring, d, dres)
     k = bp.k
     lpf = ring.lpf()
@@ -390,12 +386,7 @@ def _witness_has_no_root(ring: Ring, coeffs: Sequence[int]) -> bool:
     return not (values == 0).any()
 
 
-def intersectivity_oracle(
-    family: str,
-    coeffs: Sequence,
-    bound: int,
-    guard: int | None = None,
-) -> IntersectivityVerdict:
+def intersectivity_oracle(family: str, coeffs: Sequence, bound: int) -> IntersectivityVerdict:
     """Bounded intersectivity check over Z ("INTEGERS") or F_p[t] ("FPT(p)").
 
     The climb runs at every prime pi with N(pi) <= B through the levels
@@ -404,7 +395,8 @@ def intersectivity_oracle(
     are base-p encodings of polynomials in t. The witness is the least
     (N(pi^j), pi, j) with no root. B^2 bounds the first level's
     sum_{N(pi) <= B} N(pi) evaluations and the witness re-check's N(pi^j),
-    so it is charged against the work guard before any prime is enumerated.
+    so it is charged against the work guard before any prime is enumerated,
+    and the witness quotient skips the order guard.
     """
     fam = family.strip().upper()
     if bound < 1:
@@ -417,7 +409,7 @@ def intersectivity_oracle(
             return _IntegerLevels(P, _primes_upto(bound), bound)
 
         def quotient(pi, j, N):
-            return ZModRing(N, guard=N), [c % N for c in P]
+            return ZModRing(N, _guard_checked=True), [c % N for c in P]
 
         def witness_of(pi, j, N):
             return {"prime": pi, "exponent": j, "modulus": N}
@@ -439,7 +431,7 @@ def intersectivity_oracle(
 
         def quotient(g, j, N):
             gj = math.prod([g] * j)
-            Q = PolyQuotientRing(F, gj.c, guard=N)
+            Q = PolyQuotientRing(F, gj.c, _guard_checked=True)
             return Q, [Q.from_coeffs((c % gj).c) for c in P]
 
         def witness_of(g, j, N):
@@ -454,15 +446,14 @@ def intersectivity_oracle(
         P.pop()
     if len(P) < 2:
         raise ParseError("intersectivity needs a nonconstant polynomial")
-    limit = work_guard(guard)
-    # A huge exponent fails on its bit length alone, before the power is built.
-    if exponent > limit.bit_length() or base ** (2 * exponent) > limit:
-        raise WorkGuardExceeded(f"climb charges B^2 = {base}^{2 * exponent} > work guard {limit}")
+    # B^2 >= 4^exponent, so an exponent past the guard's bit length is
+    # refused without building the power.
+    work = base ** (2 * exponent) if exponent <= work_guard().bit_length() else math.inf
+    charge(work, f"the climb to B^2 = {base}^{2 * exponent}")
     least, resolved, capped = _sweep(P, levels(), base**exponent)
     witness = verified = None
     if least is not None:
         N, pi, j = least
-        # The work guard bounds the scan, so the quotient skips the order guard.
         verified = _witness_has_no_root(*quotient(pi, j, N))
         witness = witness_of(pi, j, N)
     return IntersectivityVerdict(

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .budget import work_guard
+from .budget import charge
 from .characters import (
     all_char_sums,
     annihilator_mask,
@@ -44,7 +44,7 @@ from .characters import (
     character_table,
     convolve,
 )
-from .errors import WorkGuardExceeded, ZeroPolynomial
+from .errors import ZeroPolynomial
 from .polynomials import RingPoly, bound_parameters, derivational_degree
 from .rings import Ring
 from .subgroups import SubgroupSet, value_subgroup
@@ -67,12 +67,7 @@ def random_functions(ring: Ring, count: int, seed: int) -> np.ndarray:
     """Seeded complex test functions, shape (count, order). Real and
     imaginary parts are independent uniforms on [-1, 1]. count x order is
     charged to the work guard first."""
-    budget = work_guard()
-    if count * ring.order > budget:
-        raise WorkGuardExceeded(
-            f"{count} test functions of order {ring.order} need {count * ring.order} work, "
-            f"budget {budget}"
-        )
+    charge(count * ring.order, f"drawing {count} test functions of order {ring.order}")
     rng = np.random.default_rng(seed)
     shape = (count, ring.order)
     return rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
@@ -95,13 +90,13 @@ def exp_sums_all(ring: Ring, P: RingPoly, counts: np.ndarray | None = None) -> n
     return all_char_sums(ring, counts) / ring.order
 
 
-def _poly_setup(ring: Ring, P: RingPoly, ddeg_mode: str, guard: int | None):
+def _poly_setup(ring: Ring, P: RingPoly, ddeg_mode: str):
     """Shared preprocessing: values, recentring, subgroup, degree data."""
     values = P.values()
     shift = int(values[0])
     recentred = ring.sub_vec(values, shift) if shift != 0 else values
     H = value_subgroup(ring, P, subtract_constant=True)
-    dres = derivational_degree(ring, P, mode=ddeg_mode, guard=guard)
+    dres = derivational_degree(ring, P, mode=ddeg_mode)
     d = max(P.degree, 1)
     bp = bound_parameters(ring, d, dres)
     return values, recentred, shift, H, bp, d
@@ -153,7 +148,6 @@ def character_bound_check(
     ring: Ring,
     P: RingPoly,
     ddeg_mode: str = "auto",
-    guard: int | None = None,
 ) -> CharacterBoundReport:
     """Check the exponential sum bound against every character at once.
 
@@ -163,7 +157,7 @@ def character_bound_check(
     unchanged but makes the annihilator consistency check exact.
     """
     n = ring.order
-    values, recentred, shift, H, bp, d = _poly_setup(ring, P, ddeg_mode, guard)
+    values, recentred, shift, H, bp, d = _poly_setup(ring, P, ddeg_mode)
     k = bp.k
     lpf = ring.lpf()
     counts = np.bincount(recentred, minlength=n)
@@ -264,7 +258,6 @@ def te_estimate(
     P: RingPoly,
     f: np.ndarray,
     ddeg_mode: str = "auto",
-    guard: int | None = None,
     seed: int | None = None,
 ) -> TEReport:
     """Distance of the polynomial average from the coset average, in L^2.
@@ -294,7 +287,7 @@ def te_estimate(
         fs = fs[None, :]
     if fs.ndim != 2 or fs.shape[1] != n:
         raise ValueError(f"f must have shape ({n},) or (count, {n})")
-    values, recentred, shift, H, bp, d = _poly_setup(ring, P, ddeg_mode, guard)
+    values, recentred, shift, H, bp, d = _poly_setup(ring, P, ddeg_mode)
     k = bp.k
     lpf = ring.lpf()
 
@@ -366,13 +359,12 @@ def te_sweep(
     polys: Sequence[RingPoly],
     fs: np.ndarray,
     ddeg_mode: str = "auto",
-    guard: int | None = None,
 ) -> dict:
     """Total ergodicity check of every polynomial against every test function
     on one ring: one batched te_estimate per polynomial. Returns
     (polynomial x function) lhs/fourier/rhs arrays."""
     fs = np.atleast_2d(np.asarray(fs, dtype=np.complex128))
-    reps = [te_estimate(ring, P, fs, ddeg_mode, guard) for P in polys]
+    reps = [te_estimate(ring, P, fs, ddeg_mode) for P in polys]
     shape = (len(reps), len(fs))
     return {
         "lhs": np.array([r.lhs for r in reps]).reshape(shape),
@@ -419,7 +411,6 @@ def vdc_check(
     H: SubgroupSet,
     f: np.ndarray,
     k: int,
-    guard: int | None = None,
 ) -> VdcReport:
     """Van der Corput along a subgroup:
 
@@ -444,11 +435,10 @@ def vdc_check(
     single = fs.ndim == 1
     if single:
         fs = fs[None, :]
-    budget = work_guard(guard)
-    if len(fs) * h ** (k - 1) * n + h * n > budget:
-        raise WorkGuardExceeded(
-            f"vdc needs {len(fs)} x {h}^{k - 1} x {n} + {h} x {n} work, budget {budget}"
-        )
+    charge(
+        len(fs) * h ** (k - 1) * n + h * n,
+        f"vdc over {len(fs)} x {h}^{k - 1} x {n} + {h} x {n} entries",
+    )
     perms = ring.add_table(H.elements)
     reps = _coset_reps(perms)
     cosets = perms[:, reps]
@@ -521,11 +511,7 @@ def _trim_tensor(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def root_count_bound_check(
-    ring: Ring,
-    coeffs,
-    guard: int | None = None,
-) -> RootCountReport:
+def root_count_bound_check(ring: Ring, coeffs) -> RootCountReport:
     """Count the roots of a nonzero polynomial in at most 3 variables by
     exhaustive evaluation and compare with (sum of degrees) |R|^l / lpf.
 
@@ -547,11 +533,7 @@ def root_count_bound_check(
         raise ZeroPolynomial("the zero polynomial has every point as a root")
     l = arr.ndim
     n = ring.order
-    budget = work_guard(guard)
-    if n**l > budget:
-        raise WorkGuardExceeded(
-            f"root counting needs {n}^{l} evaluations, budget {budget}"
-        )
+    charge(n**l, f"root counting over {n}^{l} points")
     degrees = tuple(s - 1 for s in arr.shape)
 
     xs = np.arange(n, dtype=np.int64)

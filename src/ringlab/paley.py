@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .budget import work_guard
+from .budget import charge
 from .characters import all_char_sums, character_group
 from .combinatorics import _element_set, adjacency_masks
 from .errors import CharDividesDegree, ParseError, WorkGuardExceeded
@@ -313,11 +313,7 @@ def uniformity_measure(
         mixing_ok = mixing_worst <= 0
     else:
         if mode == "sampled":
-            budget = work_guard()
-            if count * n > budget:
-                raise WorkGuardExceeded(
-                    f"{count} sampled pairs of order {n} need {count * n} work, budget {budget}"
-                )
+            charge(count * n, f"sampling {count} pairs of order {n}")
             rng = np.random.default_rng(seed)
             used_seed = seed
             pair_list = []
@@ -413,9 +409,7 @@ def quasirandomness_verdict(graph: PaleyGraph) -> QuasirandomnessVerdict:
         )
     ring = graph.ring
     d = graph.d
-    budget = work_guard()
-    if d + 1 > budget:
-        raise WorkGuardExceeded(f"x^{d} has {d + 1} coefficients, budget {budget}")
+    charge(d + 1, f"building the {d + 1} coefficients of x^{d}")
     monomial = RingPoly.make(ring, (0,) * d + (ring.one,))
     dres = derivational_degree(ring, monomial)
     bp = bound_parameters(ring, d, dres)

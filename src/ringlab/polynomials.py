@@ -33,13 +33,12 @@ length |R|, and the guard refuses once that work exceeds the budget.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .budget import work_guard
+from .budget import charge, work_guard
 from .errors import ParseError, WorkGuardExceeded
 from .rings import Ring, _ptrim, factorize, is_prime
 
@@ -126,25 +125,6 @@ def parse_poly_literal(ring: Ring, text: str) -> RingPoly:
             except ValueError:
                 raise ParseError(f"bad polynomial coefficient {item!r}") from None
     return RingPoly(ring, _ptrim(coeffs))
-
-
-def forward_difference(P: RingPoly, n: int) -> RingPoly:
-    """The polynomial P(x + n) - P(x), coefficients computed by binomial
-    expansion inside the ring."""
-    R = P.ring
-    d = P.degree
-    if d < 1:
-        return RingPoly(R, ())
-    npow = [R.one]
-    for _ in range(d):
-        npow.append(R.mul(npow[-1], n))
-    out = [0] * d
-    for m, a_m in P.monomials():
-        for j in range(m):
-            binom = R.from_int(math.comb(m, j))
-            term = R.mul(a_m, R.mul(binom, npow[m - j]))
-            out[j] = R.add(out[j], term)
-    return RingPoly(R, _ptrim(out))
 
 
 def digit_sum(n: int, p: int) -> int:
@@ -234,7 +214,6 @@ def derivational_degree(
     ring: Ring,
     P: RingPoly,
     mode: str = "auto",
-    guard: int | None = None,
 ) -> DdegResult:
     """Derivational degree of P as a function on the ring.
 
@@ -246,23 +225,21 @@ def derivational_degree(
     if mode not in ("exact", "bound", "auto"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact":
-        return _exact_ddeg(ring, P, guard)
+        return _exact_ddeg(ring, P)
     if mode == "bound":
         return _bound_ddeg(ring, P)
     try:
-        return _exact_ddeg(ring, P, guard)
+        return _exact_ddeg(ring, P)
     except WorkGuardExceeded as exc:
         return replace(_bound_ddeg(ring, P), fallback_reason=str(exc))
 
 
-def _exact_ddeg(ring: Ring, P: RingPoly, guard: int | None) -> DdegResult:
-    budget = work_guard(guard)
-    n = ring.order
-    spent = n
-    if spent > budget:
-        raise WorkGuardExceeded(
-            f"exact derivational degree needs at least {n} work, budget {budget}"
-        )
+def _exact_ddeg(ring: Ring, P: RingPoly) -> DdegResult:
+    n = spent = ring.order
+    charge(n, "exact derivational degree")
+    # One read of the guard per call: a charge per difference table would
+    # cost more than the many small tables it guards.
+    budget = work_guard()
     values = P.values()
     if not values.any():
         return DdegResult(0, "exact", True)

@@ -207,9 +207,9 @@ def canonical_irreducible(p: int, e: int) -> tuple[int, ...]:
     the trial-division search still takes milliseconds at e = 20 and a
     batch builds the same fields job after job.
     """
-    field = ZModRing(p, _guard_checked=True)
     if e == 1:
         return (0, 1)
+    field = ZModRing(p)
     for low in itertools.product(range(1, p), *[range(p)] * (e - 1)):
         if poly_is_irreducible(low + (1,), field):
             return low + (1,)
@@ -465,13 +465,14 @@ def _power(mul, a, e: int):
 
 
 class ZModRing(Ring):
-    """Integers modulo N, N >= 2."""
+    """Integers modulo N, N >= 2. `_guard_checked` skips the order guard,
+    for a ring whose order a work charge has already covered."""
 
-    def __init__(self, n: int, _guard_checked: bool = False, guard: int | None = None):
+    def __init__(self, n: int, _guard_checked: bool = False):
         if n < 2:
             raise ParseError(f"Z/{n}: modulus must be at least 2")
         if not _guard_checked:
-            _check_order(n, guard)
+            _check_order(n)
         self.n = n
         self.order = n
         self.characteristic = n
@@ -517,7 +518,7 @@ class ZModRing(Ring):
         return [(p, e) for p, e in self._factorization]
 
     def residue_fields(self) -> list[tuple[int, Ring]]:
-        return [(p, ZModRing(p, _guard_checked=True)) for p, _ in self._factorization]
+        return [(p, ZModRing(p)) for p, _ in self._factorization]
 
     def spec_string(self) -> str:
         return f"Z/{self.n}"
@@ -595,9 +596,9 @@ class _PolyModRing(Ring):
 class FiniteFieldRing(_PolyModRing):
     """GF(p^e) as Z/p[u] modulo a monic irreducible of degree e."""
 
-    def __init__(self, q: int, h: tuple[int, ...] | None = None, guard: int | None = None):
+    def __init__(self, q: int, h: tuple[int, ...] | None = None):
         p, e = prime_power(q)
-        _check_order(q, guard)
+        _check_order(q)
         if h is None:
             h = canonical_irreducible(p, e)
             self._h_is_canonical = True
@@ -609,7 +610,7 @@ class FiniteFieldRing(_PolyModRing):
                 )
             if h[-1] != 1:
                 raise NotMonic(f"GF({q}): defining polynomial must be monic")
-            if not poly_is_irreducible(h, ZModRing(p, _guard_checked=True)):
+            if not poly_is_irreducible(h, ZModRing(p)):
                 raise NotIrreducible(
                     f"GF({q}): {list(h)} is reducible over Z/{p}"
                 )
@@ -622,7 +623,7 @@ class FiniteFieldRing(_PolyModRing):
         self.one = 1
         self._radices = (p,) * e
         self.defining = h
-        super().__init__(ZModRing(p, _guard_checked=True), h)
+        super().__init__(ZModRing(p), h)
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         return [(self.q, 1)]
@@ -649,14 +650,13 @@ class GaloisRingRing(_PolyModRing):
         n: int,
         r: int,
         f: tuple[int, ...] | None = None,
-        guard: int | None = None,
     ):
         if not is_prime(p):
             raise ParseError(f"GR({p},{n},{r}): {p} is not prime")
         if n < 1 or r < 1:
             raise ParseError(f"GR({p},{n},{r}): n and r must be positive")
         order = p ** (n * r)
-        _check_order(order, guard)
+        _check_order(order)
         pn = p**n
         if f is None:
             f = tuple(c % pn for c in canonical_irreducible(p, r))
@@ -668,7 +668,7 @@ class GaloisRingRing(_PolyModRing):
             if f[-1] != 1:
                 raise NotMonic(f"GR({p},{n},{r}): f must be monic")
             f_mod_p = tuple(c % p for c in f[:-1]) + (1,)
-            if not poly_is_irreducible(f_mod_p, ZModRing(p, _guard_checked=True)):
+            if not poly_is_irreducible(f_mod_p, ZModRing(p)):
                 raise NotIrreducible(
                     f"GR({p},{n},{r}): f reduces mod {p}"
                 )
@@ -682,7 +682,7 @@ class GaloisRingRing(_PolyModRing):
         self.one = 1
         self._radices = (pn,) * r
         self.defining = f
-        super().__init__(ZModRing(pn, _guard_checked=True), f)
+        super().__init__(ZModRing(pn), f)
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         return [(self.p**self.r, self.n_exp)]
@@ -691,7 +691,7 @@ class GaloisRingRing(_PolyModRing):
         q = self.p**self.r
         field: Ring
         if self.r == 1:
-            field = ZModRing(self.p, _guard_checked=True)
+            field = ZModRing(self.p)
         else:
             field = FiniteFieldRing(q)
         return [(q, field)]
@@ -716,9 +716,10 @@ class PolyQuotientRing(_PolyModRing):
 
     Elements are polynomials in t of degree < deg g with coefficients in the
     base field, encoded base q: coefficient j occupies digit-place q^j.
+    `_guard_checked` skips the order guard, as in ZModRing.
     """
 
-    def __init__(self, base: Ring, g: tuple[int, ...], guard: int | None = None):
+    def __init__(self, base: Ring, g: tuple[int, ...], _guard_checked: bool = False):
         g = tuple(int(c) for c in g)
         if len(g) < 2:
             raise ParseError("PQ: modulus must have degree at least 1")
@@ -731,7 +732,8 @@ class PolyQuotientRing(_PolyModRing):
             raise ParseError("PQ: coefficient ring must be Z/p or GF(q)")
         m = len(g) - 1
         order = base.order**m
-        _check_order(order, guard)
+        if not _guard_checked:
+            _check_order(order)
         self.base = base
         self.g = g
         self.m = m
@@ -795,13 +797,13 @@ class ProductRing(Ring):
     """Direct product of rings; the first factor is least significant in the
     element index."""
 
-    def __init__(self, factors: Sequence[Ring], guard: int | None = None):
+    def __init__(self, factors: Sequence[Ring]):
         if not factors:
             raise ParseError("prod: at least one factor required")
         order = 1
         for f in factors:
             order *= f.order
-        _check_order(order, guard)
+        _check_order(order)
         self.factors = tuple(factors)
         self.order = order
         self.characteristic = math.lcm(*(f.characteristic for f in factors))
@@ -887,8 +889,8 @@ def _poly_str_generic(parts: Sequence[str], coeffs: Sequence[int], var: str) -> 
     return " + ".join(terms) if terms else "0"
 
 
-def _check_order(order: int, guard: int | None) -> None:
-    limit = order_guard(guard)
+def _check_order(order: int) -> None:
+    limit = order_guard()
     if order > limit:
         raise OrderTooLarge(
             f"ring order {order} exceeds the enumeration guard {limit}"
@@ -924,40 +926,35 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     return tuple(int(t) for t in items)
 
 
-def make_ring(spec: str, guard: int | None = None) -> Ring:
+def make_ring(spec: str) -> Ring:
     """Parse a ring spec string and construct the ring.
 
     Raises ParseError for malformed specs, NotMonic / NotIrreducible for bad
     defining polynomials, and OrderTooLarge when the order exceeds the guard
-    (default 2^20, override via argument or RINGLAB_ORDER_GUARD).
+    (default 2^20, set by RINGLAB_ORDER_GUARD).
     """
     spec = spec.strip()
     m = re.fullmatch(r"Z/(\d+)", spec)
     if m:
-        return ZModRing(int(m.group(1)), guard=guard)
+        return ZModRing(int(m.group(1)))
 
     m = re.fullmatch(r"GF\((\d+)\)", spec)
     if m:
-        return FiniteFieldRing(int(m.group(1)), guard=guard)
+        return FiniteFieldRing(int(m.group(1)))
 
     m = re.fullmatch(r"GF\((\d+);h=([^)]+)\)", spec)
     if m:
-        return FiniteFieldRing(
-            int(m.group(1)), h=_parse_int_list(m.group(2), "GF h"), guard=guard
-        )
+        return FiniteFieldRing(int(m.group(1)), h=_parse_int_list(m.group(2), "GF h"))
 
     m = re.fullmatch(r"PQ\(q=(\d+);g=([^)]+)\)", spec)
     if m:
         q = int(m.group(1))
         g = _parse_int_list(m.group(2), "PQ g")
-        base = FiniteFieldRing(q, guard=guard)
-        return PolyQuotientRing(base, g, guard=guard)
+        return PolyQuotientRing(FiniteFieldRing(q), g)
 
     m = re.fullmatch(r"GR\((\d+),(\d+),(\d+)\)", spec)
     if m:
-        return GaloisRingRing(
-            int(m.group(1)), int(m.group(2)), int(m.group(3)), guard=guard
-        )
+        return GaloisRingRing(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
     m = re.fullmatch(r"GR\((\d+),(\d+),(\d+);f=([^)]+)\)", spec)
     if m:
@@ -966,7 +963,6 @@ def make_ring(spec: str, guard: int | None = None) -> Ring:
             int(m.group(2)),
             int(m.group(3)),
             f=_parse_int_list(m.group(4), "GR f"),
-            guard=guard,
         )
 
     if spec.startswith("prod(") and spec.endswith(")"):
@@ -974,7 +970,6 @@ def make_ring(spec: str, guard: int | None = None) -> Ring:
         parts = _split_top_level(body, ";")
         if any(not p.strip() for p in parts):
             raise ParseError(f"prod: empty factor in {spec!r}")
-        factors = [make_ring(p, guard=guard) for p in parts]
-        return ProductRing(factors, guard=guard)
+        return ProductRing([make_ring(p) for p in parts])
 
     raise ParseError(f"unrecognised ring spec {spec!r}")

@@ -10,7 +10,7 @@ already-closed are re-verified unless they came from the closure itself.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,8 +68,8 @@ class SubgroupSet:
             return base
         return np.sort(self.ring.add_vec(base, shift))
 
-    def sample_generators(self, limit: int = 8) -> list[int]:
-        return list(self.generators[:limit])
+    def sample_generators(self) -> list[int]:
+        return list(self.generators[:8])
 
     def info_dict(self, extra: dict | None = None) -> dict:
         out = {
@@ -117,17 +117,14 @@ def from_generators(ring: Ring, generators: Iterable[int]) -> SubgroupSet:
     return SubgroupSet(ring, _closure(ring, gens)[0], gens)
 
 
-def from_elements(ring: Ring, elements: Iterable[int], verify: bool = True) -> SubgroupSet:
+def from_elements(ring: Ring, elements: Iterable[int]) -> SubgroupSet:
     """Wrap an explicit element set, checking it really is a subgroup."""
     elems = tuple(sorted({int(e) for e in elements}))
-    if verify:
-        if not elems or elems[0] != 0:
-            raise NotASubgroup("a subgroup must contain 0")
-        closed, _ = _closure(ring, elems)
-        if closed != elems:
-            raise NotASubgroup(
-                f"set of size {len(elems)} closes to size {len(closed)}"
-            )
+    if not elems or elems[0] != 0:
+        raise NotASubgroup("a subgroup must contain 0")
+    closed, _ = _closure(ring, elems)
+    if closed != elems:
+        raise NotASubgroup(f"set of size {len(elems)} closes to size {len(closed)}")
     return SubgroupSet(ring, elems, elems)
 
 
@@ -163,15 +160,3 @@ def constant_in_subgroup(ring: Ring, P: RingPoly) -> bool:
     H = value_subgroup(ring, P, subtract_constant=True)
     return P.constant_term() in H
 
-
-def coset_average(
-    ring: Ring,
-    H: SubgroupSet,
-    f: Callable[[int], complex] | np.ndarray,
-    shift: int = 0,
-) -> complex:
-    """Average of f over the coset H + shift."""
-    coset = H.coset(shift)
-    if isinstance(f, np.ndarray):
-        return complex(f[coset].mean())
-    return complex(sum(f(int(x)) for x in coset) / len(coset))

@@ -1,7 +1,7 @@
 """The two scalar Hensel climbs that the single climb over O replaced,
 kept as a test oracle: one over the integers, one over F_p[t] on tuple
 polynomials, each with its own witness scan. `reference_verdict(family,
-coeffs, bound, guard)` returns their verdict as a dictionary, to compare
+coeffs, bound)` returns their verdict as a dictionary, to compare
 with `intersectivity_oracle(...).to_dict()`.
 """
 
@@ -207,10 +207,10 @@ def _fpt_prime_analysis(coeffs, deriv, g, p: int, degree_cap: int, F):
         j += 1
 
 
-def _verify_fpt_witness(coeffs, g, j: int, p: int, F, guard: int | None) -> bool:
+def _verify_fpt_witness(coeffs, g, j: int, p: int, F) -> bool:
     e = len(g) - 1
     total_degree = j * e
-    if p**total_degree > work_guard(guard):
+    if p**total_degree > work_guard():
         raise WorkGuardExceeded(
             f"witness verification needs {p}^{total_degree} evaluations"
         )
@@ -223,7 +223,7 @@ def _verify_fpt_witness(coeffs, g, j: int, p: int, F, guard: int | None) -> bool
     return True
 
 
-def _intersectivity_fpt(raw_coeffs: list, bound: int, p: int, guard: int | None) -> IntersectivityVerdict:
+def _intersectivity_fpt(raw_coeffs: list, bound: int, p: int) -> IntersectivityVerdict:
     if not is_prime(p):
         raise ParseError(f"FPT needs a prime p, got {p}")
     F = ZModRing(p)
@@ -256,7 +256,7 @@ def _intersectivity_fpt(raw_coeffs: list, bound: int, p: int, guard: int | None)
     if witnesses:
         total_degree, g_list, j = min(witnesses)
         g = tuple(g_list)
-        verified = _verify_fpt_witness(coeffs, g, j, p, F, guard)
+        verified = _verify_fpt_witness(coeffs, g, j, p, F)
         witness = {
             "g": g_list,
             "exponent": j,
@@ -286,7 +286,7 @@ def _intersectivity_fpt(raw_coeffs: list, bound: int, p: int, guard: int | None)
     )
 
 
-def reference_verdict(family: str, coeffs: Sequence, bound: int, guard: int | None = None) -> dict:
+def reference_verdict(family: str, coeffs: Sequence, bound: int) -> dict:
     """The oracle's verdict for "INTEGERS" or "FPT(p)", as a dictionary."""
     fam = family.strip().upper()
     if bound < 1:
@@ -299,4 +299,4 @@ def reference_verdict(family: str, coeffs: Sequence, bound: int, guard: int | No
             raise ParseError("intersectivity needs a nonconstant polynomial")
         return _intersectivity_integers(ints, bound).to_dict()
     assert fam.startswith("FPT(") and fam.endswith(")")
-    return _intersectivity_fpt(list(coeffs), bound, int(fam[4:-1]), guard).to_dict()
+    return _intersectivity_fpt(list(coeffs), bound, int(fam[4:-1])).to_dict()

@@ -543,13 +543,15 @@ def test_integer_climb_switches_to_object_integers():
     "family, coeffs, bound, cap",
     [("INTEGERS", [-2, 0, 1], 30, 30**2), ("FPT(2)", [2, 0, 1], 3, (2**3) ** 2)],
 )
-def test_intersective_charges_the_norm_cap_squared(family, coeffs, bound, cap):
+def test_intersective_charges_the_norm_cap_squared(family, coeffs, bound, cap, monkeypatch):
     """Before any prime is enumerated the climb charges B^2 against the work
     guard in both families; B^2 also covers the witness re-check, which
     scans N(pi^j) <= B^2 elements."""
-    assert intersectivity_oracle(family, coeffs, bound, guard=cap).witness_verified
+    monkeypatch.setenv("RINGLAB_WORK_GUARD", str(cap))
+    assert intersectivity_oracle(family, coeffs, bound).witness_verified
+    monkeypatch.setenv("RINGLAB_WORK_GUARD", str(cap - 1))
     with pytest.raises(WorkGuardExceeded):
-        intersectivity_oracle(family, coeffs, bound, guard=cap - 1)
+        intersectivity_oracle(family, coeffs, bound)
 
 
 def test_witness_recheck_sees_a_root():

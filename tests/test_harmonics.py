@@ -234,11 +234,12 @@ def test_vdc_rejects_bad_k():
         vdc_check(ring, full_subgroup(ring), f, 0)
 
 
-def test_vdc_guard():
+def test_vdc_guard(monkeypatch):
     ring = make_ring("Z/64")
     f = random_functions(ring, 1, 0)[0]
+    monkeypatch.setenv("RINGLAB_WORK_GUARD", "1000")
     with pytest.raises(WorkGuardExceeded):
-        vdc_check(ring, full_subgroup(ring), f, 4, guard=1000)
+        vdc_check(ring, full_subgroup(ring), f, 4)
 
 
 def test_root_count_tight_case():

@@ -1,4 +1,4 @@
-"""Polynomial literals, forward differences, and the derivational degree.
+"""Polynomial literals and the derivational degree.
 
 Degree collapse is about functions, not formal coefficients: x^3 on GF(2)
 is the identity map, so its derivational degree is 1, and the exact search
@@ -18,7 +18,6 @@ from ringlab.polynomials import (
     b_constant,
     derivational_degree,
     digit_sum,
-    forward_difference,
     parse_poly_literal,
 )
 from ringlab.rings import make_ring
@@ -66,24 +65,6 @@ def test_evaluate_and_values():
     assert len(vals) == ring.order
     for x in range(ring.order):
         assert vals[x] == P.evaluate(x)
-
-
-def test_forward_difference_pointwise():
-    """(d_n P)(x) = P(x + n) - P(x) for every x and shift."""
-    ring = make_ring("Z/9")
-    P = RingPoly.make(ring, (1, 4, 0, 2))
-    for n in range(ring.order):
-        D = forward_difference(P, n)
-        for x in range(ring.order):
-            want = ring.sub(P.evaluate(ring.add(x, n)), P.evaluate(x))
-            assert D.evaluate(x) == want
-
-
-def test_forward_difference_drops_degree():
-    ring = make_ring("Z/13")
-    P = RingPoly.make(ring, (0, 0, 0, 1))
-    D = forward_difference(P, 1)
-    assert D.degree == 2
 
 
 def test_digit_sum():
@@ -263,16 +244,18 @@ def test_ddeg_below_degree(spec, coeffs, want):
     assert all_direction_ddeg(ring, P) == want
 
 
-def test_ddeg_exact_guard_counts_basis_differences():
+def test_ddeg_exact_guard_counts_basis_differences(monkeypatch):
     """Certifying k costs n * C(k + r, r) work when no difference vanishes
     early (x^3 on GF(8): r = 3 generators, k = 2); one unit less refuses."""
     ring = make_ring("GF(8)")
     P = RingPoly.make(ring, (0, 0, 0, 1))
     r, k = len(ring.additive_orders()), 2
     need = ring.order * math.comb(k + r, r)
-    assert derivational_degree(ring, P, mode="exact", guard=need).k == k
+    monkeypatch.setenv("RINGLAB_WORK_GUARD", str(need))
+    assert derivational_degree(ring, P, mode="exact").k == k
+    monkeypatch.setenv("RINGLAB_WORK_GUARD", str(need - 1))
     with pytest.raises(WorkGuardExceeded):
-        derivational_degree(ring, P, mode="exact", guard=need - 1)
+        derivational_degree(ring, P, mode="exact")
 
 
 def test_ddeg_certified_on_gf4096():
@@ -283,17 +266,19 @@ def test_ddeg_certified_on_gf4096():
     assert (res.k, res.method, res.certified) == (3, "exact", True)
 
 
-def test_ddeg_exact_mode_respects_guard():
+def test_ddeg_exact_mode_respects_guard(monkeypatch):
     ring = make_ring("Z/128")
     P = RingPoly.make(ring, (0, 0, 0, 0, 1))
+    monkeypatch.setenv("RINGLAB_WORK_GUARD", "100")
     with pytest.raises(WorkGuardExceeded):
-        derivational_degree(ring, P, mode="exact", guard=100)
+        derivational_degree(ring, P, mode="exact")
 
 
-def test_ddeg_auto_falls_back_to_bound_under_guard():
+def test_ddeg_auto_falls_back_to_bound_under_guard(monkeypatch):
     ring = make_ring("Z/128")
     P = RingPoly.make(ring, (0, 0, 0, 0, 1))
-    res = derivational_degree(ring, P, mode="auto", guard=100)
+    monkeypatch.setenv("RINGLAB_WORK_GUARD", "100")
+    res = derivational_degree(ring, P, mode="auto")
     assert res.k >= 1
     assert res.method in ("degree", "digit-sum")
 

@@ -327,6 +327,14 @@ def full_scan_canonical(p, e):
     return next(g for g in _monic_polys(field, e) if poly_is_irreducible(g, field))
 
 
+def _make_ring_under_order_guard(spec: str, guard: int):
+    """make_ring with RINGLAB_ORDER_GUARD = guard; a Hypothesis test cannot
+    take the function-scoped monkeypatch fixture."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("RINGLAB_ORDER_GUARD", str(guard))
+        return make_ring(spec)
+
+
 def test_canonical_irreducible_matches_full_scan():
     """Every p^e <= 2^12, and GF(2^20), whose modulus u^20 + u^3 + 1 the
     full scan finds in seconds, too slow to repeat here."""
@@ -352,7 +360,7 @@ def test_mul_vec_matches_tower_oracle(spec, seed):
     broadcast grids, 0-d arrays, plain ints and empty arrays. GF(3037000493)
     holds its digit products in int64 at the edge; GF(4294967311) does not,
     and multiplies with object integers."""
-    ring = make_ring(spec, guard=1 << 33)
+    ring = _make_ring_under_order_guard(spec, 1 << 33)
     encode, mul = _tower_oracle(ring)
     rng = np.random.default_rng(seed)
 
@@ -377,10 +385,11 @@ def test_mul_vec_matches_tower_oracle(spec, seed):
     assert ring.mul(x, y) == int(ring.mul_vec(x, y))
 
 
-def test_zmod_mul_vec_past_int64_products():
+def test_zmod_mul_vec_past_int64_products(monkeypatch):
     """(n - 1)^2 overflows int64 once n passes about 3.04e9; the product
     used to wrap there, 4294967088 instead of 2."""
-    ring = make_ring("Z/4294967311", guard=1 << 33)
+    monkeypatch.setenv("RINGLAB_ORDER_GUARD", str(1 << 33))
+    ring = make_ring("Z/4294967311")
     assert ring.mul(4294967310, 4294967309) == 2
     assert int(ring.mul_vec(4294967310, 4294967309)) == 2
     got = ring.mul_vec(np.array([4294967310, 3]), np.array([[4294967309], [5]]))
@@ -400,7 +409,7 @@ def test_zmod_mul_vec_past_int64_products():
 def test_zmod_mul_vec_matches_scalar_on_large_moduli(n, seed):
     """mul_vec against Python-integer scalar mul around and past the int64
     edge, on flat, broadcast, 0-d and largest-element operands."""
-    ring = make_ring(f"Z/{n}", guard=1 << 37)
+    ring = _make_ring_under_order_guard(f"Z/{n}", 1 << 37)
     rng = np.random.default_rng(seed)
 
     def draw(shape):

@@ -2,7 +2,6 @@
 set-based closure (plain Python sets, no bitmask machinery).
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +12,6 @@ from ringlab.rings import make_ring
 from ringlab.subgroups import (
     SubgroupSet,
     constant_in_subgroup,
-    coset_average,
     from_elements,
     from_generators,
     full_subgroup,
@@ -162,16 +160,6 @@ def test_coset_shifts_every_element():
     H = from_generators(ring, [4])
     shifted = sorted(int(x) for x in H.coset(5))
     assert shifted == sorted(ring.add(int(h), 5) for h in H.elements)
-
-
-def test_coset_average_matches_manual_mean():
-    ring = make_ring("Z/12")
-    H = from_generators(ring, [3])
-    rng = np.random.default_rng(2)
-    f = rng.uniform(-1, 1, ring.order) + 1j * rng.uniform(-1, 1, ring.order)
-    got = coset_average(ring, H, f, shift=2)
-    want = np.mean([f[ring.add(int(h), 2)] for h in H.elements])
-    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_sample_generators_regenerate():
