@@ -31,7 +31,7 @@ from . import combinatorics, harmonics, paley, polynomials, subgroups
 from .characters import character_group
 from .errors import ParseError, RingLabError
 from .polynomials import RingPoly, parse_poly_literal
-from .rings import Ring, make_ring
+from .rings import Ring, distinct, make_ring
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -62,7 +62,7 @@ def parse_element_set(ring: Ring, text: str) -> list[int]:
     text = text.strip()
     if text == "squares":
         P = RingPoly.make(ring, (0, 0, ring.one))
-        return sorted(int(v) for v in np.unique(P.values()))
+        return distinct(P.values()).tolist()
     if text.startswith("coset:"):
         parts = text.split(":")
         if len(parts) not in (2, 3):

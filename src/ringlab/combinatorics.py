@@ -7,7 +7,8 @@ difference-free set is exactly a maximum independent set of that graph.
 Exact mode finds it by branch and bound on neighbour bitmasks with a greedy
 clique-cover bound; since the graph is vertex-transitive, the search only
 takes the branch that puts vertex 0 in the set. Greedy mode walks the graph
-through translates v + D with no adjacency table, in O(|R| + |D|) memory.
+through translates v + D with no adjacency table, in O(|R| + |D|) memory
+and O(|R| |D|) work, which it charges against the work guard.
 
 The size of any difference-free set is controlled by
 
@@ -38,7 +39,7 @@ from .errors import HypothesisUnmet, ParseError, WorkGuardExceeded
 from .harmonics import exp_sums_all
 from .hensel import _FpPoly, _FptLevels, _IntegerLevels, _irreducibles, _primes_upto, _sweep
 from .polynomials import RingPoly, bound_parameters, derivational_degree
-from .rings import PolyQuotientRing, Ring, ZModRing, is_prime
+from .rings import PolyQuotientRing, Ring, ZModRing, distinct, is_prime
 from .subgroups import constant_in_subgroup
 
 
@@ -46,7 +47,7 @@ def _element_set(ring: Ring, elements) -> np.ndarray:
     """The sorted distinct element indices; ParseError if one is out of
     range, however large."""
     try:
-        out = np.unique(np.asarray(list(elements), dtype=np.int64))
+        out = distinct(np.asarray(list(elements), dtype=np.int64))
         in_range = not out.size or (out[0] >= 0 and out[-1] < ring.order)
     except OverflowError:
         in_range = False
@@ -82,13 +83,12 @@ def config_count(ring: Ring, P: RingPoly, A, B) -> ConfigCountReport:
     B = _element_set(ring, B)
     n = ring.order
     mult = np.bincount(P.values(), minlength=n)
-    a01 = np.zeros(n, dtype=np.int64)
-    a01[A] = 1
-    b01 = np.zeros(n, dtype=np.int64)
-    b01[B] = 1
+    b01 = np.zeros(n, dtype=bool)
+    b01[B] = True
     count = 0
-    for v, row in ring.translates(np.flatnonzero(mult)):
-        count += int(mult[v]) * int(a01 @ b01[row])
+    # Row v of a block counts the x in A with x + v in B.
+    for vs, table in ring.translate_blocks(np.flatnonzero(mult)):
+        count += int(mult[vs] @ b01[table[:, A]].sum(axis=1))
     expectation = len(A) * len(B)
     deviation = abs(count - expectation)
     if len(A) and len(B):
@@ -131,8 +131,8 @@ def config_count_fourier(ring: Ring, P: RingPoly, A, B) -> complex:
 
 def forbidden_differences(ring: Ring, P: RingPoly) -> np.ndarray:
     """D = ({P(x)} union {-P(x)}) minus {0}, sorted."""
-    vals = np.unique(P.values())
-    D = np.union1d(vals, ring.neg_vec(vals))
+    vals = distinct(P.values())
+    D = distinct(vals, ring.neg_vec(vals))
     return D[D != 0]
 
 
@@ -197,21 +197,29 @@ def _greedy_independent_set(ring: Ring, D: np.ndarray, seed: int) -> np.ndarray:
     tie list), then add back in reverse order when still independent.
     Returns the witness as a boolean mask. Neighbours of v are the translates
     v + D; D is symmetric without 0, so every degree starts at |D|. A removed
-    vertex is set to -1 and only falls from there, below every live one."""
+    vertex is set to -1 and only falls from there, below every live one.
+    The tie list is filtered after each removal and rebuilt only when it
+    empties: O(|R| |D|) time plus O(|R|) per level the top degree falls."""
     n = ring.order
     rng = np.random.default_rng(seed)
     degrees = np.full(n, D.size, dtype=np.int64)
     removal = np.empty(n, dtype=np.int64)
+    top, ties = D.size, np.arange(n)
     for i in range(n):
-        ties = np.flatnonzero(degrees == degrees.max())
+        if not ties.size:
+            top = degrees.max()
+            ties = np.flatnonzero(degrees == top)
         v = ties[rng.integers(len(ties))]
         removal[i] = v
         degrees[v] = -1
         degrees[ring.add_vec(v, D)] -= 1
+        ties = ties[degrees[ties] == top]
     chosen = np.zeros(n, dtype=bool)
-    for v in removal[::-1]:
-        if not chosen[ring.add_vec(v, D)].any():
+    blocked = np.zeros(n, dtype=bool)
+    for v in removal[::-1].tolist():
+        if not blocked[v]:
             chosen[v] = True
+            blocked[ring.add_vec(v, D)] = True
     return chosen
 
 
@@ -252,7 +260,8 @@ def difference_free_max(
     """Largest (exact mode) or greedily large (greedy mode) difference-free
     set for P. Exact mode is branch and bound on the forbidden-difference
     Cayley graph and requires |R| <= 64. Greedy mode is the seeded
-    max-degree-last greedy on the same graph, O(|R| |D|) time."""
+    max-degree-last greedy on the same graph; its |R| |D| work is charged
+    against the work guard before the search starts."""
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
     n = ring.order
@@ -277,6 +286,7 @@ def difference_free_max(
         witness = [v for v in range(n) if mask >> v & 1]
         used_seed = None
     else:
+        charge(n * D.size, f"the greedy search over {n} vertices of degree {D.size}")
         witness = np.flatnonzero(_greedy_independent_set(ring, D, seed)).tolist()
         used_seed = seed
     verified = verify_difference_free(ring, P, witness)

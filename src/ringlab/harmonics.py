@@ -522,6 +522,8 @@ def root_count_bound_check(ring: Ring, coeffs) -> RootCountReport:
         arr = np.asarray(coeffs, dtype=np.int64)
     except OverflowError:
         raise ValueError("coefficients must be element indices") from None
+    except ValueError:
+        raise ValueError("every row of a level must have the same length") from None
     if arr.ndim == 0:
         arr = arr[None]
     if arr.ndim > 3:

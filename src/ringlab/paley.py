@@ -25,10 +25,10 @@ import numpy as np
 
 from .budget import charge
 from .characters import all_char_sums, character_group
-from .combinatorics import _element_set, adjacency_masks
+from .combinatorics import _element_set
 from .errors import CharDividesDegree, ParseError, WorkGuardExceeded
 from .polynomials import RingPoly, bound_parameters, derivational_degree
-from .rings import Ring
+from .rings import Ring, distinct
 
 #: exhaustive uniformity sweeps iterate all 2^|R| subsets; 10 keeps the
 #: sweep near a thousand set choices
@@ -86,8 +86,8 @@ def _power_sets(ring: Ring, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """x^d for every x in index order, the sorted distinct d-th powers, and
     the sorted plus-minus d-th powers {x^d} union {-x^d}."""
     all_powers = ring.pow_vec(np.arange(ring.order, dtype=np.int64), d)
-    powers = np.unique(all_powers)
-    return all_powers, powers, np.union1d(powers, ring.neg_vec(powers))
+    powers = distinct(all_powers)
+    return all_powers, powers, distinct(powers, ring.neg_vec(powers))
 
 
 @dataclass(frozen=True)
@@ -226,32 +226,28 @@ class UniformityReport:
         return dict(self.__dict__)
 
 
-def _degrees_into(graph: PaleyGraph, a01: np.ndarray) -> np.ndarray:
-    """deg_A(x) = #{a in A : x ~ a} for every x, via gathers."""
-    out = np.zeros(graph.ring.order)
-    for _, row in graph.ring.translates(graph.connection_set):
-        out += a01[row]
+def _degrees_into(graph: PaleyGraph, a: list[int]) -> np.ndarray:
+    """deg_A(x) = #{a in A : x ~ a} for every x, one gather per block of
+    translates; sums of 0/1 values, exact in any order."""
+    ring = graph.ring
+    a01 = np.zeros(ring.order)
+    a01[np.asarray(a, dtype=np.int64)] = 1.0
+    out = np.zeros(ring.order)
+    for _, table in ring.translate_blocks(graph.connection_set):
+        out += a01[table].sum(axis=0)
     return out
 
 
 def _pair_deviation(
-    graph: PaleyGraph, a: list[int], b: list[int], lam2: float
+    graph: PaleyGraph, deg_a: np.ndarray, a: list[int], b: list[int], lam2: float
 ) -> tuple[float, float]:
-    """|N(A,B) - (r/|V|) |A||B|| for one pair, and its slack against the
-    expander mixing certificate lambda2 sqrt(|A||B|) + 0.5."""
+    """|N(A,B) - (r/|V|) |A||B|| for one pair, given deg_A, and its slack
+    against the expander mixing certificate lambda2 sqrt(|A||B|) + 0.5."""
     n = graph.ring.order
-    a01 = np.zeros(n)
-    if a:
-        a01[np.asarray(a, dtype=np.int64)] = 1.0
-    deg_a = _degrees_into(graph, a01)
     N = float(deg_a[np.asarray(b, dtype=np.int64)].sum()) if b else 0.0
     raw_dev = abs(N - graph.r * len(a) * len(b) / n)
     cert = lam2 * math.sqrt(len(a) * len(b)) + 0.5
     return raw_dev, raw_dev - cert
-
-
-def _mask_to_list(mask: int, n: int) -> list[int]:
-    return [v for v in range(n) if mask >> v & 1]
 
 
 def uniformity_measure(
@@ -291,24 +287,22 @@ def uniformity_measure(
                 f"exhaustive uniformity is limited to order "
                 f"{EXHAUSTIVE_UNIFORMITY_CAP}, ring has order {n}"
             )
-        nbr = adjacency_masks(ring, graph.connection_set)
-        pairs_examined = 0
-        for amask in range(1 << n):
-            size_a = amask.bit_count()
-            centered = [
-                (nbr[x] & amask).bit_count() - r * size_a / n for x in range(n)
-            ]
-            pos = sum(c for c in centered if c > 0)
-            neg = -sum(c for c in centered if c < 0)
-            dev = max(pos, neg)
-            pairs_examined += 1
-            if dev > best:
-                best = dev
-                best_a = _mask_to_list(amask, n)
-                sign = 1 if pos >= neg else -1
-                best_b = [x for x in range(n) if sign * centered[x] > 0]
-        best /= r * n
-        _, mixing_worst = _pair_deviation(graph, best_a, best_b, lam2)
+        # All 2^n sets A at once: row A of bits @ adjacency is deg_A. The sums
+        # run over x in order, as the scalar loop added them, and the first
+        # argmax is the set that its strict > update kept.
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        centered = bits @ adjacency_matrix(graph) - (r * bits.sum(axis=1) / n)[:, None]
+        pos, neg = np.zeros(1 << n), np.zeros(1 << n)
+        for c in centered.T:
+            pos += np.where(c > 0, c, 0.0)
+            neg -= np.where(c < 0, c, 0.0)
+        devs = np.where(neg > pos, neg, pos)
+        i = int(np.argmax(devs))
+        pairs_examined, best = 1 << n, float(devs[i]) / (r * n)
+        best_a = np.flatnonzero(bits[i]).tolist()
+        best_b = np.flatnonzero((1 if pos[i] >= neg[i] else -1) * centered[i] > 0).tolist()
+        deg_a = _degrees_into(graph, best_a)
+        _, mixing_worst = _pair_deviation(graph, deg_a, best_a, best_b, lam2)
         mixing_checked = 1
         mixing_ok = mixing_worst <= 0
     else:
@@ -338,8 +332,11 @@ def uniformity_measure(
             raise ParseError(f"unknown uniformity mode {mode!r}")
         pairs_examined = len(pair_list)
         mixing_checked, mixing_ok, mixing_worst = 0, True, -math.inf
+        last_a = None
         for a, b in pair_list:
-            raw_dev, slack = _pair_deviation(graph, a, b, lam2)
+            if a != last_a:  # structured pairs come grouped by A
+                last_a, deg_a = a, _degrees_into(graph, a)
+            raw_dev, slack = _pair_deviation(graph, deg_a, a, b, lam2)
             dev = raw_dev / (r * n)
             if dev > best:
                 best = dev

@@ -11,8 +11,8 @@ the zero element, and the multiplicative identity is always index 1 for the
 single-component constructions. Element indices are plain Python ints, which
 keeps bulk arithmetic vectorisable with numpy and makes reports JSON-stable.
 Every translate x -> x + v comes from `Ring.add_table(shifts)`, which builds
-only the rows asked for; `Ring.translates` hands them out in blocks of
-bounded size.
+only the rows asked for; `Ring.translate_blocks` hands them out in blocks
+of bounded size, and `Ring.translates` one row at a time.
 
 GF(p^e), GR(p,n,r) and PQ(q;g) are each a coefficient ring modulo a monic
 polynomial, and share one multiplication kernel (`_PolyModRing.mul_vec`):
@@ -46,8 +46,16 @@ import numpy as np
 from .budget import order_guard
 from .errors import NotIrreducible, NotMonic, OrderTooLarge, ParseError
 
-#: entries per block of rows that `Ring.translates` builds at once
+#: entries per block of rows that `Ring.translate_blocks` builds at once
 _TRANSLATE_BLOCK = 1 << 18
+
+
+def distinct(*arrays) -> np.ndarray:
+    """The sorted distinct entries of the arrays joined, as int64: what
+    np.unique and np.union1d give, without the numpy.ma import that their
+    first call in a process costs."""
+    out = np.sort(np.concatenate(arrays, axis=None).astype(np.int64))
+    return np.concatenate((out[:1], out[1:][out[1:] != out[:-1]]))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -434,15 +442,20 @@ class Ring:
         column = np.asarray(shifts, dtype=np.int64).reshape(-1, 1)
         return self.add_vec(np.arange(self.order, dtype=np.int64), column)
 
-    def translates(self, shifts):
-        """(v, row of x -> x + v) for each shift v in order, the rows built
-        by `add_table` in blocks of about 2^18 entries, so memory stays
+    def translate_blocks(self, shifts):
+        """(block of shifts, its `add_table`) over consecutive blocks of the
+        shifts in order, each table about 2^18 entries, so memory stays
         bounded at every order however many shifts are asked for."""
         shifts = np.asarray(shifts, dtype=np.int64)
         step = max(1, _TRANSLATE_BLOCK // self.order)
         for start in range(0, shifts.size, step):
             block = shifts[start:start + step]
-            yield from zip(block.tolist(), self.add_table(block))
+            yield block, self.add_table(block)
+
+    def translates(self, shifts):
+        """(v, row of x -> x + v) for each shift v in order."""
+        for block, table in self.translate_blocks(shifts):
+            yield from zip(block.tolist(), table)
 
 
 def _power(mul, a, e: int):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotASubgroup
 from .polynomials import RingPoly
-from .rings import Ring
+from .rings import Ring, distinct
 
 
 class SubgroupSet:
@@ -150,7 +150,7 @@ def value_subgroup(ring: Ring, P: RingPoly, subtract_constant: bool = True) -> S
             c = int(values[0])
             if c != 0:
                 values = ring.sub_vec(values, c)
-        return _closure(ring, np.unique(values))
+        return _closure(ring, distinct(values))
 
     return SubgroupSet(ring, *ring.memo(("value_subgroup", P.coeffs, subtract_constant), build))
 

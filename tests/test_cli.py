@@ -133,12 +133,16 @@ GUARD_INPUTS = [
     ("paley", "--ring", "Z/13", "--d", "4294967296"),
     ("paley", "--ring", "Z/13", "--d", "99999999999999999999"),
     ("paley", "--ring", "Z/13", "--d", "2", "--sets", "sampled:99999999999:1"),
+    ("sarkozy", "--ring", "Z/1048576", "--poly=0,0,1", "--search", "greedy"),
 ]
 
 
 @pytest.mark.parametrize(
     "args", GUARD_INPUTS,
-    ids=["vdc-random", "tebound-random", "paley-d-2to32", "paley-d-1e20", "paley-sampled-count"],
+    ids=[
+        "vdc-random", "tebound-random", "paley-d-2to32", "paley-d-1e20", "paley-sampled-count",
+        "sarkozy-greedy-2to20",
+    ],
 )
 def test_guard_inputs_exit_3(args, capsys):
     from ringlab.cli import main
@@ -150,6 +154,34 @@ def test_guard_inputs_exit_3(args, capsys):
     error = json.loads(err)["error"]
     assert error["type"] == "WorkGuardExceeded" and error["exit_code"] == 3
     assert out == ""
+
+
+def test_ragged_rootcount_coefficients_name_the_row_rule(capsys):
+    from ringlab.cli import main
+
+    assert main(["rootcount", "--ring", "Z/12", "--coeffs", "[[0,1],[1]]"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"] == "every row of a level must have the same length"
+
+
+def test_search_jobs_do_not_import_numpy_ma():
+    """np.unique and np.union1d import numpy.ma on first use, about 10 ms
+    of one job per process; the sorted-distinct helper does not."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from ringlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['paley', '--ring', 'Z/7', '--d', '2', '--sets', 'exhaustive']),\n"
+        "             main(['sarkozy', '--ring', 'Z/64', '--poly=0,0,1', '--search', 'greedy',\n"
+        "                   '--sets', 'squares', 'random:5:1'])]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": _PYTHONPATH},
+    )
+    assert proc.stdout.split() == ["[0,", "0]", "False"], proc.stderr
 
 
 X_1100 = ",".join(["0"] * 1100 + ["1"])
