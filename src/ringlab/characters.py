@@ -6,79 +6,38 @@ s_i mod m_i, acting by
 
     chi(x) = e( sum_i s_i c_i(x) / m_i ),   e(theta) = exp(2 pi i theta),
 
-where c_i(x) are the mixed-radix coordinates of x. All angle arithmetic is
-exact: angles live in Z/L with L = lcm(m_i), and a complex exponential is
-evaluated only once per angle class: `char_sum` goes through an integer
-histogram of angles. The sums over every character (`all_char_sums`) are
+where c_i(x) are the mixed-radix coordinates of x. A character is named by
+its position in the enumeration: positions run over the coefficient tuples
+in lexicographic order, first coefficient most significant, so the trivial
+character is position 0. `CharacterGroup.coeffs` decodes a position and
+`CharacterGroup.position` encodes a tuple.
+
+All angle arithmetic is exact: angles live in Z/L with L = lcm(m_i), and
+`CharacterGroup.angles` is the one route to them; a complex exponential is
+evaluated only once per angle class. `char_sum` goes through an integer
+histogram of angles, `character_table` is the independent route, whole for
+modest orders or a few columns for sampled checks, and `annihilator_mask`
+compares angles with 0. The sums over every character (`all_char_sums`) are
 one multidimensional DFT over (R, +), and so is every convolution with a
-measure on (R, +) (`convolve`); `character_table` is the independent route,
-whole for modest orders or a few columns for sampled checks.
+measure on (R, +) (`convolve`).
 
-Characters are enumerated in lexicographic coefficient order, so the trivial
-character always comes first. The coefficient tuples range over the same
-coordinate system as the elements, which realises the self-duality of the
-additive group: annihilators of subgroups can be read off exactly by integer
-comparisons.
-
-A CharacterGroup is a light view on its ring; its unit table and coefficient
-matrix are built once, kept read-only in the ring's memo (`Ring.memo`) and
-freed with the ring.
+A CharacterGroup is a light view on its ring; its unit table is built once,
+kept read-only in the ring's memo (`Ring.memo`) and freed with the ring.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import WorkGuardExceeded
 from .rings import Ring
-
-_ANNIHILATOR_MAX_ORDER = 1 << 12
-
-
-class Character:
-    """A single additive character, identified by its coefficient tuple."""
-
-    __slots__ = ("group", "coeffs", "index")
-
-    def __init__(self, group: "CharacterGroup", coeffs: tuple[int, ...], index: int):
-        self.group = group
-        self.coeffs = coeffs
-        self.index = index
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def angle(self, x: int) -> int:
-        """Exact angle of chi(x) as an integer mod L."""
-        g = self.group
-        total = 0
-        for d, s, w in zip(g.ring.digits(x), self.coeffs, g.coord_weights):
-            total += d * s * w
-        return total % g.L
-
-    def value(self, x: int) -> complex:
-        return complex(self.group.unit_table[self.angle(x)])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Character)
-            and self.group.ring == other.group.ring
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.group.ring.spec_string(), self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"<Character {self.coeffs} on {self.group.ring.spec_string()}>"
 
 
 class CharacterGroup:
-    """The full dual of (R, +), with vectorised angle computations."""
+    """The full dual of (R, +): characters by position, and their exact
+    angles."""
 
     def __init__(self, ring: Ring):
         self.ring = ring
@@ -90,59 +49,35 @@ class CharacterGroup:
         self.unit_table = ring.memo("unit_table", lambda: np.exp(2j * np.pi * np.arange(L) / L))
         self.count = ring.order
 
-    # -- enumeration ---------------------------------------------------------
+    def coeffs(self, positions) -> np.ndarray:
+        """Coefficient tuples of the characters at these positions, shape
+        positions.shape + (k,), first coefficient most significant."""
+        rest = np.asarray(positions, dtype=np.int64)
+        out = np.empty(rest.shape + (len(self.radices),), dtype=np.int64)
+        for i in reversed(range(len(self.radices))):
+            rest, out[..., i] = np.divmod(rest, self.radices[i])
+        return out
 
-    def coeff_matrix(self) -> np.ndarray:
-        """Read-only (count x k) matrix of coefficient tuples in lexicographic
-        order, kept in the ring's memo."""
-        return self.ring.memo("coeff_matrix", self._build_coeff_matrix)
-
-    def _build_coeff_matrix(self) -> np.ndarray:
-        grids = np.meshgrid(
-            *[np.arange(m, dtype=np.int64) for m in self.radices], indexing="ij"
-        )
-        return np.stack(grids, axis=-1).reshape(-1, len(self.radices))
-
-    def char_at(self, position: int) -> Character:
-        coeffs = tuple(int(c) for c in self.coeff_matrix()[position])
-        return Character(self, coeffs, position)
-
-    def char_from_coeffs(self, coeffs: Sequence[int]) -> Character:
-        """The character with these coefficients, each reduced mod its
-        radix; ValueError unless there is exactly one per radix."""
+    def position(self, coeffs: Sequence[int]) -> int:
+        """Position of the character with these coefficients, each reduced
+        mod its radix; ValueError unless there is exactly one per radix."""
         if len(coeffs) != len(self.radices):
             raise ValueError(
                 f"expected {len(self.radices)} coefficients, got {len(coeffs)}"
             )
-        coeffs = tuple(int(s) % m for s, m in zip(coeffs, self.radices))
         position = 0
         for s, m in zip(coeffs, self.radices):
-            position = position * m + s
-        return Character(self, coeffs, position)
+            position = position * m + int(s) % m
+        return position
 
-    def __iter__(self) -> Iterator[Character]:
-        for position in range(self.count):
-            yield self.char_at(position)
-
-    # -- vectorised angles -----------------------------------------------------
-
-    def angles_for_elements(
-        self, elements: np.ndarray, chars: np.ndarray | None = None
-    ) -> np.ndarray:
-        """(len(elements) x len(chars)) exact angle matrix mod L, over every
-        character by default."""
+    def angles(self, elements, chars=None) -> np.ndarray:
+        """Exact angles mod L of chi_j(x), rows x over the elements, columns
+        j over the character positions (every character by default); one
+        position gives a vector over the elements."""
+        if chars is None:
+            chars = np.arange(self.count)
         D = self.ring._digits_of(np.asarray(elements, dtype=np.int64))
-        coeffs = self.coeff_matrix()
-        if chars is not None:
-            coeffs = coeffs[np.asarray(chars, dtype=np.int64)]
-        return (D * self.coord_weights) @ coeffs.T % self.L
-
-    def angles_single(self, coeffs: Sequence[int], elements: np.ndarray) -> np.ndarray:
-        w = np.asarray(
-            [s * wt for s, wt in zip(coeffs, self.coord_weights)], dtype=np.int64
-        )
-        D = self.ring._digits_of(np.asarray(elements, dtype=np.int64))
-        return (D @ w) % self.L
+        return (D * self.coord_weights) @ self.coeffs(chars).T % self.L
 
 
 def character_group(ring: Ring) -> CharacterGroup:
@@ -151,20 +86,15 @@ def character_group(ring: Ring) -> CharacterGroup:
     return CharacterGroup(ring)
 
 
-def characters(ring: Ring) -> Iterator[Character]:
-    """All additive characters, trivial first, lexicographic coefficients."""
-    return iter(character_group(ring))
-
-
-def char_sum(ring: Ring, char: Character, values: Iterable[int]) -> complex:
-    """Sum of chi over a multiset of ring elements, via an exact angle
-    histogram followed by one complex evaluation per angle class."""
-    group = char.group
+def char_sum(ring: Ring, position: int, values: Iterable[int]) -> complex:
+    """Sum of the character at this position over a multiset of ring
+    elements, via an exact angle histogram followed by one complex
+    evaluation per angle class."""
+    group = character_group(ring)
     values_arr = np.asarray(list(values), dtype=np.int64)
     if values_arr.size == 0:
         return 0j
-    angles = group.angles_single(char.coeffs, values_arr)
-    hist = np.bincount(angles, minlength=group.L)
+    hist = np.bincount(group.angles(values_arr, position), minlength=group.L)
     return complex(hist @ group.unit_table)
 
 
@@ -200,36 +130,16 @@ def convolve(ring: Ring, fs: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return g.reshape(np.shape(fs))
 
 
-def character_table(
-    ring: Ring, elements: np.ndarray | None = None, chars: np.ndarray | None = None
-) -> np.ndarray:
-    """Complex matrix of chi_j(x), rows x over the given elements (every
-    element by default), columns j over the given character positions
-    (every character by default) in enumeration order. The full table is
-    n x n, for rings of modest order."""
+def character_table(ring: Ring, chars: np.ndarray | None = None) -> np.ndarray:
+    """Complex matrix of chi_j(x), rows x over every element, columns j over
+    the given character positions (every character by default) in
+    enumeration order. The full table is n x n, for rings of modest order."""
     group = character_group(ring)
-    rows = np.arange(ring.order) if elements is None else elements
-    return group.unit_table[group.angles_for_elements(rows, chars)]
+    return group.unit_table[group.angles(np.arange(ring.order), chars)]
 
 
 def annihilator_mask(ring: Ring, generators: Sequence[int]) -> np.ndarray:
     """Boolean mask over the character enumeration: True where the character
     kills every generator. Exact: a character kills x iff its angle is 0."""
-    group = character_group(ring)
-    angles = group.angles_for_elements(np.asarray(list(generators), dtype=np.int64))
+    angles = character_group(ring).angles(np.asarray(list(generators), dtype=np.int64))
     return (angles == 0).all(axis=0)
-
-
-def annihilator(ring: Ring, subgroup) -> list[Character]:
-    """All characters annihilating the given subgroup (a SubgroupSet or any
-    iterable of elements). Limited to rings of order at most 2^12."""
-    if ring.order > _ANNIHILATOR_MAX_ORDER:
-        raise WorkGuardExceeded(
-            f"annihilator enumeration refused for order {ring.order} > {_ANNIHILATOR_MAX_ORDER}"
-        )
-    gens = getattr(subgroup, "generators", None)
-    if gens is None:
-        gens = list(subgroup)
-    mask = annihilator_mask(ring, list(gens))
-    group = character_group(ring)
-    return [group.char_at(int(j)) for j in np.flatnonzero(mask)]

@@ -68,7 +68,10 @@ def parse_element_set(ring: Ring, text: str) -> list[int]:
         if len(parts) not in (2, 3):
             raise ParseError(f"bad coset family {text!r}")
         P = parse_poly_literal(ring, parts[1])
-        shift = int(parts[2]) if len(parts) == 3 else 0
+        try:
+            shift = int(parts[2]) if len(parts) == 3 else 0
+        except ValueError as exc:
+            raise ParseError(f"bad coset shift in {text!r}") from exc
         if not 0 <= shift < ring.order:
             raise ParseError(f"coset shift {shift} out of range")
         H = subgroups.value_subgroup(ring, P)
@@ -165,13 +168,12 @@ def _cmd_expsum(args) -> tuple[dict, int]:
     report = harmonics.character_bound_check(ring, P, ddeg_mode=args.mode)
     result = report.to_dict()
     if args.char is not None:
-        group = character_group(ring)
         try:
             coeffs = tuple(int(c) for c in args.char.split(","))
-            char = group.char_from_coeffs(coeffs)
+            position = character_group(ring).position(coeffs)
         except ValueError as exc:
             raise ParseError(f"bad character coefficients {args.char!r}: {exc}") from exc
-        value = harmonics.exp_sum(ring, P, char)
+        value = harmonics.exp_sum(ring, P, position)
         result["single_character"] = {
             "coeffs": list(coeffs),
             "re": value.real,
@@ -180,11 +182,10 @@ def _cmd_expsum(args) -> tuple[dict, int]:
         }
     if args.table:
         S = harmonics.exp_sums_all(ring, P)
-        group = character_group(ring)
-        coeff_rows = group.coeff_matrix()
+        coeff_rows = character_group(ring).coeffs(np.arange(len(S))).tolist()
         result["characters"] = [
             {
-                "coeffs": [int(c) for c in coeff_rows[i]],
+                "coeffs": coeff_rows[i],
                 "re": float(S[i].real),
                 "im": float(S[i].imag),
                 "modulus": float(abs(S[i])),
@@ -365,6 +366,9 @@ def _cmd_batch(args) -> tuple[dict, int]:
         raise ParseError("manifest must be an object with a jobs array")
     seed = manifest.get("seed")
     jobs = manifest.get("jobs", [])
+    for i, job in enumerate(jobs):
+        if not isinstance(job, dict) or not isinstance(job.get("args", []), list):
+            raise ParseError(f"manifest job {i} must be an object with an args array")
     out_dir = manifest.get("output_dir")
     if args.output_dir is not None:
         out_dir = args.output_dir

@@ -78,9 +78,10 @@ def value_counts(ring: Ring, P: RingPoly) -> np.ndarray:
     return np.bincount(P.values(), minlength=ring.order)
 
 
-def exp_sum(ring: Ring, P: RingPoly, char) -> complex:
-    """S(chi, P), exact angle histogram route."""
-    return char_sum(ring, char, P.values()) / ring.order
+def exp_sum(ring: Ring, P: RingPoly, position: int) -> complex:
+    """S(chi, P) for the character at this position, exact angle
+    histogram route."""
+    return char_sum(ring, position, P.values()) / ring.order
 
 
 def exp_sums_all(ring: Ring, P: RingPoly, counts: np.ndarray | None = None) -> np.ndarray:
@@ -180,8 +181,7 @@ def character_bound_check(
         worst = int(np.argmax(lhs_powers))
         checked_idx = np.flatnonzero(checked)
         max_checked = float(moduli[checked_idx[worst]])
-        group = character_group(ring)
-        max_coeffs = tuple(int(c) for c in group.coeff_matrix()[checked_idx[worst]])
+        max_coeffs = tuple(character_group(ring).coeffs(checked_idx[worst]).tolist())
         satisfied = bool(lhs_powers.max() <= power + BOUND_TOL)
         margin = float(power - lhs_powers.max())
     else:

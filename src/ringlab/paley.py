@@ -131,7 +131,6 @@ def spectrum(graph: PaleyGraph) -> SpectrumReport:
 
 def _spectrum(graph: PaleyGraph) -> SpectrumReport:
     ring = graph.ring
-    group = character_group(ring)
     indicator = np.bincount(graph.connection_set, minlength=ring.order)
     evals_complex = all_char_sums(ring, indicator)
     imag_max = float(np.abs(evals_complex.imag).max())
@@ -139,7 +138,7 @@ def _spectrum(graph: PaleyGraph) -> SpectrumReport:
     evals.flags.writeable = False
     moduli = np.abs(evals)
     idx = 1 + int(np.argmax(moduli[1:]))
-    witness = tuple(int(c) for c in group.coeff_matrix()[idx])
+    witness = tuple(character_group(ring).coeffs(idx).tolist())
     lambda2 = float(moduli[idx])
     return SpectrumReport(
         ring_spec=ring.spec_string(),

@@ -103,12 +103,15 @@ BAD_INPUTS = [
     ("vdc", "--ring", "Z/8", "--subgroup", "trivial", "--k", "11"),
     ("vdc", "--ring", "Z/8", "--subgroup", "trivial", "--k", "12"),
     ("vdc", "--ring", "Z/8", "--subgroup", "trivial", "--k", "990"),
+    ("sarkozy", "--ring", "Z/13", "--poly=0,0,1", "--measured", "3", "--sets", "coset:0,1:x", "1"),
+    ("vdc", "--ring", "Z/12", "--subgroup", "gen:coset:0,1:zz", "--k", "1", "--random", "2"),
 ]
 BAD_INPUT_IDS = [
     "vdc-k0", "vdc-random0", "paley-sampled", "expsum-char", "sarkozy-measured",
     "tebound-seed", "vdc-seed", "sarkozy-seed", "paley-seed", "random-seed", "sampled-seed",
     "fpt-not-a-number", "fpt-empty", "rootcount-float", "rootcount-bool",
     "rootcount-beyond-int64", "rootcount-infinity", "vdc-k11", "vdc-k12", "vdc-k990",
+    "sarkozy-coset-shift", "vdc-coset-shift",
 ]
 
 
@@ -490,6 +493,31 @@ def test_batch_malformed_manifest_exit_2(tmp_path):
     path.write_text("{nope")
     proc = run_cli("batch", str(path))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {"jobs": [1]},
+        {"jobs": [{"args": 5}]},
+        {"jobs": [{"args": ["ring", "info", "Z/4"]}, "ring info Z/4"]},
+    ],
+    ids=["job-not-object", "args-not-list", "second-job-not-object"],
+)
+def test_batch_malformed_job_exit_2(tmp_path, capsys, manifest):
+    """Every job is checked before any runs: a malformed one is a
+    structured ParseError, not a traceback, and nothing is written."""
+    from ringlab.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**manifest, "output_dir": str(tmp_path / "out")}))
+    assert main(["batch", str(path)]) == 2
+    out, err = capsys.readouterr()
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParseError"
+    assert "args array" in error["message"]
+    assert out == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

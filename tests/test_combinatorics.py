@@ -144,6 +144,35 @@ def test_witnesses_pass_independent_scan():
         assert rep.verified
 
 
+@pytest.mark.parametrize(
+    "spec", ["Z/13", "GF(9)", "GR(2,2,2)", "PQ(q=2;g=0,0,1)", "prod(Z/4;GF(4))"]
+)
+def test_verify_difference_free_refuses_a_value_difference(spec):
+    """The scan agrees with the scalar pair loop: a witness with b - a a
+    nonzero value of P added, in either order, fails it, and repeating an
+    element is no difference."""
+    ring = make_ring(spec)
+    P = RingPoly.make(ring, (0, 0, ring.one))
+    values = set(P.values().tolist())
+
+    def pair_scan(elems):
+        return not any(a != b and ring.sub(b, a) in values for a in elems for b in elems)
+
+    witness = difference_free_max(ring, P, mode="exact").witness
+    v = max(values)
+    bad = witness + [ring.add(witness[0], v)]
+    assert v != 0 and not pair_scan(bad) and pair_scan(witness)
+    assert verify_difference_free(ring, P, witness)
+    assert not verify_difference_free(ring, P, bad)
+    assert not verify_difference_free(ring, P, bad[::-1])
+    assert verify_difference_free(ring, P, [witness[0]] * 3)
+    assert verify_difference_free(ring, P, [])
+    rng = np.random.default_rng(4)
+    for size in range(2, min(6, ring.order + 1)):
+        elems = rng.choice(ring.order, size=size, replace=False).tolist()
+        assert verify_difference_free(ring, P, elems) == pair_scan(elems)
+
+
 def greedy_oracle(adj, seed):
     """The bitmask greedy: strip highest-degree vertices first (seeded
     tie-break over the ascending tie list), then add back in reverse order

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from ringlab.errors import WorkGuardExceeded, ZeroPolynomial
-from ringlab.characters import characters
 from ringlab.harmonics import (
     character_bound_check,
     exp_sum,
@@ -28,8 +27,8 @@ def test_exp_sums_all_matches_single():
     ring = make_ring("Z/13")
     P = RingPoly.make(ring, (0, 0, 1))
     batch = exp_sums_all(ring, P)
-    for i, c in enumerate(characters(ring)):
-        assert batch[i] == pytest.approx(exp_sum(ring, P, c), abs=1e-12)
+    for p in range(ring.order):
+        assert batch[p] == pytest.approx(exp_sum(ring, P, p), abs=1e-12)
 
 
 def test_gauss_tight_instances():
