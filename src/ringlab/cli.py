@@ -542,12 +542,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_pal = sub.add_parser("paley", help="Paley-type graph spectrum and verdicts")
     p_pal.add_argument("--ring", required=True)
     p_pal.add_argument("--d", type=int, required=True)
-    p_pal.add_argument(
+    p_pal.add_argument("--seed", type=_seed, default=0)
+    # The edge list replaces the report, so it cannot carry a sweep.
+    pal_output = p_pal.add_mutually_exclusive_group()
+    pal_output.add_argument(
         "--sets",
         help="uniformity sweep: exhaustive | structured | sampled:<n>:<seed> | file:<path>",
     )
-    p_pal.add_argument("--seed", type=_seed, default=0)
-    p_pal.add_argument(
+    pal_output.add_argument(
         "--edges", action="store_true", help="print the edge list (u v per line) and exit"
     )
     p_pal.set_defaults(handler=_cmd_paley)

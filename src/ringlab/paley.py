@@ -367,6 +367,7 @@ class QuasirandomnessVerdict:
     d: int
     k: int
     k_certified: bool
+    fallback_reason: str | None
     b_const: int
     unit_density: float
     sufficient_epsilon: float | None
@@ -450,6 +451,7 @@ def quasirandomness_verdict(graph: PaleyGraph) -> QuasirandomnessVerdict:
         d=d,
         k=k,
         k_certified=bp.certified,
+        fallback_reason=bp.fallback_reason,
         b_const=B,
         unit_density=u,
         sufficient_epsilon=None if sufficient is None else float(sufficient),

@@ -14,17 +14,17 @@ Every translate x -> x + v comes from `Ring.add_table(shifts)`, which builds
 only the rows asked for; `Ring.translate_blocks` hands them out in blocks
 of bounded size, and `Ring.translates` one row at a time.
 
-GF(p^e), GR(p,n,r) and PQ(q;g) are each a coefficient ring modulo a monic
-polynomial, and share one multiplication kernel (`_PolyModRing.mul_vec`):
-the integer 2-D convolution of the two operands' digit grids (m
-coefficients by e digits), reduced mod the characteristic M, mapped through
-one reduction matrix L whose row (b, a) holds the digits of u^a t^b, and
-reduced mod M again. GF(p^e) with e >= 2 multiplies instead by log and
-antilog tables (`field_log_tables`), built at its first product and shared
-by every ring of the same field; the digit kernel stays their test oracle.
-Z/N keeps its own kernels; products multiply factor by factor; scalar
-`mul` is `mul_vec` on 0-d arrays except on Z/N and GF(q), which multiply
-Python ints.
+Each ring class has one multiplication route. Z/N and GF(p) multiply
+residues mod their characteristic (`Ring._mul_residues`). GF(p^e) with
+e >= 2 reads log and antilog tables (`field_log_tables`), built at its
+first product and shared by every ring of the same field. GR(p,n,r) and
+PQ(q;g) are each a coefficient ring modulo a monic polynomial and share
+one digit kernel (`_PolyModRing.mul_vec`): the integer 2-D convolution of
+the two operands' digit grids (m coefficients by e digits), reduced mod
+the characteristic M, mapped through one reduction matrix L whose row
+(b, a) holds the digits of u^a t^b, and reduced mod M again. Products
+multiply factor by factor. Scalar `mul` is `mul_vec` on 0-d arrays except
+on Z/N and GF(q), which multiply Python ints.
 
 Ring specs use a small textual grammar:
 
@@ -226,6 +226,25 @@ def canonical_irreducible(p: int, e: int) -> tuple[int, ...]:
         if poly_is_irreducible(low + (1,), field):
             return low + (1,)
     raise RuntimeError(f"no irreducible of degree {e} over Z/{p}")
+
+
+def _defining_polynomial(
+    p: int, e: int, modulus: int, given: Sequence[int] | None, what: str
+) -> tuple[tuple[int, ...], bool]:
+    """(defining polynomial, whether it is the canonical one) of degree e
+    over Z/modulus, a power of the prime p: `canonical_irreducible(p, e)`
+    when none is given, else the given one mod modulus, which must have
+    degree e, be monic and be irreducible mod p. Errors begin with what."""
+    if given is not None:
+        f = tuple(c % modulus for c in given)
+        if len(f) != e + 1:
+            raise ParseError(f"{what} must have degree {e}")
+        if f[-1] != 1:
+            raise NotMonic(f"{what} must be monic")
+        if not poly_is_irreducible(tuple(c % p for c in f), ZModRing(p)):
+            raise NotIrreducible(f"{what} {list(f)} is reducible mod {p}")
+    canonical = tuple(c % modulus for c in canonical_irreducible(p, e))
+    return (canonical, True) if given is None else (f, f == canonical)
 
 
 #: digit rows per block of the antilog build, about 2^18 digits
@@ -505,6 +524,16 @@ class Ring:
         M = self.characteristic
         return x & (M - 1) if self._lanes else x % M
 
+    def _mul_residues(self, a, b) -> np.ndarray:
+        """a * b mod the characteristic M, for Z/N and GF(p), whose one
+        radix is M: in int64 while (M - 1)^2 fits it, and in object
+        integers past that edge, which keep the product exact."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        M = self.characteristic
+        if (M - 1) ** 2 >= 1 << 63:
+            return np.asarray(a.astype(object) * b.astype(object) % M, dtype=np.int64)
+        return self._reduce(a * b)
+
     def pow_vec(self, a, e: int) -> np.ndarray:
         """a^e elementwise, always as a new array."""
         a = np.asarray(a, dtype=np.int64)
@@ -564,7 +593,7 @@ def _power(mul, a, e: int):
 
 
 # ---------------------------------------------------------------------------
-# Z/N
+# Z/N and GF(q) = (Z/p)[u]/(h)
 # ---------------------------------------------------------------------------
 
 
@@ -583,9 +612,6 @@ class ZModRing(Ring):
         self.one = 1
         self._radices = (n,)
         self._factorization = factorize(n)
-        # A product of two residues needs (n - 1)^2 to fit int64; past that,
-        # object integers keep it exact (as in _PolyModRing's kernel).
-        self._object_products = (n - 1) ** 2 >= 1 << 63
         super().__init__()
 
     def add(self, a: int, b: int) -> int:
@@ -613,10 +639,7 @@ class ZModRing(Ring):
         return self._reduce(np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64))
 
     def mul_vec(self, a, b) -> np.ndarray:
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        if self._object_products:
-            return np.asarray(a.astype(object) * b.astype(object) % self.n, dtype=np.int64)
-        return self._reduce(a * b)
+        return self._mul_residues(a, b)
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         return [(p, e) for p, e in self._factorization]
@@ -628,16 +651,63 @@ class ZModRing(Ring):
         return f"Z/{self.n}"
 
 
+class FiniteFieldRing(Ring):
+    """GF(p^e) as Z/p[u] modulo a monic irreducible h of degree e. GF(p)
+    multiplies residues mod p; for e >= 2 products read the field's log
+    tables, and constructing a field builds nothing for them."""
+
+    def __init__(self, q: int, h: tuple[int, ...] | None = None):
+        p, e = prime_power(q)
+        _check_order(q)
+        self.defining, self._canonical = _defining_polynomial(
+            p, e, p, h, f"GF({q}): defining polynomial")
+        self.p = p
+        self.e = e
+        self.q = q
+        self.order = q
+        self.characteristic = p
+        self.one = 1
+        self._radices = (p,) * e
+        super().__init__()
+
+    def mul_vec(self, a, b) -> np.ndarray:
+        if self.e == 1:
+            return self._mul_residues(a, b)
+        log, antilog = field_log_tables(self.p, self.e, self.defining)
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        return np.asarray(antilog[log[a] + log[b]], dtype=np.int64)
+
+    def mul(self, a: int, b: int) -> int:
+        if self.e == 1:
+            return a * b % self.p
+        log, antilog = field_log_tables(self.p, self.e, self.defining)
+        return antilog.item(log.item(a) + log.item(b))
+
+    def prime_ideal_profile(self) -> list[tuple[int, int]]:
+        return [(self.q, 1)]
+
+    def residue_fields(self) -> list[tuple[int, Ring]]:
+        return [(self.q, self)]
+
+    def spec_string(self) -> str:
+        if self._canonical:
+            return f"GF({self.q})"
+        return f"GF({self.q};h={','.join(str(c) for c in self.defining)})"
+
+    def element_str(self, x: int) -> str:
+        return _poly_str(self.digits(x), "u")
+
+
 # ---------------------------------------------------------------------------
-# A coefficient ring modulo a monic polynomial: GF(p^e) = (Z/p)[u]/(h),
-# GR(p,n,r) = (Z/p^n)[w]/(f) and PQ(q;g) = GF(q)[t]/(g), one kernel for all.
+# A coefficient ring modulo a monic polynomial: GR(p,n,r) = (Z/p^n)[w]/(f)
+# and PQ(q;g) = GF(q)[t]/(g), one kernel for both.
 # ---------------------------------------------------------------------------
 
 
 class _PolyModRing(Ring):
     """Polynomials of degree < m over a coefficient ring, multiplied modulo a
-    monic polynomial of degree m. Each such ring is a Z/M-algebra with every
-    radix M, its characteristic, and one kernel multiplies them all.
+    monic polynomial of degree m: GR and PQ. Each is a Z/M-algebra with every
+    radix M, its characteristic, and one kernel multiplies both.
 
     An element is a grid of m coefficients by e digits: e = 1 over Z/M, and
     e = log_p q over GF(q), where digit j*e + a is the u^a part of the
@@ -653,8 +723,10 @@ class _PolyModRing(Ring):
         for _ in range(m - 1):
             t_powers.append(_pdivmod((0,) + t_powers[-1], modulus, coeff)[1])
         T = np.array([t + (0,) * (m - len(t)) for t in t_powers], dtype=np.int64)
-        # u^a for a < 2e - 1 are the rows of GF(q)'s own reduction matrix.
-        U = coeff._L @ coeff._places if e > 1 else np.array([coeff.one])
+        # u^a for a < 2e - 1, from the coefficient field's own products; u is
+        # the element with digits (0, 1), and u^0 = one is all that e = 1 reads.
+        u = coeff.from_digits((0, 1))
+        U = np.array([coeff.pow(u, a) for a in range(2 * e - 1)], dtype=np.int64)
         L = coeff._digits_of(coeff.mul_vec(T[:, None, :], U[None, :, None]))
         # Every sum the kernel forms has at most (2m-1)(2e-1) terms, each a
         # product of two digits below M; the narrowest signed type that holds
@@ -697,68 +769,6 @@ class _PolyModRing(Ring):
         return (self._places @ self._reduce(out)).astype(np.int64).reshape(a.shape)
 
 
-class FiniteFieldRing(_PolyModRing):
-    """GF(p^e) as Z/p[u] modulo a monic irreducible of degree e. For e >= 2
-    products read the field's log tables; GF(p) keeps the digit kernel for
-    arrays and multiplies scalars as Python ints."""
-
-    def __init__(self, q: int, h: tuple[int, ...] | None = None):
-        p, e = prime_power(q)
-        _check_order(q)
-        if h is None:
-            h = canonical_irreducible(p, e)
-            self._h_is_canonical = True
-        else:
-            h = tuple(c % p for c in h)
-            if len(h) != e + 1:
-                raise ParseError(
-                    f"GF({q}): defining polynomial must have degree {e}"
-                )
-            if h[-1] != 1:
-                raise NotMonic(f"GF({q}): defining polynomial must be monic")
-            if not poly_is_irreducible(h, ZModRing(p)):
-                raise NotIrreducible(
-                    f"GF({q}): {list(h)} is reducible over Z/{p}"
-                )
-            self._h_is_canonical = h == canonical_irreducible(p, e)
-        self.p = p
-        self.e = e
-        self.q = q
-        self.order = q
-        self.characteristic = p
-        self.one = 1
-        self._radices = (p,) * e
-        self.defining = h
-        super().__init__(ZModRing(p), h)
-
-    def mul_vec(self, a, b) -> np.ndarray:
-        if self.e == 1:
-            return super().mul_vec(a, b)
-        log, antilog = field_log_tables(self.p, self.e, self.defining)
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        return np.asarray(antilog[log[a] + log[b]], dtype=np.int64)
-
-    def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return a * b % self.p
-        log, antilog = field_log_tables(self.p, self.e, self.defining)
-        return antilog.item(log.item(a) + log.item(b))
-
-    def prime_ideal_profile(self) -> list[tuple[int, int]]:
-        return [(self.q, 1)]
-
-    def residue_fields(self) -> list[tuple[int, Ring]]:
-        return [(self.q, self)]
-
-    def spec_string(self) -> str:
-        if self._h_is_canonical:
-            return f"GF({self.q})"
-        return f"GF({self.q};h={','.join(str(c) for c in self.defining)})"
-
-    def element_str(self, x: int) -> str:
-        return _poly_str(self.digits(x), "u")
-
-
 class GaloisRingRing(_PolyModRing):
     """Galois ring Z[w]/(p^n, f(w)) with f monic of degree r, irreducible
     mod p. Order p^(n r), characteristic p^n, residue field GF(p^r)."""
@@ -777,22 +787,7 @@ class GaloisRingRing(_PolyModRing):
         order = p ** (n * r)
         _check_order(order)
         pn = p**n
-        if f is None:
-            f = tuple(c % pn for c in canonical_irreducible(p, r))
-            self._f_is_canonical = True
-        else:
-            f = tuple(c % pn for c in f)
-            if len(f) != r + 1:
-                raise ParseError(f"GR({p},{n},{r}): f must have degree {r}")
-            if f[-1] != 1:
-                raise NotMonic(f"GR({p},{n},{r}): f must be monic")
-            f_mod_p = tuple(c % p for c in f[:-1]) + (1,)
-            if not poly_is_irreducible(f_mod_p, ZModRing(p)):
-                raise NotIrreducible(
-                    f"GR({p},{n},{r}): f reduces mod {p}"
-                )
-            canon = tuple(c % pn for c in canonical_irreducible(p, r))
-            self._f_is_canonical = f == canon
+        self.defining, self._canonical = _defining_polynomial(p, r, pn, f, f"GR({p},{n},{r}): f")
         self.p = p
         self.n_exp = n
         self.r = r
@@ -800,8 +795,7 @@ class GaloisRingRing(_PolyModRing):
         self.characteristic = pn
         self.one = 1
         self._radices = (pn,) * r
-        self.defining = f
-        super().__init__(ZModRing(pn), f)
+        super().__init__(ZModRing(pn), self.defining)
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         return [(self.p**self.r, self.n_exp)]
@@ -817,7 +811,7 @@ class GaloisRingRing(_PolyModRing):
 
     def spec_string(self) -> str:
         base = f"GR({self.p},{self.n_exp},{self.r})"
-        if self._f_is_canonical:
+        if self._canonical:
             return base
         return base[:-1] + f";f={','.join(str(c) for c in self.defining)})"
 

@@ -282,23 +282,30 @@ def test_exact_ddeg_work_guard_exit_3():
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("command", ["poly ddeg", "expsum"])
-def test_auto_mode_reports_why_it_fell_back(command, validator, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "args, guard, why",
+    [
+        pytest.param("poly ddeg --ring Z/97 --poly 0,0,1", 200, "exact derivational degree", id="poly ddeg"),
+        pytest.param("expsum --ring Z/97 --poly 0,0,1", 200, "exact derivational degree", id="expsum"),
+        pytest.param("paley --ring GF(64) --d 3", 100, "needs 192 work", id="paley"),
+    ],
+)
+def test_auto_mode_reports_why_it_fell_back(args, guard, why, validator, monkeypatch, capsys):
     """Auto mode keeps the guard's message when the exact degree gives up,
-    and reports null when the exact degree is found."""
+    and reports null when the exact degree is found; paley reports it in
+    its verdict."""
     from ringlab.cli import main
 
-    args = [*command.split(), "--ring", "Z/97", "--poly", "0,0,1"]
-    assert main(args) == 0
-    exact = json.loads(capsys.readouterr().out)
-    validator.validate(exact)
-    assert exact["result"]["fallback_reason"] is None
-    monkeypatch.setenv("RINGLAB_WORK_GUARD", "200")
-    assert main(args) == 0
-    doc = json.loads(capsys.readouterr().out)
-    validator.validate(doc)
-    reason = doc["result"]["fallback_reason"]
-    assert "exact derivational degree" in reason and "200" in reason
+    def fallback_reason():
+        assert main(args.split()) == 0
+        doc = json.loads(capsys.readouterr().out)
+        validator.validate(doc)
+        return doc["result"].get("verdict", doc["result"])["fallback_reason"]
+
+    assert fallback_reason() is None
+    monkeypatch.setenv("RINGLAB_WORK_GUARD", str(guard))
+    reason = fallback_reason()
+    assert why in reason and str(guard) in reason
 
 
 def test_value_table_is_charged_before_horner_runs(monkeypatch, capsys):
@@ -432,6 +439,15 @@ def test_paley_edges_plain_text():
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()
     assert lines == ["0 1", "0 4", "1 2", "2 3", "3 4"]
+
+
+def test_paley_edges_with_sets_exit_2():
+    """The edge list replaces the report, so a sweep asked for beside it is
+    refused; it used to be dropped without a word."""
+    proc = run_cli("paley", "--ring", "Z/5", "--d", "2", "--edges", "--sets", "exhaustive")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "not allowed with argument" in proc.stderr
 
 
 def test_paley_char_divides_degree_warns_instead_of_failing():

@@ -409,21 +409,26 @@ def _extension_fields(ring):
 @example(spec="prod(GF(4);GF(27;h=1,2,0,1))", seed=5)
 def test_log_tables_match_digit_kernel(spec, seed):
     """Products of GF(p^e), e >= 2, through the log tables equal the digit
-    kernel `_PolyModRing.mul_vec`, on every pair of a field of order <= 64
-    and on drawn operands of the larger ones: flat arrays with zeros, broadcast
-    grids, 0-d arrays, plain ints and empty arrays, and scalar `mul`."""
+    kernel of PQ(q=p;g=h), which encodes elements as GF(p^e;h) does: on
+    every pair of a field of order <= 64 and on drawn operands of the larger
+    ones: flat arrays with zeros, broadcast grids, 0-d arrays, plain ints
+    and empty arrays, and scalar `mul`."""
     fields = _extension_fields(make_ring(spec))
     assume(fields)
     rng = np.random.default_rng(seed)
     for field in fields:
         q = field.order
+        kernel = PolyQuotientRing(ZModRing(field.p), field.defining)
+        assert kernel.order == q and kernel.one == field.one
+        assert kernel.additive_orders() == field.additive_orders()
+        xs = np.arange(min(q, 4096), dtype=np.int64)
+        np.testing.assert_array_equal(kernel.add_vec(xs, xs[::-1]), field.add_vec(xs, xs[::-1]))
 
         def draw(shape):
             out = rng.integers(0, q, shape, dtype=np.int64)
             out.reshape(-1)[3::7] = 0
             return out
 
-        xs = np.arange(q, dtype=np.int64)
         pairs = [
             (draw(300), draw(300)),
             (draw((5, 1)), draw((1, 6))),
@@ -438,12 +443,31 @@ def test_log_tables_match_digit_kernel(spec, seed):
             pairs.append((xs[:, None], xs[None, :]))
         for a, b in pairs:
             got = field.mul_vec(a, b)
-            want = _PolyModRing.mul_vec(field, a, b)
+            want = kernel.mul_vec(a, b)
             assert got.dtype == np.int64 and got.shape == want.shape == np.broadcast(a, b).shape
             np.testing.assert_array_equal(got, want, err_msg=spec)
         for x, y in zip(draw(20).tolist() + [0, 0, q - 1], draw(20).tolist() + [0, q - 1, 0]):
             z = field.mul(x, y)
-            assert type(z) is int and z == int(_PolyModRing.mul_vec(field, x, y)), (spec, x, y)
+            assert type(z) is int and z == int(kernel.mul_vec(x, y)), (spec, x, y)
+
+
+def test_fields_build_no_digit_kernel(monkeypatch):
+    """GF(q) and products of fields neither build nor read the digit
+    kernel of `_PolyModRing`: with its constructor made to raise they still
+    build and multiply, while GR and PQ, which use it, reach the patch."""
+    def refuse(self, coeff, modulus):
+        raise RuntimeError("digit kernel built")
+
+    monkeypatch.setattr(_PolyModRing, "__init__", refuse)
+    for spec in ("GF(4)", "GF(7)", "GF(9;h=2,2,1)", "GF(1048576)", "prod(GF(4);GF(9))"):
+        ring = make_ring(spec)
+        a = np.arange(min(ring.order, 64), dtype=np.int64)
+        products = ring.mul_vec(a, a[::-1])
+        assert products.dtype == np.int64
+        assert [ring.mul(x, y) for x, y in zip(a.tolist(), a[::-1].tolist())] == products.tolist()
+    for spec in ("GR(2,2,2)", "PQ(q=4;g=0,0,1)"):
+        with pytest.raises(RuntimeError, match="digit kernel built"):
+            make_ring(spec)
 
 
 def test_log_tables_are_shared_per_field_and_read_only():
