@@ -39,7 +39,6 @@ from .subgroups import SubgroupSet, value_subgroup
 from .characters import character_group, character_table
 from .harmonics import (
     character_bound_check,
-    exp_sum,
     exp_sums_all,
     random_functions,
     root_count_bound_check,
@@ -86,7 +85,6 @@ __all__ = [
     "character_group",
     "character_table",
     "character_bound_check",
-    "exp_sum",
     "exp_sums_all",
     "random_functions",
     "root_count_bound_check",

@@ -14,12 +14,13 @@ character is position 0. `CharacterGroup.coeffs` decodes a position and
 
 All angle arithmetic is exact: angles live in Z/L with L = lcm(m_i), and
 `CharacterGroup.angles` is the one route to them; a complex exponential is
-evaluated only once per angle class. `char_sum` goes through an integer
-histogram of angles, `character_table` is the independent route, whole for
-modest orders or a few columns for sampled checks, and `annihilator_mask`
-compares angles with 0. The sums over every character (`all_char_sums`) are
-one multidimensional DFT over (R, +), and so is every convolution with a
-measure on (R, +) (`convolve`).
+evaluated only once per angle class. `character_table` reads the unit
+table at those angles, whole for modest orders or a few columns for
+sampled checks, and `annihilator_mask` compares angles with 0. The sums
+over every character (`all_char_sums`) are one multidimensional DFT over
+(R, +), and so is every convolution with a measure on (R, +)
+(`convolve`). The angle-histogram sum of one character, the independent
+check of the transform, lives with the tests.
 
 A CharacterGroup is a light view on its ring; its unit table is built once,
 kept read-only in the ring's memo (`Ring.memo`) and freed with the ring.
@@ -28,7 +29,7 @@ kept read-only in the ring's memo (`Ring.memo`) and freed with the ring.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,18 +85,6 @@ def character_group(ring: Ring) -> CharacterGroup:
     """The dual of (R, +). A new view on each call, so that the ring's memo
     holds no reference back to the ring; its arrays come from the memo."""
     return CharacterGroup(ring)
-
-
-def char_sum(ring: Ring, position: int, values: Iterable[int]) -> complex:
-    """Sum of the character at this position over a multiset of ring
-    elements, via an exact angle histogram followed by one complex
-    evaluation per angle class."""
-    group = character_group(ring)
-    values_arr = np.asarray(list(values), dtype=np.int64)
-    if values_arr.size == 0:
-        return 0j
-    hist = np.bincount(group.angles(values_arr, position), minlength=group.L)
-    return complex(hist @ group.unit_table)
 
 
 def _element_cube(ring: Ring, w: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:

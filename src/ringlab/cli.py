@@ -12,7 +12,9 @@ Code 4 existing at all is the point of the tool: it should never fire, and
 when it does the report names the ring, polynomial, and character.
 
 Reports are deterministic for fixed inputs and seeds; the only varying
-field is the timestamp, isolated in the header.
+field is the timestamp, isolated in the header. A report is printed by its
+dataclass fields (`_fields`), numpy arrays and scalars as JSON lists and
+numbers.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ EXIT_BOUND = 4
 
 #: subcommands whose randomness honors --seed; batch injects its global
 #: seed into these when a job does not choose its own
-_SEEDED = {"tebound", "vdc", "sarkozy", "paley"}
+_SEEDED = {"tebound", "vdc", "sarkozy"}
 
 
 def _header(seed: int | None) -> dict:
@@ -54,6 +56,12 @@ def _header(seed: int | None) -> dict:
 
 def _envelope(kind: str, result: dict, seed: int | None = None) -> dict:
     return {"header": _header(seed), "kind": kind, "result": result}
+
+
+def _fields(report) -> dict:
+    """A report dataclass's fields as a new dict, so that the keys a
+    command adds never land on the report, which may be memoised."""
+    return dict(vars(report))
 
 
 def parse_element_set(ring: Ring, text: str) -> list[int]:
@@ -166,22 +174,22 @@ def _cmd_expsum(args) -> tuple[dict, int]:
     ring = make_ring(args.ring)
     P = parse_poly_literal(ring, args.poly)
     report = harmonics.character_bound_check(ring, P, ddeg_mode=args.mode)
-    result = report.to_dict()
+    result = _fields(report)
+    if args.char is not None or args.table:
+        S = harmonics.exp_sums_all(ring, P)
     if args.char is not None:
         try:
             coeffs = tuple(int(c) for c in args.char.split(","))
             position = character_group(ring).position(coeffs)
         except ValueError as exc:
             raise ParseError(f"bad character coefficients {args.char!r}: {exc}") from exc
-        value = harmonics.exp_sum(ring, P, position)
         result["single_character"] = {
             "coeffs": list(coeffs),
-            "re": value.real,
-            "im": value.imag,
-            "modulus": abs(value),
+            "re": float(S[position].real),
+            "im": float(S[position].imag),
+            "modulus": float(abs(S[position])),
         }
     if args.table:
-        S = harmonics.exp_sums_all(ring, P)
         coeff_rows = character_group(ring).coeffs(np.arange(len(S))).tolist()
         result["characters"] = [
             {
@@ -239,7 +247,7 @@ def _cmd_vdc(args) -> tuple[dict, int]:
         raise ParseError("--random must be at least 1")
     fs = harmonics.random_functions(ring, args.random, args.seed)
     report = harmonics.vdc_check(ring, H, fs, args.k)
-    result = report.to_dict()
+    result = _fields(report)
     result["count"] = args.random
     code = EXIT_OK if report.satisfied else EXIT_BOUND
     return _envelope("vdc", result, seed=args.seed), code
@@ -258,7 +266,7 @@ def _cmd_rootcount(args) -> tuple[dict, int]:
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     code = EXIT_OK if report.satisfied else EXIT_BOUND
-    return _envelope("rootcount", report.to_dict()), code
+    return _envelope("rootcount", _fields(report)), code
 
 
 def _cmd_sarkozy(args) -> tuple[dict, int]:
@@ -275,20 +283,20 @@ def _cmd_sarkozy(args) -> tuple[dict, int]:
         free = combinatorics.difference_free_max(
             ring, P, mode=args.search, seed=args.seed
         )
-        result["difference_free"] = free.to_dict()
+        result["difference_free"] = _fields(free)
         size = free.size
         result["measured_source"] = args.search
         if not free.verified:
             code = EXIT_BOUND
     bound = combinatorics.sarkozy_bound_check(ring, P, size)
-    result["bound_check"] = bound.to_dict()
+    result["bound_check"] = _fields(bound)
     if not bound.satisfied:
         code = EXIT_BOUND
     if args.sets is not None:
         A = parse_element_set(ring, args.sets[0])
         B = parse_element_set(ring, args.sets[1])
         config = combinatorics.config_count(ring, P, A, B)
-        result["config"] = config.to_dict()
+        result["config"] = _fields(config)
         if ring.order <= 256:
             fourier = combinatorics.config_count_fourier(ring, P, A, B)
             result["config"]["fourier_re"] = fourier.real
@@ -302,7 +310,7 @@ def _cmd_intersective(args) -> tuple[dict, int]:
     except ValueError as exc:
         raise ParseError(f"bad coefficient list {args.poly!r}") from exc
     verdict = combinatorics.intersectivity_oracle(args.family, coeffs, args.bound)
-    return _envelope("intersective", verdict.to_dict()), EXIT_OK
+    return _envelope("intersective", _fields(verdict)), EXIT_OK
 
 
 def _cmd_paley(args) -> tuple[dict, int]:
@@ -311,9 +319,7 @@ def _cmd_paley(args) -> tuple[dict, int]:
     if args.edges:
         sys.stdout.writelines(paley.edge_lines(graph))
         return {}, EXIT_OK
-    result: dict = {"graph": graph.spec_dict()}
-    spec_report = paley.spectrum(graph)
-    result["spectrum"] = spec_report.to_dict()
+    result: dict = {"graph": graph.spec_dict(), "spectrum": _fields(paley.spectrum(graph))}
     code = EXIT_OK
     if graph.char_divides_degree:
         result["verdict"] = None
@@ -322,7 +328,7 @@ def _cmd_paley(args) -> tuple[dict, int]:
             "no quasirandomness verdict is asserted"
         )
     else:
-        result["verdict"] = paley.quasirandomness_verdict(graph).to_dict()
+        result["verdict"] = _fields(paley.quasirandomness_verdict(graph))
     if args.sets is not None:
         spec = args.sets
         if spec == "exhaustive":
@@ -351,10 +357,10 @@ def _cmd_paley(args) -> tuple[dict, int]:
             uni = paley.uniformity_measure(graph, mode="explicit", pairs=pairs)
         else:
             raise ParseError(f"unknown set source {spec!r}")
-        result["uniformity"] = uni.to_dict()
+        result["uniformity"] = _fields(uni)
         if not uni.mixing_all_satisfied:
             code = EXIT_BOUND
-    return _envelope("paley", result, seed=args.seed), code
+    return _envelope("paley", result), code
 
 
 def _cmd_batch(args) -> tuple[dict, int]:
@@ -365,6 +371,8 @@ def _cmd_batch(args) -> tuple[dict, int]:
     if not isinstance(manifest, dict) or not isinstance(manifest.get("jobs", []), list):
         raise ParseError("manifest must be an object with a jobs array")
     seed = manifest.get("seed")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ParseError(f"manifest seed {seed!r} is not a nonnegative integer")
     jobs = manifest.get("jobs", [])
     for i, job in enumerate(jobs):
         if not isinstance(job, dict) or not isinstance(job.get("args", []), list):
@@ -388,8 +396,6 @@ def _cmd_batch(args) -> tuple[dict, int]:
         if seed is not None and argv and argv[0] in _SEEDED and "--seed" not in argv:
             argv = argv + ["--seed", str(seed)]
         doc, code = _run(argv)
-        if not doc and code != EXIT_OK:
-            doc = {"error": {"type": "ArgumentError", "args": argv}}
         overall = max(overall, code)
         row = {"label": label, "args": argv, "exit_code": code}
         if "error" in doc:
@@ -409,13 +415,13 @@ def _cmd_batch(args) -> tuple[dict, int]:
 def _run(argv: list[str] | None) -> tuple[dict, int]:
     """Parse argv and run its subcommand. A RingLabError, raised while
     parsing or running, becomes a structured error document: exit 2 for a
-    ParseError, 3 for every other (guard) error. An argparse usage error
-    returns an empty document; argparse has already printed the usage."""
+    ParseError, which every usage error is, and 3 for every other (guard)
+    error. --help returns an empty document; argparse has printed the help."""
     try:
         ns = build_parser().parse_args(argv)
         return ns.handler(ns)
     except SystemExit as exc:
-        return {}, EXIT_PARSE if exc.code is None else int(exc.code)
+        return {}, int(exc.code or 0)
     except RingLabError as exc:
         code = EXIT_PARSE if isinstance(exc, ParseError) else EXIT_GUARD
         return _error_doc(exc, code), code
@@ -439,15 +445,32 @@ def _error_doc(exc: Exception, code: int) -> dict:
     }
 
 
+def _numpy_to_json(value):
+    """json's fallback for what it cannot encode: a numpy array becomes a
+    list and a numpy scalar a Python number or bool; any other type is
+    still a TypeError."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, default=_numpy_to_json)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ParseErrors, so that they
+    leave as structured errors with exit 2 like every other bad input."""
+
+    def error(self, message: str):
+        raise ParseError(f"{self.prog}: {message}")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args leaves it
     unchanged, so main and every batch job share it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ringlab",
         description="finite principal ideal rings and their exponential sum, "
         "difference set, and quasirandomness certificates",
@@ -542,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pal = sub.add_parser("paley", help="Paley-type graph spectrum and verdicts")
     p_pal.add_argument("--ring", required=True)
     p_pal.add_argument("--d", type=int, required=True)
-    p_pal.add_argument("--seed", type=_seed, default=0)
     # The edge list replaces the report, so it cannot carry a sweep.
     pal_output = p_pal.add_mutually_exclusive_group()
     pal_output.add_argument(

@@ -68,9 +68,6 @@ class ConfigCountReport:
     normalized_deviation: float
     density_deviation: float
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def config_count(ring: Ring, P: RingPoly, A, B) -> ConfigCountReport:
     """Exact #{(x, y) : x in A, x + P(y) in B} with deviation statistics.
@@ -140,9 +137,10 @@ def adjacency_masks(ring: Ring, D) -> list[int]:
     """Neighbour bitmasks of the Cayley graph with connection set D: bit y
     of entry x is set when y = x + d for some d in D."""
     adj = [0] * ring.order
-    for _, row in ring.translates(D):
-        for x, y in enumerate(row.tolist()):
-            adj[x] |= 1 << y
+    for _, table in ring.translate_blocks(D):
+        for row in table.tolist():
+            for x, y in enumerate(row):
+                adj[x] |= 1 << y
     return adj
 
 
@@ -244,9 +242,6 @@ class DifferenceFreeReport:
     verified: bool
     seed: int | None = None
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 _EXACT_INDEPENDENCE_CAP = 64
 
@@ -315,9 +310,6 @@ class SarkozyReport:
     lpf: int
     hypothesis: str
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def sarkozy_bound_check(
     ring: Ring,
@@ -384,9 +376,6 @@ class IntersectivityVerdict:
     moduli_resolved: int
     unresolved: list = field(default_factory=list)
     p: int | None = None
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def _witness_has_no_root(ring: Ring, coeffs: Sequence[int]) -> bool:

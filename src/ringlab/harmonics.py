@@ -5,7 +5,9 @@ chi is
 
     S(chi, P) = (1/|R|) sum_x chi(P(x)).
 
-For characters that do not annihilate the subgroup H generated by the
+`exp_sums_all` gives S for every character at once, as one transform of
+the value counts of P; one character's sum is its entry there. For
+characters that do not annihilate the subgroup H generated by the
 (recentred) values of P, |S| obeys
 
     |S(chi, P)|^(2^(k-1)) <= B(d, char R) (k-1) / lpf(R),
@@ -25,7 +27,9 @@ Also here: the van der Corput inequality along a subgroup, and the root
 count bound (a nonzero polynomial in l variables with per-variable degrees
 d_i has at most (sum d_i) |R|^l / lpf(R) roots). vdc_check takes its
 innermost average in closed form from coset sums, checked by a sampled
-exact re-sum over x + H.
+exact re-sum over x + H. te_estimate and vdc_check take test functions as
+a (count, order) batch, the shape `random_functions` draws, and report
+arrays with one entry per function.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .budget import charge
 from .characters import (
     all_char_sums,
     annihilator_mask,
-    char_sum,
     character_group,
     character_table,
     convolve,
@@ -73,22 +76,19 @@ def random_functions(ring: Ring, count: int, seed: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
 
 
-def value_counts(ring: Ring, P: RingPoly) -> np.ndarray:
-    """How often each element occurs among {P(x) : x in R}."""
-    return np.bincount(P.values(), minlength=ring.order)
+def exp_sums_all(ring: Ring, P: RingPoly) -> np.ndarray:
+    """S(chi, P) for every character in enumeration order: one transform of
+    how often each element occurs among the values of P."""
+    return all_char_sums(ring, np.bincount(P.values(), minlength=ring.order)) / ring.order
 
 
-def exp_sum(ring: Ring, P: RingPoly, position: int) -> complex:
-    """S(chi, P) for the character at this position, exact angle
-    histogram route."""
-    return char_sum(ring, position, P.values()) / ring.order
-
-
-def exp_sums_all(ring: Ring, P: RingPoly, counts: np.ndarray | None = None) -> np.ndarray:
-    """S(chi, P) for every character in enumeration order."""
-    if counts is None:
-        counts = value_counts(ring, P)
-    return all_char_sums(ring, counts) / ring.order
+def _test_functions(f, n: int) -> np.ndarray:
+    """f as a complex (count, n) batch of test functions; ValueError for
+    any other shape."""
+    fs = np.asarray(f, dtype=np.complex128)
+    if fs.ndim != 2 or fs.shape[1] != n:
+        raise ValueError(f"f must have shape (count, {n}), not {fs.shape}")
+    return fs
 
 
 def _poly_setup(ring: Ring, P: RingPoly, ddeg_mode: str):
@@ -135,14 +135,6 @@ class CharacterBoundReport:
     annihilator_max_error: float
     flags: list[str] = field(default_factory=list)
     fallback_reason: str | None = None
-
-    def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["coeffs"] = list(self.coeffs)
-        out["max_checked_coeffs"] = (
-            None if self.max_checked_coeffs is None else list(self.max_checked_coeffs)
-        )
-        return out
 
 
 def character_bound_check(
@@ -224,18 +216,18 @@ def character_bound_check(
 
 @dataclass
 class TEReport:
-    """Total ergodicity report. For a batch of test functions the
-    per-function fields (lhs, rhs, ratio, fourier_lhs, route_gap,
-    sample_gap, f_norm, satisfied) are arrays with one entry per function."""
+    """Total ergodicity report. The per-function fields (lhs, rhs, ratio,
+    fourier_lhs, route_gap, sample_gap, f_norm, satisfied) are arrays with
+    one entry per test function."""
 
     ring_spec: str
     poly: str
-    lhs: float | np.ndarray
-    rhs: float | np.ndarray
-    ratio: float | np.ndarray
-    fourier_lhs: float | np.ndarray
-    route_gap: float | np.ndarray
-    sample_gap: float | np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    ratio: np.ndarray
+    fourier_lhs: np.ndarray
+    route_gap: np.ndarray
+    sample_gap: np.ndarray
     sample_rows: int
     k: int
     k_method: str
@@ -245,12 +237,9 @@ class TEReport:
     lpf: int
     subgroup_size: int
     shift: int
-    f_norm: float | np.ndarray
-    satisfied: bool | np.ndarray
+    f_norm: np.ndarray
+    satisfied: np.ndarray
     seed: int | None = None
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def te_estimate(
@@ -264,9 +253,9 @@ def te_estimate(
 
     lhs = || E_y f(x + P(y)) - E_{z in H} f(x + z + P(0)) ||_{L^2_x}, with
     both norms normalised by |R|. The right side is the total ergodicity
-    constant times ||f||. f is one function of shape (order,) or a batch of
-    shape (count, order); the polynomial data, the degree and every
-    transform are computed once for the whole batch.
+    constant times ||f||. f is a batch of test functions, shape
+    (count, order), and ValueError for any other shape; the polynomial
+    data, the degree and every transform are computed once for the batch.
 
     The difference of the averages is g(x) = sum_v mu(v) f(x + v), with mu
     the value weights of P minus the uniform measure on H + P(0). lhs is
@@ -281,12 +270,7 @@ def te_estimate(
     a constant mixed with seed, so equal calls give equal reports.
     """
     n = ring.order
-    fs = np.asarray(f, dtype=np.complex128)
-    single = fs.ndim == 1
-    if single:
-        fs = fs[None, :]
-    if fs.ndim != 2 or fs.shape[1] != n:
-        raise ValueError(f"f must have shape ({n},) or (count, {n})")
+    fs = _test_functions(f, n)
     values, recentred, shift, H, bp, d = _poly_setup(ring, P, ddeg_mode)
     k = bp.k
     lpf = ring.lpf()
@@ -324,22 +308,15 @@ def te_estimate(
     rhs = power ** (2.0 ** (1 - k)) * f_norm if k >= 1 else np.zeros(len(fs))
     fallback = np.where(lhs <= BOUND_TOL, 0.0, np.inf)
     ratio = np.divide(lhs, rhs, out=fallback, where=rhs > 0)
-    satisfied = lhs <= rhs + BOUND_TOL
-    per_function = dict(
+    return TEReport(
+        ring_spec=ring.spec_string(),
+        poly=str(P),
         lhs=lhs,
         rhs=rhs,
         ratio=ratio,
         fourier_lhs=fourier,
         route_gap=np.abs(lhs - fourier),
         sample_gap=sample_gap,
-        f_norm=f_norm,
-        satisfied=satisfied,
-    )
-    if single:
-        per_function = {key: value[0].item() for key, value in per_function.items()}
-    return TEReport(
-        ring_spec=ring.spec_string(),
-        poly=str(P),
         sample_rows=m,
         k=k,
         k_method=bp.method,
@@ -349,8 +326,9 @@ def te_estimate(
         lpf=lpf,
         subgroup_size=H.size,
         shift=shift,
+        f_norm=f_norm,
+        satisfied=lhs <= rhs + BOUND_TOL,
         seed=seed,
-        **per_function,
     )
 
 
@@ -363,13 +341,11 @@ def te_sweep(
     """Total ergodicity check of every polynomial against every test function
     on one ring: one batched te_estimate per polynomial. Returns
     (polynomial x function) lhs/fourier/rhs arrays."""
-    fs = np.atleast_2d(np.asarray(fs, dtype=np.complex128))
     reps = [te_estimate(ring, P, fs, ddeg_mode) for P in polys]
-    shape = (len(reps), len(fs))
     return {
-        "lhs": np.array([r.lhs for r in reps]).reshape(shape),
-        "fourier": np.array([r.fourier_lhs for r in reps]).reshape(shape),
-        "rhs": np.array([r.rhs for r in reps]).reshape(shape),
+        "lhs": np.array([r.lhs for r in reps]),
+        "fourier": np.array([r.fourier_lhs for r in reps]),
+        "rhs": np.array([r.rhs for r in reps]),
         "k": [r.k for r in reps],
         "certified": [r.k_certified for r in reps],
     }
@@ -381,24 +357,11 @@ class VdcReport:
     subgroup_size: int
     k: int
     lhs: np.ndarray
-    rhs_real: np.ndarray
+    rhs: np.ndarray
     rhs_imag_max: float
     satisfied: bool
     sample_points: int
     sample_gap: float
-
-    def to_dict(self) -> dict:
-        return {
-            "ring_spec": self.ring_spec,
-            "subgroup_size": self.subgroup_size,
-            "k": self.k,
-            "lhs": [float(x) for x in np.atleast_1d(self.lhs)],
-            "rhs": [float(x) for x in np.atleast_1d(self.rhs_real)],
-            "rhs_imag_max": self.rhs_imag_max,
-            "satisfied": self.satisfied,
-            "sample_points": self.sample_points,
-            "sample_gap": self.sample_gap,
-        }
 
 
 def _coset_reps(perms: np.ndarray) -> np.ndarray:
@@ -416,7 +379,7 @@ def vdc_check(
 
         |E_x f(x)|^(2^k) <= E_{v_1..v_k in H} E_u prod-difference of f.
 
-    Accepts a single function (order,) or a batch (count, order). The
+    f is a batch of test functions, shape (count, order). The
     outer k - 1 levels replace g by g(u + v) conj g(u) for each v in H; the
     innermost is closed form, E_{v in H} E_u g(u + v) conj g(u) =
     (1/(n |H|)) sum over cosets C of H of |sum_{u in C} g(u)|^2, one gather
@@ -426,15 +389,12 @@ def vdc_check(
     x from a fixed seed; sample_gap is its largest difference from the
     coset matrix, over |H|. k must lie in 1..VDC_MAX_K, beyond which
     |f| <= sqrt(2) no longer keeps the products in float range; ValueError
-    for other k and for a side that is not finite.
+    for other k, for f of another shape and for a side that is not finite.
     """
     if not 1 <= k <= VDC_MAX_K:
         raise ValueError(f"k must be between 1 and {VDC_MAX_K}")
     n, h = ring.order, len(H)
-    fs = np.asarray(f, dtype=np.complex128)
-    single = fs.ndim == 1
-    if single:
-        fs = fs[None, :]
+    fs = _test_functions(f, n)
     charge(
         len(fs) * h ** (k - 1) * n + h * n,
         f"vdc over {len(fs)} x {h}^{k - 1} x {n} + {h} x {n} entries",
@@ -474,8 +434,8 @@ def vdc_check(
         ring_spec=ring.spec_string(),
         subgroup_size=h,
         k=k,
-        lhs=lhs[0] if single else lhs,
-        rhs_real=rhs[0] if single else rhs,
+        lhs=lhs,
+        rhs=rhs,
         rhs_imag_max=0.0,
         satisfied=bool((lhs <= rhs + BOUND_TOL).all()),
         sample_points=m,
@@ -491,11 +451,6 @@ class RootCountReport:
     count: int
     bound: float
     satisfied: bool
-
-    def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["degrees"] = list(self.degrees)
-        return out
 
 
 def _trim_tensor(arr: np.ndarray) -> np.ndarray:

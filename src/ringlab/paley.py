@@ -9,10 +9,11 @@ of the adjacency operator with eigenvalue
 
 Spectra are computed exclusively through these character sums (one DFT of
 the indicator of S over the additive group), never with a numerical
-eigensolver. Around them: the epsilon-uniformity measure (exhaustive on
-tiny rings, sampled or structured otherwise), the spectral floor
-lambda_2 / (8r), the sufficient unit-density criterion, and the
-residue-field necessary floor.
+eigensolver; the entrywise identity A chi = lambda(chi) chi that confirms
+them is a test oracle. Around them: the epsilon-uniformity measure
+(exhaustive on tiny rings, sampled or structured otherwise), the spectral
+floor lambda_2 / (8r), the sufficient unit-density criterion, the
+residue-field necessary floor, and the edge list streamed as text.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .rings import Ring, distinct
 #: exhaustive uniformity sweeps iterate all 2^|R| subsets; 10 keeps the
 #: sweep near a thousand set choices
 EXHAUSTIVE_UNIFORMITY_CAP = 10
-_EIGENVECTOR_CHECK_CAP = 64
+_ADJACENCY_CAP = 64
 
 
 @dataclass
@@ -106,20 +107,6 @@ class SpectrumReport:
     trace: float
     trace_squared: float
 
-    def to_dict(self) -> dict:
-        return {
-            "ring_spec": self.ring_spec,
-            "d": self.d,
-            "r": self.r,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "lambda2": self.lambda2,
-            "lambda2_witness": list(self.lambda2_witness),
-            "epsilon_star": self.epsilon_star,
-            "imag_residue_max": self.imag_residue_max,
-            "trace": self.trace,
-            "trace_squared": self.trace_squared,
-        }
-
 
 def spectrum(graph: PaleyGraph) -> SpectrumReport:
     """One eigenvalue per character: the character sums of the connection
@@ -155,53 +142,26 @@ def _spectrum(graph: PaleyGraph) -> SpectrumReport:
 
 
 def adjacency_matrix(graph: PaleyGraph) -> np.ndarray:
-    """Dense 0/1 adjacency, for the eigenvector identity on small rings."""
+    """Dense 0/1 adjacency of a small graph: x ~ x + s for s in S."""
     ring = graph.ring
     n = ring.order
-    if n > _EIGENVECTOR_CHECK_CAP:
-        raise WorkGuardExceeded(
-            f"dense adjacency is limited to order {_EIGENVECTOR_CHECK_CAP}"
-        )
+    if n > _ADJACENCY_CAP:
+        raise WorkGuardExceeded(f"dense adjacency is limited to order {_ADJACENCY_CAP}")
     A = np.zeros((n, n), dtype=np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    for _, row in ring.translates(graph.connection_set):
-        A[idx, row] = 1
+    for _, table in ring.translate_blocks(graph.connection_set):
+        A[np.arange(n), table] = 1
     return A
 
 
-def eigenvector_identity_error(graph: PaleyGraph) -> float:
-    """max over characters chi and points x of |(A chi)(x) - lambda(chi)
-    chi(x)|; exact spectral confirmation with no eigensolver."""
-    from .characters import character_table
-
-    A = adjacency_matrix(graph)
-    table = character_table(graph.ring)
-    evals = spectrum(graph).eigenvalues
-    return float(np.abs(A @ table - table * evals[None, :]).max())
-
-
-def _upper_neighbours(graph: PaleyGraph) -> Iterator[tuple[int, list[int]]]:
-    """(u, sorted neighbours v > u) for every vertex u in order: the
-    neighbours of u are u + S, one `add_vec` per vertex."""
-    ring = graph.ring
-    S = np.asarray(graph.connection_set, dtype=np.int64)
-    for u in range(ring.order):
-        nbrs = np.sort(ring.add_vec(u, S))
-        yield u, nbrs[nbrs > u].tolist()
-
-
-def edges(graph: PaleyGraph) -> Iterator[tuple[int, int]]:
-    """Every unordered edge once as (u, v) with u < v, in lexicographic
-    order, one vertex at a time."""
-    for u, vs in _upper_neighbours(graph):
-        for v in vs:
-            yield u, v
-
-
 def edge_lines(graph: PaleyGraph) -> Iterator[str]:
-    """The edges of `edges` as text, one "u v" line each: one string per
-    vertex, its neighbours formatted by a single str.join."""
-    for u, vs in _upper_neighbours(graph):
+    """Every unordered edge once as a "u v" line with u < v, in
+    lexicographic order, one vertex at a time: the neighbours of u are
+    u + S, one `add_vec` per vertex, and the lines of a vertex are one
+    str.join."""
+    S = np.asarray(graph.connection_set, dtype=np.int64)
+    for u in range(graph.ring.order):
+        nbrs = np.sort(graph.ring.add_vec(u, S))
+        vs = nbrs[nbrs > u].tolist()
         if vs:
             yield f"{u} " + f"\n{u} ".join(map(str, vs)) + "\n"
 
@@ -220,9 +180,6 @@ class UniformityReport:
     mixing_all_satisfied: bool
     mixing_worst_slack: float
     seed: int | None = None
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def _degrees_into(graph: PaleyGraph, a: list[int]) -> np.ndarray:
@@ -377,9 +334,6 @@ class QuasirandomnessVerdict:
     lambda2: float
     r: int
     notes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def quasirandomness_verdict(graph: PaleyGraph) -> QuasirandomnessVerdict:

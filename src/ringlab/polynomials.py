@@ -55,10 +55,6 @@ class RingPoly:
     def make(ring: Ring, coeffs: Sequence[int]) -> "RingPoly":
         return RingPoly(ring, _ptrim([int(c) % ring.order for c in coeffs]))
 
-    @staticmethod
-    def from_int_coeffs(ring: Ring, ints: Sequence[int]) -> "RingPoly":
-        return RingPoly.make(ring, [ring.from_int(c) for c in ints])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -70,12 +66,6 @@ class RingPoly:
     @property
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = self.ring.add(self.ring.mul(acc, x), c)
-        return acc
 
     def values(self) -> np.ndarray:
         """P(x) for every x, in element order: one read-only table per ring

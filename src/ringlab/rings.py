@@ -12,7 +12,7 @@ single-component constructions. Element indices are plain Python ints, which
 keeps bulk arithmetic vectorisable with numpy and makes reports JSON-stable.
 Every translate x -> x + v comes from `Ring.add_table(shifts)`, which builds
 only the rows asked for; `Ring.translate_blocks` hands them out in blocks
-of bounded size, and `Ring.translates` one row at a time.
+of bounded size.
 
 Each ring class has one multiplication route. Z/N and GF(p) multiply
 residues mod their characteristic (`Ring._mul_residues`). GF(p^e) with
@@ -571,11 +571,6 @@ class Ring:
         for start in range(0, shifts.size, step):
             block = shifts[start:start + step]
             yield block, self.add_table(block)
-
-    def translates(self, shifts):
-        """(v, row of x -> x + v) for each shift v in order."""
-        for block, table in self.translate_blocks(shifts):
-            yield from zip(block.tolist(), table)
 
 
 def _power(mul, a, e: int):

@@ -3,8 +3,13 @@
 chi_s(x) = exp(2 pi i sum_i d_i(x) s_i / m_i), with the digits d_i(x) from
 `Ring.digits` and the coefficient tuples s in lexicographic order, first
 coefficient most significant. The angle is summed exactly in fractions and
-turned into a complex number once; nothing here reads the library's unit
-table or its common modulus L.
+turned into a complex number once; nothing here but `char_sum` reads the
+library's unit table or its common modulus L.
+
+`char_sum` is the angle-histogram route that the transform replaced: the
+library's exact angles of one character over a multiset, counted in an
+integer histogram, with one complex evaluation per angle class. It shares
+no arithmetic with the DFT of `all_char_sums`.
 """
 
 import cmath
@@ -13,6 +18,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from ringlab.characters import character_group
 
 
 def coeff_tuples(ring) -> list[tuple[int, ...]]:
@@ -34,3 +41,14 @@ def table(ring, chars=None) -> np.ndarray:
         [[chi(ring, tuples[j], x) for j in chars] for x in range(ring.order)],
         dtype=complex,
     ).reshape(ring.order, len(chars))
+
+
+def char_sum(ring, position: int, values) -> complex:
+    """Sum of the character at this position over a multiset of ring
+    elements, through an exact angle histogram."""
+    group = character_group(ring)
+    values = np.asarray(list(values), dtype=np.int64)
+    if values.size == 0:
+        return 0j
+    hist = np.bincount(group.angles(values, position), minlength=group.L)
+    return complex(hist @ group.unit_table)

@@ -2,7 +2,7 @@
 kept as a test oracle: one over the integers, one over F_p[t] on tuple
 polynomials, each with its own witness scan. `reference_verdict(family,
 coeffs, bound)` returns their verdict as a dictionary, to compare
-with `intersectivity_oracle(...).to_dict()`.
+with `vars(intersectivity_oracle(...))`.
 """
 
 import itertools
@@ -297,6 +297,6 @@ def reference_verdict(family: str, coeffs: Sequence, bound: int) -> dict:
             ints.pop()
         if len(ints) < 2:
             raise ParseError("intersectivity needs a nonconstant polynomial")
-        return _intersectivity_integers(ints, bound).to_dict()
+        return vars(_intersectivity_integers(ints, bound))
     assert fam.startswith("FPT(") and fam.endswith(")")
-    return _intersectivity_fpt(list(coeffs), bound, int(fam[4:-1])).to_dict()
+    return vars(_intersectivity_fpt(list(coeffs), bound, int(fam[4:-1])))

@@ -28,13 +28,14 @@ def direct_lhs(ring, P, fs):
     fs = np.atleast_2d(np.asarray(fs, dtype=np.complex128))
     values, shift, H = _poly_data(ring, P)
     w = np.bincount(values, minlength=n) / n
+    xs = np.arange(n)
     poly_avg = np.zeros(fs.shape, dtype=np.complex128)
-    for v, row in ring.translates(np.flatnonzero(w)):
-        poly_avg += w[v] * fs[:, row]
+    for v in np.flatnonzero(w):
+        poly_avg += w[v] * fs[:, ring.add_vec(xs, v)]
     coset = H.coset(shift)
     coset_avg = np.zeros(fs.shape, dtype=np.complex128)
-    for _, row in ring.translates(coset):
-        coset_avg += fs[:, row]
+    for v in coset:
+        coset_avg += fs[:, ring.add_vec(xs, v)]
     coset_avg /= len(coset)
     return np.sqrt(np.mean(np.abs(poly_avg - coset_avg) ** 2, axis=1))
 

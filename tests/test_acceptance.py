@@ -17,6 +17,8 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+from paley_oracle import eigenvector_identity_error
+
 from ringlab import make_ring, parse_poly_literal
 from ringlab.cli import main as cli_main
 from ringlab.combinatorics import (
@@ -33,7 +35,6 @@ from ringlab.harmonics import (
 )
 from ringlab.paley import (
     build_paley,
-    eigenvector_identity_error,
     quasirandomness_verdict,
     spectrum,
 )

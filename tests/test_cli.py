@@ -11,11 +11,17 @@ import time
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+import character_oracle as oracle
+
 import ringlab
+from ringlab import cli
 from ringlab.cli import parse_element_set
 from ringlab.errors import ParseError
+from ringlab.paley import build_paley, spectrum
+from ringlab.polynomials import parse_poly_literal
 from ringlab.rings import make_ring
 
 # The child imports the same ringlab as the tests, installed or not.
@@ -105,13 +111,14 @@ BAD_INPUTS = [
     ("vdc", "--ring", "Z/8", "--subgroup", "trivial", "--k", "990"),
     ("sarkozy", "--ring", "Z/13", "--poly=0,0,1", "--measured", "3", "--sets", "coset:0,1:x", "1"),
     ("vdc", "--ring", "Z/12", "--subgroup", "gen:coset:0,1:zz", "--k", "1", "--random", "2"),
+    ("paley", "--ring", "Z/13", "--d", "2", "--seed", "5"),
 ]
 BAD_INPUT_IDS = [
     "vdc-k0", "vdc-random0", "paley-sampled", "expsum-char", "sarkozy-measured",
     "tebound-seed", "vdc-seed", "sarkozy-seed", "paley-seed", "random-seed", "sampled-seed",
     "fpt-not-a-number", "fpt-empty", "rootcount-float", "rootcount-bool",
     "rootcount-beyond-int64", "rootcount-infinity", "vdc-k11", "vdc-k12", "vdc-k990",
-    "sarkozy-coset-shift", "vdc-coset-shift",
+    "sarkozy-coset-shift", "vdc-coset-shift", "paley-has-no-seed",
 ]
 
 
@@ -465,6 +472,52 @@ def test_expsum_single_character():
     assert single["modulus"] == pytest.approx(5**-0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "spec, poly, coeffs",
+    [
+        ("Z/12", "0,0,1", "5"),
+        ("GF(9)", "0,1,0,1", "1,2"),
+        ("GR(2,2,2)", "0,1,1", "1,3"),
+        ("PQ(q=3;g=0,1,1)", "1,0,1", "2,1"),
+        ("prod(Z/4;GF(4))", "0,1,1", "3,1,1"),
+    ],
+)
+def test_expsum_char_matches_angle_histogram(spec, poly, coeffs, capsys):
+    """--char reads its sum from the transform that --table prints; the
+    angle-histogram oracle, which shares no arithmetic with it, agrees."""
+    assert cli.main(["expsum", "--ring", spec, f"--poly={poly}", "--char", coeffs, "--table"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    ring = make_ring(spec)
+    position = oracle.coeff_tuples(ring).index(tuple(int(c) for c in coeffs.split(",")))
+    want = oracle.char_sum(ring, position, parse_poly_literal(ring, poly).values()) / ring.order
+    single = result["single_character"]
+    assert abs(single["re"] - want.real) < 1e-12 and abs(single["im"] - want.imag) < 1e-12
+    row = result["characters"][position]
+    assert (row["re"], row["im"], row["modulus"]) == (single["re"], single["im"], single["modulus"])
+
+
+def test_dumps_turns_numpy_values_into_json():
+    """Arrays become lists and numpy scalars plain numbers or bools; any
+    other type json cannot encode is still a TypeError."""
+    doc = {"a": np.arange(3), "f": np.float64(0.5), "i": np.int64(7), "b": np.bool_(True)}
+    assert json.loads(cli._dumps(doc)) == {"a": [0, 1, 2], "f": 0.5, "i": 7, "b": True}
+    with pytest.raises(TypeError, match="set"):
+        cli._dumps({"s": {1, 2}})
+
+
+def test_added_keys_stay_off_memoised_reports(capsys):
+    """paley prints its ring's memoised spectrum through a copy of the
+    report's fields, so a job leaves the report as it found it."""
+    graph = build_paley(make_ring("Z/13"), 2)
+    fields = cli._fields(spectrum(graph))
+    fields["extra"] = 1
+    assert "extra" not in vars(spectrum(graph))
+    assert cli.main(["paley", "--ring", "Z/13", "--d", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["spectrum"] == json.loads(
+        cli._dumps(vars(spectrum(graph)))
+    )
+
+
 def test_batch_isolation(tmp_path, validator):
     manifest = {
         "seed": 9,
@@ -596,6 +649,19 @@ def test_batch_label_not_a_file_name_exit_2(tmp_path, capsys, label):
     assert error["type"] == "ParseError" and "job 1" in error["message"]
 
 
+@pytest.mark.parametrize("seed", ["x", 1.5, True, -3])
+def test_batch_seed_not_a_nonnegative_integer_exit_2(tmp_path, capsys, seed):
+    """The manifest seed lands in the header, whose schema wants an integer
+    or null, and in every seeded job as --seed: "x" and 1.5 used to exit 0,
+    and true or -3 reached each seeded job as a bad --seed."""
+    error = _run_bad_batch(tmp_path, capsys, {
+        "seed": seed,
+        "jobs": [{"args": ["ring", "info", "Z/4"]},
+                 {"args": ["tebound", "--ring", "Z/8", "--poly", "0,0,1", "--random", "1"]}],
+    })
+    assert error["type"] == "ParseError" and "seed" in error["message"]
+
+
 @pytest.mark.parametrize("out_dir", [5, ["o1"], {"dir": "o1"}, True])
 def test_batch_output_dir_not_a_string_exit_2(tmp_path, capsys, out_dir):
     """A non-string output_dir is a ParseError before any job runs, not a
@@ -660,7 +726,7 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
     }))
     runs = [
         (("expsum", "--ring", "Z/13", "--poly", "0,0,1", "--table"), 0),
-        (("paley", "--ring", "Z/13", "--d", "2", "--sets", "structured", "--seed", "3"), 0),
+        (("paley", "--ring", "Z/13", "--d", "2", "--sets", "structured"), 0),
         (("subgroup", "--ring", "GF(9)", "--poly", "0,0,1", "--raw-values"), 0),
         (("expsum", "--ring", "GF(9)", "--poly", "0,0,1"), 0),
         (("batch", str(manifest)), 3),

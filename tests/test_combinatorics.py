@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hensel_oracle import _integer_prime_analysis, reference_verdict
+from poly_oracle import evaluate
 from test_polynomials import ORACLE_RINGS
 
 from ringlab import hensel
@@ -64,7 +65,7 @@ def test_config_count_manual():
     P = RingPoly.make(ring, (0, 0, 1))
     A, B = [0, 1], [1, 2]
     want = sum(
-        1 for x in A for y in range(5) if ring.add(x, P.evaluate(y)) in set(B)
+        1 for x in A for y in range(5) if ring.add(x, evaluate(P, y)) in set(B)
     )
     rep = config_count(ring, P, A, B)
     assert rep.count == want
@@ -474,7 +475,7 @@ def test_intersective_capped_cases_match_oracle(family, coeffs, bound):
     27 > 5^2: its roots 0, 3, 6 mod 9 are all singular."""
     v = intersectivity_oracle(family, coeffs, bound)
     assert v.unresolved and v.status == "WITNESS_FOUND"
-    assert v.to_dict() == reference_verdict(family, coeffs, bound)
+    assert vars(v) == reference_verdict(family, coeffs, bound)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -494,7 +495,7 @@ def test_intersective_integers_match_oracle(coeffs, bound):
         with pytest.raises(ParseError):
             intersectivity_oracle("INTEGERS", coeffs, bound)
         return
-    assert intersectivity_oracle("INTEGERS", coeffs, bound).to_dict() == want
+    assert vars(intersectivity_oracle("INTEGERS", coeffs, bound)) == want
 
 
 @st.composite
@@ -519,7 +520,7 @@ def test_intersective_fpt_match_oracle(case):
         with pytest.raises(ParseError):
             intersectivity_oracle(family, coeffs, bound)
         return
-    assert intersectivity_oracle(family, coeffs, bound).to_dict() == want
+    assert vars(intersectivity_oracle(family, coeffs, bound)) == want
 
 
 CLIMB_CASES = [
@@ -539,9 +540,9 @@ CLIMB_CASES = [
 def test_intersective_verdicts_do_not_depend_on_blocks(monkeypatch):
     """A block of a few entries splits every level into many blocks, often
     of one candidate; the verdicts stay those of the default block."""
-    want = [intersectivity_oracle(*case).to_dict() for case in CLIMB_CASES]
+    want = [vars(intersectivity_oracle(*case)) for case in CLIMB_CASES]
     monkeypatch.setattr(hensel, "_CLIMB_BLOCK", 7)
-    assert [intersectivity_oracle(*case).to_dict() for case in CLIMB_CASES] == want
+    assert [vars(intersectivity_oracle(*case)) for case in CLIMB_CASES] == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

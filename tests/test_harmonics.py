@@ -7,10 +7,11 @@ and 3 six times, giving |S|^2 = 1/3 at the fundamental character).
 import numpy as np
 import pytest
 
+from character_oracle import char_sum
+
 from ringlab.errors import WorkGuardExceeded, ZeroPolynomial
 from ringlab.harmonics import (
     character_bound_check,
-    exp_sum,
     exp_sums_all,
     random_functions,
     root_count_bound_check,
@@ -28,7 +29,7 @@ def test_exp_sums_all_matches_single():
     P = RingPoly.make(ring, (0, 0, 1))
     batch = exp_sums_all(ring, P)
     for p in range(ring.order):
-        assert batch[p] == pytest.approx(exp_sum(ring, P, p), abs=1e-12)
+        assert batch[p] == pytest.approx(char_sum(ring, p, P.values()) / ring.order, abs=1e-12)
 
 
 def test_gauss_tight_instances():
@@ -126,9 +127,9 @@ def test_te_routes_agree():
         ring = make_ring(spec)
         P = RingPoly.make(ring, (1, 0, 1))
         for f in random_functions(ring, 5, 17):
-            rep = te_estimate(ring, P, f)
-            assert rep.route_gap < 1e-8, spec
-            assert rep.satisfied, spec
+            rep = te_estimate(ring, P, f[None])
+            assert rep.route_gap[0] < 1e-8, spec
+            assert rep.satisfied[0], spec
 
 
 def test_te_rhs_formula():
@@ -136,10 +137,10 @@ def test_te_rhs_formula():
     ring = make_ring("Z/9")
     P = RingPoly.make(ring, (0, 0, 3))
     f = random_functions(ring, 1, 3)[0]
-    rep = te_estimate(ring, P, f)
+    rep = te_estimate(ring, P, f[None])
     norm = float(np.sqrt(np.mean(np.abs(f) ** 2)))
     assert rep.k == 2
-    assert rep.rhs == pytest.approx((1.0 / 3.0) ** 0.5 * norm, abs=1e-12)
+    assert rep.rhs[0] == pytest.approx((1.0 / 3.0) ** 0.5 * norm, abs=1e-12)
 
 
 def test_te_constant_polynomial_lhs_zero():
@@ -148,10 +149,10 @@ def test_te_constant_polynomial_lhs_zero():
     ring = make_ring("Z/8")
     P = RingPoly.make(ring, (5,))
     f = random_functions(ring, 1, 9)[0]
-    rep = te_estimate(ring, P, f)
-    assert rep.lhs < 1e-12
-    assert rep.rhs == 0.0
-    assert rep.satisfied
+    rep = te_estimate(ring, P, f[None])
+    assert rep.lhs[0] < 1e-12
+    assert rep.rhs[0] == 0.0
+    assert rep.satisfied[0]
 
 
 def test_te_additive_polynomial_lhs_zero():
@@ -160,10 +161,10 @@ def test_te_additive_polynomial_lhs_zero():
     ring = make_ring("GF(9)")
     P = RingPoly.make(ring, (0, 0, 0, 1))
     for f in random_functions(ring, 3, 21):
-        rep = te_estimate(ring, P, f)
-        assert rep.rhs == 0.0
-        assert rep.lhs < 1e-9
-        assert rep.satisfied
+        rep = te_estimate(ring, P, f[None])
+        assert rep.rhs[0] == 0.0
+        assert rep.lhs[0] < 1e-9
+        assert rep.satisfied[0]
 
 
 def test_te_sweep_matches_te_estimate():
@@ -179,12 +180,12 @@ def test_te_sweep_matches_te_estimate():
         assert np.array_equal(sweep["rhs"][i], batch.rhs)
         assert sweep["k"][i] == batch.k
         for j in range(4):
-            rep = te_estimate(ring, P, fs[j])
-            assert isinstance(rep.lhs, float) and isinstance(rep.satisfied, bool)
-            assert sweep["lhs"][i, j] == pytest.approx(rep.lhs, abs=1e-10)
-            assert sweep["rhs"][i, j] == pytest.approx(rep.rhs, abs=1e-10)
-            assert batch.ratio[j] == pytest.approx(rep.ratio, abs=1e-10)
-            assert batch.route_gap[j] < 1e-8 and bool(batch.satisfied[j]) == rep.satisfied
+            rep = te_estimate(ring, P, fs[j:j + 1])
+            assert rep.lhs.shape == rep.satisfied.shape == (1,)
+            assert sweep["lhs"][i, j] == pytest.approx(rep.lhs[0], abs=1e-10)
+            assert sweep["rhs"][i, j] == pytest.approx(rep.rhs[0], abs=1e-10)
+            assert batch.ratio[j] == pytest.approx(rep.ratio[0], abs=1e-10)
+            assert batch.route_gap[j] < 1e-8 and batch.satisfied[j] == rep.satisfied[0]
     assert np.all(sweep["lhs"] <= sweep["rhs"] + 1e-9)
     assert np.abs(sweep["lhs"] - sweep["fourier"]).max() < 1e-8
 
@@ -192,9 +193,9 @@ def test_te_sweep_matches_te_estimate():
 def test_vdc_full_subgroup_is_equality():
     """Averaging differences over the whole group reproduces |E f|^2."""
     ring = make_ring("Z/16")
-    f = random_functions(ring, 1, 8)[0]
+    f = random_functions(ring, 1, 8)
     rep = vdc_check(ring, full_subgroup(ring), f, 1)
-    assert rep.lhs == pytest.approx(rep.rhs_real, abs=1e-10)
+    assert rep.lhs[0] == pytest.approx(rep.rhs[0], abs=1e-10)
     assert rep.satisfied
 
 
@@ -202,11 +203,11 @@ def test_vdc_trivial_subgroup_is_jensen():
     """H = {0} turns the right side into E|f|^2, so the inequality is
     Jensen's, strict for nonconstant f."""
     ring = make_ring("Z/16")
-    f = random_functions(ring, 1, 8)[0]
+    f = random_functions(ring, 1, 8)
     rep = vdc_check(ring, trivial_subgroup(ring), f, 1)
     want = float(np.mean(np.abs(f) ** 2))
-    assert rep.rhs_real == pytest.approx(want, abs=1e-10)
-    assert rep.lhs < rep.rhs_real
+    assert rep.rhs[0] == pytest.approx(want, abs=1e-10)
+    assert rep.lhs[0] < rep.rhs[0]
 
 
 def test_vdc_sweep_small_rings():
@@ -228,14 +229,24 @@ def test_vdc_sweep_small_rings():
 
 def test_vdc_rejects_bad_k():
     ring = make_ring("Z/8")
-    f = random_functions(ring, 1, 0)[0]
+    f = random_functions(ring, 1, 0)
     with pytest.raises(ValueError):
         vdc_check(ring, full_subgroup(ring), f, 0)
 
 
+@pytest.mark.parametrize("shape", [(2, 5), (2, 12), (8,), (1, 2, 8)])
+def test_vdc_rejects_f_of_another_shape(shape):
+    """f must be a (count, n) batch: on Z/8 a (2, 5) batch used to raise a
+    bare IndexError, and a (2, 12) one to average 12 entries as if n were
+    8."""
+    ring = make_ring("Z/8")
+    with pytest.raises(ValueError, match="shape"):
+        vdc_check(ring, full_subgroup(ring), np.ones(shape), 1)
+
+
 def test_vdc_guard(monkeypatch):
     ring = make_ring("Z/64")
-    f = random_functions(ring, 1, 0)[0]
+    f = random_functions(ring, 1, 0)
     monkeypatch.setenv("RINGLAB_WORK_GUARD", "1000")
     with pytest.raises(WorkGuardExceeded):
         vdc_check(ring, full_subgroup(ring), f, 4)

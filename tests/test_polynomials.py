@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poly_oracle import evaluate, from_int_coeffs
+
 from ringlab.errors import ParseError, WorkGuardExceeded
 from ringlab.polynomials import (
     RingPoly,
@@ -59,12 +61,15 @@ def test_trailing_zero_coefficients_trimmed():
 
 
 def test_evaluate_and_values():
-    ring = make_ring("Z/9")
-    P = RingPoly.make(ring, (2, 0, 3, 1))
-    vals = P.values()
-    assert len(vals) == ring.order
-    for x in range(ring.order):
-        assert vals[x] == P.evaluate(x)
+    """The value table against scalar Horner at every point, on one ring
+    of each constructor."""
+    for spec in ("Z/9", "GF(9)", "GR(2,2,2)", "PQ(q=2;g=0,1,1)", "prod(Z/4;GF(4))"):
+        ring = make_ring(spec)
+        P = RingPoly.make(ring, (2, 0, 3, 1))
+        vals = P.values()
+        assert len(vals) == ring.order
+        for x in range(ring.order):
+            assert vals[x] == evaluate(P, x), spec
 
 
 def test_digit_sum():
@@ -238,7 +243,7 @@ def test_basis_search_matches_all_directions(family, data):
 def test_ddeg_below_degree(spec, coeffs, want):
     """Cases where the functional degree falls below deg P."""
     ring = make_ring(spec)
-    P = RingPoly.from_int_coeffs(ring, coeffs)
+    P = from_int_coeffs(ring, coeffs)
     assert P.degree > want
     assert derivational_degree(ring, P, mode="exact").k == want
     assert all_direction_ddeg(ring, P) == want

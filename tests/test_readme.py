@@ -1,0 +1,14 @@
+"""The README's "Library use" example runs as written, so a renamed or
+removed name cannot break the documented entry point."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_use_block_runs():
+    text = README.read_text()
+    section = text[text.index("## Library use"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})

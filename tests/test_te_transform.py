@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import te_oracle
+from poly_oracle import from_int_coeffs
 from test_polynomials import ORACLE_RINGS
 
 from ringlab import harmonics
@@ -55,7 +56,7 @@ def test_te_routes_match_the_n2_oracle(family, data):
 @pytest.mark.parametrize("spec", LARGE_RINGS)
 def test_te_routes_match_the_n2_oracle_near_order_1024(spec):
     ring = make_ring(spec)
-    P = RingPoly.from_int_coeffs(ring, (1, 1, 1, 1))
+    P = from_int_coeffs(ring, (1, 1, 1, 1))
     _check_against_oracle(ring, P, random_functions(ring, 2, 9), 9)
 
 
@@ -71,7 +72,7 @@ def test_sampled_check_sees_characters_out_of_order(spec, monkeypatch):
     the axis reversal lists the characters in another order; the sampled
     character check must see it. One cyclic factor has no axes to reverse."""
     ring = make_ring(spec)
-    P = RingPoly.from_int_coeffs(ring, (0, 1, 1))
+    P = from_int_coeffs(ring, (0, 1, 1))
     fs = random_functions(ring, 2, 5)
     honest = te_estimate(ring, P, fs, seed=3)
     assert np.all(honest.sample_gap < ROUTE_TOL)

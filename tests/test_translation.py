@@ -2,8 +2,8 @@
 
 Every translate in the package comes from Ring.add_table(shifts): one
 add_vec over the (len(shifts), order) grid, building only the rows asked
-for, either directly or through Ring.translates, which yields the rows in
-blocks of about 2^18 entries. Both are checked against the full table built
+for, either directly or through Ring.translate_blocks, which yields the
+rows in blocks of about 2^18 entries. Both are checked against the full table built
 one digit place at a time (tests/test_lanes.py) on every constructor, and
 every consumer is run once more with add_table replaced by rows of that
 table, which must not change a result. No consumer holds an order x order
@@ -17,13 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from poly_oracle import from_int_coeffs
 from test_lanes import _table_by_places
 
 from ringlab import rings
 from ringlab.combinatorics import adjacency_masks, config_count, forbidden_differences
 from ringlab.harmonics import random_functions, te_estimate, te_sweep, vdc_check
 from ringlab.paley import adjacency_matrix, build_paley, uniformity_measure
-from ringlab.polynomials import RingPoly, derivational_degree
+from ringlab.polynomials import derivational_degree
 from ringlab.subgroups import from_generators, value_subgroup
 
 # One ring per constructor.
@@ -46,10 +47,10 @@ def _results(spec: str) -> dict:
     """Everything that consumes translates, on a freshly built ring."""
     ring = rings.make_ring(spec)
     n = ring.order
-    P = RingPoly.from_int_coeffs(ring, (0, 1, 1))
-    Q = RingPoly.from_int_coeffs(ring, (1, 0, 0, 1))
+    P = from_int_coeffs(ring, (0, 1, 1))
+    Q = from_int_coeffs(ring, (1, 0, 0, 1))
     fs = random_functions(ring, 3, 11)
-    single = te_estimate(ring, P, fs[0])
+    single = te_estimate(ring, P, fs[:1])
     batch = te_estimate(ring, P, fs)
     sweep = te_sweep(ring, [P, Q], fs)
     vdc = vdc_check(ring, value_subgroup(ring, P), fs, 2)
@@ -61,12 +62,12 @@ def _results(spec: str) -> dict:
         "te_single": (single.lhs, single.fourier_lhs, single.rhs),
         "te_batch": np.stack([batch.lhs, batch.fourier_lhs, batch.rhs]),
         "sweep": np.stack([sweep["lhs"], sweep["fourier"], sweep["rhs"]]),
-        "vdc": np.stack([vdc.lhs, vdc.rhs_real]),
+        "vdc": np.stack([vdc.lhs, vdc.rhs]),
         "config": config.count,
-        "uniformity": uniformity.to_dict(),
+        "uniformity": vars(uniformity),
         "masks": adjacency_masks(ring, forbidden_differences(ring, P)),
         "adjacency": adjacency_matrix(graph),
-        "translates": np.stack([row for _, row in ring.translates(range(n))]),
+        "translates": np.vstack([table for _, table in ring.translate_blocks(range(n))]),
     }
 
 
@@ -101,10 +102,10 @@ def test_add_table_and_translates_match_place_table(spec, count, seed):
     table = _table_by_places(ring)
     shifts = np.random.default_rng(seed).integers(0, ring.order, count)
     np.testing.assert_array_equal(ring.add_table(shifts), table[shifts])
-    pairs = list(ring.translates(shifts))
-    assert [v for v, _ in pairs] == shifts.tolist()
-    for v, row in pairs:
-        np.testing.assert_array_equal(row, table[v])
+    blocks = list(ring.translate_blocks(shifts))
+    assert [v for block, _ in blocks for v in block.tolist()] == shifts.tolist()
+    for block, rows in blocks:
+        np.testing.assert_array_equal(rows, table[block])
 
 
 def test_add_table_has_no_cap():
@@ -135,5 +136,5 @@ def test_order_2048_consumers_stay_small():
     fs = random_functions(field, 1, 5)
     assert _peak_bytes(lambda: vdc_check(field, H, fs, 2)) < 2 << 20
     zmod = rings.make_ring("Z/2048")
-    P = RingPoly.from_int_coeffs(zmod, (0, 0, 0, 1))
+    P = from_int_coeffs(zmod, (0, 0, 0, 1))
     assert _peak_bytes(lambda: derivational_degree(zmod, P, mode="exact")) < 2 << 20

@@ -41,7 +41,7 @@ def test_coset_route_matches_the_direct_enumeration(family, data):
         st.integers(0, 2**16), label="seed"))
     rep = vdc_check(ring, H, fs, k)
     want = vdc_oracle.direct_rhs(ring, H, fs, k)
-    np.testing.assert_allclose(rep.rhs_real, want.real, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rep.rhs, want.real, rtol=1e-12, atol=0)
     assert rep.rhs_imag_max == 0.0
     assert rep.sample_points == min(SAMPLE_ROWS, n)
     assert rep.sample_gap < ROUTE_TOL
@@ -82,6 +82,6 @@ def test_deepest_k_stays_finite_and_overflow_is_refused():
     ring = make_ring("Z/8")
     H = trivial_subgroup(ring)
     rep = vdc_check(ring, H, random_functions(ring, 3, 0), VDC_MAX_K)
-    assert np.isfinite(rep.rhs_real).all() and rep.satisfied
+    assert np.isfinite(rep.rhs).all() and rep.satisfied
     with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
-        vdc_check(ring, H, np.full(8, 10.0), VDC_MAX_K)
+        vdc_check(ring, H, np.full((1, 8), 10.0), VDC_MAX_K)

@@ -23,9 +23,10 @@ from ringlab.paley import UniformityReport, spectrum
 
 def degrees_into(graph, a01):
     """deg_A(x) = #{a in A : x ~ a} for every x, one row at a time."""
+    xs = np.arange(graph.ring.order)
     out = np.zeros(graph.ring.order)
-    for _, row in graph.ring.translates(graph.connection_set):
-        out += a01[row]
+    for s in graph.connection_set:
+        out += a01[graph.ring.add_vec(xs, s)]
     return out
 
 
@@ -112,6 +113,6 @@ def config_count(ring, P, A, B):
     b01 = np.zeros(n, dtype=np.int64)
     b01[_element_set(ring, B)] = 1
     count = 0
-    for v, row in ring.translates(np.flatnonzero(mult)):
-        count += int(mult[v]) * int(a01 @ b01[row])
+    for v in np.flatnonzero(mult):
+        count += int(mult[v]) * int(a01 @ b01[ring.add_vec(np.arange(n), v)])
     return count
