@@ -20,7 +20,9 @@ numbers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import sys
 from datetime import datetime, timezone
@@ -395,7 +397,7 @@ def _cmd_batch(args) -> tuple[dict, int]:
         label = job.get("label", f"job{i}")
         if seed is not None and argv and argv[0] in _SEEDED and "--seed" not in argv:
             argv = argv + ["--seed", str(seed)]
-        doc, code = _run(argv)
+        doc, code = _run(argv, parse=_parse_job)
         overall = max(overall, code)
         row = {"label": label, "args": argv, "exit_code": code}
         if "error" in doc:
@@ -412,19 +414,33 @@ def _cmd_batch(args) -> tuple[dict, int]:
     return _envelope("batch", summary, seed=seed), overall
 
 
-def _run(argv: list[str] | None) -> tuple[dict, int]:
-    """Parse argv and run its subcommand. A RingLabError, raised while
-    parsing or running, becomes a structured error document: exit 2 for a
-    ParseError, which every usage error is, and 3 for every other (guard)
+def _run(argv: list[str] | None, parse=None) -> tuple[dict, int]:
+    """Parse argv (by `parse` if given) and run its subcommand. A RingLabError
+    from either step becomes a structured error document: exit 2 for a
+    ParseError, which every usage error is, and 3 for any other (guard)
     error. --help returns an empty document; argparse has printed the help."""
     try:
-        ns = build_parser().parse_args(argv)
+        ns = (parse or build_parser().parse_args)(argv)
         return ns.handler(ns)
     except SystemExit as exc:
         return {}, int(exc.code or 0)
     except RingLabError as exc:
         code = EXIT_PARSE if isinstance(exc, ParseError) else EXIT_GUARD
         return _error_doc(exc, code), code
+
+
+def _parse_job(argv: list[str]) -> argparse.Namespace:
+    """Parse a batch job's argv. A batch prints only its envelope, so a job
+    that would print itself is a ParseError before it runs: --help, whose
+    text is dropped, and paley --edges, whose n r / 2 lines are not kept."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            ns = build_parser().parse_args(argv)
+    except SystemExit:
+        raise ParseError("--help prints no report and cannot be a batch job") from None
+    if getattr(ns, "edges", False):
+        raise ParseError("paley --edges prints no report and cannot be a batch job")
+    return ns
 
 
 def _seed(text: str) -> int:

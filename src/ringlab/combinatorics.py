@@ -36,7 +36,7 @@ import numpy as np
 from .budget import charge, work_guard
 from .characters import character_table
 from .errors import HypothesisUnmet, ParseError, WorkGuardExceeded
-from .harmonics import exp_sums_all
+from .harmonics import BOUND_TOL, exp_sums_all
 from .hensel import _FpPoly, _FptLevels, _IntegerLevels, _irreducibles, _primes_upto, _sweep
 from .polynomials import RingPoly, bound_parameters, derivational_degree
 from .rings import PolyQuotientRing, Ring, ZModRing, distinct, is_prime
@@ -315,7 +315,6 @@ def sarkozy_bound_check(
     ring: Ring,
     P: RingPoly,
     measured_size: int,
-    ddeg_mode: str = "auto",
 ) -> SarkozyReport:
     """The difference-free size bound C |R| lpf^(-1/2^(k-1)) + d |R| / lpf.
 
@@ -336,7 +335,7 @@ def sarkozy_bound_check(
             "the size bound is not asserted in this case"
         )
     d = P.degree
-    dres = derivational_degree(ring, P, mode=ddeg_mode)
+    dres = derivational_degree(ring, P)
     bp = bound_parameters(ring, d, dres)
     k = bp.k
     lpf = ring.lpf()
@@ -351,7 +350,7 @@ def sarkozy_bound_check(
         poly=str(P),
         measured_size=measured_size,
         bound=float(bound),
-        satisfied=bool(measured_size <= bound + 1e-9),
+        satisfied=bool(measured_size <= bound + BOUND_TOL),
         constant_c=float(C),
         k=k,
         k_certified=bp.certified,

@@ -105,15 +105,6 @@ def _blocks(count: int, width: int):
     return (slice(s, min(s + step, count)) for s in range(0, count, step))
 
 
-def _narrowest_int(bound: int):
-    """The narrowest numpy integer type that holds every value of absolute
-    value up to bound, or object integers past int64."""
-    for bits, dtype in ((7, np.int8), (15, np.int16), (31, np.int32), (63, np.int64)):
-        if bound < 1 << bits:
-            return dtype
-    return object
-
-
 def _digit_grid(p: int, e: int) -> np.ndarray:
     """The p^e coefficient rows of length e in itertools.product order."""
     return np.arange(p**e)[:, None] // p ** np.arange(e - 1, -1, -1) % p
@@ -209,7 +200,7 @@ class _IntegerLevels:
     def __init__(self, P: list[int], primes: list[int], B: int):
         self.P = P
         self.pi = self.norm = primes
-        self.dtype = _narrowest_int((B * B) ** 2)
+        self.dtype = np.min_scalar_type(-1 - (B * B) ** 2)
 
     def start(self) -> np.ndarray:
         return np.zeros(len(self.pi), dtype=self.dtype)
@@ -254,8 +245,8 @@ class _FptLevels:
     def __init__(self, P: list[_FpPoly], F: Ring, gs: list[np.ndarray], B: int):
         p, E = F.order, len(gs)
         # Entries stay below (D + 1) (p-1)^2 + p, where D = deg g^j is at
-        # most 2 log_p B < 2 bit_length(B).
-        dtype = _narrowest_int(2 * B.bit_length() * (p - 1) ** 2 + p)
+        # most 2 log_p B < 2 bit_length(B); the narrowest signed type holds them.
+        dtype = np.min_scalar_type(-1 - (2 * B.bit_length() * (p - 1) ** 2 + p))
         self.F, self.p = F, p
         self.coeffs = [np.array(c.c, dtype=dtype) for c in P]
         self.degree = np.repeat(np.arange(1, E + 1), [len(g) for g in gs])

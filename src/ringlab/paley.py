@@ -67,7 +67,9 @@ def build_paley(ring: Ring, d: int) -> PaleyGraph:
     the flag."""
     if d < 2:
         raise ParseError("Paley construction needs d >= 2")
-    all_powers, powers, pm = _power_sets(ring, d)
+    all_powers = ring.pow_vec(np.arange(ring.order, dtype=np.int64), d)
+    powers = distinct(all_powers)
+    pm = distinct(powers, ring.neg_vec(powers))
     S = pm[pm != 0]
     kernel = int((all_powers == ring.one).sum())
     minus_one = bool((powers == ring.neg(ring.one)).any())
@@ -81,14 +83,6 @@ def build_paley(ring: Ring, d: int) -> PaleyGraph:
         minus_one_is_power=minus_one,
         char_divides_degree=ring.characteristic % d == 0,
     )
-
-
-def _power_sets(ring: Ring, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x^d for every x in index order, the sorted distinct d-th powers, and
-    the sorted plus-minus d-th powers {x^d} union {-x^d}."""
-    all_powers = ring.pow_vec(np.arange(ring.order, dtype=np.int64), d)
-    powers = distinct(all_powers)
-    return all_powers, powers, distinct(powers, ring.neg_vec(powers))
 
 
 @dataclass(frozen=True)
@@ -344,8 +338,9 @@ def quasirandomness_verdict(graph: PaleyGraph) -> QuasirandomnessVerdict:
     derivational degree of x^d. None when k < 2 (the criterion needs k - 1
     positive).
 
-    necessary_epsilon_floor: any residue field where the plus-minus d-th
-    powers miss an element forces epsilon >= sqrt((d-1) / (64 d^2 q)).
+    necessary_epsilon_floor: any residue field F_q where the plus-minus
+    d-th powers miss an element, which gcd(d, (q-1) / gcd(2, q-1)) > 1
+    decides, forces epsilon >= sqrt((d-1) / (64 d^2 q)).
 
     spectral_epsilon_floor: lambda2 / (8r); epsilon-uniformity for smaller
     epsilon would contradict the eigenvalue bound.
@@ -380,8 +375,11 @@ def quasirandomness_verdict(graph: PaleyGraph) -> QuasirandomnessVerdict:
         notes.append("derivational degree is an uncertified upper bound")
 
     bad_sizes = []
-    for size, fld in ring.residue_fields():
-        if _power_sets(fld, d)[2].size == fld.order:
+    for size, _ in ring.prime_ideal_profile():
+        # F_q^* is cyclic (Lidl & Niederreiter, Thm 2.8): its d-th powers
+        # are the subgroup of index gcd(d, q - 1), and with -1 that of index
+        # gcd(d, (q - 1) / 2) when q is odd; F_q is covered when it is 1.
+        if math.gcd(d, (size - 1) // math.gcd(2, size - 1)) == 1:
             continue
         if size == ring.order:
             # the zero ideal of a field: its residue field is the ring

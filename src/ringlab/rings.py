@@ -3,6 +3,8 @@
 Five constructions are supported: integers mod N, finite fields GF(p^e),
 quotients of a polynomial ring over a finite field by an arbitrary monic
 modulus, Galois rings Z[w]/(p^n, f(w)), and finite products of any of these.
+A ring's residue fields are only their sizes, in `prime_ideal_profile`:
+finite fields of one order are isomorphic, so none is built.
 
 Every ring enumerates its elements as indices 0..order-1. The additive group
 is a direct sum of cyclic groups and the index is the mixed-radix encoding of
@@ -331,7 +333,8 @@ class Ring:
     """Common element-index arithmetic over a fixed additive coordinate system.
 
     Subclasses must set `order`, `characteristic`, `_radices` and implement
-    `mul_vec`, `prime_ideal_profile`, `residue_fields` and `spec_string`.
+    `mul_vec`, `prime_ideal_profile` and `spec_string`; no ring builds its
+    residue fields, which the profile gives by their sizes alone.
     Addition is generic: it acts digit-wise on the mixed-radix coordinates.
     Scalar `mul` is `mul_vec` on 0-d arrays unless a subclass overrides it.
     """
@@ -416,10 +419,6 @@ class Ring:
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         """(residue field size, multiplicity) per prime ideal, sorted."""
-        raise NotImplementedError
-
-    def residue_fields(self) -> list[tuple[int, "Ring"]]:
-        """(residue field size, quotient ring) per prime ideal."""
         raise NotImplementedError
 
     def lpf(self) -> int:
@@ -639,9 +638,6 @@ class ZModRing(Ring):
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         return [(p, e) for p, e in self._factorization]
 
-    def residue_fields(self) -> list[tuple[int, Ring]]:
-        return [(p, ZModRing(p)) for p, _ in self._factorization]
-
     def spec_string(self) -> str:
         return f"Z/{self.n}"
 
@@ -680,9 +676,6 @@ class FiniteFieldRing(Ring):
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         return [(self.q, 1)]
-
-    def residue_fields(self) -> list[tuple[int, Ring]]:
-        return [(self.q, self)]
 
     def spec_string(self) -> str:
         if self._canonical:
@@ -795,15 +788,6 @@ class GaloisRingRing(_PolyModRing):
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         return [(self.p**self.r, self.n_exp)]
 
-    def residue_fields(self) -> list[tuple[int, Ring]]:
-        q = self.p**self.r
-        field: Ring
-        if self.r == 1:
-            field = ZModRing(self.p)
-        else:
-            field = FiniteFieldRing(q)
-        return [(q, field)]
-
     def spec_string(self) -> str:
         base = f"GR({self.p},{self.n_exp},{self.r})"
         if self._canonical:
@@ -875,17 +859,6 @@ class PolyQuotientRing(_PolyModRing):
         profile.sort()
         return profile
 
-    def residue_fields(self) -> list[tuple[int, Ring]]:
-        out: list[tuple[int, Ring]] = []
-        for f, _ in self.modulus_factors():
-            deg = len(f) - 1
-            if deg == 1:
-                out.append((self.q, self.base))
-            else:
-                out.append((self.q**deg, PolyQuotientRing(self.base, f)))
-        out.sort(key=lambda sr: sr[0])
-        return out
-
     def spec_string(self) -> str:
         return f"PQ(q={self.q};g={','.join(str(c) for c in self.g)})"
 
@@ -951,11 +924,6 @@ class ProductRing(Ring):
         ]
         profile.sort()
         return profile
-
-    def residue_fields(self) -> list[tuple[int, Ring]]:
-        out = [pair for f in self.factors for pair in f.residue_fields()]
-        out.sort(key=lambda sr: sr[0])
-        return out
 
     def spec_string(self) -> str:
         return f"prod({';'.join(f.spec_string() for f in self.factors)})"

@@ -4,13 +4,16 @@
 `edges` yields the edge pairs that `edge_lines` prints as text, and
 `eigenvector_identity_error` confirms the spectrum entrywise: every
 character is an eigenvector of the dense adjacency matrix, with the
-eigenvalue that `spectrum` reports for it.
+eigenvalue that `spectrum` reports for it. `residue_census` decides by
+brute force what the verdict decides by a gcd rule: which residue fields
+the plus-minus d-th powers fail to cover.
 """
 
 import numpy as np
 
 from ringlab.characters import character_table
 from ringlab.paley import adjacency_matrix, spectrum
+from ringlab.rings import make_ring
 
 
 def edges(graph):
@@ -31,3 +34,19 @@ def eigenvector_identity_error(graph) -> float:
     table = character_table(graph.ring)
     evals = spectrum(graph).eigenvalues
     return float(np.abs(A @ table - table * evals[None, :]).max())
+
+
+def residue_census(ring, d):
+    """(q, covered) per entry of the ring's prime ideal profile: whether
+    {x^d} union {-x^d} is all of GF(q), raised and negated element by
+    element. GF(q) stands for the residue field, since every field of
+    order q is isomorphic to it."""
+    out = []
+    for q, _ in ring.prime_ideal_profile():
+        field = make_ring(f"GF({q})")
+        hit = set()
+        for x in range(q):
+            power = field.pow(x, d)
+            hit.update((power, field.neg(power)))
+        out.append((q, len(hit) == q))
+    return out

@@ -565,6 +565,30 @@ def test_batch_job_error_does_not_stop_manifest(tmp_path, validator):
     assert jobs["bad"]["error"]["exit_code"] == 2
 
 
+def test_batch_refuses_jobs_that_print(tmp_path, capsys, validator):
+    """A job that would print to stdout itself, an edge list or argparse's
+    help, is a ParseError row that prints nothing, so stdout stays one
+    JSON envelope (both used to print before it, with exit 0)."""
+    manifest = {
+        "jobs": [
+            {"label": "edges", "args": ["paley", "--ring", "Z/5", "--d", "2", "--edges"]},
+            {"label": "help", "args": ["expsum", "--help"]},
+        ],
+    }
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert cli.main(["batch", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = json.loads(out)
+    validator.validate(doc)
+    assert doc["result"]["overall_exit"] == 2
+    for row in doc["result"]["jobs"]:
+        assert row["exit_code"] == 2 and "result" not in row, row["label"]
+        assert row["error"]["type"] == "ParseError"
+        assert "batch job" in row["error"]["message"]
+
+
 def test_batch_empty_manifest(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"jobs": []}))

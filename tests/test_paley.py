@@ -6,12 +6,16 @@ Paley graphs on Z/q have nontrivial eigenvalues (-1 +/- sqrt(q))/2, each
 with multiplicity (q-1)/2.
 """
 
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from paley_oracle import edges, eigenvector_identity_error
+from paley_oracle import edges, eigenvector_identity_error, residue_census
+from test_rings import explicit_specs, kernel_specs
 
 from ringlab import cli
 from ringlab.errors import CharDividesDegree, ParseError
@@ -23,7 +27,7 @@ from ringlab.paley import (
     spectrum,
     uniformity_measure,
 )
-from ringlab.rings import make_ring
+from ringlab.rings import Ring, make_ring
 
 
 def test_build_z13_connection_set():
@@ -232,6 +236,61 @@ def test_verdict_refused_when_char_divides_degree():
     assert graph.char_divides_degree
     with pytest.raises(CharDividesDegree):
         quasirandomness_verdict(graph)
+
+
+FIELD_NOTE = "plus-minus d-th powers do not cover the field itself"
+
+#: specs of all five constructors, orders kept below about a thousand
+CENSUS_SPECS = st.one_of(
+    st.integers(2, 1000).map(lambda n: f"Z/{n}"),
+    kernel_specs(max_order=512),
+    explicit_specs(),
+    st.builds(lambda n, right: f"prod(Z/{n};{right})", st.integers(2, 32),
+              kernel_specs(max_order=32).filter(lambda s: not s.startswith("prod"))),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(spec=CENSUS_SPECS, d=st.integers(2, 12))
+@example(spec="Z/35", d=2)
+@example(spec="GF(9)", d=2)
+@example(spec="GR(3,2,2)", d=4)
+@example(spec="PQ(q=3;g=1,0,0,1)", d=3)
+@example(spec="prod(Z/5;GF(16))", d=3)
+def test_census_matches_brute_force(spec, d):
+    """The gcd rule of the verdict against the census by brute force: the
+    bad sizes are the uncovered residue fields other than the ring itself,
+    the necessary floor is the largest of their floors, and a field that
+    its own plus-minus d-th powers miss carries the one note instead."""
+    ring = make_ring(spec)
+    graph = build_paley(ring, d)
+    assume(not graph.char_divides_degree)
+    verdict = quasirandomness_verdict(graph)
+    census = residue_census(ring, d)
+    bad = sorted(q for q, covered in census if not covered and q != ring.order)
+    assert verdict.bad_prime_sizes == bad
+    floor = max((math.sqrt((d - 1) / (64 * d * d * q)) for q in bad), default=None)
+    assert verdict.necessary_epsilon_floor == floor
+    missed_itself = (ring.order, False) in census
+    assert sum(n.startswith(FIELD_NOTE) for n in verdict.notes) == missed_itself
+
+
+@pytest.mark.parametrize(
+    "spec, d",
+    [("Z/35", 2), ("GR(3,2,2)", 2), ("prod(Z/5;Z/7)", 2), ("PQ(q=2;g=1,1,1)", 3)],
+)
+def test_verdict_builds_no_ring(spec, d, monkeypatch):
+    """The census reads the residue field sizes of the prime ideal profile
+    and builds no field: no characteristic here divides d, and each of
+    these rings used to construct its residue fields to raise them to the
+    d-th power."""
+    graph = build_paley(make_ring(spec), d)
+
+    def refuse(self):
+        raise AssertionError("quasirandomness_verdict built a ring")
+
+    monkeypatch.setattr(Ring, "__init__", refuse)
+    quasirandomness_verdict(graph)
 
 
 def test_uniformity_exhaustive_z5():

@@ -390,9 +390,10 @@ def test_mul_vec_matches_tower_oracle(spec, seed):
 
 def _extension_fields(ring):
     """Every GF(p^e) with e >= 2 inside a ring: itself, the factors of a
-    product, the coefficient field of a quotient and the residue fields."""
+    product, the coefficient field of a quotient, and GF(q) for every
+    residue field size q = p^e in its prime ideal profile."""
     parts = [ring, *getattr(ring, "factors", ()), getattr(ring, "base", None)]
-    parts += [field for _, field in ring.residue_fields()]
+    parts += [make_ring(f"GF({q})") for q, _ in ring.prime_ideal_profile() if not is_prime(q)]
     found = {}
     for part in parts:
         if isinstance(part, FiniteFieldRing) and part.e >= 2:
