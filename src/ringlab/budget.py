@@ -5,6 +5,8 @@ ring construction and a work guard on exhaustive sweeps (difference spaces,
 root counting, subgroup duals). They are set only through the environment
 variables RINGLAB_ORDER_GUARD and RINGLAB_WORK_GUARD, which must hold
 positive integers when set; this module is the one place that reads them.
+Arrays whose size grows with a caller's input are built in blocks of at
+most BLOCK_ENTRIES entries, sliced by `blocks`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from .errors import ParseError, WorkGuardExceeded
 
 DEFAULT_ORDER_GUARD = 1 << 20
 DEFAULT_WORK_GUARD = 1 << 24
+#: entries per block of an array built in blocks: translates, the sampled
+#: check of te_estimate, the Hensel climb, its sieve and the antilog build
+BLOCK_ENTRIES = 1 << 18
 
 
 def _from_env(name: str, fallback: int) -> int:
@@ -46,3 +51,10 @@ def charge(work, what: str) -> None:
     limit = work_guard()
     if work > limit:
         raise WorkGuardExceeded(f"{what} needs {work} work, budget {limit}")
+
+
+def blocks(count: int, width: int):
+    """Consecutive slices of range(count), each covering at least one row
+    and at most BLOCK_ENTRIES entries at width entries a row."""
+    step = max(1, BLOCK_ENTRIES // width)
+    return (slice(s, min(s + step, count)) for s in range(0, count, step))

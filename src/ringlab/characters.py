@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rings import Ring
+from .rings import Ring, digits_of, join_index
 
 
 class CharacterGroup:
@@ -53,11 +53,7 @@ class CharacterGroup:
     def coeffs(self, positions) -> np.ndarray:
         """Coefficient tuples of the characters at these positions, shape
         positions.shape + (k,), first coefficient most significant."""
-        rest = np.asarray(positions, dtype=np.int64)
-        out = np.empty(rest.shape + (len(self.radices),), dtype=np.int64)
-        for i in reversed(range(len(self.radices))):
-            rest, out[..., i] = np.divmod(rest, self.radices[i])
-        return out
+        return digits_of(positions, self.radices[::-1])[..., ::-1]
 
     def position(self, coeffs: Sequence[int]) -> int:
         """Position of the character with these coefficients, each reduced
@@ -66,10 +62,7 @@ class CharacterGroup:
             raise ValueError(
                 f"expected {len(self.radices)} coefficients, got {len(coeffs)}"
             )
-        position = 0
-        for s, m in zip(coeffs, self.radices):
-            position = position * m + int(s) % m
-        return position
+        return join_index(coeffs[::-1], self.radices[::-1])
 
     def angles(self, elements, chars=None) -> np.ndarray:
         """Exact angles mod L of chi_j(x), rows x over the elements, columns

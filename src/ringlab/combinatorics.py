@@ -39,7 +39,7 @@ from .errors import HypothesisUnmet, ParseError, WorkGuardExceeded
 from .harmonics import BOUND_TOL, exp_sums_all
 from .hensel import _FpPoly, _FptLevels, _IntegerLevels, _irreducibles, _primes_upto, _sweep
 from .polynomials import RingPoly, bound_parameters, derivational_degree
-from .rings import PolyQuotientRing, Ring, ZModRing, distinct, is_prime
+from .rings import PolyQuotientRing, Ring, ZModRing, distinct, is_prime, join_index
 from .subgroups import constant_in_subgroup
 
 
@@ -430,7 +430,7 @@ def intersectivity_oracle(family: str, coeffs: Sequence, bound: int) -> Intersec
         def quotient(g, j, N):
             gj = math.prod([g] * j)
             Q = PolyQuotientRing(F, gj.c, _guard_checked=True)
-            return Q, [Q.from_coeffs((c % gj).c) for c in P]
+            return Q, [join_index((c % gj).c, Q.additive_orders()) for c in P]
 
         def witness_of(g, j, N):
             return {"g": list(g.c), "exponent": j, "quotient_order": N}

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .budget import charge
+from .budget import blocks, charge
 from .characters import (
     all_char_sums,
     annihilator_mask,
@@ -59,9 +59,6 @@ ROUTE_TOL = 1e-8
 # sample apart from the seed's own stream of test functions.
 SAMPLE_ROWS = 16
 _SAMPLE_SEED = 0x7E57
-# Entries of one block of the sampled check's rows and character columns,
-# each of order length: at order 2^20 the 16 rows at once took 512 MB.
-_SAMPLE_BLOCK = 1 << 18
 # |f| <= sqrt(2) makes k-fold differences up to 2^(2^(k-1)): inf at k = 11.
 VDC_MAX_K = 10
 
@@ -292,8 +289,9 @@ def te_estimate(
     xs, chars = (rng.choice(n, size=m, replace=False) for _ in range(2))
     exact_g = np.empty((len(fs), m), dtype=np.complex128)
     exact_sums = np.empty((len(batch), m), dtype=np.complex128)
-    step = max(1, _SAMPLE_BLOCK // n)
-    for block in (slice(s, s + step) for s in range(0, m, step)):
+    # Rows and character columns of order length, in blocks: at order 2^20
+    # the 16 rows at once took 512 MB.
+    for block in blocks(m, n):
         by_values, by_coset = (ring.add_vec(xs[block, None], v) for v in (values, coset))
         exact_g[:, block] = [row[by_values].mean(axis=1) - row[by_coset].mean(axis=1) for row in fs]
         # einsum, not a BLAS product: threaded zgemm on thin matrices can
@@ -453,25 +451,14 @@ class RootCountReport:
     satisfied: bool
 
 
-def _trim_tensor(arr: np.ndarray) -> np.ndarray:
-    for axis in range(arr.ndim):
-        while arr.shape[axis] > 1:
-            sl = [slice(None)] * arr.ndim
-            sl[axis] = arr.shape[axis] - 1
-            if np.any(arr[tuple(sl)]):
-                break
-            keep = [slice(None)] * arr.ndim
-            keep[axis] = slice(0, arr.shape[axis] - 1)
-            arr = arr[tuple(keep)]
-    return arr
-
-
 def root_count_bound_check(ring: Ring, coeffs) -> RootCountReport:
     """Count the roots of a nonzero polynomial in at most 3 variables by
     exhaustive evaluation and compare with (sum of degrees) |R|^l / lpf.
 
     coeffs is a nested list: level i indexes the exponent of variable i,
-    innermost entries are element indices.
+    innermost entries are element indices. The polynomial is evaluated by
+    nested Horner, variable i along axis i of the grid, after its trailing
+    zero coefficients are sliced off.
     """
     try:
         arr = np.asarray(coeffs, dtype=np.int64)
@@ -485,36 +472,28 @@ def root_count_bound_check(ring: Ring, coeffs) -> RootCountReport:
         raise ValueError("at most 3 variables are supported")
     if not np.all((arr >= 0) & (arr < ring.order)):
         raise ValueError("coefficients must be element indices")
-    arr = _trim_tensor(arr)
     if not arr.any():
         raise ZeroPolynomial("the zero polynomial has every point as a root")
     l = arr.ndim
     n = ring.order
     charge(n**l, f"root counting over {n}^{l} points")
-    degrees = tuple(s - 1 for s in arr.shape)
+    degrees = tuple(int(i.max()) for i in np.nonzero(arr))
+    arr = arr[tuple(slice(d + 1) for d in degrees)]
+    # Variable i runs along axis i: its values lie along the first axis of
+    # the grid of variables i..l-1, which the inner levels' values fill.
+    xs = [np.arange(n, dtype=np.int64).reshape((n,) + (1,) * (l - 1 - i)) for i in range(l)]
 
-    xs = np.arange(n, dtype=np.int64)
-    pow_tables = []
-    for axis in range(l):
-        powers = [np.zeros(n, dtype=np.int64) + ring.one]
-        for _ in range(arr.shape[axis] - 1):
-            powers.append(ring.mul_vec(powers[-1], xs))
-        pow_tables.append(powers)
+    def horner(sub: np.ndarray, i: int):
+        """The polynomial with coefficient tensor sub in the variables i..l-1,
+        on their grid."""
+        if i == l:
+            return sub
+        acc = horner(sub[-1], i + 1)
+        for c in sub[-2::-1]:
+            acc = ring.add_vec(ring.mul_vec(acc, xs[i]), horner(c, i + 1))
+        return acc
 
-    grid_shape = (n,) * l
-    total = np.zeros(grid_shape, dtype=np.int64)
-    for exponents in np.ndindex(*arr.shape):
-        c = int(arr[exponents])
-        if c == 0:
-            continue
-        term = np.full(grid_shape, c, dtype=np.int64)
-        for axis, e in enumerate(exponents):
-            if e == 0:
-                continue
-            shape = [1] * l
-            shape[axis] = n
-            term = ring.mul_vec(term, pow_tables[axis][e].reshape(shape))
-        total = ring.add_vec(total, term)
+    total = np.broadcast_to(horner(arr, 0), (n,) * l)
     count = int((total == 0).sum())
     bound = sum(degrees) * n**l / ring.lpf()
     return RootCountReport(

@@ -22,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .rings import Ring, _pdivmod, _pmul, _ptrim
+from .budget import blocks
+from .rings import Ring, _pdivmod, _pmul, _ptrim, digits_of
 
 
 @dataclass(order=True, slots=True)
@@ -92,22 +93,9 @@ def _valuation(value, pi) -> float:
     return v
 
 
-# Entries in one block of the climb's arrays: a level's candidates, their
-# products and the sieve's products are built this many at a time, so memory
-# stays bounded however many candidates a level holds.
-_CLIMB_BLOCK = 1 << 18
-
-
-def _blocks(count: int, width: int):
-    """Consecutive slices of range(count), each covering at least one row
-    and at most _CLIMB_BLOCK entries at width entries a row."""
-    step = max(1, _CLIMB_BLOCK // width)
-    return (slice(s, min(s + step, count)) for s in range(0, count, step))
-
-
 def _digit_grid(p: int, e: int) -> np.ndarray:
     """The p^e coefficient rows of length e in itertools.product order."""
-    return np.arange(p**e)[:, None] // p ** np.arange(e - 1, -1, -1) % p
+    return digits_of(np.arange(p**e), (p,) * e)[:, ::-1]
 
 
 def _rows_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -149,11 +137,11 @@ def _rows_divisible(a: np.ndarray, top: np.ndarray, degree: np.ndarray, p: int) 
     return ~(out % p).any(axis=1)
 
 
-def _padded(blocks: list[np.ndarray], width: int) -> np.ndarray:
-    """The rows of blocks stacked, each padded with zeros to width."""
-    out = np.zeros((sum(map(len, blocks)), width), dtype=blocks[0].dtype)
+def _padded(parts: list[np.ndarray], width: int) -> np.ndarray:
+    """The rows of parts stacked, each padded with zeros to width."""
+    out = np.zeros((sum(map(len, parts)), width), dtype=parts[0].dtype)
     row = 0
-    for b in blocks:
+    for b in parts:
         out[row:row + len(b), :b.shape[1]] = b
         row += len(b)
     return out
@@ -185,7 +173,7 @@ def _irreducibles(p: int, top: int) -> list[np.ndarray]:
         reducible = np.zeros(p**e, dtype=bool)
         for d in range(1, e // 2 + 1):
             a, b = _monic(found[d - 1]), _monic(grids[e - d])
-            for block in _blocks(len(a) * len(b), e + 1):
+            for block in blocks(len(a) * len(b), e + 1):
                 ia, ib = np.divmod(np.arange(block.start, block.stop), len(b))
                 reducible[_rows_mul(a[ia], b[ib])[:, :e] % p @ place] = True
         found.append(grids[e][~reducible])
@@ -322,7 +310,7 @@ def _climb(levels, P: list, tops: list[int]) -> list[tuple[str, int]]:
         width = levels.level(j, live)
         R = int(norm[live].max())
         found = []
-        for block in _blocks(len(owner) * R, width):
+        for block in blocks(len(owner) * R, width):
             src, t = np.divmod(np.arange(block.start, block.stop), R)
             o = owner[src]
             inside = t < norm[o]

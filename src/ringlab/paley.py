@@ -34,7 +34,6 @@ from .rings import Ring, distinct
 #: exhaustive uniformity sweeps iterate all 2^|R| subsets; 10 keeps the
 #: sweep near a thousand set choices
 EXHAUSTIVE_UNIFORMITY_CAP = 10
-_ADJACENCY_CAP = 64
 
 
 @dataclass
@@ -135,18 +134,6 @@ def _spectrum(graph: PaleyGraph) -> SpectrumReport:
     )
 
 
-def adjacency_matrix(graph: PaleyGraph) -> np.ndarray:
-    """Dense 0/1 adjacency of a small graph: x ~ x + s for s in S."""
-    ring = graph.ring
-    n = ring.order
-    if n > _ADJACENCY_CAP:
-        raise WorkGuardExceeded(f"dense adjacency is limited to order {_ADJACENCY_CAP}")
-    A = np.zeros((n, n), dtype=np.int64)
-    for _, table in ring.translate_blocks(graph.connection_set):
-        A[np.arange(n), table] = 1
-    return A
-
-
 def edge_lines(graph: PaleyGraph) -> Iterator[str]:
     """Every unordered edge once as a "u v" line with u < v, in
     lexicographic order, one vertex at a time: the neighbours of u are
@@ -176,15 +163,13 @@ class UniformityReport:
     seed: int | None = None
 
 
-def _degrees_into(graph: PaleyGraph, a: list[int]) -> np.ndarray:
-    """deg_A(x) = #{a in A : x ~ a} for every x, one gather per block of
-    translates; sums of 0/1 values, exact in any order."""
-    ring = graph.ring
-    a01 = np.zeros(ring.order)
-    a01[np.asarray(a, dtype=np.int64)] = 1.0
-    out = np.zeros(ring.order)
-    for _, table in ring.translate_blocks(graph.connection_set):
-        out += a01[table].sum(axis=0)
+def _degrees_into(graph: PaleyGraph, a01: np.ndarray) -> np.ndarray:
+    """deg_A(x) = #{a in A : x ~ a} for every x and every 0/1 row A of a01,
+    shape (..., order), in that shape: one gather per block of translates;
+    sums of 0/1 values, exact in any order."""
+    out = np.zeros(a01.shape)
+    for _, table in graph.ring.translate_blocks(graph.connection_set):
+        out += a01[..., table].sum(axis=-2)
     return out
 
 
@@ -237,11 +222,12 @@ def uniformity_measure(
                 f"exhaustive uniformity is limited to order "
                 f"{EXHAUSTIVE_UNIFORMITY_CAP}, ring has order {n}"
             )
-        # All 2^n sets A at once: row A of bits @ adjacency is deg_A. The sums
-        # run over x in order, as the scalar loop added them, and the first
-        # argmax is the set that its strict > update kept.
+        # All 2^n sets A at once, one row of bits each. The sums run over x
+        # in order, as the scalar loop added them, and the first argmax is
+        # the set that its strict > update kept.
         bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-        centered = bits @ adjacency_matrix(graph) - (r * bits.sum(axis=1) / n)[:, None]
+        degrees = _degrees_into(graph, bits)
+        centered = degrees - (r * bits.sum(axis=1) / n)[:, None]
         pos, neg = np.zeros(1 << n), np.zeros(1 << n)
         for c in centered.T:
             pos += np.where(c > 0, c, 0.0)
@@ -251,8 +237,7 @@ def uniformity_measure(
         pairs_examined, best = 1 << n, float(devs[i]) / (r * n)
         best_a = np.flatnonzero(bits[i]).tolist()
         best_b = np.flatnonzero((1 if pos[i] >= neg[i] else -1) * centered[i] > 0).tolist()
-        deg_a = _degrees_into(graph, best_a)
-        _, mixing_worst = _pair_deviation(graph, deg_a, best_a, best_b, lam2)
+        _, mixing_worst = _pair_deviation(graph, degrees[i], best_a, best_b, lam2)
         mixing_checked = 1
         mixing_ok = mixing_worst <= 0
     else:
@@ -285,7 +270,8 @@ def uniformity_measure(
         last_a = None
         for a, b in pair_list:
             if a != last_a:  # structured pairs come grouped by A
-                last_a, deg_a = a, _degrees_into(graph, a)
+                a01 = np.bincount(np.asarray(a, dtype=np.int64), minlength=n)
+                last_a, deg_a = a, _degrees_into(graph, a01)
             raw_dev, slack = _pair_deviation(graph, deg_a, a, b, lam2)
             dev = raw_dev / (r * n)
             if dev > best:

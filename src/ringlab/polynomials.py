@@ -40,7 +40,7 @@ import numpy as np
 
 from .budget import charge, work_guard
 from .errors import ParseError, WorkGuardExceeded
-from .rings import Ring, _ptrim, factorize, is_prime
+from .rings import Ring, _ptrim, factorize, is_prime, poly_str
 
 @dataclass(frozen=True)
 class RingPoly:
@@ -58,10 +58,6 @@ class RingPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     @property
     def is_constant(self) -> bool:
@@ -88,17 +84,12 @@ class RingPoly:
         return [(j, c) for j, c in enumerate(self.coeffs) if c != 0]
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for j, c in self.monomials():
-            s = self.ring.element_str(c)
-            if j == 0:
-                parts.append(s)
-            else:
-                head = "" if c == self.ring.one else f"({s})"
-                parts.append(f"{head}x" if j == 1 else f"{head}x^{j}")
-        return " + ".join(parts)
+        ring = self.ring
+
+        def head(c: int) -> str:
+            return "" if c == ring.one else f"({ring.element_str(c)})"
+
+        return poly_str(self.coeffs, "x", head, const=ring.element_str)
 
 
 def parse_poly_literal(ring: Ring, text: str) -> RingPoly:
@@ -270,21 +261,16 @@ def _bound_ddeg(ring: Ring, P: RingPoly) -> DdegResult:
         # Constant polynomials are constant functions.
         return DdegResult(0, "degree", True)
     d = P.degree
-    char = ring.characteristic
-    char_factors = factorize(char)
-    smallest = char_factors[0][0]
-    if d < smallest:
+    char_factors = factorize(ring.characteristic)
+    if d < char_factors[0][0]:
         # The d-fold difference in directions (1, ..., 1) equals d! times the
         # leading coefficient plus lower terms' contributions of degree 0;
         # d! is a unit, so the degree is attained exactly.
         return DdegResult(d, "degree", True)
-    if len(char_factors) == 1 and char_factors[0][1] == 1:
-        p = smallest
-        k = max(digit_sum(m, p) for m, _ in P.monomials() if m >= 1)
-        return DdegResult(k, "digit-sum", False)
     if all(e == 1 for _, e in char_factors):
         # Squarefree characteristic: the ring is a product of prime
-        # characteristic rings, and the digit-sum bound applies factorwise.
+        # characteristic rings (one when the characteristic is prime), and
+        # the digit-sum bound applies factorwise.
         k = max(
             digit_sum(m, p)
             for p, _ in char_factors

@@ -8,13 +8,18 @@ finite fields of one order are isomorphic, so none is built.
 
 Every ring enumerates its elements as indices 0..order-1. The additive group
 is a direct sum of cyclic groups and the index is the mixed-radix encoding of
-the coordinate vector, least significant coordinate first. Index 0 is always
-the zero element, and the multiplicative identity is always index 1 for the
-single-component constructions. Element indices are plain Python ints, which
-keeps bulk arithmetic vectorisable with numpy and makes reports JSON-stable.
-Every translate x -> x + v comes from `Ring.add_table(shifts)`, which builds
+the coordinate vector, least significant coordinate first: in PQ the
+coefficient of t^j sits at place q^j, and the first factor of a product is
+least significant. `split_index`, `join_index` and `digits_of` are the one
+codec, which the rings, the character positions (coefficients most
+significant first) and the Hensel climb's digit rows all call; `poly_str`
+is the one polynomial formatter. Index 0 is always the zero element, and
+the multiplicative identity is always index 1 for the single-component
+constructions. Element indices are plain Python ints, which keeps bulk
+arithmetic vectorisable with numpy and makes reports JSON-stable. Every
+translate x -> x + v comes from `Ring.add_table(shifts)`, which builds
 only the rows asked for; `Ring.translate_blocks` hands them out in blocks
-of bounded size.
+of at most `budget.BLOCK_ENTRIES` entries.
 
 Each ring class has one multiplication route. Z/N and GF(p) multiply
 residues mod their characteristic (`Ring._mul_residues`). GF(p^e) with
@@ -49,11 +54,38 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .budget import order_guard
+from .budget import blocks, order_guard
 from .errors import NotIrreducible, NotMonic, OrderTooLarge, ParseError
 
-#: entries per block of rows that `Ring.translate_blocks` builds at once
-_TRANSLATE_BLOCK = 1 << 18
+
+def split_index(x: int, radices: Sequence[int]) -> tuple[int, ...]:
+    """The digits of index x in the mixed radix radices, least significant
+    first."""
+    out = []
+    for m in radices:
+        x, d = divmod(x, m)
+        out.append(d)
+    return tuple(out)
+
+
+def join_index(ds: Sequence[int], radices: Sequence[int]) -> int:
+    """The index whose digits in the mixed radix radices are ds, least
+    significant first: each digit is reduced mod its radix, and digits
+    past the shorter of ds and radices count as zero."""
+    x, place = 0, 1
+    for d, m in zip(ds, radices):
+        x += int(d) % m * place
+        place *= m
+    return x
+
+
+def digits_of(a, radices: Sequence[int]) -> np.ndarray:
+    """`split_index` of every entry of a, shape a.shape + (len(radices),)."""
+    rest = np.asarray(a, dtype=np.int64)
+    out = np.empty(rest.shape + (len(radices),), dtype=np.int64)
+    for i, m in enumerate(radices):
+        rest, out[..., i] = np.divmod(rest, m)
+    return out
 
 
 def distinct(*arrays) -> np.ndarray:
@@ -249,10 +281,6 @@ def _defining_polynomial(
     return (canonical, True) if given is None else (f, f == canonical)
 
 
-#: digit rows per block of the antilog build, about 2^18 digits
-_ANTILOG_BLOCK = 1 << 14
-
-
 @functools.lru_cache(maxsize=None)
 def field_log_tables(p: int, e: int, h: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(log, antilog) of GF(p^e) = (Z/p)[u]/(h), e >= 2, for the product
@@ -285,10 +313,9 @@ def field_log_tables(p: int, e: int, h: tuple[int, ...]) -> tuple[np.ndarray, np
         count = min(k, n - k)
         # Exact in float64: each entry sums e products of two digits < p.
         by = step.T.astype(np.float64)
-        for s in range(0, count, _ANTILOG_BLOCK):
-            t = min(s + _ANTILOG_BLOCK, count)
-            rows[k + s:k + t] = (rows[s:t] @ by).astype(np.int64) % p
-            antilog[k + s:k + t] = rows[k + s:k + t] @ places
+        for block in blocks(count, e):
+            rows[k:][block] = (rows[block] @ by).astype(np.int64) % p
+            antilog[k:][block] = rows[k:][block] @ places
         step = step @ step % p
         k += count
     antilog[n:2 * n - 1] = antilog[:n - 1]
@@ -318,7 +345,7 @@ def _primitive_step(p: int, e: int, h: tuple[int, ...]) -> np.ndarray:
 
     identity, cofactors = u_powers[0], [n // r for r, _ in factorize(n)]
     for g in range(p, n + 1):
-        G = sum((g // p**a % p) * u_powers[a] for a in range(e)) % p
+        G = sum(d * power for d, power in zip(split_index(g, (p,) * e), u_powers)) % p
         if all(not np.array_equal(_power(mul, G, c), identity) for c in cofactors):
             return G
     raise RuntimeError(f"no primitive element modulo {list(h)} over Z/{p}")
@@ -379,17 +406,10 @@ class Ring:
         return self._radices
 
     def digits(self, x: int) -> tuple[int, ...]:
-        out = []
-        for m in self._radices:
-            x, d = divmod(x, m)
-            out.append(d)
-        return tuple(out)
+        return split_index(x, self._radices)
 
     def from_digits(self, ds: Sequence[int]) -> int:
-        x = 0
-        for d, m, pl in zip(ds, self._radices, self._places):
-            x += (d % m) * int(pl)
-        return x
+        return join_index(ds, self._radices)
 
     def add(self, a: int, b: int) -> int:
         if self._lanes:
@@ -465,13 +485,7 @@ class Ring:
     # -- vectorised coordinate arithmetic -----------------------------------
 
     def _digits_of(self, a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        out = np.empty(a.shape + (len(self._radices),), dtype=np.int64)
-        rest = a
-        for i, m in enumerate(self._radices):
-            rest, d = np.divmod(rest, m)
-            out[..., i] = d
-        return out
+        return digits_of(a, self._radices)
 
     def _from_digit_array(self, ds: np.ndarray) -> np.ndarray:
         return (ds % self._radices_arr) @ self._places
@@ -563,13 +577,12 @@ class Ring:
 
     def translate_blocks(self, shifts):
         """(block of shifts, its `add_table`) over consecutive blocks of the
-        shifts in order, each table about 2^18 entries, so memory stays
-        bounded at every order however many shifts are asked for."""
+        shifts in order, each table at most `budget.BLOCK_ENTRIES` entries
+        (one row at least), so memory stays bounded at every order however
+        many shifts are asked for."""
         shifts = np.asarray(shifts, dtype=np.int64)
-        step = max(1, _TRANSLATE_BLOCK // self.order)
-        for start in range(0, shifts.size, step):
-            block = shifts[start:start + step]
-            yield block, self.add_table(block)
+        for block in blocks(shifts.size, self.order):
+            yield shifts[block], self.add_table(shifts[block])
 
 
 def _power(mul, a, e: int):
@@ -683,7 +696,7 @@ class FiniteFieldRing(Ring):
         return f"GF({self.q};h={','.join(str(c) for c in self.defining)})"
 
     def element_str(self, x: int) -> str:
-        return _poly_str(self.digits(x), "u")
+        return poly_str(self.digits(x), "u", _digit_head)
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +808,7 @@ class GaloisRingRing(_PolyModRing):
         return base[:-1] + f";f={','.join(str(c) for c in self.defining)})"
 
     def element_str(self, x: int) -> str:
-        return _poly_str(self.digits(x), "w")
+        return poly_str(self.digits(x), "w", _digit_head)
 
 
 # ---------------------------------------------------------------------------
@@ -836,18 +849,8 @@ class PolyQuotientRing(_PolyModRing):
         self._radices = base.additive_orders() * m
         super().__init__(base, g)
 
-    def coeffs(self, x: int) -> list[int]:
-        out = []
-        for _ in range(self.m):
-            x, d = divmod(x, self.q)
-            out.append(d)
-        return out
-
-    def from_coeffs(self, cs: Sequence[int]) -> int:
-        x = 0
-        for c in reversed(list(cs)):
-            x = x * self.q + c
-        return x
+    def coeffs(self, x: int) -> tuple[int, ...]:
+        return split_index(x, (self.q,) * self.m)
 
     def modulus_factors(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         return self.memo("modulus_factors", lambda: tuple(factor_poly(self.g, self.base)))
@@ -864,9 +867,12 @@ class PolyQuotientRing(_PolyModRing):
 
     def element_str(self, x: int) -> str:
         if self.q == self.characteristic:
-            return _poly_str(self.coeffs(x), "t")
-        parts = [f"({self.base.element_str(c)})" for c in self.coeffs(x)]
-        return _poly_str_generic(parts, self.coeffs(x), "t")
+            return poly_str(self.coeffs(x), "t", _digit_head)
+
+        def part(c: int) -> str:
+            return f"({self.base.element_str(c)})"
+
+        return poly_str(self.coeffs(x), "t", part, const=part)
 
 
 # ---------------------------------------------------------------------------
@@ -891,21 +897,11 @@ class ProductRing(Ring):
         self._radices = tuple(
             m for f in factors for m in f.additive_orders()
         )
-        self.one = self.join([f.one for f in factors])
+        self.one = join_index([f.one for f in factors], [f.order for f in factors])
         super().__init__()
 
-    def split(self, x: int) -> list[int]:
-        out = []
-        for f in self.factors:
-            x, c = divmod(x, f.order)
-            out.append(c)
-        return out
-
-    def join(self, comps: Sequence[int]) -> int:
-        x = 0
-        for f, c in zip(reversed(self.factors), reversed(list(comps))):
-            x = x * f.order + c
-        return x
+    def split(self, x: int) -> tuple[int, ...]:
+        return split_index(x, [f.order for f in self.factors])
 
     def mul_vec(self, a, b) -> np.ndarray:
         """Factor by factor; each factor's kernel broadcasts a against b."""
@@ -940,29 +936,18 @@ class ProductRing(Ring):
 # ---------------------------------------------------------------------------
 
 
-def _poly_str(coeffs: Sequence[int], var: str) -> str:
-    terms = []
-    for j, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if j == 0:
-            terms.append(str(c))
-        else:
-            head = "" if c == 1 else str(c)
-            terms.append(f"{head}{var}" if j == 1 else f"{head}{var}^{j}")
-    return " + ".join(terms) if terms else "0"
+def poly_str(coeffs: Sequence[int], var: str, head, const=str) -> str:
+    """sum_j c_j var^j as text in ascending degree, zero terms left out and
+    "0" when all are: const(c_0) for the constant term, and head(c_j) just
+    before each power of var."""
+    terms = [const(c) if j == 0 else head(c) + var + (f"^{j}" if j > 1 else "")
+             for j, c in enumerate(coeffs) if c != 0]
+    return " + ".join(terms) or "0"
 
 
-def _poly_str_generic(parts: Sequence[str], coeffs: Sequence[int], var: str) -> str:
-    terms = []
-    for j, (part, c) in enumerate(zip(parts, coeffs)):
-        if c == 0:
-            continue
-        if j == 0:
-            terms.append(part)
-        else:
-            terms.append(f"{part}{var}" if j == 1 else f"{part}{var}^{j}")
-    return " + ".join(terms) if terms else "0"
+def _digit_head(c: int) -> str:
+    """The head of a digit coefficient: none for 1."""
+    return "" if c == 1 else str(c)
 
 
 def _check_order(order: int) -> None:

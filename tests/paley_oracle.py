@@ -1,10 +1,11 @@
 """Paley graph routines that no subcommand reaches, kept as oracles for
 `ringlab.paley`.
 
-`edges` yields the edge pairs that `edge_lines` prints as text, and
+`edges` yields the edge pairs that `edge_lines` prints as text,
+`adjacency_matrix` is the dense 0/1 adjacency of a small graph, and
 `eigenvector_identity_error` confirms the spectrum entrywise: every
-character is an eigenvector of the dense adjacency matrix, with the
-eigenvalue that `spectrum` reports for it. `residue_census` decides by
+character is an eigenvector of that matrix, with the eigenvalue that
+`spectrum` reports for it. `residue_census` decides by
 brute force what the verdict decides by a gcd rule: which residue fields
 the plus-minus d-th powers fail to cover.
 """
@@ -12,7 +13,7 @@ the plus-minus d-th powers fail to cover.
 import numpy as np
 
 from ringlab.characters import character_table
-from ringlab.paley import adjacency_matrix, spectrum
+from ringlab.paley import spectrum
 from ringlab.rings import make_ring
 
 
@@ -25,6 +26,16 @@ def edges(graph):
         for v in sorted(ring.add_vec(u, S).tolist()):
             if v > u:
                 yield u, v
+
+
+def adjacency_matrix(graph) -> np.ndarray:
+    """Dense 0/1 adjacency: x ~ x + s for s in S, one add_vec per s."""
+    ring = graph.ring
+    xs = np.arange(ring.order)
+    A = np.zeros((ring.order, ring.order), dtype=np.int64)
+    for s in graph.connection_set:
+        A[xs, ring.add_vec(xs, s)] = 1
+    return A
 
 
 def eigenvector_identity_error(graph) -> float:

@@ -20,7 +20,7 @@ from hensel_oracle import _integer_prime_analysis, reference_verdict
 from poly_oracle import evaluate
 from test_polynomials import ORACLE_RINGS
 
-from ringlab import hensel
+from ringlab import budget
 from ringlab.errors import HypothesisUnmet, ParseError, WorkGuardExceeded
 from ringlab.combinatorics import (
     _clique_cover_bound,
@@ -541,7 +541,7 @@ def test_intersective_verdicts_do_not_depend_on_blocks(monkeypatch):
     """A block of a few entries splits every level into many blocks, often
     of one candidate; the verdicts stay those of the default block."""
     want = [vars(intersectivity_oracle(*case)) for case in CLIMB_CASES]
-    monkeypatch.setattr(hensel, "_CLIMB_BLOCK", 7)
+    monkeypatch.setattr(budget, "BLOCK_ENTRIES", 7)
     assert [vars(intersectivity_oracle(*case)) for case in CLIMB_CASES] == want
 
 

@@ -4,8 +4,12 @@ the value multiset (for example 3x^2 on Z/9 takes the value 0 three times
 and 3 six times, giving |S|^2 = 1/3 at the fundamental character).
 """
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from character_oracle import char_sum
 
@@ -308,3 +312,66 @@ def test_root_count_random_sweep():
                 coeffs[-1] = 1
             rep = root_count_bound_check(ring, coeffs)
             assert rep.satisfied, (spec, coeffs)
+
+
+def _roots_point_by_point(ring, coeffs) -> int:
+    """Roots of the polynomial with this coefficient tensor, each point's
+    value summed term by term with scalar ring.add and ring.mul."""
+    arr = np.asarray(coeffs)
+    terms = [(int(c), e) for e, c in np.ndenumerate(arr) if c]
+    count = 0
+    for point in itertools.product(range(ring.order), repeat=arr.ndim):
+        value = 0
+        for c, exponents in terms:
+            for x, e in zip(point, exponents):
+                for _ in range(e):
+                    c = ring.mul(c, x)
+            value = ring.add(value, c)
+        count += value == 0
+    return count
+
+
+# One small ring per constructor: 3 variables stay within 9^3 points.
+ROOT_SPECS = ("Z/9", "GF(4)", "GR(2,2,1)", "PQ(q=2;g=0,0,1)", "prod(Z/2;Z/3)")
+
+
+@st.composite
+def _coefficient_tensors(draw):
+    """(spec, nested coefficients): 1 to 3 variables, each with its own
+    degree and up to one trailing zero slice, entries mostly zero."""
+    spec = draw(st.sampled_from(ROOT_SPECS), label="spec")
+    order = make_ring(spec).order
+    l = draw(st.integers(1, 3), label="variables")
+    shape = tuple(draw(st.lists(st.integers(1, 4 - l), min_size=l, max_size=l), label="shape"))
+    entries = st.one_of(st.just(0), st.integers(0, order - 1))
+    flat = draw(st.lists(entries, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))),
+                label="entries")
+    arr = np.array(flat, dtype=np.int64).reshape(shape)
+    pad = draw(st.lists(st.integers(0, 1), min_size=l, max_size=l), label="zero slices")
+    return spec, np.pad(arr, [(0, k) for k in pad]).tolist()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=_coefficient_tensors())
+@example(case=("prod(Z/9;Z/4)", [[1, 2], [0, 1]]))
+@example(case=("Z/9", [[[0, 1, 0], [0, 0, 0]], [[2, 0, 0], [0, 0, 0]]]))
+@example(case=("GF(4)", [[0, 0, 0], [0, 0, 0], [0, 1, 0]]))
+def test_root_count_matches_point_by_point(case):
+    """Count, degrees and bound of nested Horner against a scalar sum of
+    terms at every point; the examples are asymmetric, so evaluating a
+    variable along another's axis changes the count (96 roots of
+    1 + 2y + xy on prod(Z/9;Z/4), not 432)."""
+    spec, coeffs = case
+    ring = make_ring(spec)
+    arr = np.asarray(coeffs)
+    if not arr.any():
+        with pytest.raises(ZeroPolynomial):
+            root_count_bound_check(ring, coeffs)
+        return
+    rep = root_count_bound_check(ring, coeffs)
+    exponents = [e for e, c in np.ndenumerate(arr) if c]
+    degrees = tuple(max(e[i] for e in exponents) for i in range(arr.ndim))
+    assert rep.variables == arr.ndim
+    assert rep.degrees == degrees
+    assert rep.count == _roots_point_by_point(ring, coeffs)
+    assert rep.bound == pytest.approx(sum(degrees) * ring.order**arr.ndim / ring.lpf())

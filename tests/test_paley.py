@@ -14,13 +14,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from paley_oracle import edges, eigenvector_identity_error, residue_census
+from paley_oracle import adjacency_matrix, edges, eigenvector_identity_error, residue_census
 from test_rings import explicit_specs, kernel_specs
 
 from ringlab import cli
 from ringlab.errors import CharDividesDegree, ParseError
 from ringlab.paley import (
-    adjacency_matrix,
     build_paley,
     edge_lines,
     quasirandomness_verdict,

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from ringlab.characters import character_group
 from ringlab.errors import NotIrreducible, NotMonic, OrderTooLarge, ParseError
+from ringlab.polynomials import RingPoly
 from ringlab.rings import (
     FiniteFieldRing,
     PolyQuotientRing,
@@ -25,10 +26,13 @@ from ringlab.rings import (
     _monic_polys,
     _PolyModRing,
     canonical_irreducible,
+    digits_of,
     field_log_tables,
     is_prime,
+    join_index,
     make_ring,
     poly_is_irreducible,
+    split_index,
 )
 
 
@@ -268,6 +272,78 @@ def ring_specs(draw):
         return draw(explicit_specs(), label="explicit spec")
     small = kernel_specs(max_order=64).filter(lambda s: not s.startswith("prod"))
     return f"prod(Z/{draw(st.integers(2, 64), label='N')};{draw(small, label='right')})"
+
+
+def test_join_index_reduces_digits_and_pads_with_zeros():
+    assert join_index((5, -1), (4, 3)) == 1 + 2 * 4
+    assert join_index((0, 1), (7,)) == 0
+    assert join_index((3,), (4, 5)) == 3
+    assert split_index(59, (4, 3, 5)) == (3, 2, 4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spec=ring_specs(), seed=st.integers(0, 2**32 - 1))
+@example(spec="PQ(q=4;g=1,1,1)", seed=0)
+@example(spec="prod(Z/9;GR(2,2,2))", seed=1)
+@example(spec="prod(GF(4);PQ(q=9;g=0,0,1))", seed=2)
+def test_index_codec_round_trips(spec, seed):
+    """The one mixed-radix codec: split_index and join_index invert each
+    other and digits_of agrees with split_index; a PQ coefficient is its
+    e base-field digits, a product component is its factor's digits, and
+    a character's position inverts its coefficients."""
+    ring = make_ring(spec)
+    radices = ring.additive_orders()
+    group = character_group(ring)
+    xs = np.random.default_rng(seed).integers(0, ring.order, 40)
+    for x, row in zip(xs.tolist(), digits_of(xs, radices).tolist()):
+        ds = split_index(x, radices)
+        assert join_index(ds, radices) == x
+        assert ds == tuple(row) == ring.digits(x)
+        assert group.position(group.coeffs(x).tolist()) == x
+        if isinstance(ring, PolyQuotientRing):
+            e = len(ring.base.additive_orders())
+            assert ring.coeffs(x) == tuple(
+                ring.base.from_digits(ds[j * e:(j + 1) * e]) for j in range(ring.m))
+        if isinstance(ring, ProductRing):
+            start, parts = 0, []
+            for f in ring.factors:
+                width = len(f.additive_orders())
+                parts.append(f.from_digits(ds[start:start + width]))
+                start += width
+            assert ring.split(x) == tuple(parts)
+
+
+# element_str of a few elements of one ring per constructor, and str() of
+# one polynomial over it: digit polynomials print plain digits with no head
+# for 1, PQ over GF(p^e) parenthesises every coefficient, the constant
+# included, and polynomials parenthesise every head but the ring's one.
+ELEMENT_TEXT = {
+    "Z/12": ({0: "0", 7: "7"}, (3, 1, 0, 5), "3 + x + (5)x^3"),
+    "GF(8)": ({0: "0", 4: "u^2", 6: "u + u^2", 7: "1 + u + u^2"}, (), "0"),
+    "GF(9)": ({3: "u", 6: "2u", 7: "1 + 2u"}, (0, 1, 3, 7), "x + (u)x^2 + (1 + 2u)x^3"),
+    "GR(2,2,2)": ({4: "w", 9: "1 + 2w", 15: "3 + 3w"}, (9, 0, 1, 4), "1 + 2w + x^2 + (w)x^3"),
+    "PQ(q=2;g=1,0,1)": ({1: "1", 2: "t", 3: "1 + t"}, (0, 0, 3), "(1 + t)x^2"),
+    "PQ(q=4;g=1,1,1)": (
+        {0: "0", 1: "(1)", 2: "(u)", 4: "(1)t", 5: "(1) + (1)t", 6: "(u) + (1)t",
+         15: "(1 + u) + (1 + u)t"},
+        (6, 1, 0, 5),
+        "(u) + (1)t + x + ((1) + (1)t)x^3",
+    ),
+    "PQ(q=4;g=0,0,0,1)": ({16: "(1)t^2", 18: "(u) + (1)t^2", 33: "(1) + (u)t^2"}, (), "0"),
+    "prod(Z/3;GF(4))": (
+        {0: "(0, 0)", 1: "(1, 0)", 5: "(2, 1)", 11: "(2, 1 + u)"},
+        (5, 4, 0, 11),
+        "(2, 1) + x + ((2, 1 + u))x^3",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(ELEMENT_TEXT))
+def test_element_and_polynomial_text(spec):
+    ring = make_ring(spec)
+    elements, coeffs, text = ELEMENT_TEXT[spec]
+    assert {x: ring.element_str(x) for x in elements} == elements
+    assert str(RingPoly.make(ring, coeffs)) == text
 
 
 RING_AXIOM_SPECS = ("Z/36", "GF(16)", "PQ(q=3;g=1,1,1)", "GR(2,3,2)", "prod(Z/5;GF(4))")

@@ -14,7 +14,7 @@ import te_oracle
 from poly_oracle import from_int_coeffs
 from test_polynomials import ORACLE_RINGS
 
-from ringlab import harmonics
+from ringlab import budget, harmonics
 from ringlab.characters import _element_cube
 from ringlab.harmonics import ROUTE_TOL, SAMPLE_ROWS, random_functions, te_estimate
 from ringlab.polynomials import RingPoly
@@ -103,7 +103,7 @@ def test_sample_blocks_leave_the_report_unchanged(spec, monkeypatch):
     P = RingPoly.make(ring, (1, 0, 0, 1))
     fs = random_functions(ring, 3, 5)
     whole = te_estimate(ring, P, fs, ddeg_mode="bound", seed=4)
-    monkeypatch.setattr(harmonics, "_SAMPLE_BLOCK", 1)
+    monkeypatch.setattr(budget, "BLOCK_ENTRIES", 1)
     split = te_estimate(ring, P, fs, ddeg_mode="bound", seed=4)
     assert np.array_equal(whole.sample_gap, split.sample_gap)
     assert np.array_equal(whole.lhs, split.lhs)

@@ -23,7 +23,7 @@ from test_lanes import _table_by_places
 from ringlab import rings
 from ringlab.combinatorics import adjacency_masks, config_count, forbidden_differences
 from ringlab.harmonics import random_functions, te_estimate, te_sweep, vdc_check
-from ringlab.paley import adjacency_matrix, build_paley, uniformity_measure
+from ringlab.paley import build_paley, uniformity_measure
 from ringlab.polynomials import derivational_degree
 from ringlab.subgroups import from_generators, value_subgroup
 
@@ -66,7 +66,6 @@ def _results(spec: str) -> dict:
         "config": config.count,
         "uniformity": vars(uniformity),
         "masks": adjacency_masks(ring, forbidden_differences(ring, P)),
-        "adjacency": adjacency_matrix(graph),
         "translates": np.vstack([table for _, table in ring.translate_blocks(range(n))]),
     }
 
