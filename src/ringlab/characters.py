@@ -70,7 +70,7 @@ class CharacterGroup:
         position gives a vector over the elements."""
         if chars is None:
             chars = np.arange(self.count)
-        D = self.ring._digits_of(np.asarray(elements, dtype=np.int64))
+        D = digits_of(elements, self.radices)
         return (D * self.coord_weights) @ self.coeffs(chars).T % self.L
 
 

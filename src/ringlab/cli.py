@@ -207,10 +207,10 @@ def _cmd_expsum(args) -> tuple[dict, int]:
 
 
 def _cmd_tebound(args) -> tuple[dict, int]:
-    ring = make_ring(args.ring)
-    P = parse_poly_literal(ring, args.poly)
     if args.random < 1:
         raise ParseError("--random must be at least 1")
+    ring = make_ring(args.ring)
+    P = parse_poly_literal(ring, args.poly)
     fs = harmonics.random_functions(ring, args.random, args.seed)
     rep = harmonics.te_estimate(ring, P, fs, ddeg_mode=args.mode, seed=args.seed)
     rows = [
@@ -241,12 +241,12 @@ def _cmd_tebound(args) -> tuple[dict, int]:
 
 
 def _cmd_vdc(args) -> tuple[dict, int]:
-    ring = make_ring(args.ring)
-    H = _parse_subgroup(ring, args.subgroup)
     if not 1 <= args.k <= harmonics.VDC_MAX_K:
         raise ParseError(f"--k must be between 1 and {harmonics.VDC_MAX_K}")
     if args.random < 1:
         raise ParseError("--random must be at least 1")
+    ring = make_ring(args.ring)
+    H = _parse_subgroup(ring, args.subgroup)
     fs = harmonics.random_functions(ring, args.random, args.seed)
     report = harmonics.vdc_check(ring, H, fs, args.k)
     result = _fields(report)
@@ -432,7 +432,8 @@ def _run(argv: list[str] | None, parse=None) -> tuple[dict, int]:
 def _parse_job(argv: list[str]) -> argparse.Namespace:
     """Parse a batch job's argv. A batch prints only its envelope, so a job
     that would print itself is a ParseError before it runs: --help, whose
-    text is dropped, and paley --edges, whose n r / 2 lines are not kept."""
+    text is dropped, and paley --edges, whose n r / 2 lines are not kept.
+    So is a batch, since a manifest that names itself would never end."""
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             ns = build_parser().parse_args(argv)
@@ -440,6 +441,8 @@ def _parse_job(argv: list[str]) -> argparse.Namespace:
         raise ParseError("--help prints no report and cannot be a batch job") from None
     if getattr(ns, "edges", False):
         raise ParseError("paley --edges prints no report and cannot be a batch job")
+    if ns.handler is _cmd_batch:
+        raise ParseError("a batch cannot be a batch job")
     return ns
 
 

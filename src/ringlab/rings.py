@@ -21,6 +21,11 @@ translate x -> x + v comes from `Ring.add_table(shifts)`, which builds
 only the rows asked for; `Ring.translate_blocks` hands them out in blocks
 of at most `budget.BLOCK_ENTRIES` entries.
 
+Each ring has one additive kernel (`_additive_kernels`), chosen once from
+its radices in `Ring.__init__`: XOR, residues mod M, bit lanes, or place
+by place. Every add, sub and neg, scalar or vector, calls it, and GF(p)
+adds residues as Z/p does.
+
 Each ring class has one multiplication route. Z/N and GF(p) multiply
 residues mod their characteristic (`Ring._mul_residues`). GF(p^e) with
 e >= 2 reads log and antilog tables (`field_log_tables`), built at its
@@ -49,6 +54,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from typing import Iterable, Sequence
 
@@ -86,6 +92,33 @@ def digits_of(a, radices: Sequence[int]) -> np.ndarray:
     for i, m in enumerate(radices):
         rest, out[..., i] = np.divmod(rest, m)
     return out
+
+
+def _additive_kernels(radices: Sequence[int], places: Sequence[int]):
+    """(add, sub) on the indices of Z/m_1 + ... + Z/m_k with these radices
+    and places, each one expression for Python ints and int64 arrays that
+    holds no ring, so a ring keeping them forms no reference cycle: XOR
+    when every radix is 2; residues mod M when there is one radix M, by a
+    mask when M is a power of two; bit lanes when every radix is a power
+    of two, H holding each lane's top bit so no carry or borrow leaves it
+    (Warren, Hacker's Delight 2-18); else place by place, as a // P is the
+    digit at place P plus a multiple of m. Each sub adds a multiple of m
+    (M, or R = order / P) to keep the remainder's operand nonnegative, on
+    which numpy's int64 remainder runs about twice as fast."""
+    if all(m == 2 for m in radices):
+        return operator.xor, operator.xor
+    if len(radices) == 1:
+        M = radices[0]
+        if M & (M - 1) == 0:
+            return (lambda a, b: (a + b) & (M - 1)), (lambda a, b: (a - b) & (M - 1))
+        return (lambda a, b: (a + b) % M), (lambda a, b: (a - b + M) % M)
+    if all(m & (m - 1) == 0 for m in radices):
+        H = sum(m // 2 * P for m, P in zip(radices, places))
+        return (lambda a, b: ((a & ~H) + (b & ~H)) ^ ((a ^ b) & H),
+                lambda a, b: ((a | H) - (b & ~H)) ^ ((a ^ ~b) & H))
+    cut = [(m, P, math.prod(radices) // P) for m, P in zip(radices, places)]
+    return (lambda a, b: sum((a // P + b // P) % m * P for m, P, _ in cut),
+            lambda a, b: sum((a // P - b // P + R) % m * P for m, P, R in cut))
 
 
 def distinct(*arrays) -> np.ndarray:
@@ -362,8 +395,10 @@ class Ring:
     Subclasses must set `order`, `characteristic`, `_radices` and implement
     `mul_vec`, `prime_ideal_profile` and `spec_string`; no ring builds its
     residue fields, which the profile gives by their sizes alone.
-    Addition is generic: it acts digit-wise on the mixed-radix coordinates.
-    Scalar `mul` is `mul_vec` on 0-d arrays unless a subclass overrides it.
+    Addition is generic: `__init__` picks one kernel from the radices
+    (`_additive_kernels`), and every add, sub and neg, scalar or vector,
+    calls it; a subclass defines no additive method. Scalar `mul` is
+    `mul_vec` on 0-d arrays unless a subclass overrides it.
     """
 
     order: int
@@ -373,19 +408,9 @@ class Ring:
 
     def __init__(self) -> None:
         self._memo: dict = {}
-        radices = np.asarray(self._radices, dtype=np.int64)
-        self._radices_arr = radices
-        places = np.ones(len(self._radices), dtype=np.int64)
-        for i in range(1, len(self._radices)):
-            places[i] = places[i - 1] * self._radices[i - 1]
-        self._places = places
-        # Every digit mod 2: the element index is the bit vector of its
-        # coordinates, so addition and subtraction are XOR and x = -x.
-        self._binary = all(m == 2 for m in self._radices)
-        # Every radix a power of two: each digit is a bit field (a lane) of
-        # the index, and H holds the top bit of every lane.
-        self._lanes = all(m & (m - 1) == 0 for m in self._radices)
-        self._lane_top = sum(m // 2 * int(pl) for m, pl in zip(self._radices, places))
+        places = list(itertools.accumulate(self._radices[:-1], operator.mul, initial=1))
+        self._places = np.array(places, dtype=np.int64)
+        self._add, self._sub = _additive_kernels(self._radices, places)
 
     def memo(self, key, build):
         """The value of `build()` for this ring and key: built on the first
@@ -412,18 +437,13 @@ class Ring:
         return join_index(ds, self._radices)
 
     def add(self, a: int, b: int) -> int:
-        if self._lanes:
-            return self._lane_add(a, b)
-        da, db = self.digits(a), self.digits(b)
-        return self.from_digits([x + y for x, y in zip(da, db)])
+        return self._add(a, b)
 
     def neg(self, a: int) -> int:
-        return self.sub(0, a) if self._lanes else self.from_digits([-d for d in self.digits(a)])
+        return self._sub(0, a)
 
     def sub(self, a: int, b: int) -> int:
-        if self._lanes:
-            return self._lane_sub(a, b)
-        return self.add(a, self.neg(b))
+        return self._sub(a, b)
 
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_vec(a, b))
@@ -484,48 +504,15 @@ class Ring:
 
     # -- vectorised coordinate arithmetic -----------------------------------
 
-    def _digits_of(self, a: np.ndarray) -> np.ndarray:
-        return digits_of(a, self._radices)
-
-    def _from_digit_array(self, ds: np.ndarray) -> np.ndarray:
-        return (ds % self._radices_arr) @ self._places
-
-    def _lane_add(self, a, b):
-        """a + b on a lane ring, for ints and arrays alike: the low bits of
-        each lane add in one pass and the top bits are put back by XOR, so
-        no carry crosses a lane (Warren, Hacker's Delight 2-18)."""
-        H = self._lane_top
-        return ((a & ~H) + (b & ~H)) ^ ((a ^ b) & H)
-
-    def _lane_sub(self, a, b):
-        """a - b on a lane ring, for ints and arrays alike. Each lane of
-        a | H is at least H's bit and each lane of b & ~H below it, so no
-        borrow leaves a lane and no mask is needed."""
-        H = self._lane_top
-        return ((a | H) - (b & ~H)) ^ ((a ^ ~b) & H)
-
     def add_vec(self, a, b) -> np.ndarray:
-        """a + b elementwise, broadcasting: XOR when every radix is 2, the
-        lane formula on other lane rings, else digit by digit."""
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        if self._binary:
-            return np.bitwise_xor(a, b)
-        if self._lanes:
-            return self._lane_add(a, b)
-        return self._from_digit_array(self._digits_of(a) + self._digits_of(b))
+        """a + b elementwise, broadcasting, by the ring's one kernel."""
+        return self._add(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
 
     def neg_vec(self, a) -> np.ndarray:
-        if self._lanes:
-            return self.sub_vec(0, a)
-        return self._from_digit_array(-self._digits_of(a))
+        return self._sub(0, np.asarray(a, dtype=np.int64))
 
     def sub_vec(self, a, b) -> np.ndarray:
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        if self._binary:
-            return np.bitwise_xor(a, b)
-        if self._lanes:
-            return self._lane_sub(a, b)
-        return self._from_digit_array(self._digits_of(a) - self._digits_of(b))
+        return self._sub(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
 
     def mul_vec(self, a, b) -> np.ndarray:
         raise NotImplementedError
@@ -535,7 +522,7 @@ class Ring:
         characteristic; a mask when it is a power of two, which two's
         complement makes right for negative x too."""
         M = self.characteristic
-        return x & (M - 1) if self._lanes else x % M
+        return x & (M - 1) if M & (M - 1) == 0 else x % M
 
     def _mul_residues(self, a, b) -> np.ndarray:
         """a * b mod the characteristic M, for Z/N and GF(p), whose one
@@ -621,29 +608,8 @@ class ZModRing(Ring):
         self._factorization = factorize(n)
         super().__init__()
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.n
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.n
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.n
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.n
-
-    def from_int(self, n: int) -> int:
-        return n % self.n
-
-    def add_vec(self, a, b) -> np.ndarray:
-        return self._reduce(np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64))
-
-    def neg_vec(self, a) -> np.ndarray:
-        return self._reduce(-np.asarray(a, dtype=np.int64))
-
-    def sub_vec(self, a, b) -> np.ndarray:
-        return self._reduce(np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64))
 
     def mul_vec(self, a, b) -> np.ndarray:
         return self._mul_residues(a, b)
@@ -728,7 +694,7 @@ class _PolyModRing(Ring):
         # the element with digits (0, 1), and u^0 = one is all that e = 1 reads.
         u = coeff.from_digits((0, 1))
         U = np.array([coeff.pow(u, a) for a in range(2 * e - 1)], dtype=np.int64)
-        L = coeff._digits_of(coeff.mul_vec(T[:, None, :], U[None, :, None]))
+        L = digits_of(coeff.mul_vec(T[:, None, :], U[None, :, None]), coeff.additive_orders())
         # Every sum the kernel forms has at most (2m-1)(2e-1) terms, each a
         # product of two digits below M; the narrowest signed type that holds
         # it keeps the kernel exact (object past int64: exact, slow).
@@ -958,6 +924,10 @@ def _check_order(order: int) -> None:
         )
 
 
+# Past any real product; keeps each recursion over factors in Python's limit.
+_MAX_SPEC_NESTING = 32
+
+
 def _split_top_level(body: str, sep: str) -> list[str]:
     parts = []
     depth = 0
@@ -965,6 +935,8 @@ def _split_top_level(body: str, sep: str) -> list[str]:
     for ch in body:
         if ch == "(":
             depth += 1
+            if depth > _MAX_SPEC_NESTING:
+                raise ParseError(f"ring spec nests parentheses more than {_MAX_SPEC_NESTING} deep")
         elif ch == ")":
             depth -= 1
             if depth < 0:

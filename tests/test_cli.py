@@ -134,6 +134,37 @@ def test_bad_inputs_exit_2(args):
     assert proc.stdout == ""
 
 
+def test_deeply_nested_spec_exit_2():
+    """A spec nested 1,500 deep used to end in a RecursionError traceback
+    with exit 1; one nested a few levels deep still parses."""
+    proc = run_cli("ring", "info", "prod(" * 1500 + "Z/2" + ")" * 1500)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["type"] == "ParseError"
+    ring = make_ring("prod(" * 5 + "prod(Z/3;GF(4))" + ")" * 5)
+    assert ring.order == 12 and ring.additive_orders() == (3, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("vdc", "--ring", "Z/1048576", "--subgroup", "poly:0,0,1", "--k", "0"),
+        ("vdc", "--ring", "Z/1048576", "--subgroup", "poly:0,0,1", "--random", "0"),
+        ("tebound", "--ring", "Z/1048576", "--poly", "0,0,1", "--random", "0"),
+    ],
+    ids=["vdc-k", "vdc-random", "tebound-random"],
+)
+def test_count_flags_refused_before_setup(args, monkeypatch, capsys):
+    """--k and --random are checked before the ring is built and the
+    subgroup closed (vdc --k 0 took 0.4 s and 117 MB before its exit 2)."""
+
+    def no_ring(spec):
+        raise AssertionError(f"make_ring({spec!r}) ran before the flags were checked")
+
+    monkeypatch.setattr(cli, "make_ring", no_ring)
+    assert cli.main(list(args)) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ParseError"
+
+
 # Inputs whose allocation passes the default work guard: each is refused
 # before anything is allocated or sampled. They used to end in a
 # MemoryError or OverflowError traceback, or run for minutes.
@@ -587,6 +618,17 @@ def test_batch_refuses_jobs_that_print(tmp_path, capsys, validator):
         assert row["exit_code"] == 2 and "result" not in row, row["label"]
         assert row["error"]["type"] == "ParseError"
         assert "batch job" in row["error"]["message"]
+
+
+def test_batch_refuses_a_batch_job(tmp_path):
+    """A manifest that names itself used to recurse until a RecursionError
+    traceback with exit 1; a batch job is now a ParseError row."""
+    path = tmp_path / "self.json"
+    path.write_text(json.dumps({"jobs": [{"args": ["batch", str(path)]}]}))
+    proc = run_cli("batch", str(path))
+    assert proc.returncode == 2 and proc.stderr == ""
+    (row,) = json.loads(proc.stdout)["result"]["jobs"]
+    assert row["exit_code"] == 2 and row["error"]["type"] == "ParseError"
 
 
 def test_batch_empty_manifest(tmp_path):

@@ -3,8 +3,9 @@
 Each digit of such a ring is a bit field (a lane) of the element index, so
 add_vec, sub_vec and neg_vec act on whole indices with masked carries and
 borrows, and add_table builds its rows with add_vec. Both are checked here
-against the digit-wise arithmetic and the addition table built one digit
-place at a time, on random Galois rings and products of order at most 1024.
+against the digit route and the addition table built one digit place at a
+time (tests/additive_oracle.py), on random Galois rings and products of
+order at most 1024.
 Z/2^k reduces all four of its kernels with the mask n - 1; they are checked
 against `% n` up to Z/4096.
 """
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from additive_oracle import digit_route, table_by_places
 
 from ringlab.rings import ZModRing, make_ring
 
@@ -54,30 +57,14 @@ def lane_or_zmod_specs(draw):
     return draw(lane_specs())
 
 
-def _digit_path(ring, a, b, sign):
-    """a + sign * b digit by digit: the route for radices that are not
-    powers of two."""
-    return ring._from_digit_array(ring._digits_of(a) + sign * ring._digits_of(b))
-
-
-def _table_by_places(ring):
-    """The full addition table one digit place at a time: the oracle for
-    Ring.add_table, which builds rows with add_vec instead."""
-    n = ring.order
-    digits = ring._digits_of(np.arange(n))
-    table = np.zeros((n, n), dtype=np.int64)
-    for d, m, place in zip(digits.T, ring._radices, ring._places):
-        table += ((d[:, None] + d[None, :]) % m) * int(place)
-    return table
-
-
 @LANES
 @given(spec=lane_or_zmod_specs(), data=st.data())
 def test_lane_kernels_match_digit_path(spec, data):
     ring = make_ring(spec)
     n = ring.order
     zmod = isinstance(ring, ZModRing)
-    assert n <= 1 << (MAX_LOG_ZMOD if zmod else MAX_LOG_ORDER) and ring._lanes
+    assert n <= 1 << (MAX_LOG_ZMOD if zmod else MAX_LOG_ORDER)
+    assert all(m & (m - 1) == 0 for m in ring.additive_orders())
     seed = data.draw(st.integers(0, 2**16), label="seed")
     rng = np.random.default_rng(seed)
     xs = np.arange(n, dtype=np.int64)
@@ -89,11 +76,11 @@ def test_lane_kernels_match_digit_path(spec, data):
         shape = np.broadcast(a, b).shape
         for got, sign in ((ring.add_vec(a, b), 1), (ring.sub_vec(a, b), -1)):
             assert got.shape == shape
-            np.testing.assert_array_equal(got, _digit_path(ring, a, b, sign))
+            np.testing.assert_array_equal(got, digit_route(ring, a, b, sign))
     for a in (xs, col, row, v):
         got = ring.neg_vec(a)
         assert got.shape == np.shape(a)
-        np.testing.assert_array_equal(got, _digit_path(ring, 0, a, -1))
+        np.testing.assert_array_equal(got, digit_route(ring, 0, a, -1))
     if zmod:
         for a, b in pairs:
             a, b = np.asarray(a), np.asarray(b)
@@ -108,7 +95,7 @@ def test_lane_kernels_match_digit_path(spec, data):
 def test_block_built_add_table_and_translation(spec, data):
     ring = make_ring(spec)
     table = ring.add_table(range(ring.order))
-    np.testing.assert_array_equal(table, _table_by_places(ring))
+    np.testing.assert_array_equal(table, table_by_places(ring))
     v = data.draw(st.integers(0, ring.order - 1), label="v")
     np.testing.assert_array_equal(ring.add_table([v])[0], table[v])
     np.testing.assert_array_equal(ring.add_table([v])[0], table[:, v])
@@ -117,5 +104,5 @@ def test_block_built_add_table_and_translation(spec, data):
 @pytest.mark.parametrize("spec", ["GF(9)", "prod(Z/5;Z/7)", "prod(Z/4;Z/3)"])
 def test_other_radices_keep_the_digit_path(spec):
     ring = make_ring(spec)
-    assert not ring._lanes
-    np.testing.assert_array_equal(ring.add_table(range(ring.order)), _table_by_places(ring))
+    assert any(m & (m - 1) for m in ring.additive_orders())
+    np.testing.assert_array_equal(ring.add_table(range(ring.order)), table_by_places(ring))

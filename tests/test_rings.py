@@ -3,9 +3,10 @@
 The Galois ring tables are rebuilt here from scratch (modular polynomial
 arithmetic on coefficient tuples, no shared code) and compared entry by
 entry. The same tuples, nested one level for PQ over GF(p^e), are the oracle
-for `mul_vec` on every constructor. The ring axioms and the spec
-round trip are Hypothesis properties over specs of all five constructors,
-and the canonical modulus search is checked against the full scan it
+for `mul_vec` on every constructor. The ring axioms, the additive kernels
+against the digit route of tests/additive_oracle.py and the spec round
+trip are Hypothesis properties over specs of all five constructors, and
+the canonical modulus search is checked against the full scan it
 shortened.
 """
 
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+
+from additive_oracle import digit_route, scalar_route
 
 from ringlab.characters import character_group
 from ringlab.errors import NotIrreducible, NotMonic, OrderTooLarge, ParseError
@@ -311,6 +314,58 @@ def test_index_codec_round_trips(spec, seed):
                 parts.append(f.from_digits(ds[start:start + width]))
                 start += width
             assert ring.split(x) == tuple(parts)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spec=ring_specs(), seed=st.integers(0, 2**32 - 1))
+@example(spec="Z/2", seed=0)
+@example(spec="GF(8)", seed=1)
+@example(spec="Z/36", seed=2)
+@example(spec="Z/64", seed=3)
+@example(spec="GF(1048573)", seed=4)
+@example(spec="GR(2,3,2)", seed=5)
+@example(spec="prod(Z/4;GF(8))", seed=6)
+@example(spec="GF(9)", seed=7)
+@example(spec="PQ(q=3;g=1,1,1)", seed=8)
+@example(spec="prod(Z/5;GR(3,2,1))", seed=9)
+def test_additive_kernels_match_digit_route(spec, seed):
+    """Each ring's one additive kernel, whichever its radices pick, against
+    the digit route of tests/additive_oracle.py: scalar add, sub and neg on
+    Python ints, which they return, and add_vec, sub_vec and neg_vec on
+    0-d, 1-d and (n, 1) by (1, m) broadcast operands, zero and the last
+    element included. GF(p) adds, subtracts and negates as Z/p does."""
+    ring = make_ring(spec)
+    n = ring.order
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, n, 2).tolist()
+    for x, y in ((a, b), (0, b), (a, 0), (n - 1, n - 1)):
+        for got, want in (
+            (ring.add(x, y), scalar_route(ring, x, y)),
+            (ring.sub(x, y), scalar_route(ring, x, y, -1)),
+            (ring.neg(y), scalar_route(ring, 0, y, -1)),
+        ):
+            assert type(got) is int and got == want
+    pairs = [
+        (np.asarray(a), np.asarray(b)),
+        (rng.integers(0, n, 50), rng.integers(0, n, 50)),
+        (rng.integers(0, n, (6, 1)), rng.integers(0, n, (1, 5))),
+        (np.array([0, n - 1]), n - 1),
+    ]
+    for x, y in pairs:
+        for got, want in (
+            (ring.add_vec(x, y), digit_route(ring, x, y)),
+            (ring.sub_vec(x, y), digit_route(ring, x, y, -1)),
+            (ring.neg_vec(y), digit_route(ring, 0, y, -1)),
+        ):
+            assert np.shape(got) == np.shape(want)
+            np.testing.assert_array_equal(got, want)
+    if isinstance(ring, FiniteFieldRing) and ring.e == 1:
+        zp = make_ring(f"Z/{n}")
+        xs = np.arange(n) if n <= 64 else rng.integers(0, n, 64)
+        for name in ("add_vec", "sub_vec"):
+            np.testing.assert_array_equal(
+                getattr(ring, name)(xs[:, None], xs), getattr(zp, name)(xs[:, None], xs))
+        np.testing.assert_array_equal(ring.neg_vec(xs), zp.neg_vec(xs))
 
 
 # element_str of a few elements of one ring per constructor, and str() of
@@ -719,19 +774,13 @@ def test_xor_kernels_match_digit_path(spec):
     copying; the results equal the generic digit-wise arithmetic, for
     scalars, vectors and broadcast shapes alike."""
     ring = make_ring(spec)
-    assert ring._binary
-
-    def digit_add(a, b, sign=1):
-        a, b = np.asarray(a), np.asarray(b)
-        return ring._from_digit_array(ring._digits_of(a) + sign * ring._digits_of(b))
-
+    assert set(ring.additive_orders()) == {2}
     rng = np.random.default_rng(5)
     xs = np.arange(ring.order, dtype=np.int64)
     col = rng.integers(0, ring.order, (7, 1))
     pairs = [(xs[:, None], xs[None, :]), (col, xs[None, :6]), (xs, 3 % ring.order), (1, 1)]
     for a, b in pairs:
-        np.testing.assert_array_equal(ring.add_vec(a, b), digit_add(a, b))
-        np.testing.assert_array_equal(ring.sub_vec(a, b), digit_add(a, b, -1))
-        np.testing.assert_array_equal(ring.neg_vec(a), ring._from_digit_array(-ring._digits_of(a)))
+        np.testing.assert_array_equal(ring.add_vec(a, b), digit_route(ring, a, b))
+        np.testing.assert_array_equal(ring.sub_vec(a, b), digit_route(ring, a, b, -1))
+        np.testing.assert_array_equal(ring.neg_vec(a), digit_route(ring, 0, a, -1))
         assert ring.add_vec(a, b).shape == np.broadcast(a, b).shape
-    assert not make_ring("Z/4")._binary and not make_ring("GF(9)")._binary

@@ -4,7 +4,7 @@ Every translate in the package comes from Ring.add_table(shifts): one
 add_vec over the (len(shifts), order) grid, building only the rows asked
 for, either directly or through Ring.translate_blocks, which yields the
 rows in blocks of about 2^18 entries. Both are checked against the full table built
-one digit place at a time (tests/test_lanes.py) on every constructor, and
+one digit place at a time (tests/additive_oracle.py) on every constructor, and
 every consumer is run once more with add_table replaced by rows of that
 table, which must not change a result. No consumer holds an order x order
 table: two of them are measured at order 2048.
@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poly_oracle import from_int_coeffs
-from test_lanes import _table_by_places
+from additive_oracle import table_by_places
 
 from ringlab import rings
 from ringlab.combinatorics import adjacency_masks, config_count, forbidden_differences
@@ -40,7 +40,7 @@ TABLES = settings(max_examples=30, deadline=None, derandomize=True, database=Non
 
 
 def _oracle_add_table(ring, shifts):
-    return _table_by_places(ring)[np.asarray(shifts, dtype=np.int64)]
+    return table_by_places(ring)[np.asarray(shifts, dtype=np.int64)]
 
 
 def _results(spec: str) -> dict:
@@ -98,7 +98,7 @@ def test_add_table_and_translates_match_place_table(spec, count, seed):
     """Rows come in the order asked, repeated shifts included, and the
     blocks of translates join up to the same rows."""
     ring = rings.make_ring(spec)
-    table = _table_by_places(ring)
+    table = table_by_places(ring)
     shifts = np.random.default_rng(seed).integers(0, ring.order, count)
     np.testing.assert_array_equal(ring.add_table(shifts), table[shifts])
     blocks = list(ring.translate_blocks(shifts))
