@@ -120,8 +120,7 @@ def character_table(ring: Ring, chars: np.ndarray | None = None) -> np.ndarray:
     return group.unit_table[group.angles(np.arange(ring.order), chars)]
 
 
-def annihilator_mask(ring: Ring, generators: Sequence[int]) -> np.ndarray:
+def annihilator_mask(ring: Ring, generators: np.ndarray) -> np.ndarray:
     """Boolean mask over the character enumeration: True where the character
     kills every generator. Exact: a character kills x iff its angle is 0."""
-    angles = character_group(ring).angles(np.asarray(list(generators), dtype=np.int64))
-    return (angles == 0).all(axis=0)
+    return (character_group(ring).angles(generators) == 0).all(axis=0)

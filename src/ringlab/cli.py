@@ -6,7 +6,8 @@ on stderr. Exit codes separate failure classes so CI can gate on them:
     0  success
     2  malformed input (ring spec, polynomial literal, set, manifest)
     3  guard refusal (order or work budget, unmet hypothesis, non-subgroup)
-    4  a checked inequality failed numerically
+    4  a checked inequality failed numerically, or two routes to one
+       number differ by harmonics.ROUTE_TOL or more
 
 Code 4 existing at all is the point of the tool: it should never fire, and
 when it does the report names the ring, polynomial, and character.
@@ -35,7 +36,7 @@ from . import combinatorics, harmonics, paley, polynomials, subgroups
 from .characters import character_group
 from .errors import ParseError, RingLabError
 from .polynomials import RingPoly, parse_poly_literal
-from .rings import Ring, distinct, make_ring
+from .rings import Ring, element_set, make_ring
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -66,13 +67,12 @@ def _fields(report) -> dict:
     return dict(vars(report))
 
 
-def parse_element_set(ring: Ring, text: str) -> list[int]:
-    """Element sets: explicit indices `1,2,3`, or the named families
-    `squares`, `coset:<poly>[:<shift>]`, `random:<k>:<seed>`."""
+def parse_element_set(ring: Ring, text: str) -> np.ndarray:
+    """Element sets (`rings.element_set`): explicit indices `1,2,3`, or the
+    named families `squares`, `coset:<poly>[:<shift>]`, `random:<k>:<seed>`."""
     text = text.strip()
     if text == "squares":
-        P = RingPoly.make(ring, (0, 0, ring.one))
-        return distinct(P.values()).tolist()
+        return element_set(ring, RingPoly.make(ring, (0, 0, ring.one)).values())
     if text.startswith("coset:"):
         parts = text.split(":")
         if len(parts) not in (2, 3):
@@ -84,8 +84,7 @@ def parse_element_set(ring: Ring, text: str) -> list[int]:
             raise ParseError(f"bad coset shift in {text!r}") from exc
         if not 0 <= shift < ring.order:
             raise ParseError(f"coset shift {shift} out of range")
-        H = subgroups.value_subgroup(ring, P)
-        return [int(v) for v in H.coset(shift)]
+        return subgroups.value_subgroup(ring, P).coset(shift)
     if text.startswith("random:"):
         parts = text.split(":")
         if len(parts) != 3:
@@ -99,12 +98,12 @@ def parse_element_set(ring: Ring, text: str) -> list[int]:
         if seed < 0:
             raise ParseError(f"random family seed {seed} is negative")
         rng = np.random.default_rng(seed)
-        return sorted(int(v) for v in rng.choice(ring.order, size=k, replace=False))
+        return element_set(ring, rng.choice(ring.order, size=k, replace=False))
     try:
         tokens = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ParseError(f"bad element set {text!r}") from exc
-    return combinatorics._element_set(ring, tokens).tolist()
+    return element_set(ring, tokens)
 
 
 def _only_json_integers(value) -> bool:
@@ -202,8 +201,8 @@ def _cmd_expsum(args) -> tuple[dict, int]:
             }
             for i in range(len(S))
         ]
-    code = EXIT_OK if report.bound_satisfied else EXIT_BOUND
-    return _envelope("expsum", result), code
+    ok = report.bound_satisfied and report.annihilator_max_error < harmonics.ROUTE_TOL
+    return _envelope("expsum", result), EXIT_OK if ok else EXIT_BOUND
 
 
 def _cmd_tebound(args) -> tuple[dict, int]:
@@ -237,7 +236,8 @@ def _cmd_tebound(args) -> tuple[dict, int]:
         "max_ratio": float(rep.ratio.max()),
         "functions": rows,
     }
-    return _envelope("tebound", summary, seed=args.seed), EXIT_OK if all_ok else EXIT_BOUND
+    ok = all_ok and max(summary["max_route_gap"], summary["max_sample_gap"]) < harmonics.ROUTE_TOL
+    return _envelope("tebound", summary, seed=args.seed), EXIT_OK if ok else EXIT_BOUND
 
 
 def _cmd_vdc(args) -> tuple[dict, int]:
@@ -251,8 +251,8 @@ def _cmd_vdc(args) -> tuple[dict, int]:
     report = harmonics.vdc_check(ring, H, fs, args.k)
     result = _fields(report)
     result["count"] = args.random
-    code = EXIT_OK if report.satisfied else EXIT_BOUND
-    return _envelope("vdc", result, seed=args.seed), code
+    ok = report.satisfied and report.sample_gap < harmonics.ROUTE_TOL
+    return _envelope("vdc", result, seed=args.seed), EXIT_OK if ok else EXIT_BOUND
 
 
 def _cmd_rootcount(args) -> tuple[dict, int]:
@@ -354,8 +354,6 @@ def _cmd_paley(args) -> tuple[dict, int]:
                 pairs = [(list(a), list(b)) for a, b in payload]
             except (OSError, ValueError, TypeError) as exc:
                 raise ParseError(f"cannot read pair file: {exc}") from exc
-            if not _only_json_integers(pairs):
-                raise ParseError("pair file entries must be JSON integers")
             uni = paley.uniformity_measure(graph, mode="explicit", pairs=pairs)
         else:
             raise ParseError(f"unknown set source {spec!r}")

@@ -39,21 +39,8 @@ from .errors import HypothesisUnmet, ParseError, WorkGuardExceeded
 from .harmonics import BOUND_TOL, exp_sums_all
 from .hensel import _FpPoly, _FptLevels, _IntegerLevels, _irreducibles, _primes_upto, _sweep
 from .polynomials import RingPoly, bound_parameters, derivational_degree
-from .rings import PolyQuotientRing, Ring, ZModRing, distinct, is_prime, join_index
+from .rings import PolyQuotientRing, Ring, ZModRing, distinct, element_set, is_prime, join_index
 from .subgroups import constant_in_subgroup
-
-
-def _element_set(ring: Ring, elements) -> np.ndarray:
-    """The sorted distinct element indices; ParseError if one is out of
-    range, however large."""
-    try:
-        out = distinct(np.asarray(list(elements), dtype=np.int64))
-        in_range = not out.size or (out[0] >= 0 and out[-1] < ring.order)
-    except OverflowError:
-        in_range = False
-    if not in_range:
-        raise ParseError("set elements must be valid element indices")
-    return out
 
 
 @dataclass
@@ -75,9 +62,10 @@ def config_count(ring: Ring, P: RingPoly, A, B) -> ConfigCountReport:
     The expectation for sets of these sizes is |A||B|; the normalized
     deviation divides by sqrt(|A||B|) |R| and the density deviation by
     |R|^2 (the scale on which the total ergodicity estimate controls it).
+    A and B pass `element_set`.
     """
-    A = _element_set(ring, A)
-    B = _element_set(ring, B)
+    A = element_set(ring, A)
+    B = element_set(ring, B)
     n = ring.order
     mult = np.bincount(P.values(), minlength=n)
     b01 = np.zeros(n, dtype=bool)
@@ -114,8 +102,8 @@ def config_count_fourier(ring: Ring, P: RingPoly, A, B) -> complex:
 
     Near-exact floats; the direct count matches within 0.5 for |R| <= 256.
     """
-    A = _element_set(ring, A)
-    B = _element_set(ring, B)
+    A = element_set(ring, A)
+    B = element_set(ring, B)
     n = ring.order
     table = character_table(ring)
     # Sums of the members' rows, not a BLAS product with the indicator:
@@ -126,11 +114,15 @@ def config_count_fourier(ring: Ring, P: RingPoly, A, B) -> complex:
     return complex(n**2 * np.sum(np.conj(a_hat) * b_hat * S))
 
 
-def forbidden_differences(ring: Ring, P: RingPoly) -> np.ndarray:
-    """D = ({P(x)} union {-P(x)}) minus {0}, sorted."""
-    vals = distinct(P.values())
-    D = distinct(vals, ring.neg_vec(vals))
-    return D[D != 0]
+def forbidden_differences(ring: Ring, values: np.ndarray) -> np.ndarray:
+    """D = (V union -V) minus {0} for the values V of a polynomial, an
+    element set: the connection set of the Cayley graph joining x and y
+    when x - y or y - x lies in V."""
+    vals = distinct(values)
+    pm = distinct(vals, ring.neg_vec(vals))
+    D = pm[pm != 0]
+    D.flags.writeable = False
+    return D
 
 
 def adjacency_masks(ring: Ring, D) -> list[int]:
@@ -221,14 +213,15 @@ def _greedy_independent_set(ring: Ring, D: np.ndarray, seed: int) -> np.ndarray:
     return chosen
 
 
-def verify_difference_free(ring: Ring, P: RingPoly, elements: Sequence[int]) -> bool:
+def verify_difference_free(ring: Ring, P: RingPoly, elements) -> bool:
     """Independent pairwise scan: no distinct a, b with b - a a value of P.
     One `sub_vec` per element a against a mask of P's values; a difference
-    of 0 comes only from b = a, so 0 is left out of the mask."""
+    of 0 comes only from b = a, so 0 is left out of the mask. The elements
+    pass `element_set`."""
     is_value = np.zeros(ring.order, dtype=bool)
     is_value[P.values()] = True
     is_value[0] = False
-    elems = np.asarray(elements, dtype=np.int64)
+    elems = element_set(ring, elements)
     return not any(is_value[ring.sub_vec(elems, a)].any() for a in elems)
 
 
@@ -238,7 +231,7 @@ class DifferenceFreeReport:
     poly: str
     mode: str
     size: int
-    witness: list[int]
+    witness: np.ndarray
     verified: bool
     seed: int | None = None
 
@@ -264,35 +257,24 @@ def difference_free_max(
         raise WorkGuardExceeded(
             f"exact search is limited to order {_EXACT_INDEPENDENCE_CAP}, ring has order {n}"
         )
-    D = forbidden_differences(ring, P)
+    D = forbidden_differences(ring, P.values())
     if D.size == 0:
-        witness = list(range(n))
-        return DifferenceFreeReport(
-            ring_spec=ring.spec_string(),
-            poly=str(P),
-            mode=mode,
-            size=n,
-            witness=witness,
-            verified=verify_difference_free(ring, P, witness),
-            seed=seed if mode == "greedy" else None,
-        )
-    if mode == "exact":
+        witness = np.arange(n)
+    elif mode == "exact":
         _, mask = _max_independent_set(adjacency_masks(ring, D))
-        witness = [v for v in range(n) if mask >> v & 1]
-        used_seed = None
+        witness = np.flatnonzero([mask >> v & 1 for v in range(n)])
     else:
         charge(n * D.size, f"the greedy search over {n} vertices of degree {D.size}")
-        witness = np.flatnonzero(_greedy_independent_set(ring, D, seed)).tolist()
-        used_seed = seed
-    verified = verify_difference_free(ring, P, witness)
+        witness = np.flatnonzero(_greedy_independent_set(ring, D, seed))
+    witness = element_set(ring, witness)
     return DifferenceFreeReport(
         ring_spec=ring.spec_string(),
         poly=str(P),
         mode=mode,
         size=len(witness),
         witness=witness,
-        verified=verified,
-        seed=used_seed,
+        verified=verify_difference_free(ring, P, witness),
+        seed=seed if mode == "greedy" else None,
     )
 
 

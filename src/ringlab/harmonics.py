@@ -53,6 +53,8 @@ from .rings import Ring
 from .subgroups import SubgroupSet, value_subgroup
 
 BOUND_TOL = 1e-9
+# The CLI exits 4 when two routes to one number (route_gap, sample_gap,
+# annihilator_max_error) differ by this much.
 ROUTE_TOL = 1e-8
 # Points and characters of the sampled exact check in te_estimate, and the
 # constant mixed with the report's seed to draw them, which keeps the
@@ -94,10 +96,8 @@ def _poly_setup(ring: Ring, P: RingPoly, ddeg_mode: str):
     shift = int(values[0])
     recentred = ring.sub_vec(values, shift) if shift != 0 else values
     H = value_subgroup(ring, P, subtract_constant=True)
-    dres = derivational_degree(ring, P, mode=ddeg_mode)
-    d = max(P.degree, 1)
-    bp = bound_parameters(ring, d, dres)
-    return values, recentred, shift, H, bp, d
+    bp = bound_parameters(ring, P.degree, derivational_degree(ring, P, mode=ddeg_mode))
+    return values, recentred, shift, H, bp
 
 
 def _power_bound(B: int, k: int, lpf: int) -> float:
@@ -147,7 +147,7 @@ def character_bound_check(
     unchanged but makes the annihilator consistency check exact.
     """
     n = ring.order
-    values, recentred, shift, H, bp, d = _poly_setup(ring, P, ddeg_mode)
+    _, recentred, _, H, bp = _poly_setup(ring, P, ddeg_mode)
     k = bp.k
     lpf = ring.lpf()
     counts = np.bincount(recentred, minlength=n)
@@ -268,7 +268,7 @@ def te_estimate(
     """
     n = ring.order
     fs = _test_functions(f, n)
-    values, recentred, shift, H, bp, d = _poly_setup(ring, P, ddeg_mode)
+    values, recentred, shift, H, bp = _poly_setup(ring, P, ddeg_mode)
     k = bp.k
     lpf = ring.lpf()
 

@@ -13,7 +13,9 @@ eigensolver; the entrywise identity A chi = lambda(chi) chi that confirms
 them is a test oracle. Around them: the epsilon-uniformity measure
 (exhaustive on tiny rings, sampled or structured otherwise), the spectral
 floor lambda_2 / (8r), the sufficient unit-density criterion, the
-residue-field necessary floor, and the edge list streamed as text.
+residue-field necessary floor, and the edge list streamed as text. S and
+the uniformity witnesses are element sets, sorted read-only int64 arrays
+(`rings.element_set`).
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ import numpy as np
 
 from .budget import charge
 from .characters import all_char_sums, character_group
-from .combinatorics import _element_set
+from .combinatorics import forbidden_differences
 from .errors import CharDividesDegree, ParseError, WorkGuardExceeded
 from .polynomials import RingPoly, bound_parameters, derivational_degree
-from .rings import Ring, distinct
+from .rings import Ring, element_set
 
 #: exhaustive uniformity sweeps iterate all 2^|R| subsets; 10 keeps the
 #: sweep near a thousand set choices
@@ -40,7 +42,7 @@ EXHAUSTIVE_UNIFORMITY_CAP = 10
 class PaleyGraph:
     ring: Ring
     d: int
-    connection_set: tuple[int, ...]
+    connection_set: np.ndarray
     r: int
     kernel_size: int
     pm_halving_factor: float
@@ -51,7 +53,7 @@ class PaleyGraph:
         return {
             "ring_spec": self.ring.spec_string(),
             "d": self.d,
-            "connection_set": list(self.connection_set),
+            "connection_set": self.connection_set,
             "r": self.r,
             "kernel_size": self.kernel_size,
             "pm_halving_factor": self.pm_halving_factor,
@@ -67,15 +69,13 @@ def build_paley(ring: Ring, d: int) -> PaleyGraph:
     if d < 2:
         raise ParseError("Paley construction needs d >= 2")
     all_powers = ring.pow_vec(np.arange(ring.order, dtype=np.int64), d)
-    powers = distinct(all_powers)
-    pm = distinct(powers, ring.neg_vec(powers))
-    S = pm[pm != 0]
+    S = forbidden_differences(ring, all_powers)
     kernel = int((all_powers == ring.one).sum())
-    minus_one = bool((powers == ring.neg(ring.one)).any())
+    minus_one = bool((all_powers == ring.neg(ring.one)).any())
     return PaleyGraph(
         ring=ring,
         d=d,
-        connection_set=tuple(int(s) for s in S),
+        connection_set=S,
         r=int(S.size),
         kernel_size=kernel,
         pm_halving_factor=0.5 if minus_one else 1.0,
@@ -139,7 +139,7 @@ def edge_lines(graph: PaleyGraph) -> Iterator[str]:
     lexicographic order, one vertex at a time: the neighbours of u are
     u + S, one `add_vec` per vertex, and the lines of a vertex are one
     str.join."""
-    S = np.asarray(graph.connection_set, dtype=np.int64)
+    S = graph.connection_set
     for u in range(graph.ring.order):
         nbrs = np.sort(graph.ring.add_vec(u, S))
         vs = nbrs[nbrs > u].tolist()
@@ -155,8 +155,8 @@ class UniformityReport:
     pairs_examined: int
     max_normalized_deviation: float
     epsilon_lower_bound: float
-    witness_a: list[int]
-    witness_b: list[int]
+    witness_a: np.ndarray
+    witness_b: np.ndarray
     mixing_checked_pairs: int
     mixing_all_satisfied: bool
     mixing_worst_slack: float
@@ -174,12 +174,12 @@ def _degrees_into(graph: PaleyGraph, a01: np.ndarray) -> np.ndarray:
 
 
 def _pair_deviation(
-    graph: PaleyGraph, deg_a: np.ndarray, a: list[int], b: list[int], lam2: float
+    graph: PaleyGraph, deg_a: np.ndarray, a: np.ndarray, b: np.ndarray, lam2: float
 ) -> tuple[float, float]:
     """|N(A,B) - (r/|V|) |A||B|| for one pair, given deg_A, and its slack
     against the expander mixing certificate lambda2 sqrt(|A||B|) + 0.5."""
     n = graph.ring.order
-    N = float(deg_a[np.asarray(b, dtype=np.int64)].sum()) if b else 0.0
+    N = float(deg_a[b].sum())
     raw_dev = abs(N - graph.r * len(a) * len(b) / n)
     cert = lam2 * math.sqrt(len(a) * len(b)) + 0.5
     return raw_dev, raw_dev - cert
@@ -201,7 +201,8 @@ def uniformity_measure(
     scanned. Sampled, structured and explicit modes report the maximum over
     the examined pairs only; each examined pair is also checked against the
     expander mixing certificate lambda2 sqrt(|A||B|) + 0.5. Explicit sets
-    follow the element-set rule: duplicates merge, a bad index is a ParseError.
+    pass `element_set`: duplicates merge, and an entry that is not an
+    integer element index is a ParseError.
     Sampled mode charges count x order against the work guard before it
     draws.
     """
@@ -211,8 +212,7 @@ def uniformity_measure(
     if r == 0:
         raise ParseError("uniformity is undefined for an empty connection set")
     best = -1.0
-    best_a: list[int] = []
-    best_b: list[int] = []
+    best_a = best_b = []
     lam2 = spectrum(graph).lambda2
     used_seed: int | None = None
 
@@ -235,8 +235,8 @@ def uniformity_measure(
         devs = np.where(neg > pos, neg, pos)
         i = int(np.argmax(devs))
         pairs_examined, best = 1 << n, float(devs[i]) / (r * n)
-        best_a = np.flatnonzero(bits[i]).tolist()
-        best_b = np.flatnonzero((1 if pos[i] >= neg[i] else -1) * centered[i] > 0).tolist()
+        best_a = np.flatnonzero(bits[i])
+        best_b = np.flatnonzero((1 if pos[i] >= neg[i] else -1) * centered[i] > 0)
         _, mixing_worst = _pair_deviation(graph, degrees[i], best_a, best_b, lam2)
         mixing_checked = 1
         mixing_ok = mixing_worst <= 0
@@ -247,36 +247,35 @@ def uniformity_measure(
             used_seed = seed
             pair_list = []
             for _ in range(count):
-                a = np.flatnonzero(rng.integers(0, 2, n)).tolist()
-                b = np.flatnonzero(rng.integers(0, 2, n)).tolist()
+                a = np.flatnonzero(rng.integers(0, 2, n))
+                b = np.flatnonzero(rng.integers(0, 2, n))
                 pair_list.append((a, b))
         elif mode == "structured":
             families = [
-                [],
-                [0],
-                sorted({0, *graph.connection_set}),
-                list(range(n // 2)),
-                list(range(n)),
+                np.arange(0),
+                np.arange(1),
+                np.append(0, graph.connection_set),
+                np.arange(n // 2),
+                np.arange(n),
             ]
             pair_list = [(a, b) for a in families for b in families]
         elif mode == "explicit":
             if pairs is None:
                 raise ParseError("explicit mode needs set pairs")
-            pair_list = [[_element_set(ring, s).tolist() for s in pair] for pair in pairs]
+            pair_list = [(element_set(ring, a), element_set(ring, b)) for a, b in pairs]
         else:
             raise ParseError(f"unknown uniformity mode {mode!r}")
         pairs_examined = len(pair_list)
         mixing_checked, mixing_ok, mixing_worst = 0, True, -math.inf
         last_a = None
         for a, b in pair_list:
-            if a != last_a:  # structured pairs come grouped by A
-                a01 = np.bincount(np.asarray(a, dtype=np.int64), minlength=n)
+            if a is not last_a:  # structured pairs come grouped by A
+                a01 = np.bincount(a, minlength=n)
                 last_a, deg_a = a, _degrees_into(graph, a01)
             raw_dev, slack = _pair_deviation(graph, deg_a, a, b, lam2)
             dev = raw_dev / (r * n)
             if dev > best:
-                best = dev
-                best_a, best_b = sorted(a), sorted(b)
+                best, best_a, best_b = dev, a, b
             mixing_checked += 1
             mixing_worst = max(mixing_worst, slack)
             if slack > 0:
@@ -289,8 +288,8 @@ def uniformity_measure(
         pairs_examined=pairs_examined,
         max_normalized_deviation=float(best),
         epsilon_lower_bound=float(best),
-        witness_a=best_a,
-        witness_b=best_b,
+        witness_a=element_set(ring, best_a),
+        witness_b=element_set(ring, best_b),
         mixing_checked_pairs=mixing_checked,
         mixing_all_satisfied=mixing_ok,
         mixing_worst_slack=float(mixing_worst),

@@ -16,10 +16,12 @@ significant first) and the Hensel climb's digit rows all call; `poly_str`
 is the one polynomial formatter. Index 0 is always the zero element, and
 the multiplicative identity is always index 1 for the single-component
 constructions. Element indices are plain Python ints, which keeps bulk
-arithmetic vectorisable with numpy and makes reports JSON-stable. Every
-translate x -> x + v comes from `Ring.add_table(shifts)`, which builds
-only the rows asked for; `Ring.translate_blocks` hands them out in blocks
-of at most `budget.BLOCK_ENTRIES` entries.
+arithmetic vectorisable with numpy and makes reports JSON-stable. A set
+of elements has one form, a sorted read-only int64 array, and one checked
+constructor, `element_set`. Every translate x -> x + v comes from
+`Ring.add_table(shifts)`, which builds only the rows asked for;
+`Ring.translate_blocks` hands them out in blocks of at most
+`budget.BLOCK_ENTRIES` entries.
 
 Each ring has one additive kernel (`_additive_kernels`), chosen once from
 its radices in `Ring.__init__`: XOR, residues mod M, bit lanes, or place
@@ -127,6 +129,31 @@ def distinct(*arrays) -> np.ndarray:
     first call in a process costs."""
     out = np.sort(np.concatenate(arrays, axis=None).astype(np.int64))
     return np.concatenate((out[:1], out[1:][out[1:] != out[:-1]]))
+
+
+def element_set(ring: "Ring", elements) -> np.ndarray:
+    """A set of elements of ring in its one form: the sorted distinct
+    indices as a read-only int64 array. Python and numpy integers are
+    accepted; any other entry (bool, float, digit string) and any index out
+    of range, however large, is a ParseError."""
+    if isinstance(elements, np.ndarray):
+        integral = elements.dtype.kind in "iu"
+    else:
+        elements = list(elements)
+        integral = all(
+            isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in elements
+        )
+    if not integral:
+        raise ParseError("set elements must be integers")
+    try:
+        out = distinct(np.asarray(elements, dtype=np.int64))
+        in_range = not out.size or (out[0] >= 0 and out[-1] < ring.order)
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise ParseError("set elements must be valid element indices")
+    out.flags.writeable = False
+    return out
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -416,12 +443,14 @@ class Ring:
         """The value of `build()` for this ring and key: built on the first
         call, then returned as is for as long as the ring lives. A numpy
         array is made read-only before it is kept, since every caller shares
-        it. No value may refer back to the ring: a ring in a reference cycle
-        outlives its last user until the cyclic collector runs."""
+        it, and so is every array of a tuple value. No value may refer back
+        to the ring: a ring in a reference cycle outlives its last user until
+        the cyclic collector runs."""
         if key not in self._memo:
             value = build()
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
             self._memo[key] = value
         return self._memo[key]
 

@@ -1,53 +1,41 @@
 """Subgroups of the additive group generated by polynomial value sets.
 
-A SubgroupSet is a verified additive subgroup stored as a sorted element
-tuple, with membership by binary search. The closure picks a basis of at
-most log2 |R| generators and grows the group by doubling steps along each;
-the value subgroup keeps that basis as its generators. Sets supplied as
-already-closed are re-verified unless they came from the closure itself.
+A SubgroupSet is a verified additive subgroup whose elements and
+generators are element sets, sorted read-only int64 arrays
+(`rings.element_set`), with membership by `searchsorted`. The closure
+picks a basis of at most log2 |R| generators and grows the group by
+doubling steps along each; the value subgroup keeps that basis as its
+generators. Sets supplied as already-closed are re-verified unless they
+came from the closure itself.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import NotASubgroup
 from .polynomials import RingPoly
-from .rings import Ring, distinct
+from .rings import Ring, distinct, element_set
 
 
 class SubgroupSet:
-    """An additive subgroup with fast membership and stable identity."""
+    """An additive subgroup with fast membership."""
 
     __slots__ = ("ring", "elements", "generators")
 
-    def __init__(self, ring: Ring, elements: tuple[int, ...], generators: tuple[int, ...]):
+    def __init__(self, ring: Ring, elements: np.ndarray, generators: np.ndarray):
         self.ring = ring
         self.elements = elements
         self.generators = generators
 
     def __contains__(self, x: int) -> bool:
-        i = bisect.bisect_left(self.elements, x)
-        return i < len(self.elements) and self.elements[i] == x
+        i = np.searchsorted(self.elements, x)
+        return bool(i < len(self.elements) and self.elements[i] == x)
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SubgroupSet)
-            and self.ring == other.ring
-            and self.elements == other.elements
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ring.spec_string(), self.elements))
 
     @property
     def size(self) -> int:
@@ -62,21 +50,17 @@ class SubgroupSet:
         return len(self.elements) == self.ring.order
 
     def coset(self, shift: int) -> np.ndarray:
-        """Element indices of the coset H + shift."""
-        base = np.asarray(self.elements, dtype=np.int64)
+        """The element set H + shift."""
         if shift == 0:
-            return base
-        return np.sort(self.ring.add_vec(base, shift))
-
-    def sample_generators(self) -> list[int]:
-        return list(self.generators[:8])
+            return self.elements
+        return element_set(self.ring, self.ring.add_vec(self.elements, shift))
 
     def info_dict(self, extra: dict | None = None) -> dict:
         out = {
             "size": self.size,
             "index": self.index,
             "is_full": self.is_full,
-            "generators_sample": self.sample_generators(),
+            "generators_sample": self.generators[:8],
         }
         if extra:
             out.update(extra)
@@ -88,13 +72,13 @@ class SubgroupSet:
         )
 
 
-def _closure(ring: Ring, generators: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Close a generating set under addition (0 is always included); return
-    the sorted elements and a basis. Each basis element g is the first
-    generator outside the group S so far, so it at least doubles S, which
-    grows by S <- S + {0, step}, step <- 2 step from step = g until nothing
-    is new (S + 2^j g inside S forces S + g inside S)."""
-    gens = np.asarray(generators, dtype=np.int64)
+def _closure(ring: Ring, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Close an int64 array of generators under addition (0 is always
+    included); return the sorted elements and a basis, as int64 arrays.
+    Each basis element g is the first generator outside the group S so far,
+    so it at least doubles S, which grows by S <- S + {0, step},
+    step <- 2 step from step = g until nothing is new (S + 2^j g inside S
+    forces S + g inside S)."""
     known = np.zeros(ring.order, dtype=bool)
     known[0] = True
     members, basis = np.zeros(1, dtype=np.int64), []
@@ -109,42 +93,49 @@ def _closure(ring: Ring, generators: Sequence[int]) -> tuple[tuple[int, ...], tu
             known[fresh] = True
             members = np.concatenate([members, fresh])
             step = ring.add(step, step)
-    return tuple(np.flatnonzero(known).tolist()), tuple(basis)
+    return np.flatnonzero(known), np.array(basis, dtype=np.int64)
 
 
 def from_generators(ring: Ring, generators: Iterable[int]) -> SubgroupSet:
-    gens = tuple(int(g) for g in generators)
-    return SubgroupSet(ring, _closure(ring, gens)[0], gens)
+    """The subgroup generated by an element set; ParseError for an entry
+    that `element_set` refuses."""
+    gens = element_set(ring, generators)
+    elements, _ = _closure(ring, gens)
+    elements.flags.writeable = False
+    return SubgroupSet(ring, elements, gens)
 
 
 def from_elements(ring: Ring, elements: Iterable[int]) -> SubgroupSet:
-    """Wrap an explicit element set, checking it really is a subgroup."""
-    elems = tuple(sorted({int(e) for e in elements}))
-    if not elems or elems[0] != 0:
+    """Wrap an explicit element set, checking it really is a subgroup;
+    ParseError for an entry that `element_set` refuses."""
+    elems = element_set(ring, elements)
+    if not elems.size or elems[0] != 0:
         raise NotASubgroup("a subgroup must contain 0")
     closed, _ = _closure(ring, elems)
-    if closed != elems:
-        raise NotASubgroup(f"set of size {len(elems)} closes to size {len(closed)}")
+    if closed.size != elems.size:
+        raise NotASubgroup(f"set of size {elems.size} closes to size {closed.size}")
     return SubgroupSet(ring, elems, elems)
 
 
 def trivial_subgroup(ring: Ring) -> SubgroupSet:
-    return SubgroupSet(ring, (0,), ())
+    return SubgroupSet(ring, element_set(ring, [0]), element_set(ring, []))
 
 
 def full_subgroup(ring: Ring) -> SubgroupSet:
     """All of R, generated by the cyclic generators of (R, +)."""
-    gens = tuple(int(p) for p in ring._places)
-    return SubgroupSet(ring, tuple(range(ring.order)), gens)
+    return SubgroupSet(
+        ring, element_set(ring, np.arange(ring.order)), element_set(ring, ring._places)
+    )
 
 
 def value_subgroup(ring: Ring, P: RingPoly, subtract_constant: bool = True) -> SubgroupSet:
     """The subgroup generated by the values of P, optionally recentred by
     subtracting P(0) from every value first. The closure runs once per
     ring, P and recentring; the ring's memo keeps its elements and basis,
-    and each call wraps them in a new SubgroupSet, which refers to the ring."""
+    read-only, and each call wraps them in a new SubgroupSet, which refers
+    to the ring."""
 
-    def build() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def build() -> tuple[np.ndarray, np.ndarray]:
         values = P.values()
         if subtract_constant:
             c = int(values[0])

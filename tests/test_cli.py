@@ -465,6 +465,23 @@ def test_tebound_reports_the_sampled_check(capsys):
     assert result["max_sample_gap"] == max(gaps) < 1e-8
 
 
+def test_tebound_exits_4_when_its_routes_disagree(monkeypatch, capsys):
+    """A convolution 1e-4 too large leaves every bound satisfied, but the
+    transform route no longer matches the Parseval route or the sampled
+    check, and the command says so with exit 4."""
+    from ringlab import harmonics
+    from ringlab.cli import main
+
+    convolve = harmonics.convolve
+    monkeypatch.setattr(harmonics, "convolve", lambda *a: convolve(*a) * (1 + 1e-4))
+    args = ["tebound", "--ring", "Z/13", "--poly", "0,0,1", "--random", "2"]
+    assert main(args) == 4
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["all_satisfied"] is True
+    assert result["max_route_gap"] >= harmonics.ROUTE_TOL
+    assert result["max_sample_gap"] >= harmonics.ROUTE_TOL
+
+
 def test_seed_changes_functions():
     base = ("tebound", "--ring", "Z/8", "--poly", "0,0,1", "--random", "3")
     a = json.loads(run_cli(*base, "--seed", "1").stdout)
@@ -746,7 +763,7 @@ def test_explicit_set_bad_index_message(text):
     with its message, for indices of any size."""
     with pytest.raises(ParseError, match="set elements must be valid element indices"):
         parse_element_set(make_ring("Z/13"), text)
-    assert parse_element_set(make_ring("Z/13"), " 3,1,,1 ") == [1, 3]
+    assert parse_element_set(make_ring("Z/13"), " 3,1,,1 ").tolist() == [1, 3]
 
 
 def test_set_families():

@@ -1,7 +1,7 @@
 """Every value derived from a ring lives in that ring's memo: it is built
-once per ring and key, stored read-only when it is an array, and dies with
-the ring. That covers the value table of each polynomial, which every layer
-reads through `RingPoly.values`. No cache outside the ring holds a ring
+once per ring and key, stored read-only when it is an array or a tuple of
+arrays, and dies with the ring. That covers the value table of each
+polynomial, which every layer reads through `RingPoly.values`. No cache outside the ring holds a ring
 alive or hands one ring's values to another ring with the same spec, and
 nothing in the memo refers back to the ring, so reference counting frees a
 ring as soon as its last user drops it. The two process-wide memos,
@@ -10,6 +10,7 @@ functions of (p, e) and (p, e, h) alone and hold no ring.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -64,7 +65,8 @@ def test_value_subgroup_is_built_once_per_ring(spec):
     P = from_int_coeffs(ring, (1, 0, 1))
     H = value_subgroup(ring, P)
     again = value_subgroup(ring, P)
-    assert again == H and again.elements is H.elements
+    assert again.elements is H.elements and again.generators is H.generators
+    assert not H.elements.flags.writeable and not H.generators.flags.writeable
     assert value_subgroup(ring, P, subtract_constant=False).elements is not H.elements
     other = make_ring(spec)
     assert value_subgroup(other, from_int_coeffs(other, (1, 0, 1))).ring is other
@@ -128,3 +130,20 @@ def test_value_table_is_built_once_per_ring_and_polynomial(spec, monkeypatch):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_memoised_value_subgroup_is_two_small_arrays():
+    """The memo keeps the value subgroup of x^3 on Z/65536, all of the ring,
+    as int64 arrays: its 512 KB of elements and a short basis. As a tuple
+    of Python ints it kept 2.49 MB."""
+    ring = make_ring("Z/65536")
+    P = from_int_coeffs(ring, (0, 0, 0, 1))
+    P.values()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert value_subgroup(ring, P).is_full
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20

@@ -2,13 +2,16 @@
 set-based closure (plain Python sets, no bitmask machinery).
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab.errors import NotASubgroup
+from ringlab.combinatorics import config_count, verify_difference_free
+from ringlab.errors import NotASubgroup, ParseError
+from ringlab.paley import build_paley, uniformity_measure
 from ringlab.polynomials import RingPoly
-from ringlab.rings import make_ring
+from ringlab.rings import element_set, make_ring
 from ringlab.subgroups import (
     SubgroupSet,
     constant_in_subgroup,
@@ -83,6 +86,7 @@ def test_membership_matches_the_element_set(spec, data):
     gens = data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="gens")
     for H in (from_generators(ring, gens), trivial_subgroup(ring), full_subgroup(ring)):
         members = set(H.elements)
+        assert not H.elements.flags.writeable and not H.generators.flags.writeable
         for x in range(-3, n + 3):
             assert (x in H) == (x in members)
 
@@ -166,7 +170,7 @@ def test_sample_generators_regenerate():
     ring = make_ring("GR(3,2,2)")
     P = RingPoly.make(ring, (0, 0, 1))
     H = value_subgroup(ring, P)
-    gens = H.sample_generators()
+    gens = H.info_dict()["generators_sample"]
     again = from_generators(ring, gens)
     assert sorted(again.elements) == sorted(H.elements)
 
@@ -176,3 +180,46 @@ def test_value_subgroup_additive_polynomial_frobenius():
     ring = make_ring("GF(9)")
     P = RingPoly.make(ring, (0, 0, 0, 1))
     assert value_subgroup(ring, P).is_full
+
+
+def _x2(ring):
+    return RingPoly.make(ring, (0, 0, ring.one))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: from_generators(make_ring("Z/4"), [7]),
+        lambda: from_elements(make_ring("Z/4"), [0, 5]),
+        lambda: from_generators(make_ring("Z/4"), [-1]),
+        lambda: from_elements(make_ring("Z/4"), [0, 2, 2.7]),
+        lambda: config_count(make_ring("Z/8"), _x2(make_ring("Z/8")), [0, 2.7], [1]),
+        lambda: verify_difference_free(make_ring("Z/8"), _x2(make_ring("Z/8")), [0, 1.5]),
+        lambda: element_set(make_ring("Z/8"), [True, 3.9]),
+        lambda: element_set(make_ring("Z/13"), "12"),
+        lambda: element_set(make_ring("Z/13"), np.array([1.0, 2.0])),
+        lambda: uniformity_measure(
+            build_paley(make_ring("Z/13"), 2), mode="explicit", pairs=[([1.5], [2])]
+        ),
+    ],
+    ids=[
+        "generator-past-the-end", "element-past-the-end", "negative-generator",
+        "float-element", "float-config-set", "float-witness", "bool-and-float",
+        "digit-string", "float-array", "float-uniformity-pair",
+    ],
+)
+def test_entry_points_refuse_what_the_cli_refuses(call):
+    """Every library entry point that takes a set of elements refuses, as
+    the CLI does, an index out of range and an entry that is not an
+    integer, where it used to raise IndexError, wrap or truncate."""
+    with pytest.raises(ParseError):
+        call()
+
+
+def test_element_set_is_sorted_distinct_read_only_int64():
+    ring = make_ring("Z/13")
+    for given in ([np.int32(5), 3, np.uint8(3), 12], np.array([12, 3, 5, 3], dtype=np.uint16)):
+        out = element_set(ring, given)
+        assert out.dtype == np.int64 and out.tolist() == [3, 5, 12]
+        assert not out.flags.writeable
+    assert element_set(ring, []).tolist() == []

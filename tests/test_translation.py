@@ -64,8 +64,12 @@ def _results(spec: str) -> dict:
         "sweep": np.stack([sweep["lhs"], sweep["fourier"], sweep["rhs"]]),
         "vdc": np.stack([vdc.lhs, vdc.rhs]),
         "config": config.count,
-        "uniformity": vars(uniformity),
-        "masks": adjacency_masks(ring, forbidden_differences(ring, P)),
+        "uniformity": {
+            **vars(uniformity),
+            "witness_a": uniformity.witness_a.tolist(),
+            "witness_b": uniformity.witness_b.tolist(),
+        },
+        "masks": adjacency_masks(ring, forbidden_differences(ring, P.values())),
         "translates": np.vstack([table for _, table in ring.translate_blocks(range(n))]),
     }
 

@@ -50,7 +50,8 @@ def test_uniformity_reports_equal_the_scalar_sweeps(spec):
                 continue
             got = uniformity_measure(graph, mode=mode, pairs=pairs)
             want = uniformity_oracle.uniformity_report(graph, mode, pairs)
-            assert vars(got) == vars(want), (spec, d, mode)
+            witnesses = {"witness_a": got.witness_a.tolist(), "witness_b": got.witness_b.tolist()}
+            assert {**vars(got), **witnesses} == vars(want), (spec, d, mode)
 
 
 @pytest.mark.parametrize(

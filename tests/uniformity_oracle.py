@@ -16,9 +16,10 @@ import math
 
 import numpy as np
 
-from ringlab.combinatorics import _element_set, adjacency_masks
+from ringlab.combinatorics import adjacency_masks
 from ringlab.errors import ParseError
 from ringlab.paley import UniformityReport, spectrum
+from ringlab.rings import element_set
 
 
 def degrees_into(graph, a01):
@@ -76,7 +77,7 @@ def uniformity_report(graph, mode, pairs=None):
                         list(range(n))]
             pair_list = [(a, b) for a in families for b in families]
         else:
-            pair_list = [[_element_set(ring, s).tolist() for s in pair] for pair in pairs]
+            pair_list = [[element_set(ring, s).tolist() for s in pair] for pair in pairs]
         pairs_examined = len(pair_list)
         mixing_checked, mixing_ok, mixing_worst = 0, True, -math.inf
         for a, b in pair_list:
@@ -109,9 +110,9 @@ def config_count(ring, P, A, B):
     n = ring.order
     mult = np.bincount(P.values(), minlength=n)
     a01 = np.zeros(n, dtype=np.int64)
-    a01[_element_set(ring, A)] = 1
+    a01[element_set(ring, A)] = 1
     b01 = np.zeros(n, dtype=np.int64)
-    b01[_element_set(ring, B)] = 1
+    b01[element_set(ring, B)] = 1
     count = 0
     for v in np.flatnonzero(mult):
         count += int(mult[v]) * int(a01 @ b01[ring.add_vec(np.arange(n), v)])
