@@ -15,12 +15,12 @@ character is position 0. `CharacterGroup.coeffs` decodes a position and
 All angle arithmetic is exact: angles live in Z/L with L = lcm(m_i), and
 `CharacterGroup.angles` is the one route to them; a complex exponential is
 evaluated only once per angle class. `character_table` reads the unit
-table at those angles, whole for modest orders or a few columns for
-sampled checks, and `annihilator_mask` compares angles with 0. The sums
-over every character (`all_char_sums`) are one multidimensional DFT over
-(R, +), and so is every convolution with a measure on (R, +)
-(`convolve`). The angle-histogram sum of one character, the independent
-check of the transform, lives with the tests.
+table at those angles, whole for modest orders or a few columns for sampled
+checks, and `annihilator_mask` compares angles with 0. The sums over every
+character (`all_char_sums`) are one DFT over (R, +), and so is every
+convolution with a measure on (R, +) (`convolve`): numpy's fftn, run axis
+by axis by `_dft` with exact butterflies on length-2 axes. The tests keep
+the angle-histogram sum of one character, the transform's independent check.
 
 A CharacterGroup is a light view on its ring; its unit table is built once,
 kept read-only in the ring's memo (`Ring.memo`) and freed with the ring.
@@ -90,13 +90,35 @@ def _element_cube(ring: Ring, w: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
     return w.reshape(w.shape[:-1] + radices[::-1]), axes
 
 
+def _dft(cube: np.ndarray, axes: tuple[int, ...], inverse: bool = False) -> np.ndarray:
+    """np.fft.fftn(cube, axes=axes), or ifftn, bit for bit on int, float64 and
+    complex128 data: axis by axis in fftn's order (last first), a length-2
+    axis an in-place butterfly (a + b, a - b), halved on the inverse, real
+    while the data are; any other one 1-D pocketfft call. Never writes cube."""
+    fft, given = (np.fft.ifft if inverse else np.fft.fft), cube
+    for axis in reversed(axes):
+        if cube.shape[axis] != 2:
+            cube = fft(cube, axis=axis)
+            continue
+        if cube is given:
+            cube = cube.astype(np.result_type(cube, float))
+        a, b = (cube[(slice(None),) * axis + (half, ...)] for half in (0, 1))
+        d = a - b
+        a += b
+        b[...] = d
+        if inverse:  # part by part, as pocketfft: (-0.0 - 1j) * (0.5 + 0j) = 0.0 - 0.5j
+            for part in (cube.real, cube.imag) if np.iscomplexobj(cube) else (cube,):
+                part *= 0.5
+    return cube.astype(complex, copy=False)
+
+
 def all_char_sums(ring: Ring, w: np.ndarray) -> np.ndarray:
     """sum_x w[..., x] chi(x) for every character, in enumeration order: one
-    DFT over (R, +) of each row of the (real or complex) weights, shape
-    (..., order). The transform runs on the element cube, whose axes are
-    then reversed into enumeration order."""
+    DFT over (R, +) of each row of the (integer, real or complex) weights,
+    shape (..., order). The transform (`_dft`) runs on the element cube,
+    whose axes are then reversed into enumeration order."""
     cube, axes = _element_cube(ring, w)
-    sums = np.fft.ifftn(cube, axes=axes) * ring.order
+    sums = _dft(cube, axes, inverse=True) * ring.order
     perm = tuple(range(axes[0])) + axes[::-1]
     return sums.transpose(perm).reshape(cube.shape[:axes[0]] + (ring.order,))
 
@@ -107,8 +129,8 @@ def convolve(ring: Ring, fs: np.ndarray, mu: np.ndarray) -> np.ndarray:
     which carries the opposite sign to the DFT: a correlation, not a
     convolution in the strict sense. No character order is involved."""
     cube, axes = _element_cube(ring, fs)
-    mu_hat = np.fft.ifftn(np.asarray(mu).reshape(cube.shape[axes[0]:])) * ring.order
-    g = np.fft.ifftn(np.fft.fftn(cube, axes=axes) * mu_hat, axes=axes)
+    mu_hat = _dft(*_element_cube(ring, mu), inverse=True) * ring.order
+    g = _dft(_dft(cube, axes) * mu_hat, axes, inverse=True)
     return g.reshape(np.shape(fs))
 
 

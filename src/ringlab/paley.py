@@ -8,14 +8,14 @@ of the adjacency operator with eigenvalue
     lambda(chi) = sum over s in S of chi(s).
 
 Spectra are computed exclusively through these character sums (one DFT of
-the indicator of S over the additive group), never with a numerical
-eigensolver; the entrywise identity A chi = lambda(chi) chi that confirms
-them is a test oracle. Around them: the epsilon-uniformity measure
-(exhaustive on tiny rings, sampled or structured otherwise), the spectral
-floor lambda_2 / (8r), the sufficient unit-density criterion, the
-residue-field necessary floor, and the edge list streamed as text. S and
-the uniformity witnesses are element sets, sorted read-only int64 arrays
-(`rings.element_set`).
+the indicator of S over the additive group, run axis by axis with exact
+butterflies on length-2 axes), never with a numerical eigensolver; the
+entrywise identity A chi = lambda(chi) chi that confirms them is a test
+oracle. Around them: the epsilon-uniformity measure (exhaustive on tiny
+rings, sampled or structured otherwise), the spectral floor lambda_2 / (8r),
+the sufficient unit-density criterion, the residue-field necessary floor,
+and the edge list streamed as text. S and the uniformity witnesses are
+element sets, sorted read-only int64 arrays (`rings.element_set`).
 """
 
 from __future__ import annotations
@@ -103,9 +103,9 @@ class SpectrumReport:
 
 def spectrum(graph: PaleyGraph) -> SpectrumReport:
     """One eigenvalue per character: the character sums of the connection
-    set's indicator, one DFT over (R, +). lambda2 takes the first maximizer
-    in character enumeration order. Computed once per ring and d, and kept
-    in the ring's memo."""
+    set's indicator, one DFT over (R, +) run axis by axis (`all_char_sums`).
+    lambda2 takes the first maximizer in character enumeration order.
+    Computed once per ring and d, and kept in the ring's memo."""
     return graph.ring.memo(("spectrum", graph.d), lambda: _spectrum(graph))
 
 

@@ -97,30 +97,34 @@ def digits_of(a, radices: Sequence[int]) -> np.ndarray:
 
 
 def _additive_kernels(radices: Sequence[int], places: Sequence[int]):
-    """(add, sub) on the indices of Z/m_1 + ... + Z/m_k with these radices
+    """(add, sub, neg) on the indices of Z/m_1 + ... + Z/m_k with these radices
     and places, each one expression for Python ints and int64 arrays that
-    holds no ring, so a ring keeping them forms no reference cycle: XOR
-    when every radix is 2; residues mod M when there is one radix M, by a
-    mask when M is a power of two; bit lanes when every radix is a power
-    of two, H holding each lane's top bit so no carry or borrow leaves it
-    (Warren, Hacker's Delight 2-18); else place by place, as a // P is the
-    digit at place P plus a multiple of m. Each sub adds a multiple of m
-    (M, or R = order / P) to keep the remainder's operand nonnegative, on
-    which numpy's int64 remainder runs about twice as fast."""
+    holds no ring, so a ring keeping them forms no reference cycle: XOR when
+    every radix is 2; residues mod M when there is one radix M, by a mask
+    when M is a power of two; bit lanes when every radix is a power of two,
+    H holding each lane's top bit so no carry or borrow leaves it (Warren,
+    Hacker's Delight 2-18); else place by place, as a // P is the digit at
+    place P plus a multiple of m. Each sub adds a multiple of m (M, or
+    R = order / P) to keep the remainder's operand nonnegative, on which
+    numpy's int64 remainder runs about twice as fast; neg takes -(a // P) % m,
+    which measured faster than sub from 0."""
     if all(m == 2 for m in radices):
-        return operator.xor, operator.xor
+        return operator.xor, operator.xor, operator.pos
     if len(radices) == 1:
         M = radices[0]
         if M & (M - 1) == 0:
-            return (lambda a, b: (a + b) & (M - 1)), (lambda a, b: (a - b) & (M - 1))
-        return (lambda a, b: (a + b) % M), (lambda a, b: (a - b + M) % M)
+            return ((lambda a, b: (a + b) & (M - 1)), (lambda a, b: (a - b) & (M - 1)),
+                    (lambda a: -a & (M - 1)))
+        return (lambda a, b: (a + b) % M), (lambda a, b: (a - b + M) % M), (lambda a: (M - a) % M)
     if all(m & (m - 1) == 0 for m in radices):
         H = sum(m // 2 * P for m, P in zip(radices, places))
         return (lambda a, b: ((a & ~H) + (b & ~H)) ^ ((a ^ b) & H),
-                lambda a, b: ((a | H) - (b & ~H)) ^ ((a ^ ~b) & H))
+                lambda a, b: ((a | H) - (b & ~H)) ^ ((a ^ ~b) & H),
+                lambda a: (H - (a & ~H)) ^ (~a & H))
     cut = [(m, P, math.prod(radices) // P) for m, P in zip(radices, places)]
     return (lambda a, b: sum((a // P + b // P) % m * P for m, P, _ in cut),
-            lambda a, b: sum((a // P - b // P + R) % m * P for m, P, R in cut))
+            lambda a, b: sum((a // P - b // P + R) % m * P for m, P, R in cut),
+            lambda a: sum(-(a // P) % m * P for m, P, _ in cut))
 
 
 def distinct(*arrays) -> np.ndarray:
@@ -437,7 +441,7 @@ class Ring:
         self._memo: dict = {}
         places = list(itertools.accumulate(self._radices[:-1], operator.mul, initial=1))
         self._places = np.array(places, dtype=np.int64)
-        self._add, self._sub = _additive_kernels(self._radices, places)
+        self._add, self._sub, self._neg = _additive_kernels(self._radices, places)
 
     def memo(self, key, build):
         """The value of `build()` for this ring and key: built on the first
@@ -469,7 +473,7 @@ class Ring:
         return self._add(a, b)
 
     def neg(self, a: int) -> int:
-        return self._sub(0, a)
+        return self._neg(a)
 
     def sub(self, a: int, b: int) -> int:
         return self._sub(a, b)
@@ -538,7 +542,7 @@ class Ring:
         return self._add(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
 
     def neg_vec(self, a) -> np.ndarray:
-        return self._sub(0, np.asarray(a, dtype=np.int64))
+        return self._neg(np.asarray(a, dtype=np.int64))
 
     def sub_vec(self, a, b) -> np.ndarray:
         return self._sub(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))

@@ -10,6 +10,10 @@ library's unit table or its common modulus L.
 library's exact angles of one character over a multiset, counted in an
 integer histogram, with one complex evaluation per angle class. It shares
 no arithmetic with the DFT of `all_char_sums`.
+
+`fftn_char_sums` and `fftn_convolve` are the numpy route that the library's
+axis-by-axis transform replaced: one `np.fft.fftn`/`ifftn` call over the
+library's element cube. The transform must equal them bit for bit.
 """
 
 import cmath
@@ -19,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ringlab.characters import character_group
+from ringlab.characters import _element_cube, character_group
 
 
 def coeff_tuples(ring) -> list[tuple[int, ...]]:
@@ -52,3 +56,19 @@ def char_sum(ring, position: int, values) -> complex:
         return 0j
     hist = np.bincount(group.angles(values, position), minlength=group.L)
     return complex(hist @ group.unit_table)
+
+
+def fftn_char_sums(ring, w) -> np.ndarray:
+    """all_char_sums through numpy's ifftn, in enumeration order."""
+    cube, axes = _element_cube(ring, w)
+    sums = np.fft.ifftn(cube, axes=axes) * ring.order
+    perm = tuple(range(axes[0])) + axes[::-1]
+    return sums.transpose(perm).reshape(cube.shape[:axes[0]] + (ring.order,))
+
+
+def fftn_convolve(ring, fs, mu) -> np.ndarray:
+    """convolve through numpy's fftn and ifftn."""
+    cube, axes = _element_cube(ring, fs)
+    mu_hat = np.fft.ifftn(np.asarray(mu).reshape(cube.shape[axes[0]:])) * ring.order
+    g = np.fft.ifftn(np.fft.fftn(cube, axes=axes) * mu_hat, axes=axes)
+    return g.reshape(np.shape(fs))

@@ -1,6 +1,7 @@
 """Additive characters: positions, orthogonality, multiplicativity, Parseval,
 and the exact-angle summation route, each checked against the naive
-character oracle (`character_oracle.py`) or plain complex arithmetic.
+character oracle (`character_oracle.py`) or plain complex arithmetic; and
+the axis-by-axis transform, which must equal numpy's fftn bit for bit.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from ringlab.characters import (
     annihilator_mask,
     character_group,
     character_table,
+    convolve,
 )
 from ringlab.rings import make_ring
 from ringlab.subgroups import full_subgroup, value_subgroup
@@ -215,3 +217,75 @@ def test_full_subgroup_annihilator_is_trivial(spec):
     ring = make_ring(spec)
     mask = annihilator_mask(ring, full_subgroup(ring).generators)
     assert np.flatnonzero(mask).tolist() == [0]
+
+
+WEIGHT_KINDS = ("counts", "real", "complex", "signed zeros")
+
+
+def _weights(rng, kind, shape):
+    """Read-only weights of one kind, so that a transform writing into its
+    argument raises: integer counts, real or complex uniforms, or complex
+    weights with parts in {-1, -0.0, 0.0, 1}, whose sums hold signed zeros."""
+    if kind == "counts":
+        w = rng.integers(0, 5, shape)
+    elif kind == "real":
+        w = rng.uniform(-1, 1, shape)
+    elif kind == "complex":
+        w = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+    else:
+        w = np.empty(shape, dtype=complex)
+        w.real, w.imag = rng.choice([-1.0, -0.0, 0.0, 1.0], (2,) + shape)
+    w.flags.writeable = False
+    return w
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _assert_transforms_match_fftn(ring, kind, batch, seed):
+    """all_char_sums and convolve against numpy's fftn route, bit for bit
+    (signed zeros included), on a batch of weights and on one row."""
+    rng = np.random.default_rng(seed)
+    n = ring.order
+    w = _weights(rng, kind, batch + (n,))
+    mu = _weights(rng, "real", (n,))
+    _assert_same_bits(all_char_sums(ring, w), oracle.fftn_char_sums(ring, w))
+    _assert_same_bits(convolve(ring, w, mu), oracle.fftn_convolve(ring, w, mu))
+    row = w.reshape(-1, n)[0]
+    _assert_same_bits(convolve(ring, row, mu), oracle.fftn_convolve(ring, row, mu))
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_RINGS))
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_transforms_equal_numpy_fftn(family, data):
+    ring = make_ring(data.draw(st.sampled_from(ORACLE_RINGS[family]), label="ring"))
+    kind = data.draw(st.sampled_from(WEIGHT_KINDS), label="kind")
+    batch = data.draw(st.sampled_from(((), (2, 3))), label="batch")
+    _assert_transforms_match_fftn(ring, kind, batch, data.draw(st.integers(0, 2**16), label="seed"))
+
+
+@pytest.mark.parametrize(
+    "spec", ["Z/2", "prod(Z/2;Z/4)", "prod(Z/32;GF(32))", "GF(4096)"]
+)
+def test_butterfly_rings_equal_numpy_fftn(spec):
+    """One axis of length 2; a length-2 axis beside a longer one; a
+    pocketfft axis before the butterflies; twelve butterflies."""
+    ring = make_ring(spec)
+    for seed, kind in enumerate(WEIGHT_KINDS):
+        for batch in ((), (2, 3)):
+            _assert_transforms_match_fftn(ring, kind, batch, seed)
+
+
+@pytest.mark.parametrize("spec, calls", [("GR(3,2,2)", 2), ("GF(64)", 0), ("prod(Z/4;GF(8))", 1)])
+def test_only_longer_axes_call_pocketfft(spec, calls, monkeypatch):
+    """One 1-D pocketfft call per axis longer than 2, and none per
+    length-2 axis, in all_char_sums."""
+    seen = []
+    fft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda a, axis: seen.append(axis) or fft(a, axis=axis))
+    ring = make_ring(spec)
+    all_char_sums(ring, np.arange(ring.order))
+    assert len(seen) == calls
