@@ -277,8 +277,8 @@ def _cmd_sarkozy(args) -> tuple[dict, int]:
     result: dict = {"ring_spec": ring.spec_string(), "poly": str(P)}
     code = EXIT_OK
     if args.measured is not None:
-        if args.measured < 0:
-            raise ParseError("--measured must be a nonnegative set size")
+        if not 0 <= args.measured <= ring.order:
+            raise ParseError(f"--measured must be a set size from 0 to {ring.order}")
         size = args.measured
         result["measured_source"] = "external"
     else:

@@ -62,18 +62,17 @@ def config_count(ring: Ring, P: RingPoly, A, B) -> ConfigCountReport:
     The expectation for sets of these sizes is |A||B|; the normalized
     deviation divides by sqrt(|A||B|) |R| and the density deviation by
     |R|^2 (the scale on which the total ergodicity estimate controls it).
-    A and B pass `element_set`.
+    A and B pass `element_set`. One `Ring.translate_counts` at the values v
+    of P, weighted by how often P takes them, builds |P(R)| x |A| translates.
     """
     A = element_set(ring, A)
     B = element_set(ring, B)
     n = ring.order
     mult = np.bincount(P.values(), minlength=n)
+    vs = np.flatnonzero(mult)
     b01 = np.zeros(n, dtype=bool)
     b01[B] = True
-    count = 0
-    # Row v of a block counts the x in A with x + v in B.
-    for vs, table in ring.translate_blocks(np.flatnonzero(mult)):
-        count += int(mult[vs] @ b01[table[:, A]].sum(axis=1))
+    count = int(mult[vs] @ ring.translate_counts(b01, A, rows=vs))
     expectation = len(A) * len(B)
     deviation = abs(count - expectation)
     if len(A) and len(B):
@@ -127,12 +126,12 @@ def forbidden_differences(ring: Ring, values: np.ndarray) -> np.ndarray:
 
 def adjacency_masks(ring: Ring, D) -> list[int]:
     """Neighbour bitmasks of the Cayley graph with connection set D: bit y
-    of entry x is set when y = x + d for some d in D."""
+    of entry x is set when y = x + d for some d in D. Exact search caps the
+    order at 64, so the whole |D| x order table is small."""
     adj = [0] * ring.order
-    for _, table in ring.translate_blocks(D):
-        for row in table.tolist():
-            for x, y in enumerate(row):
-                adj[x] |= 1 << y
+    for row in ring.add_table(D).tolist():
+        for x, y in enumerate(row):
+            adj[x] |= 1 << y
     return adj
 
 
@@ -215,14 +214,15 @@ def _greedy_independent_set(ring: Ring, D: np.ndarray, seed: int) -> np.ndarray:
 
 def verify_difference_free(ring: Ring, P: RingPoly, elements) -> bool:
     """Independent pairwise scan: no distinct a, b with b - a a value of P.
-    One `sub_vec` per element a against a mask of P's values; a difference
-    of 0 comes only from b = a, so 0 is left out of the mask. The elements
-    pass `element_set`."""
+    One `Ring.translate_counts` of the translates b + (-a) that land on a
+    value of P, over every pair a, b of the elements; a difference of 0
+    comes only from b = a, so 0 is left out of the mask. The elements pass
+    `element_set`."""
     is_value = np.zeros(ring.order, dtype=bool)
     is_value[P.values()] = True
     is_value[0] = False
     elems = element_set(ring, elements)
-    return not any(is_value[ring.sub_vec(elems, a)].any() for a in elems)
+    return not ring.translate_counts(is_value, ring.neg_vec(elems), rows=elems).any()
 
 
 @dataclass

@@ -163,16 +163,6 @@ class UniformityReport:
     seed: int | None = None
 
 
-def _degrees_into(graph: PaleyGraph, a01: np.ndarray) -> np.ndarray:
-    """deg_A(x) = #{a in A : x ~ a} for every x and every 0/1 row A of a01,
-    shape (..., order), in that shape: one gather per block of translates;
-    sums of 0/1 values, exact in any order."""
-    out = np.zeros(a01.shape)
-    for _, table in graph.ring.translate_blocks(graph.connection_set):
-        out += a01[..., table].sum(axis=-2)
-    return out
-
-
 def _pair_deviation(
     graph: PaleyGraph, deg_a: np.ndarray, a: np.ndarray, b: np.ndarray, lam2: float
 ) -> tuple[float, float]:
@@ -204,7 +194,8 @@ def uniformity_measure(
     pass `element_set`: duplicates merge, and an entry that is not an
     integer element index is a ParseError.
     Sampled mode charges count x order against the work guard before it
-    draws.
+    draws. Each deg_A(x) = #{s in S : x + s in A} is one exact
+    `Ring.translate_counts` over S, reused across a structured A's pairs.
     """
     ring = graph.ring
     n = ring.order
@@ -226,7 +217,8 @@ def uniformity_measure(
         # in order, as the scalar loop added them, and the first argmax is
         # the set that its strict > update kept.
         bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-        degrees = _degrees_into(graph, bits)
+        # deg_A is linear in A; row y of the point masks' counts is deg_{y}.
+        degrees = bits @ ring.translate_counts(np.eye(n, dtype=bool), graph.connection_set)
         centered = degrees - (r * bits.sum(axis=1) / n)[:, None]
         pos, neg = np.zeros(1 << n), np.zeros(1 << n)
         for c in centered.T:
@@ -271,7 +263,7 @@ def uniformity_measure(
         for a, b in pair_list:
             if a is not last_a:  # structured pairs come grouped by A
                 a01 = np.bincount(a, minlength=n)
-                last_a, deg_a = a, _degrees_into(graph, a01)
+                last_a, deg_a = a, ring.translate_counts(a01, graph.connection_set)
             raw_dev, slack = _pair_deviation(graph, deg_a, a, b, lam2)
             dev = raw_dev / (r * n)
             if dev > best:

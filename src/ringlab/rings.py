@@ -18,10 +18,10 @@ the multiplicative identity is always index 1 for the single-component
 constructions. Element indices are plain Python ints, which keeps bulk
 arithmetic vectorisable with numpy and makes reports JSON-stable. A set
 of elements has one form, a sorted read-only int64 array, and one checked
-constructor, `element_set`. Every translate x -> x + v comes from
-`Ring.add_table(shifts)`, which builds only the rows asked for;
-`Ring.translate_blocks` hands them out in blocks of at most
-`budget.BLOCK_ENTRIES` entries.
+constructor, `element_set`. Every translate x -> x + v is an `add_vec`:
+`Ring.add_table(shifts)` builds whole rows, and `Ring.translate_counts`,
+the one count of translates that land in a set, builds them in blocks of
+at most `budget.BLOCK_ENTRIES` entries.
 
 Each ring has one additive kernel (`_additive_kernels`), chosen once from
 its radices in `Ring.__init__`: XOR, residues mod M, bit lanes, or place
@@ -595,14 +595,21 @@ class Ring:
         column = np.asarray(shifts, dtype=np.int64).reshape(-1, 1)
         return self.add_vec(np.arange(self.order, dtype=np.int64), column)
 
-    def translate_blocks(self, shifts):
-        """(block of shifts, its `add_table`) over consecutive blocks of the
-        shifts in order, each table at most `budget.BLOCK_ENTRIES` entries
-        (one row at least), so memory stays bounded at every order however
-        many shifts are asked for."""
-        shifts = np.asarray(shifts, dtype=np.int64)
-        for block in blocks(shifts.size, self.order):
-            yield shifts[block], self.add_table(shifts[block])
+    def translate_counts(self, mask, shifts, rows=None) -> np.ndarray:
+        """#{v in shifts, repeats counted : mask[..., x + v]} for every x in
+        rows (default: every element), exact int64 of shape mask.shape[:-1]
+        + (len(rows),); an integer mask adds its entries. The translates are
+        built in blocks of the shifts of at most `budget.BLOCK_ENTRIES`."""
+        mask = np.asarray(mask)
+        shifts = np.asarray(shifts, dtype=np.int64).reshape(-1, 1)
+        rows = np.asarray(np.arange(self.order) if rows is None else rows, dtype=np.int64)
+        out = np.zeros(mask.shape[:-1] + (rows.size,), dtype=np.int64)
+        for block in blocks(len(shifts), max(rows.size, 1)):
+            # Named until the next block is built: freed inside the gather,
+            # each block went back to the kernel and was faulted in again.
+            table = self.add_vec(rows, shifts[block])
+            out += np.take(mask, table, axis=-1).sum(axis=-2)
+        return out
 
 
 def _power(mul, a, e: int):

@@ -94,6 +94,7 @@ BAD_INPUTS = [
     ("paley", "--ring", "Z/13", "--d", "2", "--sets", "sampled:x:1"),
     ("expsum", "--ring", "Z/12", "--poly", "0,0,1", "--char", "1,2"),
     ("sarkozy", "--ring", "Z/13", "--poly", "0,0,1", "--measured", "-5"),
+    ("sarkozy", "--ring", "Z/13", "--poly", "0,0,1", "--measured", "14"),
     ("tebound", "--ring", "Z/8", "--poly", "0,0,1", "--seed", "-1"),
     ("vdc", "--ring", "Z/8", "--subgroup", "full", "--seed", "-1"),
     ("sarkozy", "--ring", "Z/13", "--poly", "0,0,1", "--seed", "-1"),
@@ -115,6 +116,7 @@ BAD_INPUTS = [
 ]
 BAD_INPUT_IDS = [
     "vdc-k0", "vdc-random0", "paley-sampled", "expsum-char", "sarkozy-measured",
+    "sarkozy-measured-above-order",
     "tebound-seed", "vdc-seed", "sarkozy-seed", "paley-seed", "random-seed", "sampled-seed",
     "fpt-not-a-number", "fpt-empty", "rootcount-float", "rootcount-bool",
     "rootcount-beyond-int64", "rootcount-infinity", "vdc-k11", "vdc-k12", "vdc-k990",
@@ -436,8 +438,9 @@ def test_hypothesis_unmet_exit_3():
 
 def test_false_external_claim_exit_4():
     """An externally measured set size that violates the bound is exactly
-    what exit 4 exists for."""
-    proc = run_cli("sarkozy", "--ring", "Z/13", "--poly", "0,0,1", "--measured", "1000")
+    what exit 4 exists for: the bound for x^2 on Z/13 is 5.61, and a set
+    of all 13 elements is a size a subset can have."""
+    proc = run_cli("sarkozy", "--ring", "Z/13", "--poly", "0,0,1", "--measured", "13")
     assert proc.returncode == 4
     doc = json.loads(proc.stdout)
     assert not doc["result"]["bound_check"]["satisfied"]

@@ -1,16 +1,18 @@
 """The translation operator x -> x + v.
 
-Every translate in the package comes from Ring.add_table(shifts): one
-add_vec over the (len(shifts), order) grid, building only the rows asked
-for, either directly or through Ring.translate_blocks, which yields the
-rows in blocks of about 2^18 entries. Both are checked against the full table built
-one digit place at a time (tests/additive_oracle.py) on every constructor, and
-every consumer is run once more with add_table replaced by rows of that
-table, which must not change a result. No consumer holds an order x order
-table: two of them are measured at order 2048.
+Every translate in the package is an add_vec, built by one of two methods:
+Ring.add_table(shifts), the whole rows for the shifts given and only
+those, and Ring.translate_counts(mask, shifts, rows), which counts the
+translates of each row that land in a mask and builds them in blocks of
+about 2^18 entries. Both are checked against the full table built one digit
+place at a time (tests/additive_oracle.py) on every constructor, and every
+consumer is run once more with both replaced by reads of that table, which
+must not change a result. Two consumers are measured at order 2048, where
+an order x order table alone would take 16 MB.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from poly_oracle import from_int_coeffs
 from additive_oracle import table_by_places
 
-from ringlab import rings
+from ringlab import budget, rings
 from ringlab.combinatorics import adjacency_masks, config_count, forbidden_differences
 from ringlab.harmonics import random_functions, te_estimate, te_sweep, vdc_check
 from ringlab.paley import build_paley, uniformity_measure
@@ -41,6 +43,17 @@ TABLES = settings(max_examples=30, deadline=None, derandomize=True, database=Non
 
 def _oracle_add_table(ring, shifts):
     return table_by_places(ring)[np.asarray(shifts, dtype=np.int64)]
+
+
+def _oracle_translate_counts(ring, mask, shifts, rows=None):
+    """Ring.translate_counts read from the place table one shift at a time."""
+    table = table_by_places(ring)
+    mask = np.asarray(mask)
+    rows = np.arange(ring.order) if rows is None else np.asarray(rows, dtype=np.int64)
+    out = np.zeros(mask.shape[:-1] + (rows.size,), dtype=np.int64)
+    for v in np.asarray(shifts, dtype=np.int64).tolist():
+        out += mask[..., table[v, rows]]
+    return out
 
 
 def _results(spec: str) -> dict:
@@ -70,7 +83,6 @@ def _results(spec: str) -> dict:
             "witness_b": uniformity.witness_b.tolist(),
         },
         "masks": adjacency_masks(ring, forbidden_differences(ring, P.values())),
-        "translates": np.vstack([table for _, table in ring.translate_blocks(range(n))]),
     }
 
 
@@ -80,6 +92,7 @@ def test_large_order_path_matches_table(spec, monkeypatch):
     every order; each consumer must give what the full table gives."""
     direct = _results(spec)
     monkeypatch.setattr(rings.Ring, "add_table", _oracle_add_table)
+    monkeypatch.setattr(rings.Ring, "translate_counts", _oracle_translate_counts)
     with_table = _results(spec)
     assert direct.keys() == with_table.keys()
     for key, want in with_table.items():
@@ -99,16 +112,52 @@ def test_large_order_path_matches_table(spec, monkeypatch):
 @example(spec="Z/1000", count=1000, seed=0)
 @example(spec="prod(Z/8;GF(125))", count=1000, seed=1)
 def test_add_table_and_translates_match_place_table(spec, count, seed):
-    """Rows come in the order asked, repeated shifts included, and the
-    blocks of translates join up to the same rows."""
+    """Rows come in the order asked, repeated shifts included."""
     ring = rings.make_ring(spec)
-    table = table_by_places(ring)
     shifts = np.random.default_rng(seed).integers(0, ring.order, count)
-    np.testing.assert_array_equal(ring.add_table(shifts), table[shifts])
-    blocks = list(ring.translate_blocks(shifts))
-    assert [v for block, _ in blocks for v in block.tolist()] == shifts.tolist()
-    for block, rows in blocks:
-        np.testing.assert_array_equal(rows, table[block])
+    np.testing.assert_array_equal(ring.add_table(shifts), table_by_places(ring)[shifts])
+
+
+# Point masks, one row per element, only at the small order of each
+# constructor (every other entry of TABLE_SPECS): at order 1000 one block
+# of their translates alone holds 2.6 * 10^8 entries.
+COUNT_CASES = [(spec, kind) for spec in TABLE_SPECS for kind in ("bool", "int64")]
+COUNT_CASES += [(spec, "points") for spec in TABLE_SPECS[::2]]
+
+
+@TABLES
+@given(
+    case=st.sampled_from(COUNT_CASES),
+    rows_kind=st.sampled_from(("all", "some", "none")),
+    count=st.integers(0, 1200),
+    seed=st.integers(0, 2**16),
+)
+@example(case=("Z/1000", "bool"), rows_kind="all", count=1000, seed=0)
+@example(case=("prod(Z/8;GF(125))", "int64"), rows_kind="some", count=1000, seed=1)
+@example(case=("GF(8)", "points"), rows_kind="all", count=0, seed=2)
+@example(case=("GR(2,2,2)", "points"), rows_kind="none", count=5, seed=3)
+def test_translate_counts_match_place_table(case, rows_kind, count, seed):
+    """Counts over repeated shifts, at rows with repeats, at every row or
+    at none, equal those read from the place table, and blocks of one
+    entry give the same integers as the default blocks (1,000 shifts at
+    order 1000 fill four)."""
+    spec, kind = case
+    ring = rings.make_ring(spec)
+    n = ring.order
+    rng = np.random.default_rng(seed)
+    mask = {
+        "bool": lambda: rng.integers(0, 2, n).astype(bool),
+        "int64": lambda: rng.integers(-3, 4, n),
+        "points": lambda: np.eye(n, dtype=bool),
+    }[kind]()
+    shifts = rng.integers(0, n, count)
+    rows = {"all": None, "some": rng.integers(0, n, 40), "none": np.arange(0)}[rows_kind]
+    want = _oracle_translate_counts(ring, mask, shifts, rows)
+    got = ring.translate_counts(mask, shifts, rows)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    with mock.patch.object(budget, "BLOCK_ENTRIES", 1):
+        np.testing.assert_array_equal(ring.translate_counts(mask, shifts, rows), want)
 
 
 def test_add_table_has_no_cap():
