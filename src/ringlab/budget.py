@@ -18,7 +18,8 @@ from .errors import ParseError, WorkGuardExceeded
 DEFAULT_ORDER_GUARD = 1 << 20
 DEFAULT_WORK_GUARD = 1 << 24
 #: entries per block of an array built in blocks: Ring.translate_counts, the
-#: sampled check of te_estimate, the Hensel climb, its sieve and the antilog build
+#: sampled check of te_estimate, the annihilator mask, the Hensel climb, its
+#: sieve and the antilog build
 BLOCK_ENTRIES = 1 << 18
 
 

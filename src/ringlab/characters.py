@@ -12,15 +12,15 @@ in lexicographic order, first coefficient most significant, so the trivial
 character is position 0. `CharacterGroup.coeffs` decodes a position and
 `CharacterGroup.position` encodes a tuple.
 
-All angle arithmetic is exact: angles live in Z/L with L = lcm(m_i), and
-`CharacterGroup.angles` is the one route to them; a complex exponential is
-evaluated only once per angle class. `character_table` reads the unit
-table at those angles, whole for modest orders or a few columns for sampled
-checks, and `annihilator_mask` compares angles with 0. The sums over every
-character (`all_char_sums`) are one DFT over (R, +), and so is every
-convolution with a measure on (R, +) (`convolve`): numpy's fftn, run axis
-by axis by `_dft` with exact butterflies on length-2 axes. The tests keep
-the angle-histogram sum of one character, the transform's independent check.
+All angle arithmetic is exact: angles live in Z/L with L = lcm(m_i), and a
+complex exponential is evaluated only once per angle class. An angle
+separates by axis, so over a cube of digits it is an outer sum
+(`_angle_cube`): `character_table` reads the unit table at it, and
+`annihilator_mask` compares it with 0. The sums over every character
+(`all_char_sums`) are one DFT over (R, +), and so is every convolution with
+a measure on (R, +) (`convolve`): numpy's fftn, run axis by axis by `_dft`
+with exact butterflies on length-2 axes. The tests keep the angle-histogram
+sum of one character, the transform's independent check.
 
 A CharacterGroup is a light view on its ring; its unit table is built once,
 kept read-only in the ring's memo (`Ring.memo`) and freed with the ring.
@@ -33,12 +33,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .budget import blocks
 from .rings import Ring, digits_of, join_index
 
 
 class CharacterGroup:
-    """The full dual of (R, +): characters by position, and their exact
-    angles."""
+    """The full dual of (R, +): characters by position, and the unit table
+    of their exact angles."""
 
     def __init__(self, ring: Ring):
         self.ring = ring
@@ -48,7 +49,6 @@ class CharacterGroup:
         self.coord_weights = tuple(self.L // m for m in radices)
         L = self.L
         self.unit_table = ring.memo("unit_table", lambda: np.exp(2j * np.pi * np.arange(L) / L))
-        self.count = ring.order
 
     def coeffs(self, positions) -> np.ndarray:
         """Coefficient tuples of the characters at these positions, shape
@@ -64,14 +64,15 @@ class CharacterGroup:
             )
         return join_index(coeffs[::-1], self.radices[::-1])
 
-    def angles(self, elements, chars=None) -> np.ndarray:
-        """Exact angles mod L of chi_j(x), rows x over the elements, columns
-        j over the character positions (every character by default); one
-        position gives a vector over the elements."""
-        if chars is None:
-            chars = np.arange(self.count)
-        D = digits_of(elements, self.radices)
-        return (D * self.coord_weights) @ self.coeffs(chars).T % self.L
+
+def _angle_cube(steps: np.ndarray, radices: Sequence[int], L: int) -> np.ndarray:
+    """sum_i steps[:, i] j_i mod L over every j < radices, first radix slowest,
+    shape (len(steps), prod(radices)), reduced once: each term is below L m_i."""
+    cube = np.zeros((len(steps), 1), dtype=np.int64)
+    for i, m in enumerate(radices):
+        axis = steps[:, i, None, None] * np.arange(m)
+        cube = (cube[:, :, None] + axis).reshape(len(steps), cube.shape[1] * m)
+    return cube % L
 
 
 def character_group(ring: Ring) -> CharacterGroup:
@@ -137,12 +138,20 @@ def convolve(ring: Ring, fs: np.ndarray, mu: np.ndarray) -> np.ndarray:
 def character_table(ring: Ring, chars: np.ndarray | None = None) -> np.ndarray:
     """Complex matrix of chi_j(x), rows x over every element, columns j over
     the given character positions (every character by default) in
-    enumeration order. The full table is n x n, for rings of modest order."""
+    enumeration order. The full table is n x n, for rings of modest order.
+    Elements run last digit slowest, so the cube's axes go in reversed."""
     group = character_group(ring)
-    return group.unit_table[group.angles(np.arange(ring.order), chars)]
+    chars = np.arange(ring.order) if chars is None else chars
+    steps = group.coeffs(chars)[:, ::-1] * group.coord_weights[::-1]
+    return group.unit_table[_angle_cube(steps, group.radices[::-1], group.L).T]
 
 
 def annihilator_mask(ring: Ring, generators: np.ndarray) -> np.ndarray:
     """Boolean mask over the character enumeration: True where the character
     kills every generator. Exact: a character kills x iff its angle is 0."""
-    return (character_group(ring).angles(generators) == 0).all(axis=0)
+    group = character_group(ring)
+    steps = digits_of(generators, group.radices) * group.coord_weights
+    mask = np.ones(ring.order, dtype=bool)
+    for block in blocks(len(steps), ring.order):
+        mask &= (_angle_cube(steps[block], group.radices, group.L) == 0).all(axis=0)
+    return mask

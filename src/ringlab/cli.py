@@ -301,8 +301,11 @@ def _cmd_sarkozy(args) -> tuple[dict, int]:
         result["config"] = _fields(config)
         if ring.order <= 256:
             fourier = combinatorics.config_count_fourier(ring, P, A, B)
+            gap = abs(config.count - fourier)
             result["config"]["fourier_re"] = fourier.real
-            result["config"]["fourier_gap"] = abs(config.count - fourier)
+            result["config"]["fourier_gap"] = gap
+            if gap >= harmonics.ROUTE_TOL:
+                code = EXIT_BOUND
     return _envelope("sarkozy", result, seed=args.seed), code
 
 

@@ -667,8 +667,8 @@ class FiniteFieldRing(Ring):
     tables, and constructing a field builds nothing for them."""
 
     def __init__(self, q: int, h: tuple[int, ...] | None = None):
-        p, e = prime_power(q)
         _check_order(q)
+        p, e = prime_power(q)
         self.defining, self._canonical = _defining_polynomial(
             p, e, p, h, f"GF({q}): defining polynomial")
         self.p = p
@@ -787,10 +787,14 @@ class GaloisRingRing(_PolyModRing):
         r: int,
         f: tuple[int, ...] | None = None,
     ):
-        if not is_prime(p):
-            raise ParseError(f"GR({p},{n},{r}): {p} is not prime")
         if n < 1 or r < 1:
             raise ParseError(f"GR({p},{n},{r}): n and r must be positive")
+        # For p >= 2, p^(n r) >= p and >= 2^(n r): bound both before the power.
+        limit = order_guard()
+        if p > limit or (p > 1 and n * r > limit.bit_length()):
+            raise OrderTooLarge(f"GR({p},{n},{r}): order {p}^{n * r} exceeds the enumeration guard {limit}")
+        if not is_prime(p):
+            raise ParseError(f"GR({p},{n},{r}): {p} is not prime")
         order = p ** (n * r)
         _check_order(order)
         pn = p**n
@@ -957,11 +961,22 @@ def _digit_head(c: int) -> str:
 
 
 def _check_order(order: int) -> None:
+    """Refuse an order past the guard; one of more than 64 bits is named by
+    its bit length, as Python formats no int of more than 4,300 digits."""
     limit = order_guard()
     if order > limit:
-        raise OrderTooLarge(
-            f"ring order {order} exceeds the enumeration guard {limit}"
-        )
+        shown = order if order.bit_length() <= 64 else f"of {order.bit_length()} bits"
+        raise OrderTooLarge(f"ring order {shown} exceeds the enumeration guard {limit}")
+
+
+def _spec_size(digits: str) -> int:
+    """A size in a ring spec (a modulus, q, or p, n or r of GR), each at most
+    the ring's order: more digits than the order guard refuse the spec
+    before int() reads them."""
+    limit = order_guard()
+    if len(digits.lstrip("0")) > len(str(limit)):
+        raise OrderTooLarge(f"ring spec number of {len(digits)} digits exceeds the enumeration guard {limit}")
+    return int(digits)
 
 
 # Past any real product; keeps each recursion over factors in Python's limit.
@@ -996,7 +1011,10 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     items = [t.strip() for t in text.split(",")]
     if not items or any(not re.fullmatch(r"-?\d+", t) for t in items):
         raise ParseError(f"{what}: expected a comma-separated integer list, got {text!r}")
-    return tuple(int(t) for t in items)
+    try:
+        return tuple(int(t) for t in items)
+    except ValueError:  # past Python's limit on the digits of an int
+        raise ParseError(f"{what}: an integer has too many digits") from None
 
 
 def make_ring(spec: str) -> Ring:
@@ -1009,33 +1027,30 @@ def make_ring(spec: str) -> Ring:
     spec = spec.strip()
     m = re.fullmatch(r"Z/(\d+)", spec)
     if m:
-        return ZModRing(int(m.group(1)))
+        return ZModRing(_spec_size(m.group(1)))
 
     m = re.fullmatch(r"GF\((\d+)\)", spec)
     if m:
-        return FiniteFieldRing(int(m.group(1)))
+        return FiniteFieldRing(_spec_size(m.group(1)))
 
     m = re.fullmatch(r"GF\((\d+);h=([^)]+)\)", spec)
     if m:
-        return FiniteFieldRing(int(m.group(1)), h=_parse_int_list(m.group(2), "GF h"))
+        return FiniteFieldRing(_spec_size(m.group(1)), h=_parse_int_list(m.group(2), "GF h"))
 
     m = re.fullmatch(r"PQ\(q=(\d+);g=([^)]+)\)", spec)
     if m:
-        q = int(m.group(1))
+        q = _spec_size(m.group(1))
         g = _parse_int_list(m.group(2), "PQ g")
         return PolyQuotientRing(FiniteFieldRing(q), g)
 
     m = re.fullmatch(r"GR\((\d+),(\d+),(\d+)\)", spec)
     if m:
-        return GaloisRingRing(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+        return GaloisRingRing(*(_spec_size(d) for d in m.group(1, 2, 3)))
 
     m = re.fullmatch(r"GR\((\d+),(\d+),(\d+);f=([^)]+)\)", spec)
     if m:
         return GaloisRingRing(
-            int(m.group(1)),
-            int(m.group(2)),
-            int(m.group(3)),
-            f=_parse_int_list(m.group(4), "GR f"),
+            *(_spec_size(d) for d in m.group(1, 2, 3)), f=_parse_int_list(m.group(4), "GR f")
         )
 
     if spec.startswith("prod(") and spec.endswith(")"):

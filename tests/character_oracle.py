@@ -6,8 +6,13 @@ coefficient most significant. The angle is summed exactly in fractions and
 turned into a complex number once; nothing here but `char_sum` reads the
 library's unit table or its common modulus L.
 
+`angles` is the digit route that the library's outer sums replaced: every
+element decoded into its digits and multiplied, as one matrix product, with
+every character's coefficients. It shares no arithmetic with `_angle_cube`,
+the rule behind `character_table` and `annihilator_mask`.
+
 `char_sum` is the angle-histogram route that the transform replaced: the
-library's exact angles of one character over a multiset, counted in an
+exact angles of one character over a multiset, from `angles`, counted in an
 integer histogram, with one complex evaluation per angle class. It shares
 no arithmetic with the DFT of `all_char_sums`.
 
@@ -24,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from ringlab.characters import _element_cube, character_group
+from ringlab.rings import digits_of
 
 
 def coeff_tuples(ring) -> list[tuple[int, ...]]:
@@ -47,6 +53,17 @@ def table(ring, chars=None) -> np.ndarray:
     ).reshape(ring.order, len(chars))
 
 
+def angles(ring, elements, chars=None) -> np.ndarray:
+    """Exact angles mod L of chi_j(x), rows x over the elements, columns j
+    over the character positions (every character by default); one position
+    gives a vector over the elements."""
+    group = character_group(ring)
+    if chars is None:
+        chars = np.arange(ring.order)
+    D = digits_of(elements, group.radices)
+    return (D * group.coord_weights) @ group.coeffs(chars).T % group.L
+
+
 def char_sum(ring, position: int, values) -> complex:
     """Sum of the character at this position over a multiset of ring
     elements, through an exact angle histogram."""
@@ -54,7 +71,7 @@ def char_sum(ring, position: int, values) -> complex:
     values = np.asarray(list(values), dtype=np.int64)
     if values.size == 0:
         return 0j
-    hist = np.bincount(group.angles(values, position), minlength=group.L)
+    hist = np.bincount(angles(ring, values, position), minlength=group.L)
     return complex(hist @ group.unit_table)
 
 

@@ -4,6 +4,8 @@ character oracle (`character_oracle.py`) or plain complex arithmetic; and
 the axis-by-axis transform, which must equal numpy's fftn bit for bit.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import character_oracle as oracle
 from test_polynomials import ORACLE_RINGS
 
+from ringlab import budget
 from ringlab.characters import (
     all_char_sums,
     annihilator_mask,
@@ -30,7 +33,7 @@ SPECS = ("Z/12", "GF(8)", "GR(3,2,2)", "PQ(q=2;g=0,1,1)", "prod(Z/4;GF(4))")
 def test_character_count_and_trivial_first(spec):
     ring = make_ring(spec)
     group = character_group(ring)
-    assert group.count == ring.order
+    assert character_table(ring).shape == (ring.order, ring.order)
     coeffs = group.coeffs(np.arange(ring.order))
     assert coeffs.shape == (ring.order, len(ring.additive_orders()))
     assert not coeffs[0].any()
@@ -198,16 +201,48 @@ def test_unit_table_is_exact_roots_of_unity():
 
 
 def test_angles_match_the_oracle():
-    """Every exact angle, as a matrix over all characters and as the vector
-    of one position, against the oracle's values."""
+    """The digit route's exact angles, as a matrix over all characters and
+    as the vector of one position, against the naive oracle's values."""
     ring = make_ring("prod(Z/4;GF(4))")
     group = character_group(ring)
     elements = np.arange(ring.order, dtype=np.int64)
-    angles = group.angles(elements)
+    angles = oracle.angles(ring, elements)
     want = oracle.table(ring)
     np.testing.assert_allclose(group.unit_table[angles], want, atol=1e-12)
     for p in (0, 1, 5, ring.order - 1):
-        np.testing.assert_array_equal(group.angles(elements, p), angles[:, p])
+        np.testing.assert_array_equal(oracle.angles(ring, elements, p), angles[:, p])
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_RINGS))
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_outer_sum_angles_match_the_digit_route(family, data):
+    """character_table and annihilator_mask, both outer sums of angles,
+    against the digit route's matrix product: the table whole and at drawn
+    positions with repeats, the mask of a basis of H, of all of H, of no
+    generator and of drawn generators with repeats. Every mask again at one
+    generator per block."""
+    ring = make_ring(data.draw(st.sampled_from(ORACLE_RINGS[family]), label="ring"))
+    n = ring.order
+    group = character_group(ring)
+    elements = np.arange(n, dtype=np.int64)
+    np.testing.assert_array_equal(
+        character_table(ring), group.unit_table[oracle.angles(ring, elements)]
+    )
+    chars = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12), label="chars")
+    np.testing.assert_array_equal(
+        character_table(ring, chars=np.asarray(chars)),
+        group.unit_table[oracle.angles(ring, elements, np.asarray(chars))],
+    )
+    coeffs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4), label="coeffs")
+    H = value_subgroup(ring, RingPoly.make(ring, coeffs))
+    drawn = data.draw(st.lists(st.integers(0, n - 1), max_size=12), label="generators")
+    empty = np.zeros(0, dtype=np.int64)
+    for gens in (H.generators, H.elements, empty, np.asarray(drawn, dtype=np.int64)):
+        want = (oracle.angles(ring, gens) == 0).all(axis=0)
+        np.testing.assert_array_equal(annihilator_mask(ring, gens), want)
+        with mock.patch.object(budget, "BLOCK_ENTRIES", 1):
+            np.testing.assert_array_equal(annihilator_mask(ring, gens), want)
 
 
 @pytest.mark.parametrize("spec", SPECS)

@@ -310,6 +310,49 @@ def test_order_guard_exit_3():
     assert err["error"]["type"] == "OrderTooLarge"
 
 
+_NINES = "9" * 5000
+HUGE_SPECS = [
+    ("GF(2305843009213693951)", 3),
+    ("GR(2305843009213693951,1,1)", 3),
+    ("Z/2305843009213693951", 3),
+    ("GF(99999999999999999999999)", 3),
+    ("PQ(q=99999999999999999999999;g=0,1)", 3),
+    ("GR(2,3000,3000)", 3),
+    ("GR(2,100000,100000)", 3),
+    (f"Z/{_NINES}", 3),
+    (f"GF({_NINES})", 3),
+    (f"GR({_NINES},1,1)", 3),
+    (f"GR(2,1,{_NINES})", 3),
+    (f"prod(Z/2;GF({_NINES}))", 3),
+    ("prod(" + ";".join(["Z/1048576"] * 1000) + ")", 3),
+    (f"GF(4;h={_NINES},1,1)", 2),
+    ("GR(1,3000,3000)", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, code", HUGE_SPECS,
+    ids=[
+        "gf-2to61", "gr-2to61", "z-2to61", "gf-1e23", "pq-1e23", "gr-2to9e6", "gr-2to1e10",
+        "z-5000-digits", "gf-5000-digits", "gr-p-5000-digits", "gr-r-5000-digits",
+        "prod-5000-digits", "prod-1000-factors", "gf-h-5000-digits", "gr-p-1-huge-power",
+    ],
+)
+def test_huge_spec_integers_refused_fast(spec, code, capsys):
+    """Each number of a ring spec is compared with the order guard before
+    it is factored, powered, formatted or read past Python's int digit
+    limit, and an order past the guard is named by its bit length. These
+    hung in trial division, ran out of memory forming p^(n r), or ended in
+    a ValueError traceback."""
+    start = time.perf_counter()
+    assert cli.main(["ring", "info", spec]) == code
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    error = json.loads(err)["error"]
+    assert error["type"] == ("OrderTooLarge" if code == 3 else "ParseError")
+    assert error["exit_code"] == code and out == ""
+
+
 def test_exact_ddeg_work_guard_exit_3():
     proc = run_cli(
         "poly", "ddeg", "--ring", "Z/97", "--poly", "0,0,1", "--mode", "exact",
@@ -485,6 +528,24 @@ def test_tebound_exits_4_when_its_routes_disagree(monkeypatch, capsys):
     assert result["max_sample_gap"] >= harmonics.ROUTE_TOL
 
 
+def test_sarkozy_exits_4_when_its_routes_disagree(monkeypatch, capsys):
+    """A Fourier count off by 1 leaves the bound satisfied, but the two
+    routes to the configuration count no longer match, so the command
+    exits 4."""
+    from ringlab import combinatorics, harmonics
+    from ringlab.cli import main
+
+    fourier = combinatorics.config_count_fourier
+    monkeypatch.setattr(combinatorics, "config_count_fourier", lambda *a: fourier(*a) + 1)
+    args = ["sarkozy", "--ring", "Z/13", "--poly=0,0,1", "--measured", "3", "--sets", "squares", "1,2,3"]
+    assert main(args) == 4
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["bound_check"]["satisfied"] is True
+    assert result["config"]["fourier_gap"] >= harmonics.ROUTE_TOL
+    monkeypatch.setattr(combinatorics, "config_count_fourier", fourier)
+    assert main(args) == 0
+
+
 def test_seed_changes_functions():
     base = ("tebound", "--ring", "Z/8", "--poly", "0,0,1", "--random", "3")
     a = json.loads(run_cli(*base, "--seed", "1").stdout)
@@ -575,6 +636,7 @@ def test_batch_isolation(tmp_path, validator):
         "jobs": [
             {"label": "ok", "args": ["ring", "info", "Z/12"]},
             {"label": "toolarge", "args": ["ring", "info", "Z/1048577"]},
+            {"label": "hugeprime", "args": ["ring", "info", "GF(2305843009213693951)"]},
             {"label": "te", "args": ["tebound", "--ring", "Z/8", "--poly", "0,0,1", "--random", "2"]},
         ],
     }
@@ -588,6 +650,8 @@ def test_batch_isolation(tmp_path, validator):
     assert jobs["ok"]["exit_code"] == 0
     assert jobs["toolarge"]["exit_code"] == 3
     assert jobs["toolarge"]["error"]["type"] == "OrderTooLarge"
+    assert jobs["hugeprime"]["exit_code"] == 3
+    assert jobs["hugeprime"]["error"]["type"] == "OrderTooLarge"
     assert jobs["te"]["exit_code"] == 0
     assert "--seed" in jobs["te"]["args"]
     assert doc["result"]["overall_exit"] == 3
