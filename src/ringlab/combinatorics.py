@@ -63,16 +63,22 @@ def config_count(ring: Ring, P: RingPoly, A, B) -> ConfigCountReport:
     deviation divides by sqrt(|A||B|) |R| and the density deviation by
     |R|^2 (the scale on which the total ergodicity estimate controls it).
     A and B pass `element_set`. One `Ring.translate_counts` at the values v
-    of P, weighted by how often P takes them, builds |P(R)| x |A| translates.
+    of P, weighted by how often P takes them, shifts by the smaller set:
+    #{a in A : v + a in B}, or #{b in B : -v + b in A}, the same number,
+    from |P(R)| x min(|A|, |B|) translates.
     """
     A = element_set(ring, A)
     B = element_set(ring, B)
     n = ring.order
     mult = np.bincount(P.values(), minlength=n)
     vs = np.flatnonzero(mult)
-    b01 = np.zeros(n, dtype=bool)
-    b01[B] = True
-    count = int(mult[vs] @ ring.translate_counts(b01, A, rows=vs))
+    if len(A) <= len(B):
+        target, shifts, rows = B, A, vs
+    else:
+        target, shifts, rows = A, B, ring.neg_vec(vs)
+    mask = np.zeros(n, dtype=bool)
+    mask[target] = True
+    count = int(mult[vs] @ ring.translate_counts(mask, shifts, rows=rows))
     expectation = len(A) * len(B)
     deviation = abs(count - expectation)
     if len(A) and len(B):

@@ -362,9 +362,13 @@ class VdcReport:
     sample_gap: float
 
 
-def _coset_reps(perms: np.ndarray) -> np.ndarray:
-    """Sorted least elements of the cosets x + H, from the rows x -> x + v."""
-    return np.flatnonzero(perms.min(axis=0) == np.arange(perms.shape[1]))
+def _coset_reps(ring: Ring, H: SubgroupSet) -> np.ndarray:
+    """Sorted least elements of the cosets x + H: a running minimum over
+    blocks of the rows x -> x + v, v in H."""
+    least = np.arange(ring.order, dtype=np.int64)
+    for block in blocks(len(H), ring.order):
+        np.minimum(least, ring.add_table(H.elements[block]).min(axis=0), out=least)
+    return np.flatnonzero(least == np.arange(ring.order))
 
 
 def vdc_check(
@@ -377,17 +381,21 @@ def vdc_check(
 
         |E_x f(x)|^(2^k) <= E_{v_1..v_k in H} E_u prod-difference of f.
 
-    f is a batch of test functions, shape (count, order). The
-    outer k - 1 levels replace g by g(u + v) conj g(u) for each v in H; the
-    innermost is closed form, E_{v in H} E_u g(u + v) conj g(u) =
-    (1/(n |H|)) sum over cosets C of H of |sum_{u in C} g(u)|^2, one gather
-    of the (|H|, n/|H|) coset matrix. So the right side is real (and
-    rhs_imag_max 0.0) and costs |H|^(k-1) passes, not |H|^k. The sampled
-    exact check sums f over x + H by add_vec at min(SAMPLE_ROWS, n) points
-    x from a fixed seed; sample_gap is its largest difference from the
-    coset matrix, over |H|. k must lie in 1..VDC_MAX_K, beyond which
-    |f| <= sqrt(2) no longer keeps the products in float range; ValueError
-    for other k, for f of another shape and for a side that is not finite.
+    f is a batch of test functions, shape (count, order), held slab-major
+    as the (|H|, n/|H|, count) coset matrix G, G[i, c] = f(r_c + e_i)
+    for the least element r_c of coset c and the elements e_i of H. The
+    outer k - 1 levels replace g by g(u + v) conj g(u) for each v = e_i in
+    H: with T[i, j] the position of e_i + e_j in H, that is the slabs
+    G[T[i]] against G. The innermost is closed form, E_{v in H} E_u
+    g(u + v) conj g(u) = (1/(n |H|)) sum over cosets C of H of
+    |sum_{u in C} g(u)|^2, the sum of G over its slabs. So the right side
+    is real (and rhs_imag_max 0.0) and costs |H|^(k-1) passes, not |H|^k.
+    The sampled exact check sums f over x + H by add_vec at
+    min(SAMPLE_ROWS, n) points x from a fixed seed; sample_gap is its
+    largest difference from the coset sums, over |H|. k must lie in
+    1..VDC_MAX_K, beyond which |f| <= sqrt(2) no longer keeps the products
+    in float range; ValueError for other k, for f of another shape and for
+    a side that is not finite.
     """
     if not 1 <= k <= VDC_MAX_K:
         raise ValueError(f"k must be between 1 and {VDC_MAX_K}")
@@ -397,24 +405,27 @@ def vdc_check(
         len(fs) * h ** (k - 1) * n + h * n,
         f"vdc over {len(fs)} x {h}^{k - 1} x {n} + {h} x {n} entries",
     )
-    perms = ring.add_table(H.elements)
-    reps = _coset_reps(perms)
-    cosets = perms[:, reps]
+    E = H.elements
+    reps = _coset_reps(ring, H)
+    # Functions innermost, as numpy lays out the gather, so no copy is
+    # made and each sum below adds whole rows in sequence, not pairwise.
+    G = np.ascontiguousarray(fs[:, ring.add_vec(reps, E[:, None])].transpose(1, 2, 0))
+    T = np.searchsorted(E, ring.add_vec(E[:, None], E)) if k >= 2 else None
 
-    def level(g: np.ndarray, depth: int) -> np.ndarray:
+    def level(G: np.ndarray, depth: int) -> np.ndarray:
         if depth == 1:
-            return (np.abs(g[:, cosets].sum(axis=1)) ** 2).sum(axis=-1) / (n * h)
+            return (np.abs(G.sum(axis=0)) ** 2).sum(axis=0) / (n * h)
         acc = 0.0
-        for perm in perms:
+        for slabs in T:
             # conj(g(u + v)) g(u), the conjugate of the difference, which
             # has the same real level, built in place in the one gather.
-            diff = g[:, perm]
+            diff = G[slabs]
             np.conj(diff, out=diff)
-            diff *= g
+            diff *= G
             acc += level(diff, depth - 1)
         return acc / h
 
-    rhs = level(fs, k)
+    rhs = level(G, k)
     lhs = np.abs(fs.sum(axis=-1) / n) ** (2**k)
     if not np.isfinite(lhs + rhs).all():
         raise ValueError(f"|E f|^(2^{k}) or its bound is not a finite float")
@@ -426,8 +437,9 @@ def vdc_check(
         xs = np.arange(n)
     else:
         xs = np.random.default_rng(_SAMPLE_SEED).choice(n, size=m, replace=False)
-    direct = fs[:, ring.add_vec(xs[:, None], H.elements)].sum(axis=-1)
-    by_coset = fs[:, cosets[:, np.searchsorted(reps, perms[:, xs].min(axis=0))]].sum(axis=1)
+    near = ring.add_vec(xs[:, None], E)
+    direct = fs[:, near].sum(axis=-1)
+    by_coset = G.sum(axis=0)[np.searchsorted(reps, near.min(axis=1))].T
     return VdcReport(
         ring_spec=ring.spec_string(),
         subgroup_size=h,

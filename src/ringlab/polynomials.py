@@ -5,9 +5,47 @@ every (k+1)-fold iterated difference
 
     d_{n_1, ..., n_{k+1}} P(x)
 
-vanishes at every point of the ring. It is computed exactly by taking
-differences along an additive basis (below), or bounded cheaply from the
-exponents of P:
+vanishes at every point of the ring. The exact route takes the first of
+four rules that applies; each reports method "exact", certified.
+
+  1. Field: GF(q), and Z/p. Since x^q = x, every exponent m >= 1 may be
+     replaced by (m - 1) mod (q - 1) + 1; like terms then merge with the
+     field's addition, and what is left is the unique polynomial of the
+     function with exponents below q. In coordinates over F_p, x^m has
+     degree digit_sum(m, p) (each x^(p^i) is F_p-linear), so k is the
+     largest base-p digit sum among the exponents whose merged coefficient
+     is nonzero, and 0 if there is none: the degree of Delsarte, Goethals
+     and MacWilliams ("On generalized Reed-Muller codes and their
+     relatives", Information and Control 16, 1970). The rule reads only
+     P's coefficients and evaluates nothing.
+  2. Product of fields: a product whose factors are fields or products of
+     fields, and squarefree Z/N, which is one by CRT. P acts factor by
+     factor, and so does every difference, so k is the largest rule-1
+     degree over the factors, each on P's coefficients projected into it.
+     No ring is built.
+  3. Prime characteristic p, every radix p: PQ over GF(p^e), GR(p,1,r)
+     and products of such rings. (R, +) is F_p^N along the additive basis,
+     and the Newton transform at 0, the forward differences along each axis
+     of the (p,)*N cube of P's values, gives P's coefficients c_J in the
+     basis prod_i binom(x_i, j_i), j_i < p. A difference along axis i
+     lowers j_i by one, so the |J|-fold difference at the largest |J| with
+     c_J != 0 is the constant c_J, and every longer one vanishes: k is the
+     largest digit sum of a nonzero position. For p = 2 this is the binary
+     Moebius transform. Since Frobenius is additive, k is at most the
+     largest base-p digit sum s of P's exponents, so only the sub-cube
+     [0, min(p - 1, s)]^N is transformed. When that work would exceed the
+     guard, the search below runs instead.
+  4. Everything else, prime-power characteristic (Z/p^a, Z/N with a square
+     factor, GR with n >= 2) and mixed products, searches differences along
+     the cyclic generators g_1..g_r of (R, +) (r <= log2 |R|). Difference
+     operators commute and d_{a+b} = d_a + d_b + d_a d_b, so every
+     (k+1)-fold difference is a sum of products of at least k+1 generator
+     differences; checking each multiset of k+1 generators once suffices.
+     Confirming degree k evaluates at most C(k+r, r) value tables of length
+     |R|, and the guard refuses once that work exceeds the budget. The
+     search is also the tests' oracle for rules 1-3.
+
+Mode "bound" estimates k from the exponents of P alone:
 
   * characteristic a prime p: the maximum base-p digit sum of the exponents
     is an upper bound, and is the exact formal answer for a single monomial;
@@ -22,13 +60,6 @@ exponents of P:
     per-prime digit sum is not a bound once the characteristic has a square
     factor: x^4 over Z/4 has derivational degree 2, but the base-2 digit sum
     of 4 is 1.
-
-Exact verification searches along the cyclic generators g_1..g_r of (R, +)
-(r <= log2 |R|). Difference operators commute and d_{a+b} = d_a + d_b +
-d_a d_b, so every (k+1)-fold difference is a sum of products of at least
-k+1 generator differences; checking each multiset of k+1 generators once
-suffices. Confirming degree k evaluates at most C(k+r, r) value tables of
-length |R|, and the guard refuses once that work exceeds the budget.
 """
 
 from __future__ import annotations
@@ -40,7 +71,17 @@ import numpy as np
 
 from .budget import charge, work_guard
 from .errors import ParseError, WorkGuardExceeded
-from .rings import Ring, _ptrim, factorize, is_prime, poly_str
+from .rings import (
+    FiniteFieldRing,
+    ProductRing,
+    Ring,
+    ZModRing,
+    _ptrim,
+    factorize,
+    is_prime,
+    poly_str,
+    split_index,
+)
 
 @dataclass(frozen=True)
 class RingPoly:
@@ -206,10 +247,10 @@ def derivational_degree(
 ) -> DdegResult:
     """Derivational degree of P as a function on the ring.
 
-    mode "exact" forces full verification (WorkGuardExceeded once the
-    difference tables it evaluates exceed the work guard), "bound" forces
-    the cheap estimate, and "auto" tries exact first and falls back to the
-    bound.
+    mode "exact" takes the first rule of the module docstring that applies
+    (WorkGuardExceeded once the value table or the difference search would
+    exceed the work guard), "bound" forces the cheap estimate, and
+    "auto" tries exact first and falls back to the bound.
     """
     if mode not in ("exact", "bound", "auto"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -224,6 +265,82 @@ def derivational_degree(
 
 
 def _exact_ddeg(ring: Ring, P: RingPoly) -> DdegResult:
+    k = _field_product_degree(ring, [(m, c) for m, c in P.monomials() if m >= 1])
+    if k is None and is_prime(ring.characteristic):
+        k = _newton_degree(ring, P)
+    if k is None:
+        return _difference_search(ring, P)
+    return DdegResult(k, "exact", True)
+
+
+def _field_product_degree(ring: Ring, terms: list[tuple[int, int]]) -> int | None:
+    """Rules 1 and 2 on the terms (exponent, coefficient) of P: the largest
+    field degree over the field factors of ring, each on the terms projected
+    into it; None when some factor is not a field. Squarefree Z/N splits
+    into its Z/p by residues, and no ring is built."""
+    if isinstance(ring, FiniteFieldRing):
+        return _field_degree(ring.p, ring.q, terms, ring.add)
+    if isinstance(ring, ZModRing):
+        profile = ring.prime_ideal_profile()
+        if any(e > 1 for _, e in profile):
+            return None
+        return max(_field_degree(p, p, [(m, c % p) for m, c in terms]) for p, _ in profile)
+    if isinstance(ring, ProductRing):
+        parts = [split_index(c, [f.order for f in ring.factors]) for _, c in terms]
+        k = 0
+        for i, factor in enumerate(ring.factors):
+            inner = _field_product_degree(factor, [(m, part[i]) for (m, _), part in zip(terms, parts)])
+            if inner is None:
+                return None
+            k = max(k, inner)
+        return k
+    return None
+
+
+def _field_degree(p: int, q: int, terms: list[tuple[int, int]], add=None) -> int:
+    """Rule 1: the largest base-p digit sum among the exponents m >= 1,
+    each reduced to (m - 1) mod (q - 1) + 1, whose merged coefficient is
+    nonzero; 0 if there is none. Coefficients merge with add, the field's
+    addition, or with integer addition mod p when add is None (Z/p)."""
+    merged: dict[int, int] = {}
+    for m, c in terms:
+        r = (m - 1) % (q - 1) + 1
+        merged[r] = (merged.get(r, 0) + c) % p if add is None else add(merged.get(r, 0), c)
+    return max((digit_sum(r, p) for r, c in merged.items() if c), default=0)
+
+
+def _newton_degree(ring: Ring, P: RingPoly) -> int | None:
+    """Rule 3, on a ring of prime characteristic p: the largest digit sum
+    of a nonzero position of the Newton transform of P's values on the N
+    axes of the (p,)*N cube; axis i is digit i of the index, of place p^i.
+    None when the transform would exceed the work guard, and the search
+    takes over.
+
+    Every c_J with |J| above s, the largest base-p digit sum of P's
+    exponents, vanishes (the digit-sum bound), and c_J reads only the values
+    at positions I <= J, so the transform runs D = min(p - 1, s) passes on
+    the cube [0, D]^N, D (D + 1)^N / 2 subtractions an axis."""
+    p = ring.characteristic
+    N = len(ring.additive_orders())
+    s = max((digit_sum(m, p) for m, _ in P.monomials() if m >= 1), default=0)
+    D = min(p - 1, s)
+    if N * D * (D + 1) ** N // 2 > work_guard():
+        return None
+    cube = P.values().reshape((p,) * N)[(slice(D + 1),) * N].copy()
+    for axis in range(N):
+        v = np.moveaxis(cube, axis, 0)
+        for t in range(1, D + 1):
+            v[t:] = ring.sub_vec(v[t:], v[t - 1:-1])
+    # Position J carries sum_i j_i; zeros start below every such sum, so
+    # after each digit is folded by its max only nonzero positions count.
+    best = np.where(cube != 0, 0, -N * p)
+    for _ in range(N):
+        best = (best.reshape(-1, D + 1) + np.arange(D + 1)).max(axis=1)
+    return max(int(best[0]), 0)
+
+
+def _difference_search(ring: Ring, P: RingPoly) -> DdegResult:
+    """Rule 4: differences along the cyclic generators of (R, +)."""
     n = spent = ring.order
     charge(n, "exact derivational degree")
     # One read of the guard per call: a charge per difference table would

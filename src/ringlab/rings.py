@@ -36,7 +36,9 @@ PQ(q;g) are each a coefficient ring modulo a monic polynomial and share
 one digit kernel (`_PolyModRing.mul_vec`): the integer 2-D convolution of
 the two operands' digit grids (m coefficients by e digits), reduced mod
 the characteristic M, mapped through one reduction matrix L whose row
-(b, a) holds the digits of u^a t^b, and reduced mod M again. Products
+(b, a) holds the digits of u^a t^b, and reduced mod M again; L is built
+once per process for each coefficient ring and modulus
+(`_reduction_matrix`), as the log tables are for each field. Products
 multiply factor by factor. Scalar `mul` is `mul_vec` on 0-d arrays except
 on Z/N and GF(q), which multiply Python ints.
 
@@ -721,31 +723,17 @@ class _PolyModRing(Ring):
     coefficient of t^j. A product is the integer 2-D convolution of the two
     grids, reduced mod M, then mapped through the reduction matrix L, whose
     row (b, a) holds the digits of u^a t^b, and reduced mod M again.
+
+    The coefficient ring is given by its plain parameters (M, e, h): Z/M
+    when e = 1, else GF(M^e) = (Z/M)[u]/(h), h None for the canonical
+    polynomial; no coefficient ring is built unless L is.
     """
 
-    def __init__(self, coeff: Ring, modulus: tuple[int, ...]) -> None:
+    def __init__(self, coeff: tuple, modulus: tuple[int, ...]) -> None:
         super().__init__()
-        m, e, M = len(modulus) - 1, len(coeff.additive_orders()), self.characteristic
-        t_powers = [(0,) * b + (coeff.one,) for b in range(m)]
-        for _ in range(m - 1):
-            t_powers.append(_pdivmod((0,) + t_powers[-1], modulus, coeff)[1])
-        T = np.array([t + (0,) * (m - len(t)) for t in t_powers], dtype=np.int64)
-        # u^a for a < 2e - 1, from the coefficient field's own products; u is
-        # the element with digits (0, 1), and u^0 = one is all that e = 1 reads.
-        u = coeff.from_digits((0, 1))
-        U = np.array([coeff.pow(u, a) for a in range(2 * e - 1)], dtype=np.int64)
-        L = digits_of(coeff.mul_vec(T[:, None, :], U[None, :, None]), coeff.additive_orders())
-        # Every sum the kernel forms has at most (2m-1)(2e-1) terms, each a
-        # product of two digits below M; the narrowest signed type that holds
-        # it keeps the kernel exact (object past int64: exact, slow).
-        self._dtype = np.min_scalar_type(-1 - T.shape[0] * U.size * (M - 1) ** 2)
-        self._L = L.reshape(-1, m * e).astype(self._dtype)
-        self._grid = (m, e)
-        # Row (b, a) of L with b < m and a < e is the unit vector of digit
-        # b*e + a, so the kernel takes those rows as they are and multiplies
-        # only the others.
-        self._high = [(r, row[:, None]) for r, row in enumerate(self._L)
-                      if r // (2 * e - 1) >= m or r % (2 * e - 1) >= e]
+        self._grid = (len(modulus) - 1, coeff[1])
+        self._L, self._high = _reduction_matrix(*coeff, tuple(modulus))
+        self._dtype = self._L.dtype
 
     def _digit_grid(self, a: np.ndarray) -> np.ndarray:
         """The digits of every entry of a, shaped (m, e) + a.shape."""
@@ -774,6 +762,41 @@ class _PolyModRing(Ring):
         for r, row in self._high:
             out += row * rows[r]
         return (self._places @ self._reduce(out)).astype(np.int64).reshape(a.shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _reduction_matrix(M: int, e: int, h: tuple[int, ...] | None, modulus: tuple[int, ...]):
+    """(L, high) of the digit kernel over the coefficient ring
+    (M, e, h) of `_PolyModRing` modulo a monic polynomial of degree m, its
+    indices ascending: the reduction matrix L, whose row (b, a) holds the
+    digits of u^a t^b, in the narrowest signed dtype that keeps the
+    kernel's sums exact, and the rows that are not unit vectors, each with
+    its index. Memoised for the whole process, as `field_log_tables` is:
+    the data depend on (M, e, h, modulus) alone, are read-only and hold no
+    ring, and a batch builds the same GR and PQ rings job after job."""
+    coeff = ZModRing(M, _guard_checked=True) if e == 1 else FiniteFieldRing(M**e, h)
+    m = len(modulus) - 1
+    t_powers = [(0,) * b + (coeff.one,) for b in range(m)]
+    for _ in range(m - 1):
+        t_powers.append(_pdivmod((0,) + t_powers[-1], modulus, coeff)[1])
+    T = np.array([t + (0,) * (m - len(t)) for t in t_powers], dtype=np.int64)
+    # u^a for a < 2e - 1, from the coefficient field's own products; u is
+    # the element with digits (0, 1), and u^0 = one is all that e = 1 reads.
+    u = coeff.from_digits((0, 1))
+    U = np.array([coeff.pow(u, a) for a in range(2 * e - 1)], dtype=np.int64)
+    L = digits_of(coeff.mul_vec(T[:, None, :], U[None, :, None]), coeff.additive_orders())
+    # Every sum the kernel forms has at most (2m-1)(2e-1) terms, each a
+    # product of two digits below M; the narrowest signed type that holds
+    # it keeps the kernel exact (object past int64: exact, slow).
+    dtype = np.min_scalar_type(-1 - T.shape[0] * U.size * (M - 1) ** 2)
+    L = L.reshape(-1, m * e).astype(dtype)
+    L.flags.writeable = False
+    # Row (b, a) of L with b < m and a < e is the unit vector of digit
+    # b*e + a, so the kernel takes those rows as they are and multiplies
+    # only the others.
+    high = tuple((r, row[:, None]) for r, row in enumerate(L)
+                 if r // (2 * e - 1) >= m or r % (2 * e - 1) >= e)
+    return L, high
 
 
 class GaloisRingRing(_PolyModRing):
@@ -806,7 +829,7 @@ class GaloisRingRing(_PolyModRing):
         self.characteristic = pn
         self.one = 1
         self._radices = (pn,) * r
-        super().__init__(ZModRing(pn), self.defining)
+        super().__init__((pn, 1, None), self.defining)
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         return [(self.p**self.r, self.n_exp)]
@@ -857,7 +880,9 @@ class PolyQuotientRing(_PolyModRing):
         self.characteristic = base.characteristic
         self.one = 1
         self._radices = base.additive_orders() * m
-        super().__init__(base, g)
+        e = len(base.additive_orders())
+        h = None if e == 1 or base._canonical else base.defining
+        super().__init__((base.characteristic, e, h), g)
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         return split_index(x, (self.q,) * self.m)

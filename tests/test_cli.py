@@ -354,9 +354,11 @@ def test_huge_spec_integers_refused_fast(spec, code, capsys):
 
 
 def test_exact_ddeg_work_guard_exit_3():
+    """The difference search of a ring of prime-power characteristic stops
+    at the guard: Z/128 needs more than 300 work for x^2."""
     proc = run_cli(
-        "poly", "ddeg", "--ring", "Z/97", "--poly", "0,0,1", "--mode", "exact",
-        env={"RINGLAB_WORK_GUARD": "200"},
+        "poly", "ddeg", "--ring", "Z/128", "--poly", "0,0,1", "--mode", "exact",
+        env={"RINGLAB_WORK_GUARD": "300"},
     )
     assert proc.returncode == 3
     err = json.loads(proc.stderr)
@@ -368,9 +370,9 @@ def test_exact_ddeg_work_guard_exit_3():
 @pytest.mark.parametrize(
     "args, guard, why",
     [
-        pytest.param("poly ddeg --ring Z/97 --poly 0,0,1", 200, "exact derivational degree", id="poly ddeg"),
-        pytest.param("expsum --ring Z/97 --poly 0,0,1", 200, "exact derivational degree", id="expsum"),
-        pytest.param("paley --ring GF(64) --d 3", 100, "needs 192 work", id="paley"),
+        pytest.param("poly ddeg --ring Z/128 --poly 0,0,1", 300, "exact derivational degree", id="poly ddeg"),
+        pytest.param("expsum --ring Z/128 --poly 0,0,1", 300, "exact derivational degree", id="expsum"),
+        pytest.param("paley --ring GR(2,2,3) --d 3", 100, "needs 192 work", id="paley"),
     ],
 )
 def test_auto_mode_reports_why_it_fell_back(args, guard, why, validator, monkeypatch, capsys):
@@ -395,7 +397,9 @@ def test_value_table_is_charged_before_horner_runs(monkeypatch, capsys):
     """P's value table charges deg P x order before it evaluates, so a
     high-degree monomial under the work guard never reaches Horner: auto
     mode falls back to the bound and says why (paley --d 10^7 on Z/13 used
-    to evaluate for 28 s)."""
+    to evaluate for 28 s). On a field the degree reads only P's
+    coefficients, so the paley verdict on Z/13 is certified at the same
+    guard without evaluating anything."""
     from ringlab.cli import main
     from ringlab.rings import Ring
 
@@ -406,18 +410,21 @@ def test_value_table_is_charged_before_horner_runs(monkeypatch, capsys):
         lambda ring, coeffs, xs: evaluated.append(len(coeffs)) or eval_poly_vec(ring, coeffs, xs),
     )
     monomial = ",".join(["0"] * 1000 + ["1"])
-    monkeypatch.setenv("RINGLAB_WORK_GUARD", str(1000 * 13 - 1))
-    assert main(["poly", "ddeg", "--ring", "Z/13", "--poly", monomial]) == 0
+    monkeypatch.setenv("RINGLAB_WORK_GUARD", str(1000 * 128 - 1))
+    assert main(["poly", "ddeg", "--ring", "Z/128", "--poly", monomial]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["method"] != "exact"
-    assert "evaluating a degree-1000 polynomial on Z/13 needs 13000 work" in result["fallback_reason"]
-    assert main(["paley", "--ring", "Z/13", "--d", "1000"]) == 0
-    assert json.loads(capsys.readouterr().out)["result"]["verdict"]["k_certified"] is False
-    assert evaluated == []
-    monkeypatch.setenv("RINGLAB_WORK_GUARD", str(1000 * 13))
+    assert "evaluating a degree-1000 polynomial on Z/128 needs 128000 work" in result["fallback_reason"]
+    assert main(["paley", "--ring", "Z/128", "--d", "1000"]) == 0
+    verdict = json.loads(capsys.readouterr().out)["result"]["verdict"]
+    assert "needs 128000 work" in verdict["fallback_reason"]
     assert main(["paley", "--ring", "Z/13", "--d", "1000"]) == 0
     verdict = json.loads(capsys.readouterr().out)["result"]["verdict"]
-    assert (verdict["k"], verdict["k_certified"]) == (4, True)
+    assert (verdict["k"], verdict["k_certified"], verdict["fallback_reason"]) == (4, True, None)
+    assert evaluated == []
+    monkeypatch.setenv("RINGLAB_WORK_GUARD", str(1000 * 128))
+    assert main(["paley", "--ring", "Z/128", "--d", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["verdict"]["fallback_reason"] is None
     assert evaluated == [1001]
 
 

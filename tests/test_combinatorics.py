@@ -72,6 +72,25 @@ def test_config_count_manual():
     assert rep.size_a == 2 and rep.size_b == 2
 
 
+@pytest.mark.parametrize("family", sorted(ORACLE_RINGS))
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_config_count_shifts_by_either_set(family, data):
+    """The count shifts by the smaller of A and B; both orientations, and
+    empty sets, equal the direct count over every y, with A and B swapped
+    so that each orientation runs."""
+    ring = make_ring(data.draw(st.sampled_from(ORACLE_RINGS[family]), label="ring"))
+    n = ring.order
+    P = RingPoly.make(ring, data.draw(st.lists(st.integers(0, n - 1), max_size=4), label="P"))
+    elements = st.lists(st.integers(0, n - 1), max_size=n)
+    A, B = data.draw(elements, label="A"), data.draw(elements, label="B")
+    values = P.values()
+    for X, Y in ((A, B), (B, A)):
+        X, Y = sorted(set(X)), set(Y)
+        direct = sum(int(ring.add(x, int(v)) in Y) for x in X for v in values)
+        assert config_count(ring, P, X, sorted(Y)).count == direct
+
+
 def test_config_count_fourier_route():
     """The exact count and the character-sum reconstruction agree to well
     under the integer spacing."""

@@ -4,9 +4,10 @@ arrays, and dies with the ring. That covers the value table of each
 polynomial, which every layer reads through `RingPoly.values`. No cache outside the ring holds a ring
 alive or hands one ring's values to another ring with the same spec, and
 nothing in the memo refers back to the ring, so reference counting frees a
-ring as soon as its last user drops it. The two process-wide memos,
-`canonical_irreducible` and the GF(p^e) log tables `field_log_tables`, are
-functions of (p, e) and (p, e, h) alone and hold no ring.
+ring as soon as its last user drops it. The three process-wide memos,
+`canonical_irreducible`, the GF(p^e) log tables `field_log_tables` and the
+GR and PQ reduction data `_reduction_matrix`, are functions of (p, e),
+(p, e, h) and (coefficient ring spec, modulus) alone and hold no ring.
 """
 
 import gc
@@ -44,6 +45,23 @@ def test_ring_dies_with_its_derived_values(spec):
     gc.disable()
     try:
         del ring
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("spec", ("GR(2,2,2)", "GR(3,2,2;f=2,2,1)", "PQ(q=2;g=0,0,1)", "PQ(q=4;g=1,0,1)"))
+def test_reduction_data_is_shared_by_rings_of_one_spec(spec):
+    """GR and PQ rings of one spec read one read-only reduction matrix,
+    built once per process, and each ring still dies with its last user."""
+    r1, r2 = make_ring(spec), make_ring(spec)
+    assert r1 is not r2 and r1._L is r2._L and r1._high is r2._high
+    assert not r1._L.flags.writeable
+    assert all(not row.flags.writeable for _, row in r1._high)
+    ref = weakref.ref(r1)
+    gc.disable()
+    try:
+        del r1
         assert ref() is None
     finally:
         gc.enable()

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from poly_oracle import evaluate, from_int_coeffs
 
+from ringlab import polynomials
 from ringlab.errors import ParseError, WorkGuardExceeded
 from ringlab.polynomials import (
+    DdegResult,
     RingPoly,
     b_constant,
     derivational_degree,
@@ -231,6 +233,70 @@ def test_basis_search_matches_all_directions(family, data):
     assert res.k == all_direction_ddeg(ring, P)
 
 
+# ORACLE_RINGS and more rings for each rule: Z/2 and squarefree Z/30,
+# fields past order 25, GR(p,1,r), PQ with repeated factors ((t+1)^2, t^3)
+# and over GF(9), rings of characteristic 5 where the Newton transform runs
+# fewer than p - 1 passes, and products: of fields of one and of mixed
+# characteristic, of a field and a PQ of one characteristic, and of a field
+# and Z/9, which only the search covers.
+RULE_RINGS = {
+    "Z": ORACLE_RINGS["Z"] + ("Z/2", "Z/30"),
+    "GF": ORACLE_RINGS["GF"] + ("GF(27)", "GF(49)"),
+    "GR": ORACLE_RINGS["GR"] + ("GR(2,1,3)", "GR(3,1,2)", "GR(5,1,2)"),
+    "PQ": ORACLE_RINGS["PQ"] + (
+        "PQ(q=2;g=1,0,1)", "PQ(q=2;g=0,0,0,1)", "PQ(q=9;g=1,0,1)", "PQ(q=5;g=0,0,1)",
+    ),
+    "prod": ORACLE_RINGS["prod"] + (
+        "prod(GF(4);GF(9))", "prod(Z/6;GF(5))", "prod(GF(4);PQ(q=2;g=0,0,1))", "prod(GF(8);Z/9)",
+        "prod(GF(5);PQ(q=5;g=0,0,1))",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(RULE_RINGS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_rules_match_the_difference_search(family, data):
+    """The exact degree (fields and products of fields from P's
+    coefficients, prime characteristic by the Newton transform) equals the
+    difference search along the generators of (R, +), named here as the
+    oracle, on polynomials of degree up to 1, 2, |R| or 3 |R|. A drawn echo adds
+    -c x^(m + j (|R| - 1)) to a term c x^m, which on a field cancels it."""
+    ring = make_ring(data.draw(st.sampled_from(RULE_RINGS[family]), label="ring"))
+    n = ring.order
+    top = data.draw(st.sampled_from((1, 2, n, 3 * n)), label="top")
+    terms = data.draw(
+        st.lists(st.tuples(st.integers(0, top), st.integers(0, n - 1)), max_size=5), label="terms"
+    )
+    echo = data.draw(st.integers(0, 2), label="echo")
+    if terms and echo:
+        m, c = terms[0]
+        terms.append((m + echo * (n - 1), ring.neg(c)))
+    coeffs = [0] * (max((m for m, _ in terms), default=0) + 1)
+    for m, c in terms:
+        coeffs[m] = ring.add(coeffs[m], c)
+    P = RingPoly.make(ring, coeffs)
+    got = derivational_degree(ring, P, mode="exact")
+    assert got == polynomials._difference_search(ring, P)
+
+
+def test_newton_transform_stays_below_the_search_at_large_p(monkeypatch):
+    """x^3 on PQ(q=257;g=0,0,1), where all p - 1 passes on both axes would
+    cost more than the default guard: the transform runs 3 passes on the
+    4 x 4 corner, certifies k = 3 as the search does, and falls back to the
+    search once even that corner exceeds the guard."""
+    ring = make_ring("PQ(q=257;g=0,0,1)")
+    P = from_int_coeffs(ring, (0, 0, 0, 1))
+    got = derivational_degree(ring, P, mode="exact")
+    assert got == DdegResult(3, "exact", True)
+    assert got == polynomials._difference_search(ring, P)
+    calls = []
+    monkeypatch.setattr(polynomials, "_difference_search", lambda r, Q: calls.append(Q) or got)
+    monkeypatch.setenv("RINGLAB_WORK_GUARD", str(2 * 3 * 4**2 // 2 - 1))
+    assert derivational_degree(ring, P, mode="exact") == got
+    assert calls == [P]
+
+
 @pytest.mark.parametrize(
     "spec, coeffs, want",
     [
@@ -251,10 +317,11 @@ def test_ddeg_below_degree(spec, coeffs, want):
 
 def test_ddeg_exact_guard_counts_basis_differences(monkeypatch):
     """Certifying k costs n * C(k + r, r) work when no difference vanishes
-    early (x^3 on GF(8): r = 3 generators, k = 2); one unit less refuses."""
-    ring = make_ring("GF(8)")
+    early (x^3 on GR(2,2,3), where the search runs: r = 3 generators,
+    k = 3); one unit less refuses."""
+    ring = make_ring("GR(2,2,3)")
     P = RingPoly.make(ring, (0, 0, 0, 1))
-    r, k = len(ring.additive_orders()), 2
+    r, k = len(ring.additive_orders()), 3
     need = ring.order * math.comb(k + r, r)
     monkeypatch.setenv("RINGLAB_WORK_GUARD", str(need))
     assert derivational_degree(ring, P, mode="exact").k == k

@@ -65,7 +65,7 @@ def test_sampled_check_catches_wrong_representatives(spec, gens, monkeypatch):
     fs = random_functions(ring, 2, 3)
     assert vdc_check(ring, H, fs, 1).sample_gap < ROUTE_TOL
     right = harmonics._coset_reps
-    monkeypatch.setattr(harmonics, "_coset_reps", lambda perms: right(perms) + 1)
+    monkeypatch.setattr(harmonics, "_coset_reps", lambda ring, H: right(ring, H) + 1)
     assert vdc_check(ring, H, fs, 1).sample_gap >= ROUTE_TOL
 
 
