@@ -28,19 +28,18 @@ its radices in `Ring.__init__`: XOR, residues mod M, bit lanes, or place
 by place. Every add, sub and neg, scalar or vector, calls it, and GF(p)
 adds residues as Z/p does.
 
-Each ring class has one multiplication route. Z/N and GF(p) multiply
+Each ring has one multiplication route. Z/N and GF(p) multiply
 residues mod their characteristic (`Ring._mul_residues`). GF(p^e) with
 e >= 2 reads log and antilog tables (`field_log_tables`), built at its
-first product and shared by every ring of the same field. GR(p,n,r) and
-PQ(q;g) are each a coefficient ring modulo a monic polynomial and share
-one digit kernel (`_PolyModRing.mul_vec`): the integer 2-D convolution of
-the two operands' digit grids (m coefficients by e digits), reduced mod
-the characteristic M, mapped through one reduction matrix L whose row
-(b, a) holds the digits of u^a t^b, and reduced mod M again; L is built
-once per process for each coefficient ring and modulus
-(`_reduction_matrix`), as the log tables are for each field. Products
-multiply factor by factor. Scalar `mul` is `mul_vec` on 0-d arrays except
-on Z/N and GF(q), which multiply Python ints.
+first product and shared by every ring of the same field, and PQ(q;g)
+over it multiplies coefficient by coefficient through that field. GR and
+PQ over GF(p) are Z/M modulo a monic polynomial of degree m and share one
+digit kernel (`_PolyModRing.mul_vec`): the integer convolution of the
+operands' coefficients, reduced mod M, with each coefficient of t^b,
+b >= m, added back through t^b mod the modulus (`_reduction_matrix`,
+built once per process as the log tables are). Products multiply factor
+by factor. Scalar `mul` is `mul_vec` on 0-d arrays except on Z/N and
+GF(q), which multiply Python ints.
 
 Ring specs use a small textual grammar:
 
@@ -64,7 +63,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .budget import blocks, order_guard
+from .budget import blocks, charge, order_guard
 from .errors import NotIrreducible, NotMonic, OrderTooLarge, ParseError
 
 
@@ -163,12 +162,17 @@ def element_set(ring: "Ring", elements) -> np.ndarray:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorisation of n >= 1 as (prime, exponent) pairs, ascending."""
+    """Prime factorisation of n >= 1 as (prime, exponent) pairs, ascending,
+    by trial division, whose divisor is charged to the work guard each time
+    it doubles past 2^10, all that an order under the default guard needs."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: list[tuple[int, int]] = []
-    d = 2
+    d, charged = 2, 1 << 10
     while d * d <= n:
+        if d > charged:
+            charge(d, f"trial division of {n}")
+            charged = 2 * d
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -708,95 +712,71 @@ class FiniteFieldRing(Ring):
 
 
 # ---------------------------------------------------------------------------
-# A coefficient ring modulo a monic polynomial: GR(p,n,r) = (Z/p^n)[w]/(f)
-# and PQ(q;g) = GF(q)[t]/(g), one kernel for both.
+# Z/M modulo a monic polynomial: GR and PQ over GF(p), one kernel for both.
 # ---------------------------------------------------------------------------
 
 
 class _PolyModRing(Ring):
-    """Polynomials of degree < m over a coefficient ring, multiplied modulo a
-    monic polynomial of degree m: GR and PQ. Each is a Z/M-algebra with every
-    radix M, its characteristic, and one kernel multiplies both.
+    """Polynomials of degree < m over Z/M, multiplied modulo a monic
+    polynomial of degree m: GR, and PQ over GF(p). A product is the integer
+    convolution of the two operands' m coefficients, reduced mod M; each
+    coefficient of t^b with b >= m is then added in times row b - m of the
+    reduction matrix L, t^b mod the modulus, and the sum reduced mod M."""
 
-    An element is a grid of m coefficients by e digits: e = 1 over Z/M, and
-    e = log_p q over GF(q), where digit j*e + a is the u^a part of the
-    coefficient of t^j. A product is the integer 2-D convolution of the two
-    grids, reduced mod M, then mapped through the reduction matrix L, whose
-    row (b, a) holds the digits of u^a t^b, and reduced mod M again.
-
-    The coefficient ring is given by its plain parameters (M, e, h): Z/M
-    when e = 1, else GF(M^e) = (Z/M)[u]/(h), h None for the canonical
-    polynomial; no coefficient ring is built unless L is.
-    """
-
-    def __init__(self, coeff: tuple, modulus: tuple[int, ...]) -> None:
+    def __init__(self, M: int, modulus: tuple[int, ...]) -> None:
         super().__init__()
-        self._grid = (len(modulus) - 1, coeff[1])
-        self._L, self._high = _reduction_matrix(*coeff, tuple(modulus))
-        self._dtype = self._L.dtype
+        self._L = _reduction_matrix(M, tuple(modulus))
 
     def _digit_grid(self, a: np.ndarray) -> np.ndarray:
-        """The digits of every entry of a, shaped (m, e) + a.shape."""
+        """The m coefficients of every entry of a, shaped (m, a.size)."""
         M = self.characteristic
         # Rows of at least one entry: an object row takes their entries as
         # Python ints, where a 0-d array would be stored whole.
-        out = np.empty((len(self._radices), a.size), dtype=self._dtype)
+        out = np.empty((len(self._radices), a.size), dtype=self._L.dtype)
         rest = a.reshape(-1)
         for i in range(len(out) - 1):
             high = rest // M
             out[i] = rest - high * M
             rest = high
         out[-1] = rest
-        return out.reshape(self._grid + a.shape)
+        return out
 
-    def mul_vec(self, a, b) -> np.ndarray:
+    def _mul_digits(self, a, b) -> np.ndarray:
         a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        (m, e), da, db = self._grid, self._digit_grid(a), self._digit_grid(b)
-        conv = np.zeros((2 * m - 1, 2 * e - 1) + a.shape, dtype=self._dtype)
+        da, db = self._digit_grid(a), self._digit_grid(b)
+        m = len(da)
+        conv = np.zeros((2 * m - 1, a.size), dtype=self._L.dtype)
         term = np.empty_like(db)
-        for j, c in itertools.product(range(m), range(e)):
-            conv[j:j + m, c:c + e] += np.multiply(da[j, c], db, out=term)
+        for j in range(m):
+            conv[j:j + m] += np.multiply(da[j], db, out=term)
         conv = self._reduce(conv)
-        rows = conv.reshape(len(self._L), -1)
-        out = conv[:m, :e].reshape(m * e, -1)
-        for r, row in self._high:
-            out += row * rows[r]
+        out = conv[:m]
+        for high, row in zip(conv[m:], self._L):
+            out += row[:, None] * high
         return (self._places @ self._reduce(out)).astype(np.int64).reshape(a.shape)
+
+    mul_vec = _mul_digits
 
 
 @functools.lru_cache(maxsize=None)
-def _reduction_matrix(M: int, e: int, h: tuple[int, ...] | None, modulus: tuple[int, ...]):
-    """(L, high) of the digit kernel over the coefficient ring
-    (M, e, h) of `_PolyModRing` modulo a monic polynomial of degree m, its
-    indices ascending: the reduction matrix L, whose row (b, a) holds the
-    digits of u^a t^b, in the narrowest signed dtype that keeps the
-    kernel's sums exact, and the rows that are not unit vectors, each with
-    its index. Memoised for the whole process, as `field_log_tables` is:
-    the data depend on (M, e, h, modulus) alone, are read-only and hold no
+def _reduction_matrix(M: int, modulus: tuple[int, ...]) -> np.ndarray:
+    """Row b - m holds t^b mod the monic modulus of degree m over Z/M, for
+    m <= b < 2m - 1, read-only, in the narrowest signed dtype that keeps
+    the digit kernel's sums exact. Memoised for the whole process, as
+    `field_log_tables` is: it depends on (M, modulus) alone and holds no
     ring, and a batch builds the same GR and PQ rings job after job."""
-    coeff = ZModRing(M, _guard_checked=True) if e == 1 else FiniteFieldRing(M**e, h)
     m = len(modulus) - 1
-    t_powers = [(0,) * b + (coeff.one,) for b in range(m)]
+    rows, row = [], [int(j == m - 1) for j in range(m)]
     for _ in range(m - 1):
-        t_powers.append(_pdivmod((0,) + t_powers[-1], modulus, coeff)[1])
-    T = np.array([t + (0,) * (m - len(t)) for t in t_powers], dtype=np.int64)
-    # u^a for a < 2e - 1, from the coefficient field's own products; u is
-    # the element with digits (0, 1), and u^0 = one is all that e = 1 reads.
-    u = coeff.from_digits((0, 1))
-    U = np.array([coeff.pow(u, a) for a in range(2 * e - 1)], dtype=np.int64)
-    L = digits_of(coeff.mul_vec(T[:, None, :], U[None, :, None]), coeff.additive_orders())
-    # Every sum the kernel forms has at most (2m-1)(2e-1) terms, each a
-    # product of two digits below M; the narrowest signed type that holds
-    # it keeps the kernel exact (object past int64: exact, slow).
-    dtype = np.min_scalar_type(-1 - T.shape[0] * U.size * (M - 1) ** 2)
-    L = L.reshape(-1, m * e).astype(dtype)
+        # t * t^(b-1): shift up, and t^m = -(g_0 + ... + g_(m-1) t^(m-1)).
+        row = [(c - row[-1] * g) % M for c, g in zip([0] + row[:-1], modulus)]
+        rows.append(row)
+    # Every sum the kernel forms has at most 2m - 1 terms, each a product of
+    # two digits below M (object past int64: exact, slow).
+    dtype = np.min_scalar_type(-1 - (2 * m - 1) * (M - 1) ** 2)
+    L = np.array(rows, dtype=dtype).reshape(m - 1, m)
     L.flags.writeable = False
-    # Row (b, a) of L with b < m and a < e is the unit vector of digit
-    # b*e + a, so the kernel takes those rows as they are and multiplies
-    # only the others.
-    high = tuple((r, row[:, None]) for r, row in enumerate(L)
-                 if r // (2 * e - 1) >= m or r % (2 * e - 1) >= e)
-    return L, high
+    return L
 
 
 class GaloisRingRing(_PolyModRing):
@@ -829,7 +809,7 @@ class GaloisRingRing(_PolyModRing):
         self.characteristic = pn
         self.one = 1
         self._radices = (pn,) * r
-        super().__init__((pn, 1, None), self.defining)
+        super().__init__(pn, self.defining)
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         return [(self.p**self.r, self.n_exp)]
@@ -865,7 +845,6 @@ class PolyQuotientRing(_PolyModRing):
             raise ParseError("PQ: modulus coefficients must be base field indices")
         if g[-1] != base.one:
             raise NotMonic("PQ: modulus must be monic")
-        # The kernel reads the base's digits as powers of one generator u.
         if not isinstance(base, (ZModRing, FiniteFieldRing)) or not base.is_field:
             raise ParseError("PQ: coefficient ring must be Z/p or GF(q)")
         m = len(g) - 1
@@ -880,9 +859,35 @@ class PolyQuotientRing(_PolyModRing):
         self.characteristic = base.characteristic
         self.one = 1
         self._radices = base.additive_orders() * m
-        e = len(base.additive_orders())
-        h = None if e == 1 or base._canonical else base.defining
-        super().__init__((base.characteristic, e, h), g)
+        if self.q == self.characteristic:
+            super().__init__(self.q, g)
+        else:
+            Ring.__init__(self)
+
+    def mul_vec(self, a, b) -> np.ndarray:
+        """The digit kernel over GF(p). Over GF(p^e), e >= 2, the schoolbook
+        product of the m coefficients through the base field's products and
+        sums, reduced by g from the top coefficient down."""
+        if self.q == self.characteristic:
+            return self._mul_digits(a, b)
+        F, m = self.base, self.m
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        # One array per coefficient: the field's gathers read the strided
+        # columns of `digits_of` about twice as slowly.
+        ca, cb = [], []
+        for _ in range(m):
+            (a, ai), (b, bi) = np.divmod(a, self.q), np.divmod(b, self.q)
+            ca.append(ai)
+            cb.append(bi)
+        c = [None] * (2 * m - 1)
+        for i, j in itertools.product(range(m), repeat=2):
+            term = F.mul_vec(ca[i], cb[j])
+            c[i + j] = term if c[i + j] is None else F.add_vec(c[i + j], term)
+        for top in range(2 * m - 2, m - 1, -1):
+            for j, g in enumerate(self.g[:-1], start=top - m):
+                if g:
+                    c[j] = F.sub_vec(c[j], F.mul_vec(c[top], g))
+        return np.asarray(sum(cj * self.q**j for j, cj in enumerate(c[:m])), dtype=np.int64)
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         return split_index(x, (self.q,) * self.m)

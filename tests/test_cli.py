@@ -19,7 +19,7 @@ import character_oracle as oracle
 import ringlab
 from ringlab import cli
 from ringlab.cli import parse_element_set
-from ringlab.errors import ParseError
+from ringlab.errors import ParseError, WorkGuardExceeded
 from ringlab.paley import build_paley, spectrum
 from ringlab.polynomials import parse_poly_literal
 from ringlab.rings import make_ring
@@ -442,6 +442,34 @@ def test_intersective_norm_cap_work_guard_exit_3(family, poly, bound):
     err = json.loads(proc.stderr)["error"]
     assert err["type"] == "WorkGuardExceeded" and err["exit_code"] == 3
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("spec", ["GF(2305843009213693951)", "Z/2305843009213693951"])
+def test_trial_division_past_work_guard_exit_3(spec):
+    """Factoring the Mersenne prime 2^61 - 1 under a raised order guard is
+    refused once a trial divisor passes the work guard; both commands used
+    to run until a timeout stopped them."""
+    start = time.perf_counter()
+    proc = run_cli("ring", "info", spec,
+                   env={"RINGLAB_ORDER_GUARD": str(10**21), "RINGLAB_WORK_GUARD": "10000"})
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 3, proc.stderr
+    err = json.loads(proc.stderr)["error"]
+    assert err["type"] == "WorkGuardExceeded" and err["exit_code"] == 3
+    assert "budget 10000" in err["message"] and proc.stdout == ""
+
+
+def test_trial_division_charges_only_the_divisors_it_reaches(monkeypatch):
+    """The guard is charged as the divisor doubles past 2^10, not by
+    isqrt(n) up front: under a work guard of 2, Z/2^60 factors at once and
+    the prime Z/1048573 (divisors below 2^10) builds, while the prime
+    Z/4194301 (divisors to 2047) is refused."""
+    monkeypatch.setenv("RINGLAB_ORDER_GUARD", str(1 << 61))
+    monkeypatch.setenv("RINGLAB_WORK_GUARD", "2")
+    assert make_ring(f"Z/{1 << 60}").prime_ideal_profile() == [(2, 60)]
+    assert make_ring("Z/1048573").prime_ideal_profile() == [(1048573, 1)]
+    with pytest.raises(WorkGuardExceeded, match="trial division of 4194301 needs 1025 work, budget 2"):
+        make_ring("Z/4194301")
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])

@@ -6,8 +6,9 @@ alive or hands one ring's values to another ring with the same spec, and
 nothing in the memo refers back to the ring, so reference counting frees a
 ring as soon as its last user drops it. The three process-wide memos,
 `canonical_irreducible`, the GF(p^e) log tables `field_log_tables` and the
-GR and PQ reduction data `_reduction_matrix`, are functions of (p, e),
-(p, e, h) and (coefficient ring spec, modulus) alone and hold no ring.
+reduction matrix `_reduction_matrix` of GR and PQ over GF(p), are
+functions of (p, e), (p, e, h) and (characteristic, modulus) alone and
+hold no ring.
 """
 
 import gc
@@ -23,7 +24,7 @@ from ringlab.characters import character_group
 from ringlab.harmonics import character_bound_check, random_functions, te_estimate
 from ringlab.paley import build_paley, spectrum
 from ringlab.polynomials import RingPoly
-from ringlab.rings import Ring, make_ring
+from ringlab.rings import Ring, field_log_tables, make_ring
 from ringlab.subgroups import value_subgroup
 
 SPECS = ("Z/12", "GF(8)", "GR(2,2,2)", "PQ(q=2;g=0,0,1)", "prod(Z/4;GF(4))")
@@ -52,12 +53,18 @@ def test_ring_dies_with_its_derived_values(spec):
 
 @pytest.mark.parametrize("spec", ("GR(2,2,2)", "GR(3,2,2;f=2,2,1)", "PQ(q=2;g=0,0,1)", "PQ(q=4;g=1,0,1)"))
 def test_reduction_data_is_shared_by_rings_of_one_spec(spec):
-    """GR and PQ rings of one spec read one read-only reduction matrix,
-    built once per process, and each ring still dies with its last user."""
+    """GR and PQ over GF(p) rings of one spec read one read-only reduction
+    matrix, built once per process; PQ over GF(p^e) builds none and reads
+    its field's one table pair. Each ring still dies with its last user."""
     r1, r2 = make_ring(spec), make_ring(spec)
-    assert r1 is not r2 and r1._L is r2._L and r1._high is r2._high
-    assert not r1._L.flags.writeable
-    assert all(not row.flags.writeable for _, row in r1._high)
+    assert r1 is not r2
+    if spec == "PQ(q=4;g=1,0,1)":
+        assert not hasattr(r1, "_L") and not hasattr(r2, "_L")
+        tables = field_log_tables(2, 2, r1.base.defining)
+        assert field_log_tables(2, 2, r2.base.defining) is tables
+        assert int(r1.mul_vec(2, 3)) == r2.mul(2, 3)
+    else:
+        assert r1._L is r2._L and not r1._L.flags.writeable
     ref = weakref.ref(r1)
     gc.disable()
     try:

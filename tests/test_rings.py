@@ -225,8 +225,8 @@ def test_vector_ops_match_scalar():
 @st.composite
 def kernel_specs(draw, max_order=1 << 12):
     """GF(p^e), GR(p,n,r), PQ over GF(p) or GF(p^e) with a random monic g
-    (irreducible or not), or a product of two of these; degrees are cut to
-    keep the order at most max_order where degree 1 allows it."""
+    (irreducible or not), or a product of two of these; each degree is cut
+    to the largest that keeps the order at most max_order, down to 1."""
     kind = draw(st.sampled_from(["gf", "gr", "pq", "prod"]), label="kind")
     if kind == "prod":
         small = kernel_specs(max_order=64).filter(lambda s: not s.startswith("prod"))
@@ -235,8 +235,8 @@ def kernel_specs(draw, max_order=1 << 12):
     if kind == "pq":
         q = p ** draw(st.integers(1, 3), label="e")
         m = draw(st.integers(1, 3), label="m")
-        if q**m > max_order:
-            m = 1
+        while m > 1 and q**m > max_order:
+            m -= 1
         g = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m), label="g") + [1]
         return f"PQ(q={q};g={','.join(map(str, g))})"
     n = draw(st.integers(1, 3), label="n") if kind == "gr" else 1
@@ -489,11 +489,18 @@ def test_canonical_irreducible_matches_full_scan():
 @example(spec="PQ(q=256;g=0,0,1)", seed=6)
 @example(spec="GF(3037000493)", seed=7)
 @example(spec="GF(4294967311)", seed=8)
+@example(spec="PQ(q=9;g=1,2,3,1)", seed=9)
+@example(spec="PQ(q=25;g=3,1,1)", seed=10)
+@example(spec="PQ(q=8;g=3,5,1,1)", seed=11)
+@example(spec="PQ(q=1024;g=3,1)", seed=12)
 def test_mul_vec_matches_tower_oracle(spec, seed):
     """mul_vec against products of coefficient tuples, on flat arrays,
     broadcast grids, 0-d arrays, plain ints and empty arrays. GF(3037000493)
     holds its digit products in int64 at the edge; GF(4294967311) does not,
-    and multiplies with object integers."""
+    and multiplies with object integers. The dense moduli of degree 3 over
+    GF(9), GF(25) and GF(8) see the sign of g's coefficients in odd
+    characteristic and the top-down order of the reduction, and g of
+    degree 1 leaves PQ over GF(1024) nothing to reduce."""
     ring = _make_ring_under_order_guard(spec, 1 << 33)
     encode, mul = _tower_oracle(ring)
     rng = np.random.default_rng(seed)
@@ -584,22 +591,44 @@ def test_log_tables_match_digit_kernel(spec, seed):
 
 
 def test_fields_build_no_digit_kernel(monkeypatch):
-    """GF(q) and products of fields neither build nor read the digit
-    kernel of `_PolyModRing`: with its constructor made to raise they still
-    build and multiply, while GR and PQ, which use it, reach the patch."""
-    def refuse(self, coeff, modulus):
+    """GF(q), products of fields and PQ over GF(p^e), e >= 2, neither build
+    nor read the digit kernel of `_PolyModRing`: with its constructor made
+    to raise they still build and multiply, while GR and PQ over GF(p),
+    which use it, reach the patch."""
+    def refuse(self, M, modulus):
         raise RuntimeError("digit kernel built")
 
     monkeypatch.setattr(_PolyModRing, "__init__", refuse)
-    for spec in ("GF(4)", "GF(7)", "GF(9;h=2,2,1)", "GF(1048576)", "prod(GF(4);GF(9))"):
+    for spec in ("GF(4)", "GF(7)", "GF(9;h=2,2,1)", "GF(1048576)", "prod(GF(4);GF(9))",
+                 "PQ(q=4;g=0,0,1)", "PQ(q=9;g=1,2,3,1)", "PQ(q=16;g=3,1)"):
         ring = make_ring(spec)
         a = np.arange(min(ring.order, 64), dtype=np.int64)
         products = ring.mul_vec(a, a[::-1])
         assert products.dtype == np.int64
         assert [ring.mul(x, y) for x, y in zip(a.tolist(), a[::-1].tolist())] == products.tolist()
-    for spec in ("GR(2,2,2)", "PQ(q=4;g=0,0,1)"):
+    for spec in ("GR(2,2,2)", "PQ(q=2;g=0,0,1)", "PQ(q=7;g=3,1)"):
         with pytest.raises(RuntimeError, match="digit kernel built"):
             make_ring(spec)
+
+
+def test_pq_builds_its_field_tables_at_its_first_product(monkeypatch):
+    """Constructing PQ over GF(2^20) builds nothing for products, though
+    its order is 2^20 (g linear); its first product reads GF(2^20)'s own
+    log tables, the field's product of the two constants."""
+    calls = []
+
+    def refuse(p, e, h):
+        raise RuntimeError("log tables built")
+
+    monkeypatch.setattr("ringlab.rings.field_log_tables", refuse)
+    ring = make_ring("PQ(q=1048576;g=3,1)")
+    assert ring.order == 1 << 20 and ring.prime_ideal_profile() == [(1 << 20, 1)]
+    with pytest.raises(RuntimeError, match="log tables built"):
+        ring.mul(3, 5)
+    monkeypatch.setattr("ringlab.rings.field_log_tables",
+                        lambda *key: calls.append(key) or field_log_tables(*key))
+    assert ring.mul(3, 5) == ring.base.mul(3, 5)
+    assert calls and all(key == (2, 20, ring.base.defining) for key in calls)
 
 
 def test_log_tables_are_shared_per_field_and_read_only():
