@@ -44,4 +44,6 @@ class HypothesisUnmet(RingLabError):
 
 
 class CharDividesDegree(RingLabError):
-    """Power-residue graph verdicts are undefined when char(R) divides d."""
+    """Power-residue graph verdicts are undefined when a prime factor of
+    char(R) divides d: the Weil bound behind them needs p not to divide d
+    (Lidl & Niederreiter, *Finite Fields*, Thm 5.38)."""

@@ -31,7 +31,7 @@ from .characters import all_char_sums, character_group
 from .combinatorics import forbidden_differences
 from .errors import CharDividesDegree, ParseError, WorkGuardExceeded
 from .polynomials import RingPoly, bound_parameters, derivational_degree
-from .rings import Ring, element_set
+from .rings import Ring, element_set, factorize
 
 #: exhaustive uniformity sweeps iterate all 2^|R| subsets; 10 keeps the
 #: sweep near a thousand set choices
@@ -63,9 +63,13 @@ class PaleyGraph:
 
 
 def build_paley(ring: Ring, d: int) -> PaleyGraph:
-    """Construct P(R, d). Allowed even when char(R) divides d, but then the
-    graph may be disconnected and verdicts are refused; the report carries
-    the flag."""
+    """Construct P(R, d). Allowed even when a prime factor p of char(R)
+    divides d, but then the graph may be disconnected and verdicts are
+    refused; the report carries the flag, `char_divides_degree`. The Weil
+    bound behind the verdict holds for a polynomial of degree d over a
+    field of characteristic p only when p does not divide d (Lidl &
+    Niederreiter, *Finite Fields*, Thm 5.38), and every residue field of R
+    has such a p as its characteristic."""
     if d < 2:
         raise ParseError("Paley construction needs d >= 2")
     all_powers = ring.pow_vec(np.arange(ring.order, dtype=np.int64), d)
@@ -80,7 +84,7 @@ def build_paley(ring: Ring, d: int) -> PaleyGraph:
         kernel_size=kernel,
         pm_halving_factor=0.5 if minus_one else 1.0,
         minus_one_is_power=minus_one,
-        char_divides_degree=ring.characteristic % d == 0,
+        char_divides_degree=any(d % p == 0 for p, _ in factorize(ring.characteristic)),
     )
 
 
@@ -308,7 +312,9 @@ class QuasirandomnessVerdict:
 
 
 def quasirandomness_verdict(graph: PaleyGraph) -> QuasirandomnessVerdict:
-    """Three epsilon thresholds for P(R, d).
+    """Three epsilon thresholds for P(R, d), refused with CharDividesDegree
+    when a prime factor of char(R) divides d, where the Weil bound behind
+    them does not hold (`build_paley`).
 
     sufficient_epsilon: unit density u = |R^x|/|R| forces epsilon-uniformity
     for every epsilon > 3 d B(d, char) (k-1) (1-u)^(1/2^(k-1)), with k the
@@ -327,7 +333,7 @@ def quasirandomness_verdict(graph: PaleyGraph) -> QuasirandomnessVerdict:
     """
     if graph.char_divides_degree:
         raise CharDividesDegree(
-            f"characteristic {graph.ring.characteristic} divides d = {graph.d}; "
+            f"a prime factor of the characteristic {graph.ring.characteristic} divides d = {graph.d}; "
             "the graph may be disconnected and no verdict is asserted"
         )
     ring = graph.ring

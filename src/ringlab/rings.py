@@ -31,15 +31,16 @@ adds residues as Z/p does.
 Each ring has one multiplication route. Z/N and GF(p) multiply
 residues mod their characteristic (`Ring._mul_residues`). GF(p^e) with
 e >= 2 reads log and antilog tables (`field_log_tables`), built at its
-first product and shared by every ring of the same field, and PQ(q;g)
-over it multiplies coefficient by coefficient through that field. GR and
-PQ over GF(p) are Z/M modulo a monic polynomial of degree m and share one
-digit kernel (`_PolyModRing.mul_vec`): the integer convolution of the
-operands' coefficients, reduced mod M, with each coefficient of t^b,
-b >= m, added back through t^b mod the modulus (`_reduction_matrix`,
-built once per process as the log tables are). Products multiply factor
-by factor. Scalar `mul` is `mul_vec` on 0-d arrays except on Z/N and
-GF(q), which multiply Python ints.
+first product and shared by every ring of the same field. GR and PQ are one
+class, `PolyQuotientRing`: base[t]/(g) over a base Z/p^n or GF(q), GR being
+its spelling over Z/p^n with g irreducible mod p. Over Z/M its
+`mul_vec` is the digit kernel: the integer convolution of the operands'
+coefficients, reduced mod M, with each coefficient of t^b, b >= m = deg g,
+added back through t^b mod g (`_reduction_matrix`, built once per process
+as the log tables are). Over GF(p^e), e >= 2, it multiplies coefficient by
+coefficient through that field. Products multiply factor by factor. Scalar
+`mul` is `mul_vec` on 0-d arrays except on Z/N and GF(q), which multiply
+Python ints.
 
 Ring specs use a small textual grammar:
 
@@ -566,12 +567,13 @@ class Ring:
     def _mul_residues(self, a, b) -> np.ndarray:
         """a * b mod the characteristic M, for Z/N and GF(p), whose one
         radix is M: in int64 while (M - 1)^2 fits it, and in object
-        integers past that edge, which keep the product exact."""
+        integers past that edge, which keep the product exact. An array
+        always, 0-d for 0-d operands, where numpy's operators give scalars."""
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         M = self.characteristic
         if (M - 1) ** 2 >= 1 << 63:
             return np.asarray(a.astype(object) * b.astype(object) % M, dtype=np.int64)
-        return self._reduce(a * b)
+        return np.asarray(self._reduce(a * b))
 
     def pow_vec(self, a, e: int) -> np.ndarray:
         """a^e elementwise, always as a new array."""
@@ -712,50 +714,121 @@ class FiniteFieldRing(Ring):
 
 
 # ---------------------------------------------------------------------------
-# Z/M modulo a monic polynomial: GR and PQ over GF(p), one kernel for both.
+# base[t] / (g): a base Z/p^n or GF(q), g monic; GR is one spelling of it
 # ---------------------------------------------------------------------------
 
 
-class _PolyModRing(Ring):
-    """Polynomials of degree < m over Z/M, multiplied modulo a monic
-    polynomial of degree m: GR, and PQ over GF(p). A product is the integer
-    convolution of the two operands' m coefficients, reduced mod M; each
-    coefficient of t^b with b >= m is then added in times row b - m of the
-    reduction matrix L, t^b mod the modulus, and the sum reduced mod M."""
+class PolyQuotientRing(Ring):
+    """base[t]/(g) for a base Z/p^n or GF(q) and a monic modulus g of
+    degree m, which need not be irreducible: PQ(q;g), and GR over Z/p^n.
 
-    def __init__(self, M: int, modulus: tuple[int, ...]) -> None:
+    Elements are polynomials in t of degree < m with coefficients in the
+    base, encoded base q = |base|: coefficient j occupies digit-place q^j.
+    Over a base Z/p^n with n >= 2 the ring is a principal ideal ring when g
+    is irreducible mod p, as in GR; this class does not check that.
+    `_guard_checked` skips the order guard, as in ZModRing.
+    """
+
+    def __init__(self, base: Ring, g: tuple[int, ...], _guard_checked: bool = False):
+        g = tuple(int(c) for c in g)
+        if len(g) < 2:
+            raise ParseError("PQ: modulus must have degree at least 1")
+        if any(not 0 <= c < base.order for c in g):
+            raise ParseError("PQ: modulus coefficients must be base field indices")
+        if g[-1] != base.one:
+            raise NotMonic("PQ: modulus must be monic")
+        if not isinstance(base, (ZModRing, FiniteFieldRing)) or len(base.prime_ideal_profile()) != 1:
+            raise ParseError("PQ: coefficient ring must be Z/p^n or GF(q)")
+        m = len(g) - 1
+        order = base.order**m
+        if not _guard_checked:
+            _check_order(order)
+        self.base = base
+        self.g = g
+        self.m = m
+        self.q = base.order
+        self.order = order
+        self.characteristic = base.characteristic
+        self.one = 1
+        self._radices = base.additive_orders() * m
+        if self.q == self.characteristic:
+            self._L = _reduction_matrix(self.q, g)
         super().__init__()
-        self._L = _reduction_matrix(M, tuple(modulus))
 
-    def _digit_grid(self, a: np.ndarray) -> np.ndarray:
-        """The m coefficients of every entry of a, shaped (m, a.size)."""
-        M = self.characteristic
-        # Rows of at least one entry: an object row takes their entries as
-        # Python ints, where a 0-d array would be stored whole.
-        out = np.empty((len(self._radices), a.size), dtype=self._L.dtype)
-        rest = a.reshape(-1)
-        for i in range(len(out) - 1):
-            high = rest // M
-            out[i] = rest - high * M
-            rest = high
-        out[-1] = rest
-        return out
-
-    def _mul_digits(self, a, b) -> np.ndarray:
+    def mul_vec(self, a, b) -> np.ndarray:
+        """Over Z/M, the digit kernel: the integer convolution of the two
+        operands' m coefficients, reduced mod M; each coefficient of t^b
+        with b >= m is then added in times row b - m of the reduction matrix
+        L, t^b mod g, and the sum reduced mod M. Over GF(p^e), e >= 2, the
+        schoolbook product of the m coefficients through the base field's
+        products and sums, reduced by g from the top coefficient down."""
         a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        da, db = self._digit_grid(a), self._digit_grid(b)
-        m = len(da)
-        conv = np.zeros((2 * m - 1, a.size), dtype=self._L.dtype)
-        term = np.empty_like(db)
-        for j in range(m):
-            conv[j:j + m] += np.multiply(da[j], db, out=term)
-        conv = self._reduce(conv)
-        out = conv[:m]
-        for high, row in zip(conv[m:], self._L):
-            out += row[:, None] * high
-        return (self._places @ self._reduce(out)).astype(np.int64).reshape(a.shape)
+        m, q = self.m, self.q
+        if q == self.characteristic:
+            # Digit rows of at least one entry: an object row takes their
+            # entries as Python ints, where a 0-d array would be stored whole.
+            da, db = np.empty((2, m, a.size), dtype=self._L.dtype)
+            for rest, digits in ((a.reshape(-1), da), (b.reshape(-1), db)):
+                for i in range(m - 1):
+                    high = rest // q
+                    digits[i] = rest - high * q
+                    rest = high
+                digits[-1] = rest
+            conv = np.zeros((2 * m - 1, a.size), dtype=self._L.dtype)
+            term = np.empty_like(db)
+            for j in range(m):
+                conv[j:j + m] += np.multiply(da[j], db, out=term)
+            conv = self._reduce(conv)
+            out = conv[:m]
+            for high, row in zip(conv[m:], self._L):
+                out += row[:, None] * high
+            return (self._places @ self._reduce(out)).astype(np.int64).reshape(a.shape)
+        F = self.base
+        # One array per coefficient: the field's gathers read the strided
+        # columns of `digits_of` about twice as slowly.
+        ca, cb = [], []
+        for _ in range(m):
+            (a, ai), (b, bi) = np.divmod(a, q), np.divmod(b, q)
+            ca.append(ai)
+            cb.append(bi)
+        c = [None] * (2 * m - 1)
+        for i, j in itertools.product(range(m), repeat=2):
+            term = F.mul_vec(ca[i], cb[j])
+            c[i + j] = term if c[i + j] is None else F.add_vec(c[i + j], term)
+        for top in range(2 * m - 2, m - 1, -1):
+            for j, g in enumerate(self.g[:-1], start=top - m):
+                if g:
+                    c[j] = F.sub_vec(c[j], F.mul_vec(c[top], g))
+        return np.asarray(sum(cj * q**j for j, cj in enumerate(c[:m])), dtype=np.int64)
 
-    mul_vec = _mul_digits
+    def coeffs(self, x: int) -> tuple[int, ...]:
+        return split_index(x, (self.q,) * self.m)
+
+    def modulus_factors(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """g over the residue field of the base, Z/p or GF(q), factored
+        into monic irreducibles with their multiplicities."""
+        def build():
+            (k, n), = self.base.prime_ideal_profile()
+            return tuple(factor_poly([c % k for c in self.g], self.base if n == 1 else ZModRing(k)))
+        return self.memo("modulus_factors", build)
+
+    def prime_ideal_profile(self) -> list[tuple[int, int]]:
+        """With (k, n) the base's one entry, (p, n) for Z/p^n and (q, 1) for
+        GF(q), each factor h^e of `modulus_factors` gives (k^deg h, n e)."""
+        (k, n), = self.base.prime_ideal_profile()
+        return sorted((k ** (len(h) - 1), n * e) for h, e in self.modulus_factors())
+
+    def spec_string(self) -> str:
+        return f"PQ(q={self.q};g={','.join(str(c) for c in self.g)})"
+
+    def element_str(self, x: int) -> str:
+        if self.q == self.characteristic:
+            return poly_str(self.coeffs(x), "t", _digit_head)
+
+        def part(c: int) -> str:
+            return f"({self.base.element_str(c)})"
+
+        return poly_str(self.coeffs(x), "t", part, const=part)
 
 
 @functools.lru_cache(maxsize=None)
@@ -779,17 +852,14 @@ def _reduction_matrix(M: int, modulus: tuple[int, ...]) -> np.ndarray:
     return L
 
 
-class GaloisRingRing(_PolyModRing):
-    """Galois ring Z[w]/(p^n, f(w)) with f monic of degree r, irreducible
-    mod p. Order p^(n r), characteristic p^n, residue field GF(p^r)."""
+class GaloisRingRing(PolyQuotientRing):
+    """Galois ring GR(p,n,r) = (Z/p^n)[w]/(f), f monic of degree r and
+    irreducible mod p (Wan, *Lectures on Finite Fields and Galois Rings*):
+    the quotient ring over Z/p^n, spelled with its own guards, defining
+    polynomial, spec and variable w. Order p^(n r), characteristic p^n,
+    residue field GF(p^r)."""
 
-    def __init__(
-        self,
-        p: int,
-        n: int,
-        r: int,
-        f: tuple[int, ...] | None = None,
-    ):
+    def __init__(self, p: int, n: int, r: int, f: tuple[int, ...] | None = None):
         if n < 1 or r < 1:
             raise ParseError(f"GR({p},{n},{r}): n and r must be positive")
         # For p >= 2, p^(n r) >= p and >= 2^(n r): bound both before the power.
@@ -798,121 +868,19 @@ class GaloisRingRing(_PolyModRing):
             raise OrderTooLarge(f"GR({p},{n},{r}): order {p}^{n * r} exceeds the enumeration guard {limit}")
         if not is_prime(p):
             raise ParseError(f"GR({p},{n},{r}): {p} is not prime")
-        order = p ** (n * r)
-        _check_order(order)
-        pn = p**n
-        self.defining, self._canonical = _defining_polynomial(p, r, pn, f, f"GR({p},{n},{r}): f")
-        self.p = p
-        self.n_exp = n
-        self.r = r
-        self.order = order
-        self.characteristic = pn
-        self.one = 1
-        self._radices = (pn,) * r
-        super().__init__(pn, self.defining)
-
-    def prime_ideal_profile(self) -> list[tuple[int, int]]:
-        return [(self.p**self.r, self.n_exp)]
+        _check_order(p ** (n * r))
+        self.defining, self._canonical = _defining_polynomial(p, r, p**n, f, f"GR({p},{n},{r}): f")
+        super().__init__(ZModRing(p**n, _guard_checked=True), self.defining, _guard_checked=True)
+        # f mod p is irreducible, canonical or checked: no trial division.
+        self.memo("modulus_factors", lambda: ((tuple(c % p for c in self.defining), 1),))
 
     def spec_string(self) -> str:
-        base = f"GR({self.p},{self.n_exp},{self.r})"
-        if self._canonical:
-            return base
-        return base[:-1] + f";f={','.join(str(c) for c in self.defining)})"
+        (p, n), = self.base.prime_ideal_profile()
+        f = "" if self._canonical else f";f={','.join(str(c) for c in self.defining)}"
+        return f"GR({p},{n},{self.m}{f})"
 
     def element_str(self, x: int) -> str:
         return poly_str(self.digits(x), "w", _digit_head)
-
-
-# ---------------------------------------------------------------------------
-# F_q[t] / (g), g monic but not necessarily irreducible
-# ---------------------------------------------------------------------------
-
-
-class PolyQuotientRing(_PolyModRing):
-    """Quotient of a polynomial ring over Z/p or GF(q) by a monic modulus g.
-
-    Elements are polynomials in t of degree < deg g with coefficients in the
-    base field, encoded base q: coefficient j occupies digit-place q^j.
-    `_guard_checked` skips the order guard, as in ZModRing.
-    """
-
-    def __init__(self, base: Ring, g: tuple[int, ...], _guard_checked: bool = False):
-        g = tuple(int(c) for c in g)
-        if len(g) < 2:
-            raise ParseError("PQ: modulus must have degree at least 1")
-        if any(not 0 <= c < base.order for c in g):
-            raise ParseError("PQ: modulus coefficients must be base field indices")
-        if g[-1] != base.one:
-            raise NotMonic("PQ: modulus must be monic")
-        if not isinstance(base, (ZModRing, FiniteFieldRing)) or not base.is_field:
-            raise ParseError("PQ: coefficient ring must be Z/p or GF(q)")
-        m = len(g) - 1
-        order = base.order**m
-        if not _guard_checked:
-            _check_order(order)
-        self.base = base
-        self.g = g
-        self.m = m
-        self.q = base.order
-        self.order = order
-        self.characteristic = base.characteristic
-        self.one = 1
-        self._radices = base.additive_orders() * m
-        if self.q == self.characteristic:
-            super().__init__(self.q, g)
-        else:
-            Ring.__init__(self)
-
-    def mul_vec(self, a, b) -> np.ndarray:
-        """The digit kernel over GF(p). Over GF(p^e), e >= 2, the schoolbook
-        product of the m coefficients through the base field's products and
-        sums, reduced by g from the top coefficient down."""
-        if self.q == self.characteristic:
-            return self._mul_digits(a, b)
-        F, m = self.base, self.m
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        # One array per coefficient: the field's gathers read the strided
-        # columns of `digits_of` about twice as slowly.
-        ca, cb = [], []
-        for _ in range(m):
-            (a, ai), (b, bi) = np.divmod(a, self.q), np.divmod(b, self.q)
-            ca.append(ai)
-            cb.append(bi)
-        c = [None] * (2 * m - 1)
-        for i, j in itertools.product(range(m), repeat=2):
-            term = F.mul_vec(ca[i], cb[j])
-            c[i + j] = term if c[i + j] is None else F.add_vec(c[i + j], term)
-        for top in range(2 * m - 2, m - 1, -1):
-            for j, g in enumerate(self.g[:-1], start=top - m):
-                if g:
-                    c[j] = F.sub_vec(c[j], F.mul_vec(c[top], g))
-        return np.asarray(sum(cj * self.q**j for j, cj in enumerate(c[:m])), dtype=np.int64)
-
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        return split_index(x, (self.q,) * self.m)
-
-    def modulus_factors(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        return self.memo("modulus_factors", lambda: tuple(factor_poly(self.g, self.base)))
-
-    def prime_ideal_profile(self) -> list[tuple[int, int]]:
-        profile = [
-            (self.q ** (len(f) - 1), mult) for f, mult in self.modulus_factors()
-        ]
-        profile.sort()
-        return profile
-
-    def spec_string(self) -> str:
-        return f"PQ(q={self.q};g={','.join(str(c) for c in self.g)})"
-
-    def element_str(self, x: int) -> str:
-        if self.q == self.characteristic:
-            return poly_str(self.coeffs(x), "t", _digit_head)
-
-        def part(c: int) -> str:
-            return f"({self.base.element_str(c)})"
-
-        return poly_str(self.coeffs(x), "t", part, const=part)
 
 
 # ---------------------------------------------------------------------------
@@ -952,7 +920,8 @@ class ProductRing(Ring):
             rest_b, cb = np.divmod(rest_b, f.order)
             result = result + place * f.mul_vec(ca, cb)
             place *= f.order
-        return result
+        # numpy gives 0-d sums as scalars; an array, as every ring returns.
+        return np.asarray(result)
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         profile = [

@@ -40,8 +40,10 @@ def _callables():
 
 def test_guards_have_one_source():
     """No `guard` parameter anywhere, guards that take no arguments, and the
-    order-guard skip only on the two rings that the intersectivity witness
-    builds after charging their order as work."""
+    order-guard skip only on ZModRing and PolyQuotientRing: the
+    intersectivity witness builds them after charging their order as work,
+    and GR builds its base ZModRing(p^n) and its quotient after checking
+    its order."""
     found = dict(_callables())
     assert "ringlab.rings.make_ring" in found and "ringlab.rings.ZModRing.__init__" in found
     with_guard = [q for q, fn in found.items() if "guard" in inspect.signature(fn).parameters]

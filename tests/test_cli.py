@@ -415,17 +415,18 @@ def test_value_table_is_charged_before_horner_runs(monkeypatch, capsys):
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["method"] != "exact"
     assert "evaluating a degree-1000 polynomial on Z/128 needs 128000 work" in result["fallback_reason"]
-    assert main(["paley", "--ring", "Z/128", "--d", "1000"]) == 0
+    # d is odd on Z/128: the verdict is refused where 2 divides d.
+    assert main(["paley", "--ring", "Z/128", "--d", "1001"]) == 0
     verdict = json.loads(capsys.readouterr().out)["result"]["verdict"]
-    assert "needs 128000 work" in verdict["fallback_reason"]
+    assert "needs 128128 work" in verdict["fallback_reason"]
     assert main(["paley", "--ring", "Z/13", "--d", "1000"]) == 0
     verdict = json.loads(capsys.readouterr().out)["result"]["verdict"]
     assert (verdict["k"], verdict["k_certified"], verdict["fallback_reason"]) == (4, True, None)
     assert evaluated == []
-    monkeypatch.setenv("RINGLAB_WORK_GUARD", str(1000 * 128))
-    assert main(["paley", "--ring", "Z/128", "--d", "1000"]) == 0
+    monkeypatch.setenv("RINGLAB_WORK_GUARD", str(1001 * 128))
+    assert main(["paley", "--ring", "Z/128", "--d", "1001"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["verdict"]["fallback_reason"] is None
-    assert evaluated == [1001]
+    assert evaluated == [1002]
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ Paley graphs on Z/q have nontrivial eigenvalues (-1 +/- sqrt(q))/2, each
 with multiplicity (q-1)/2.
 """
 
+import json
 import math
 import time
 
@@ -236,6 +237,20 @@ def test_verdict_refused_when_char_divides_degree():
     assert graph.char_divides_degree
     with pytest.raises(CharDividesDegree):
         quasirandomness_verdict(graph)
+
+
+@pytest.mark.parametrize("spec, d", [("Z/3", 6), ("Z/3", 9), ("Z/4", 2)])
+def test_verdict_refused_when_a_prime_of_the_characteristic_divides_degree(spec, d, capsys):
+    """The flag asks whether some prime factor p of the characteristic
+    divides d, as the Weil bound behind the verdict needs p not to: Z/3 is
+    refused at d = 6 and 9, which 3 divides, and Z/4 at d = 2, which 4 does
+    not divide but 2 does. The CLI prints no verdict for them."""
+    graph = build_paley(make_ring(spec), d)
+    assert graph.char_divides_degree
+    with pytest.raises(CharDividesDegree, match="a prime factor of the characteristic"):
+        quasirandomness_verdict(graph)
+    assert cli.main(["paley", "--ring", spec, "--d", str(d)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["verdict"] is None
 
 
 FIELD_NOTE = "plus-minus d-th powers do not cover the field itself"

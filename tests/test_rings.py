@@ -10,6 +10,8 @@ the canonical modulus search is checked against the full scan it
 shortened.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -27,7 +29,6 @@ from ringlab.rings import (
     Ring,
     ZModRing,
     _monic_polys,
-    _PolyModRing,
     canonical_irreducible,
     digits_of,
     field_log_tables,
@@ -135,7 +136,8 @@ def _poly_oracle_tables(p, n, defining, inner=None):
 def _tower_oracle(ring):
     """(encode, mul): an element index as coefficient tuples (nested for PQ
     over GF(p^e), one per factor for a product), and the oracle product of
-    two encoded elements."""
+    two encoded elements. GR is a PolyQuotientRing over Z/p^n, whose
+    coefficients the oracle multiplies mod p^n."""
     if isinstance(ring, ProductRing):
         parts = [_tower_oracle(f) for f in ring.factors]
         return (
@@ -151,7 +153,7 @@ def _tower_oracle(ring):
         g = tuple(base.digits(c) for c in ring.g)
         _, mul = _poly_oracle_tables(p, 1, g, inner=base.defining)
         return (lambda x: tuple(base.digits(c) for c in ring.coeffs(x))), mul
-    _, mul = _poly_oracle_tables(ring.p, getattr(ring, "n_exp", 1), ring.defining)
+    _, mul = _poly_oracle_tables(ring.p, 1, ring.defining)
     return ring.digits, mul
 
 
@@ -263,18 +265,20 @@ def explicit_specs(draw):
 
 
 @st.composite
-def ring_specs(draw):
+def ring_specs(draw, max_order=1 << 12):
     """Specs of all five constructors: Z/N, GF, GR and PQ (canonical and
-    explicit moduli) and products, one factor of which may be a Z/N."""
+    explicit moduli) and products, one factor of which may be a Z/N. As in
+    kernel_specs, max_order cuts degrees, so a few specs exceed it."""
     kind = draw(st.sampled_from(["zn", "kernel", "explicit", "prod"]), label="spec kind")
     if kind == "zn":
-        return f"Z/{draw(st.integers(2, 1 << 12), label='N')}"
+        return f"Z/{draw(st.integers(2, max_order), label='N')}"
     if kind == "kernel":
-        return draw(kernel_specs(), label="kernel spec")
+        return draw(kernel_specs(max_order=max_order), label="kernel spec")
     if kind == "explicit":
         return draw(explicit_specs(), label="explicit spec")
-    small = kernel_specs(max_order=64).filter(lambda s: not s.startswith("prod"))
-    return f"prod(Z/{draw(st.integers(2, 64), label='N')};{draw(small, label='right')})"
+    side = math.isqrt(max_order)
+    small = kernel_specs(max_order=side).filter(lambda s: not s.startswith("prod"))
+    return f"prod(Z/{draw(st.integers(2, side), label='N')};{draw(small, label='right')})"
 
 
 def test_join_index_reduces_digits_and_pads_with_zeros():
@@ -454,6 +458,33 @@ def test_spec_string_round_trip(spec, seed):
     assert (again.mul_vec(a, b) == ring.mul_vec(a, b)).all()
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spec=ring_specs(max_order=256))
+@example(spec="Z/216")
+@example(spec="GR(2,2,3;f=3,1,0,1)")
+@example(spec="GR(3,2,2)")
+@example(spec="PQ(q=2;g=0,1,1)")
+@example(spec="PQ(q=2;g=0,0,1,1)")
+@example(spec="PQ(q=3;g=1,2,1)")
+@example(spec="PQ(q=9;g=1,2,1)")
+@example(spec="PQ(q=4;g=1,0,1,0,1)")
+@example(spec="prod(Z/12;PQ(q=4;g=1,0,1))")
+def test_prime_ideal_profile_counts_units_and_nilpotents(spec):
+    """The profile against brute force on the whole multiplication table:
+    with (q, m) its entries, units_count is the number of rows of the
+    mul_vec table that hold one, the nilpotent elements (x^order = 0) number
+    the product of q^(m - 1), and the product of q^m is the order."""
+    ring = make_ring(spec)
+    assume(ring.order <= 256)
+    xs = np.arange(ring.order, dtype=np.int64)
+    table = ring.mul_vec(xs[:, None], xs[None, :])
+    profile = ring.prime_ideal_profile()
+    assert ring.units_count() == int((table == ring.one).any(axis=1).sum()), spec
+    nilpotent = int((ring.pow_vec(xs, ring.order) == 0).sum())
+    assert nilpotent == math.prod(q ** (m - 1) for q, m in profile), spec
+    assert math.prod(q**m for q, m in profile) == ring.order, spec
+
+
 def full_scan_canonical(p, e):
     """The search canonical_irreducible shortened: every monic polynomial of
     degree e in order, constant term 0 included."""
@@ -470,7 +501,7 @@ def _make_ring_under_order_guard(spec: str, guard: int):
 
 
 def test_canonical_irreducible_matches_full_scan():
-    """Every p^e <= 2^12, and GF(2^20), whose modulus u^20 + u^3 + 1 the
+    """Every p^e <= 2^12, and GF(2^20), whose modulus u^20 + u^17 + 1 the
     full scan finds in seconds, too slow to repeat here."""
     cases = [(p, e) for p in range(2, 1 << 12) if is_prime(p)
              for e in range(1, 13) if p**e <= 1 << 12]
@@ -493,6 +524,7 @@ def test_canonical_irreducible_matches_full_scan():
 @example(spec="PQ(q=25;g=3,1,1)", seed=10)
 @example(spec="PQ(q=8;g=3,5,1,1)", seed=11)
 @example(spec="PQ(q=1024;g=3,1)", seed=12)
+@example(spec="prod(PQ(q=4;g=1,0,1);GR(2,2,2))", seed=13)
 def test_mul_vec_matches_tower_oracle(spec, seed):
     """mul_vec against products of coefficient tuples, on flat arrays,
     broadcast grids, 0-d arrays, plain ints and empty arrays. GF(3037000493)
@@ -519,6 +551,7 @@ def test_mul_vec_matches_tower_oracle(spec, seed):
     ]
     for a, b in pairs:
         got = ring.mul_vec(a, b)
+        assert isinstance(got, np.ndarray), (spec, type(got))
         assert got.dtype == np.int64 and got.shape == np.broadcast(a, b).shape
         for x, y, z in zip(*(v.ravel() for v in np.broadcast_arrays(a, b, got))):
             assert encode(int(z)) == mul(encode(int(x)), encode(int(y))), (spec, x, y)
@@ -592,13 +625,13 @@ def test_log_tables_match_digit_kernel(spec, seed):
 
 def test_fields_build_no_digit_kernel(monkeypatch):
     """GF(q), products of fields and PQ over GF(p^e), e >= 2, neither build
-    nor read the digit kernel of `_PolyModRing`: with its constructor made
-    to raise they still build and multiply, while GR and PQ over GF(p),
-    which use it, reach the patch."""
-    def refuse(self, M, modulus):
+    nor read the digit kernel's reduction matrix: with `_reduction_matrix`
+    made to raise they still build and multiply, while GR and PQ over
+    GF(p), which use it, reach the patch."""
+    def refuse(M, modulus):
         raise RuntimeError("digit kernel built")
 
-    monkeypatch.setattr(_PolyModRing, "__init__", refuse)
+    monkeypatch.setattr("ringlab.rings._reduction_matrix", refuse)
     for spec in ("GF(4)", "GF(7)", "GF(9;h=2,2,1)", "GF(1048576)", "prod(GF(4);GF(9))",
                  "PQ(q=4;g=0,0,1)", "PQ(q=9;g=1,2,3,1)", "PQ(q=16;g=3,1)"):
         ring = make_ring(spec)
