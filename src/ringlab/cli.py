@@ -25,8 +25,10 @@ import contextlib
 import functools
 import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -474,8 +476,47 @@ def _numpy_to_json(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+# json's C encoder runs only without indent; _dumps hands it each list of
+# plain numbers whole and re-spaces its ", " separators.
+_encode_flat = json.JSONEncoder(default=_numpy_to_json).encode
+_PLAIN_NUMBERS = frozenset((int, float, bool))
+
+
 def _dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, default=_numpy_to_json)
+    """The bytes of json.dumps(doc, indent=2, sort_keys=True,
+    default=_numpy_to_json), written with one C encoder call per list of
+    plain numbers instead of json's pure-Python indenting encoder. Dict
+    keys must be str."""
+    return _encode(doc, "\n")
+
+
+def _encode(value, newline: str) -> str:
+    """value as json spells it; `newline` is a newline and the indent of
+    the line that holds value, so its items go one indent deeper."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else _encode_flat(value)
+    if not isinstance(value, (dict, list, tuple)):
+        return _encode(_numpy_to_json(value), newline)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = newline + "  "
+    if isinstance(value, dict):
+        # encode_basestring_ascii raises TypeError on a key that is not a str.
+        items = [
+            f"{encode_basestring_ascii(key)}: {_encode(value[key], inner)}" for key in sorted(value)
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if set(map(type, value)) <= _PLAIN_NUMBERS:
+        body = _encode_flat(value)[1:-1].replace(", ", "," + inner)
+    else:
+        body = ("," + inner).join([_encode(item, inner) for item in value])
+    return f"[{inner}{body}{newline}]"
 
 
 class _Parser(argparse.ArgumentParser):

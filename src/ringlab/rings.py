@@ -724,8 +724,9 @@ class PolyQuotientRing(Ring):
 
     Elements are polynomials in t of degree < m with coefficients in the
     base, encoded base q = |base|: coefficient j occupies digit-place q^j.
-    Over a base Z/p^n with n >= 2 the ring is a principal ideal ring when g
-    is irreducible mod p, as in GR; this class does not check that.
+    A base Z/p^n with n >= 2 builds only as GR, whose f is irreducible mod
+    p: other g may give a ring that is not a principal ideal ring, such as
+    (Z/4)[x]/(x^2), and the PQ spec would name GF(p^n)[t]/(g) instead.
     `_guard_checked` skips the order guard, as in ZModRing.
     """
 
@@ -739,6 +740,11 @@ class PolyQuotientRing(Ring):
             raise NotMonic("PQ: modulus must be monic")
         if not isinstance(base, (ZModRing, FiniteFieldRing)) or len(base.prime_ideal_profile()) != 1:
             raise ParseError("PQ: coefficient ring must be Z/p^n or GF(q)")
+        if base.prime_ideal_profile()[0][1] > 1 and not isinstance(self, GaloisRingRing):
+            raise ParseError(
+                f"PQ: coefficient ring Z/{base.order} is not a field; a quotient over Z/p^n "
+                "with n >= 2 builds only as GR(p,n,r), whose modulus is irreducible mod p"
+            )
         m = len(g) - 1
         order = base.order**m
         if not _guard_checked:

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: JSON shape against the shipped schema, exit
 code classes, determinism modulo the header timestamp, and batch isolation.
+The report writer is checked byte for byte against json's own encoder.
 """
 
 import importlib.resources
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +15,9 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import character_oracle as oracle
 
@@ -651,6 +656,53 @@ def test_dumps_turns_numpy_values_into_json():
     assert json.loads(cli._dumps(doc)) == {"a": [0, 1, 2], "f": 0.5, "i": 7, "b": True}
     with pytest.raises(TypeError, match="set"):
         cli._dumps({"s": {1, 2}})
+
+
+def _stdlib_dumps(doc) -> str:
+    """The oracle for cli._dumps: json's own indenting encoder."""
+    return json.dumps(doc, indent=2, sort_keys=True, default=cli._numpy_to_json)
+
+
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324])
+_NUMBERS = st.integers() | st.sampled_from([2**63, -(2**64), 3**50]) | _FLOATS | st.booleans()
+_TEXT = st.lists(
+    st.characters() | st.sampled_from(['"', "\\", ", ", "[", "{", "\u00e9", "\u2028", "\U0001f600"])
+).map("".join)
+_ARRAYS = st.sampled_from([np.int64, np.float64, np.float32, np.bool_]).flatmap(
+    lambda dtype: hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
+)
+_NUMPY_SCALARS = st.one_of(
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+)
+_LEAVES = st.one_of(
+    _NUMBERS, st.none(), _TEXT, _ARRAYS, _NUMPY_SCALARS, st.lists(_NUMBERS, min_size=1, max_size=6)
+)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS)
+def test_dumps_matches_the_stdlib_encoder_byte_for_byte(doc):
+    """The writer prints exactly what json's indenting encoder prints: key
+    order and escapes, float spellings, big ints, numpy values, and lists
+    of numbers mixed or not with other values."""
+    assert cli._dumps(doc) == _stdlib_dumps(doc)
+
+
+def test_dumps_refuses_what_the_stdlib_encoder_refuses():
+    for doc in ({"s": {1, 2}}, {"c": np.array([1 + 2j, 3j])}, [1, {1, 2}]):
+        for dumps in (cli._dumps, _stdlib_dumps):
+            with pytest.raises(TypeError):
+                dumps(doc)
 
 
 def test_added_keys_stay_off_memoised_reports(capsys):

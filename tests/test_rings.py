@@ -83,6 +83,17 @@ def test_galois_ring_invariants():
     assert ring.additive_orders() == (9, 9)
 
 
+def test_pq_refuses_a_base_that_is_not_a_field():
+    """(Z/4)[x]/(x^2) is not a principal ideal ring, and its PQ spec would
+    name GF(4)[t]/(t^2): over Z/p^n with n >= 2 only GR builds."""
+    for n, g in ((4, (0, 0, 1)), (4, (3, 0, 1)), (9, (0, 0, 1))):
+        with pytest.raises(ParseError, match=r"GR\(p,n,r\)"):
+            PolyQuotientRing(ZModRing(n), g)
+    for spec in ("GR(2,2,2)", "GR(3,2,2)"):
+        ring = make_ring(spec)
+        assert ring.spec_string() == spec and ring == make_ring(ring.spec_string())
+
+
 def _poly_oracle_tables(p, n, defining, inner=None):
     """Independent arithmetic for C[x]/(f): coefficient tuples, schoolbook
     multiplication, remainder by the monic f. C is Z/p^n; or, when `inner`
