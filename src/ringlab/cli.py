@@ -6,8 +6,10 @@ on stderr. Exit codes separate failure classes so CI can gate on them:
     0  success
     2  malformed input (ring spec, polynomial literal, set, manifest)
     3  guard refusal (order or work budget, unmet hypothesis, non-subgroup)
-    4  a checked inequality failed numerically, or two routes to one
-       number differ by harmonics.ROUTE_TOL or more
+    4  a printed verdict is false (bound_satisfied, satisfied, all_satisfied,
+       verified, witness_verified, mixing_all_satisfied) or a printed route
+       gap (annihilator_max_error, max_route_gap, max_sample_gap,
+       sample_gap, fourier_gap) is not below harmonics.ROUTE_TOL = 1e-8
 
 Code 4 existing at all is the point of the tool: it should never fire, and
 when it does the report names the ring, polynomial, and character.
@@ -137,12 +139,12 @@ def _parse_subgroup(ring: Ring, text: str) -> subgroups.SubgroupSet:
     return subgroups.from_elements(ring, elements)
 
 
-def _cmd_ring(args) -> tuple[dict, int]:
+def _cmd_ring(args) -> dict:
     ring = make_ring(args.spec)
-    return _envelope("ring-info", ring.info_dict()), EXIT_OK
+    return _envelope("ring-info", ring.info_dict())
 
 
-def _cmd_ddeg(args) -> tuple[dict, int]:
+def _cmd_ddeg(args) -> dict:
     ring = make_ring(args.ring)
     P = parse_poly_literal(ring, args.poly)
     res = polynomials.derivational_degree(ring, P, mode=args.mode)
@@ -156,10 +158,10 @@ def _cmd_ddeg(args) -> tuple[dict, int]:
         "certified": res.certified,
         "fallback_reason": res.fallback_reason,
     }
-    return _envelope("poly-ddeg", result), EXIT_OK
+    return _envelope("poly-ddeg", result)
 
 
-def _cmd_subgroup(args) -> tuple[dict, int]:
+def _cmd_subgroup(args) -> dict:
     ring = make_ring(args.ring)
     P = parse_poly_literal(ring, args.poly)
     H = subgroups.value_subgroup(ring, P, subtract_constant=not args.raw_values)
@@ -170,10 +172,15 @@ def _cmd_subgroup(args) -> tuple[dict, int]:
             "contains_constant": subgroups.constant_in_subgroup(ring, P),
         }
     )
-    return _envelope("subgroup", result), EXIT_OK
+    return _envelope("subgroup", result)
 
 
-def _cmd_expsum(args) -> tuple[dict, int]:
+def _character_row(coeffs: list, s: complex) -> dict:
+    # abs of the scalar: np.abs over the whole array can differ in the last bit.
+    return {"coeffs": coeffs, "re": float(s.real), "im": float(s.imag), "modulus": float(abs(s))}
+
+
+def _cmd_expsum(args) -> dict:
     ring = make_ring(args.ring)
     P = parse_poly_literal(ring, args.poly)
     report = harmonics.character_bound_check(ring, P, ddeg_mode=args.mode)
@@ -186,28 +193,14 @@ def _cmd_expsum(args) -> tuple[dict, int]:
             position = character_group(ring).position(coeffs)
         except ValueError as exc:
             raise ParseError(f"bad character coefficients {args.char!r}: {exc}") from exc
-        result["single_character"] = {
-            "coeffs": list(coeffs),
-            "re": float(S[position].real),
-            "im": float(S[position].imag),
-            "modulus": float(abs(S[position])),
-        }
+        result["single_character"] = _character_row(list(coeffs), S[position])
     if args.table:
         coeff_rows = character_group(ring).coeffs(np.arange(len(S))).tolist()
-        result["characters"] = [
-            {
-                "coeffs": coeff_rows[i],
-                "re": float(S[i].real),
-                "im": float(S[i].imag),
-                "modulus": float(abs(S[i])),
-            }
-            for i in range(len(S))
-        ]
-    ok = report.bound_satisfied and report.annihilator_max_error < harmonics.ROUTE_TOL
-    return _envelope("expsum", result), EXIT_OK if ok else EXIT_BOUND
+        result["characters"] = [_character_row(coeff_rows[i], S[i]) for i in range(len(S))]
+    return _envelope("expsum", result)
 
 
-def _cmd_tebound(args) -> tuple[dict, int]:
+def _cmd_tebound(args) -> dict:
     if args.random < 1:
         raise ParseError("--random must be at least 1")
     ring = make_ring(args.ring)
@@ -225,24 +218,22 @@ def _cmd_tebound(args) -> tuple[dict, int]:
         }
         for i in range(args.random)
     ]
-    all_ok = bool(rep.satisfied.all())
     summary = {
         "ring_spec": ring.spec_string(),
         "poly": str(P),
         "count": args.random,
         "k": rep.k,
-        "all_satisfied": all_ok,
+        "all_satisfied": bool(rep.satisfied.all()),
         "max_route_gap": float(rep.route_gap.max()),
         "sample_rows": rep.sample_rows,
         "max_sample_gap": float(rep.sample_gap.max()),
         "max_ratio": float(rep.ratio.max()),
         "functions": rows,
     }
-    ok = all_ok and max(summary["max_route_gap"], summary["max_sample_gap"]) < harmonics.ROUTE_TOL
-    return _envelope("tebound", summary, seed=args.seed), EXIT_OK if ok else EXIT_BOUND
+    return _envelope("tebound", summary, seed=args.seed)
 
 
-def _cmd_vdc(args) -> tuple[dict, int]:
+def _cmd_vdc(args) -> dict:
     if not 1 <= args.k <= harmonics.VDC_MAX_K:
         raise ParseError(f"--k must be between 1 and {harmonics.VDC_MAX_K}")
     if args.random < 1:
@@ -253,11 +244,10 @@ def _cmd_vdc(args) -> tuple[dict, int]:
     report = harmonics.vdc_check(ring, H, fs, args.k)
     result = _fields(report)
     result["count"] = args.random
-    ok = report.satisfied and report.sample_gap < harmonics.ROUTE_TOL
-    return _envelope("vdc", result, seed=args.seed), EXIT_OK if ok else EXIT_BOUND
+    return _envelope("vdc", result, seed=args.seed)
 
 
-def _cmd_rootcount(args) -> tuple[dict, int]:
+def _cmd_rootcount(args) -> dict:
     ring = make_ring(args.ring)
     try:
         coeffs = json.loads(args.coeffs)
@@ -269,15 +259,13 @@ def _cmd_rootcount(args) -> tuple[dict, int]:
         report = harmonics.root_count_bound_check(ring, coeffs)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    code = EXIT_OK if report.satisfied else EXIT_BOUND
-    return _envelope("rootcount", _fields(report)), code
+    return _envelope("rootcount", _fields(report))
 
 
-def _cmd_sarkozy(args) -> tuple[dict, int]:
+def _cmd_sarkozy(args) -> dict:
     ring = make_ring(args.ring)
     P = parse_poly_literal(ring, args.poly)
     result: dict = {"ring_spec": ring.spec_string(), "poly": str(P)}
-    code = EXIT_OK
     if args.measured is not None:
         if not 0 <= args.measured <= ring.order:
             raise ParseError(f"--measured must be a set size from 0 to {ring.order}")
@@ -290,12 +278,8 @@ def _cmd_sarkozy(args) -> tuple[dict, int]:
         result["difference_free"] = _fields(free)
         size = free.size
         result["measured_source"] = args.search
-        if not free.verified:
-            code = EXIT_BOUND
     bound = combinatorics.sarkozy_bound_check(ring, P, size)
     result["bound_check"] = _fields(bound)
-    if not bound.satisfied:
-        code = EXIT_BOUND
     if args.sets is not None:
         A = parse_element_set(ring, args.sets[0])
         B = parse_element_set(ring, args.sets[1])
@@ -303,31 +287,27 @@ def _cmd_sarkozy(args) -> tuple[dict, int]:
         result["config"] = _fields(config)
         if ring.order <= 256:
             fourier = combinatorics.config_count_fourier(ring, P, A, B)
-            gap = abs(config.count - fourier)
             result["config"]["fourier_re"] = fourier.real
-            result["config"]["fourier_gap"] = gap
-            if gap >= harmonics.ROUTE_TOL:
-                code = EXIT_BOUND
-    return _envelope("sarkozy", result, seed=args.seed), code
+            result["config"]["fourier_gap"] = abs(config.count - fourier)
+    return _envelope("sarkozy", result, seed=args.seed)
 
 
-def _cmd_intersective(args) -> tuple[dict, int]:
+def _cmd_intersective(args) -> dict:
     try:
         coeffs = [int(tok) for tok in args.poly.split(",")]
     except ValueError as exc:
         raise ParseError(f"bad coefficient list {args.poly!r}") from exc
     verdict = combinatorics.intersectivity_oracle(args.family, coeffs, args.bound)
-    return _envelope("intersective", _fields(verdict)), EXIT_OK
+    return _envelope("intersective", _fields(verdict))
 
 
-def _cmd_paley(args) -> tuple[dict, int]:
+def _cmd_paley(args) -> dict:
     ring = make_ring(args.ring)
     graph = paley.build_paley(ring, args.d)
     if args.edges:
         sys.stdout.writelines(paley.edge_lines(graph))
-        return {}, EXIT_OK
+        return {}
     result: dict = {"graph": graph.spec_dict(), "spectrum": _fields(paley.spectrum(graph))}
-    code = EXIT_OK
     if graph.char_divides_degree:
         result["verdict"] = None
         result["warning"] = (
@@ -338,10 +318,8 @@ def _cmd_paley(args) -> tuple[dict, int]:
         result["verdict"] = _fields(paley.quasirandomness_verdict(graph))
     if args.sets is not None:
         spec = args.sets
-        if spec == "exhaustive":
-            uni = paley.uniformity_measure(graph, mode="exhaustive")
-        elif spec == "structured":
-            uni = paley.uniformity_measure(graph, mode="structured")
+        if spec in ("exhaustive", "structured"):
+            uni = paley.uniformity_measure(graph, mode=spec)
         elif spec.startswith("sampled:"):
             try:
                 _, count, seed = spec.split(":")
@@ -363,12 +341,10 @@ def _cmd_paley(args) -> tuple[dict, int]:
         else:
             raise ParseError(f"unknown set source {spec!r}")
         result["uniformity"] = _fields(uni)
-        if not uni.mixing_all_satisfied:
-            code = EXIT_BOUND
-    return _envelope("paley", result), code
+    return _envelope("paley", result)
 
 
-def _cmd_batch(args) -> tuple[dict, int]:
+def _cmd_batch(args) -> dict:
     try:
         manifest = json.loads(Path(args.manifest).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -414,22 +390,45 @@ def _cmd_batch(args) -> tuple[dict, int]:
             row["result"] = doc["result"]
         rows.append(row)
     summary = {"jobs": rows, "overall_exit": overall, "job_count": len(rows)}
-    return _envelope("batch", summary, seed=seed), overall
+    return _envelope("batch", summary, seed=seed)
 
 
 def _run(argv: list[str] | None, parse=None) -> tuple[dict, int]:
     """Parse argv (by `parse` if given) and run its subcommand. A RingLabError
     from either step becomes a structured error document: exit 2 for a
     ParseError, which every usage error is, and 3 for any other (guard)
-    error. --help returns an empty document; argparse has printed the help."""
+    error. --help returns an empty document; argparse has printed the help.
+    A report exits 4 iff it `_fails`; a batch exits with its overall_exit."""
     try:
         ns = (parse or build_parser().parse_args)(argv)
-        return ns.handler(ns)
+        doc = ns.handler(ns)
     except SystemExit as exc:
         return {}, int(exc.code or 0)
     except RingLabError as exc:
         code = EXIT_PARSE if isinstance(exc, ParseError) else EXIT_GUARD
         return _error_doc(exc, code), code
+    result = doc.get("result", {})
+    return doc, result.get("overall_exit", EXIT_BOUND if _fails(result) else EXIT_OK)
+
+
+#: The printed fields that exit 4 reads: verdicts, and gaps between two
+#: routes to one number.
+_VERDICTS = frozenset({"bound_satisfied", "satisfied", "all_satisfied", "verified",
+                       "witness_verified", "mixing_all_satisfied"})
+_GAPS = frozenset({"annihilator_max_error", "max_route_gap", "max_sample_gap", "sample_gap",
+                   "fourier_gap"})
+
+
+def _fails(report: dict) -> bool:
+    """Whether report, or a dict nested in it, holds a verdict that is
+    false (null is no verdict) or a gap that is not below ROUTE_TOL, NaN
+    included. Lists are not walked: their rows are summarised beside them."""
+    return any(
+        _fails(value) if isinstance(value, dict)
+        else key in _VERDICTS and value is not None and not value
+        or key in _GAPS and not value < harmonics.ROUTE_TOL
+        for key, value in report.items()
+    )
 
 
 def _parse_job(argv: list[str]) -> argparse.Namespace:

@@ -105,7 +105,7 @@ def config_count_fourier(ring: Ring, P: RingPoly, A, B) -> complex:
 
         count = |R|^2 sum_chi conj(1A_hat(chi)) 1B_hat(chi) S(chi, P).
 
-    Near-exact floats; the direct count matches within 0.5 for |R| <= 256.
+    Near-exact floats: the CLI exits 4 when it is ROUTE_TOL or more off the direct count.
     """
     A = element_set(ring, A)
     B = element_set(ring, B)

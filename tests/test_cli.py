@@ -587,6 +587,161 @@ def test_sarkozy_exits_4_when_its_routes_disagree(monkeypatch, capsys):
     assert main(args) == 0
 
 
+def _exit_4_report(args, validator, capsys) -> dict:
+    """Run args in-process, expect exit 4 with a schema-valid report on
+    stdout, and return its result."""
+    assert cli.main(list(args)) == 4
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = json.loads(out)
+    validator.validate(doc)
+    return doc["result"]
+
+
+@pytest.mark.parametrize(
+    "args,verdict",
+    [
+        (("expsum", "--ring", "Z/13", "--poly=0,0,1"), "bound_satisfied"),
+        (("tebound", "--ring", "Z/13", "--poly=0,0,1", "--random", "2"), "all_satisfied"),
+        (("vdc", "--ring", "Z/8", "--subgroup", "0,4", "--random", "2"), "satisfied"),
+        (("rootcount", "--ring", "Z/12", "--coeffs", "[0,6]"), "satisfied"),
+    ],
+    ids=lambda a: a[0] if isinstance(a, tuple) else a,
+)
+def test_a_bound_no_tolerance_meets_exits_4(args, verdict, monkeypatch, capsys, validator):
+    """With a tolerance of -inf every checked bound fails, and each command
+    prints its verdict false and exits 4, its route gaps untouched."""
+    from ringlab import harmonics
+
+    monkeypatch.setattr(harmonics, "BOUND_TOL", -math.inf)
+    result = _exit_4_report(args, validator, capsys)
+    assert result[verdict] is False
+    for gap in cli._GAPS & result.keys():
+        assert result[gap] < harmonics.ROUTE_TOL, gap
+
+
+def test_expsum_exits_4_when_the_annihilator_sums_drift(monkeypatch, capsys, validator):
+    """Character sums 1e-6 too large keep the power bound, but the sum over
+    the annihilator of the value subgroup is no longer exactly 1."""
+    from ringlab import harmonics
+
+    sums = harmonics.all_char_sums
+    monkeypatch.setattr(harmonics, "all_char_sums", lambda *a: sums(*a) * (1 + 1e-6))
+    result = _exit_4_report(("expsum", "--ring", "Z/13", "--poly=0,0,0,1"), validator, capsys)
+    assert result["bound_satisfied"] is True
+    assert result["annihilator_max_error"] >= harmonics.ROUTE_TOL
+
+
+def test_vdc_exits_4_at_a_sample_gap_of_route_tol(monkeypatch, capsys, validator):
+    """No single computation moves the sampled check alone, so the report
+    itself carries a sample gap of exactly ROUTE_TOL, the first gap that
+    fails; just below it the command exits 0."""
+    import dataclasses
+
+    from ringlab import harmonics
+
+    check = harmonics.vdc_check
+    args = ("vdc", "--ring", "Z/8", "--subgroup", "0,4", "--random", "2")
+    for gap, code in ((harmonics.ROUTE_TOL, 4), (0.99 * harmonics.ROUTE_TOL, 0)):
+        monkeypatch.setattr(
+            harmonics, "vdc_check", lambda *a: dataclasses.replace(check(*a), sample_gap=gap)
+        )
+        assert cli.main(list(args)) == code
+        doc = json.loads(capsys.readouterr().out)
+        validator.validate(doc)
+        assert doc["result"]["satisfied"] is True
+        assert doc["result"]["sample_gap"] == gap
+
+
+def test_a_nan_route_gap_exits_4(monkeypatch, capsys, validator):
+    """A NaN gap is not below ROUTE_TOL: a Fourier count of NaN fails the
+    configuration check rather than passing it."""
+    from ringlab import combinatorics
+
+    monkeypatch.setattr(combinatorics, "config_count_fourier", lambda *a: complex(math.nan, 0))
+    args = ["sarkozy", "--ring", "Z/13", "--poly=0,0,1", "--measured", "3", "--sets", "squares", "1,2,3"]
+    result = _exit_4_report(args, validator, capsys)
+    assert result["bound_check"]["satisfied"] is True
+    assert math.isnan(result["config"]["fourier_gap"])
+
+
+def test_sarkozy_exits_4_on_a_witness_that_is_not_difference_free(monkeypatch, capsys, validator):
+    from ringlab import combinatorics
+
+    monkeypatch.setattr(combinatorics, "verify_difference_free", lambda *a: False)
+    result = _exit_4_report(("sarkozy", "--ring", "Z/13", "--poly=0,0,1"), validator, capsys)
+    assert result["difference_free"]["verified"] is False
+    assert result["bound_check"]["satisfied"] is True
+
+
+def test_paley_exits_4_when_a_pair_breaks_the_mixing_certificate(monkeypatch, capsys, validator):
+    from ringlab import paley
+
+    deviation = paley._pair_deviation
+    monkeypatch.setattr(paley, "_pair_deviation", lambda *a: (deviation(*a)[0], 1.0))
+    args = ("paley", "--ring", "Z/13", "--d", "2", "--sets", "structured")
+    result = _exit_4_report(args, validator, capsys)
+    assert result["uniformity"]["mixing_all_satisfied"] is False
+
+
+def test_intersective_exits_4_when_the_rescan_rejects_the_witness(monkeypatch, capsys, validator):
+    """The Hensel climb and the ring-kernel re-scan of O/pi^j are two routes
+    to one witness: when they disagree the report says so and exits 4. No
+    witness at all (witness_verified null) asserts nothing and exits 0."""
+    from ringlab import combinatorics
+
+    args = ["intersective", "--family", "INTEGERS", "--poly=-2,0,1", "--bound", "40"]
+    assert cli.main(args) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["witness_verified"] is True
+    monkeypatch.setattr(combinatorics, "_witness_has_no_root", lambda *a: False)
+    result = _exit_4_report(args, validator, capsys)
+    assert result["status"] == "WITNESS_FOUND"
+    assert result["witness_verified"] is False
+    assert cli.main(["intersective", "--family", "INTEGERS", "--poly=0,0,1", "--bound", "40"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["witness_verified"] is None
+
+
+def test_batch_exits_with_its_printed_overall_exit(tmp_path, capsys, validator):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({
+        "jobs": [
+            {"label": "ok", "args": ["ring", "info", "Z/12"]},
+            {"label": "bound", "args": ["sarkozy", "--ring", "Z/13", "--poly=0,0,1", "--measured", "13"]},
+        ],
+    }))
+    result = _exit_4_report(["batch", str(path)], validator, capsys)
+    assert result["overall_exit"] == 4
+    assert [job["exit_code"] for job in result["jobs"]] == [0, 4]
+
+
+@pytest.mark.parametrize(
+    "args,field",
+    [
+        (("poly", "ddeg", "--ring", "Z/8", "--poly=0,0,0,1", "--mode", "bound"), "certified"),
+        (("subgroup", "--ring", "Z/8", "--poly", "0,2"), "is_full"),
+    ],
+    ids=lambda a: a[0] if isinstance(a, tuple) else a,
+)
+def test_false_fields_that_are_no_verdict_exit_0(args, field, capsys):
+    assert cli.main(list(args)) == 0
+    assert json.loads(capsys.readouterr().out)["result"][field] is False
+
+
+def test_schema_declares_every_field_exit_4_reads(validator):
+    """A report field renamed in the schema cannot drop out of the rule
+    unnoticed: each name the rule reads is a declared property."""
+    declared, stack = set(), [validator.schema]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            declared.update(node.get("required", ()))
+            declared.update(node.get("properties", {}))
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    assert cli._VERDICTS | cli._GAPS <= declared
+
+
 def test_seed_changes_functions():
     base = ("tebound", "--ring", "Z/8", "--poly", "0,0,1", "--random", "3")
     a = json.loads(run_cli(*base, "--seed", "1").stdout)
