@@ -21,6 +21,8 @@ DEFAULT_WORK_GUARD = 1 << 24
 #: sampled check of te_estimate, the annihilator mask, the Hensel climb, its
 #: sieve and the antilog build
 BLOCK_ENTRIES = 1 << 18
+#: bytes of memoised arrays over all the rings that `rings.make_ring` keeps
+CACHE_BYTES = 1 << 28
 
 
 def _from_env(name: str, fallback: int) -> int:

@@ -1,7 +1,8 @@
 """Command line interface.
 
-One subcommand per computation, JSON reports on stdout, structured errors
-on stderr. Exit codes separate failure classes so CI can gate on them:
+One subcommand per computation, each argv parsed by that subcommand's own
+parser (`_parse`), JSON reports on stdout, structured errors on stderr.
+Exit codes separate failure classes so CI can gate on them:
 
     0  success
     2  malformed input (ring spec, polynomial literal, set, manifest)
@@ -355,6 +356,7 @@ def _cmd_batch(args) -> dict:
     if seed is not None and (type(seed) is not int or seed < 0):
         raise ParseError(f"manifest seed {seed!r} is not a nonnegative integer")
     jobs = manifest.get("jobs", [])
+    labels: set[str] = set()
     for i, job in enumerate(jobs):
         if not isinstance(job, dict) or not isinstance(job.get("args", []), list):
             raise ParseError(f"manifest job {i} must be an object with an args array")
@@ -364,6 +366,9 @@ def _cmd_batch(args) -> dict:
             c in label for c in ("/", "\\", "\0")
         ):
             raise ParseError(f"manifest job {i}: label {label!r} is not a plain file name")
+        if label in labels:
+            raise ParseError(f"manifest job {i}: label {label!r} names an earlier job too")
+        labels.add(label)
     out_dir = manifest.get("output_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ParseError(f"manifest output_dir {out_dir!r} is not a string")
@@ -374,9 +379,7 @@ def _cmd_batch(args) -> dict:
     for i, job in enumerate(jobs):
         argv = [str(a) for a in job.get("args", [])]
         label = job.get("label", f"job{i}")
-        if seed is not None and argv and argv[0] in _SEEDED and "--seed" not in argv:
-            argv = argv + ["--seed", str(seed)]
-        doc, code = _run(argv, parse=_parse_job)
+        doc, code = _run(argv, parse=functools.partial(_parse_job, seed=seed))
         overall = max(overall, code)
         row = {"label": label, "args": argv, "exit_code": code}
         if "error" in doc:
@@ -400,7 +403,7 @@ def _run(argv: list[str] | None, parse=None) -> tuple[dict, int]:
     error. --help returns an empty document; argparse has printed the help.
     A report exits 4 iff it `_fails`; a batch exits with its overall_exit."""
     try:
-        ns = (parse or build_parser().parse_args)(argv)
+        ns = (parse or _parse)(argv)
         doc = ns.handler(ns)
     except SystemExit as exc:
         return {}, int(exc.code or 0)
@@ -431,20 +434,40 @@ def _fails(report: dict) -> bool:
     )
 
 
-def _parse_job(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: list[str] | None, namespace=None) -> argparse.Namespace:
+    """build_parser().parse_args(argv, namespace), with the same results,
+    messages and exits, paying only for the subcommand's own parser when
+    argv starts with the path of one (`ring info`, `expsum`, ...)."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    for path in (tuple(argv[:2]), tuple(argv[:1])):
+        if path in parser.leaves:
+            ns, extras = parser.leaves[path].parse_known_args(argv[len(path):], namespace)
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            return ns
+    return parser.parse_args(argv, namespace)
+
+
+def _parse_job(argv: list[str], seed: int | None = None) -> argparse.Namespace:
     """Parse a batch job's argv. A batch prints only its envelope, so a job
     that would print itself is a ParseError before it runs: --help, whose
     text is dropped, and paley --edges, whose n r / 2 lines are not kept.
-    So is a batch, since a manifest that names itself would never end."""
+    So is a batch, since a manifest that names itself would never end. A
+    seeded job with no --seed of its own, in any spelling, gets a given
+    seed, and `--seed <seed>` is appended to argv, which its row prints."""
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            ns = build_parser().parse_args(argv)
+            ns = _parse(argv, argparse.Namespace(seed=None) if seed is not None else None)
     except SystemExit:
         raise ParseError("--help prints no report and cannot be a batch job") from None
     if getattr(ns, "edges", False):
         raise ParseError("paley --edges prints no report and cannot be a batch job")
     if ns.handler is _cmd_batch:
         raise ParseError("a batch cannot be a batch job")
+    if seed is not None and argv[0] in _SEEDED and ns.seed is None:
+        ns.seed = seed
+        argv += ["--seed", str(seed)]
     return ns
 
 
@@ -529,7 +552,8 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args leaves it
-    unchanged, so main and every batch job share it."""
+    unchanged, so main and every batch job share it. `leaves` maps the path
+    of each subcommand to its own parser, which `_parse` runs alone."""
     parser = _Parser(
         prog="ringlab",
         description="finite principal ideal rings and their exponential sum, "
@@ -641,6 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--output-dir", help="write one JSON file per job")
     p_batch.set_defaults(handler=_cmd_batch)
 
+    parser.leaves = {("ring", "info"): p_info, ("poly", "ddeg"): p_ddeg, **{
+        (name,): leaf for name, leaf in sub.choices.items() if leaf not in (p_ring, p_poly)}}
     return parser
 
 

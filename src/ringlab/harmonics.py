@@ -67,12 +67,14 @@ VDC_MAX_K = 10
 
 def random_functions(ring: Ring, count: int, seed: int) -> np.ndarray:
     """Seeded complex test functions, shape (count, order). Real and
-    imaginary parts are independent uniforms on [-1, 1]. count x order is
-    charged to the work guard first."""
+    imaginary parts are independent uniforms on [-1, 1], drawn in that
+    order by one call: bit for bit x + 1j * y, as uniform never draws -0.0.
+    count x order is charged to the work guard first."""
     charge(count * ring.order, f"drawing {count} test functions of order {ring.order}")
-    rng = np.random.default_rng(seed)
-    shape = (count, ring.order)
-    return rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+    parts = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, count, ring.order))
+    out = np.empty((count, ring.order), dtype=np.complex128)
+    out.real, out.imag = parts
+    return out
 
 
 def exp_sums_all(ring: Ring, P: RingPoly) -> np.ndarray:
@@ -407,9 +409,9 @@ def vdc_check(
     )
     E = H.elements
     reps = _coset_reps(ring, H)
-    # Functions innermost, as numpy lays out the gather, so no copy is
-    # made and each sum below adds whole rows in sequence, not pairwise.
-    G = np.ascontiguousarray(fs[:, ring.add_vec(reps, E[:, None])].transpose(1, 2, 0))
+    # Functions innermost, gathered in one step from the rows of fs.T, so
+    # each sum below adds whole rows in sequence, not pairwise.
+    G = fs.T[ring.add_vec(reps, E[:, None])]
     T = np.searchsorted(E, ring.add_vec(E[:, None], E)) if k >= 2 else None
 
     def level(G: np.ndarray, depth: int) -> np.ndarray:
@@ -430,13 +432,9 @@ def vdc_check(
     if not np.isfinite(lhs + rhs).all():
         raise ValueError(f"|E f|^(2^{k}) or its bound is not a finite float")
 
-    # Every point when there are at most SAMPLE_ROWS: the same set as a
-    # draw of all of them, without the 25-40 us of building a generator.
     m = min(SAMPLE_ROWS, n)
-    if m == n:
-        xs = np.arange(n)
-    else:
-        xs = np.random.default_rng(_SAMPLE_SEED).choice(n, size=m, replace=False)
+    xs = ring.memo("vdc_sample_points",
+                   lambda: np.random.default_rng(_SAMPLE_SEED).choice(n, size=m, replace=False))
     near = ring.add_vec(xs[:, None], E)
     direct = fs[:, near].sum(axis=-1)
     by_coset = G.sum(axis=0)[np.searchsorted(reps, near.min(axis=1))].T

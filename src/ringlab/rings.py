@@ -31,16 +31,19 @@ adds residues as Z/p does.
 Each ring has one multiplication route. Z/N and GF(p) multiply
 residues mod their characteristic (`Ring._mul_residues`). GF(p^e) with
 e >= 2 reads log and antilog tables (`field_log_tables`), built at its
-first product and shared by every ring of the same field. GR and PQ are one
+first product and kept in the field's memo. GR and PQ are one
 class, `PolyQuotientRing`: base[t]/(g) over a base Z/p^n or GF(q), GR being
 its spelling over Z/p^n with g irreducible mod p. Over Z/M its
 `mul_vec` is the digit kernel: the integer convolution of the operands'
 coefficients, reduced mod M, with each coefficient of t^b, b >= m = deg g,
-added back through t^b mod g (`_reduction_matrix`, built once per process
-as the log tables are). Over GF(p^e), e >= 2, it multiplies coefficient by
+added back through t^b mod g (`_reduction_matrix`, built by the ring's
+constructor). Over GF(p^e), e >= 2, it multiplies coefficient by
 coefficient through that field. Products multiply factor by factor. Scalar
 `mul` is `mul_vec` on 0-d arrays except on Z/N and GF(q), which multiply
 Python ints.
+
+`make_ring` keeps one ring per spec and guards, whose memo is the one
+cache: its arrays stay under `budget.CACHE_BYTES` by dropping whole rings.
 
 Ring specs use a small textual grammar:
 
@@ -55,7 +58,7 @@ Ring specs use a small textual grammar:
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import itertools
 import math
 import operator
@@ -64,7 +67,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .budget import blocks, charge, order_guard
+from .budget import CACHE_BYTES, blocks, charge, order_guard, work_guard
 from .errors import NotIrreducible, NotMonic, OrderTooLarge, ParseError
 
 
@@ -312,17 +315,14 @@ def factor_poly(poly: Sequence[int], F: "Ring") -> list[tuple[tuple[int, ...], i
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def canonical_irreducible(p: int, e: int) -> tuple[int, ...]:
     """The lexicographically smallest monic irreducible of degree e over Z/p,
     comparing ascending-degree coefficient vectors.
 
     For e >= 2 the search starts at constant term 1: a candidate with
     constant term 0 is divisible by u, and all of those come first in the
-    order. Memoised for the whole process, unlike the per-ring values in
-    `Ring.memo`: the result depends on (p, e) alone and holds no ring, while
-    the trial-division search still takes milliseconds at e = 20 and a
-    batch builds the same fields job after job.
+    order. The search takes milliseconds at e = 20; it runs once per
+    interned field or Galois ring, whose `defining` keeps the result.
     """
     if e == 1:
         return (0, 1)
@@ -352,7 +352,6 @@ def _defining_polynomial(
     return (canonical, True) if given is None else (f, f == canonical)
 
 
-@functools.lru_cache(maxsize=None)
 def field_log_tables(p: int, e: int, h: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(log, antilog) of GF(p^e) = (Z/p)[u]/(h), e >= 2, for the product
     a*b = antilog[log[a] + log[b]] (Lidl & Niederreiter, *Finite Fields*,
@@ -366,11 +365,8 @@ def field_log_tables(p: int, e: int, h: tuple[int, ...]) -> tuple[np.ndarray, np
 
     The powers of g are digit rows over F_p, built by doubling: rows k..2k-1
     are rows 0..k-1 times the matrix of multiplication by g^k, which is
-    squared after each step. Memoised for the whole process, as
-    `canonical_irreducible` is: the tables depend on (p, e, h) alone and
-    hold no ring, every ring of that field shares them, and a batch builds
-    the same fields job after job. They take 5 entries per element, int32
-    below 2^29 elements.
+    squared after each step. The field keeps them in its memo. They take 5
+    entries per element, int32 below 2^29 elements.
     """
     n = p**e - 1
     step = _primitive_step(p, e, h)
@@ -446,6 +442,7 @@ class Ring:
 
     def __init__(self) -> None:
         self._memo: dict = {}
+        self.memo_bytes = 0
         places = list(itertools.accumulate(self._radices[:-1], operator.mul, initial=1))
         self._places = np.array(places, dtype=np.int64)
         self._add, self._sub, self._neg = _additive_kernels(self._radices, places)
@@ -454,14 +451,18 @@ class Ring:
         """The value of `build()` for this ring and key: built on the first
         call, then returned as is for as long as the ring lives. A numpy
         array is made read-only before it is kept, since every caller shares
-        it, and so is every array of a tuple value. No value may refer back
-        to the ring: a ring in a reference cycle outlives its last user until
-        the cyclic collector runs."""
+        it, and so is every array of a tuple or dataclass value;
+        `memo_bytes` adds up their nbytes. No value may refer back to the
+        ring: a ring in a reference cycle outlives its last user until the
+        cyclic collector runs."""
         if key not in self._memo:
             value = build()
-            for part in value if isinstance(value, tuple) else (value,):
+            parts = (value if isinstance(value, tuple) else
+                     vars(value).values() if dataclasses.is_dataclass(value) else (value,))
+            for part in parts:
                 if isinstance(part, np.ndarray):
                     part.flags.writeable = False
+                    self.memo_bytes += part.nbytes
             self._memo[key] = value
         return self._memo[key]
 
@@ -672,7 +673,7 @@ class ZModRing(Ring):
 class FiniteFieldRing(Ring):
     """GF(p^e) as Z/p[u] modulo a monic irreducible h of degree e. GF(p)
     multiplies residues mod p; for e >= 2 products read the field's log
-    tables, and constructing a field builds nothing for them."""
+    tables, kept in its memo at its first product."""
 
     def __init__(self, q: int, h: tuple[int, ...] | None = None):
         _check_order(q)
@@ -691,15 +692,18 @@ class FiniteFieldRing(Ring):
     def mul_vec(self, a, b) -> np.ndarray:
         if self.e == 1:
             return self._mul_residues(a, b)
-        log, antilog = field_log_tables(self.p, self.e, self.defining)
+        log, antilog = self._log_tables()
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         return np.asarray(antilog[log[a] + log[b]], dtype=np.int64)
 
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return a * b % self.p
-        log, antilog = field_log_tables(self.p, self.e, self.defining)
+        log, antilog = self._log_tables()
         return antilog.item(log.item(a) + log.item(b))
+
+    def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.memo("log_tables", lambda: field_log_tables(self.p, self.e, self.defining))
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         return [(self.q, 1)]
@@ -837,13 +841,11 @@ class PolyQuotientRing(Ring):
         return poly_str(self.coeffs(x), "t", part, const=part)
 
 
-@functools.lru_cache(maxsize=None)
 def _reduction_matrix(M: int, modulus: tuple[int, ...]) -> np.ndarray:
     """Row b - m holds t^b mod the monic modulus of degree m over Z/M, for
     m <= b < 2m - 1, read-only, in the narrowest signed dtype that keeps
-    the digit kernel's sums exact. Memoised for the whole process, as
-    `field_log_tables` is: it depends on (M, modulus) alone and holds no
-    ring, and a batch builds the same GR and PQ rings job after job."""
+    the digit kernel's sums exact. The quotient ring's constructor builds
+    it."""
     m = len(modulus) - 1
     rows, row = [], [int(j == m - 1) for j in range(m)]
     for _ in range(m - 1):
@@ -1022,14 +1024,33 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise ParseError(f"{what}: an integer has too many digits") from None
 
 
+#: The interned rings by (spec, order guard, work guard), least recent first.
+_RINGS: dict[tuple[str, int, int], Ring] = {}
+
+
 def make_ring(spec: str) -> Ring:
-    """Parse a ring spec string and construct the ring.
+    """The one ring of spec under the current guards, built at its first
+    call. Each call first drops whole rings, least recently used first, until
+    the `memo_bytes` of those kept fit under `budget.CACHE_BYTES`: a ring
+    over the cap alone too, which is then rebuilt empty.
 
     Raises ParseError for malformed specs, NotMonic / NotIrreducible for bad
     defining polynomials, and OrderTooLarge when the order exceeds the guard
     (default 2^20, set by RINGLAB_ORDER_GUARD).
     """
-    spec = spec.strip()
+    key = (spec.strip(), order_guard(), work_guard())
+    if key in _RINGS:
+        _RINGS[key] = _RINGS.pop(key)
+    held = sum(r.memo_bytes for r in _RINGS.values())
+    while held > CACHE_BYTES:
+        held -= _RINGS.pop(next(iter(_RINGS))).memo_bytes
+    if key not in _RINGS:
+        _RINGS[key] = _build_ring(key[0])
+    return _RINGS[key]
+
+
+def _build_ring(spec: str) -> Ring:
+    """A new ring of the stripped spec."""
     m = re.fullmatch(r"Z/(\d+)", spec)
     if m:
         return ZModRing(_spec_size(m.group(1)))
@@ -1046,7 +1067,7 @@ def make_ring(spec: str) -> Ring:
     if m:
         q = _spec_size(m.group(1))
         g = _parse_int_list(m.group(2), "PQ g")
-        return PolyQuotientRing(FiniteFieldRing(q), g)
+        return PolyQuotientRing(make_ring(f"GF({q})"), g)
 
     m = re.fullmatch(r"GR\((\d+),(\d+),(\d+)\)", spec)
     if m:

@@ -1,8 +1,11 @@
 """Shared pytest plumbing: acceptance criteria are marked tests whose
-pass/fail status is replayed as one line each at the end of the run, and
-no test sees the guard variables of the shell that runs it."""
+pass/fail status is replayed as one line each at the end of the run, no
+test sees the guard variables of the shell that runs it, and every test
+starts with no interned ring."""
 
 import pytest
+
+from ringlab import rings
 
 _RESULTS = {}
 
@@ -13,6 +16,13 @@ def _no_guard_variables(monkeypatch):
     exports; a test that needs a guard sets it itself."""
     monkeypatch.delenv("RINGLAB_ORDER_GUARD", raising=False)
     monkeypatch.delenv("RINGLAB_WORK_GUARD", raising=False)
+
+
+@pytest.fixture(autouse=True)
+def _empty_ring_table():
+    """Every test starts with an empty `make_ring` table, so no ring or
+    memo value built by an earlier test reaches it."""
+    rings._RINGS.clear()
 
 
 def pytest_configure(config):

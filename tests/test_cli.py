@@ -3,7 +3,9 @@ code classes, determinism modulo the header timestamp, and batch isolation.
 The report writer is checked byte for byte against json's own encoder.
 """
 
+import contextlib
 import importlib.resources
+import io
 import json
 import math
 import os
@@ -1042,6 +1044,35 @@ def test_batch_label_not_a_file_name_exit_2(tmp_path, capsys, label):
     assert error["type"] == "ParseError" and "job 1" in error["message"]
 
 
+@pytest.mark.parametrize("labels", [("a", "a"), (None, "job0"), ("job1", None)])
+def test_batch_repeated_label_exit_2(tmp_path, capsys, labels):
+    """Labels name the report files, so a label that an earlier job has
+    too, explicit or the default job<i>, is refused before the first job
+    runs; the later report used to overwrite the earlier one."""
+    jobs = [{"args": ["ring", "info", f"Z/{4 + i}"]} for i in range(2)]
+    for job, label in zip(jobs, labels):
+        if label is not None:
+            job["label"] = label
+    error = _run_bad_batch(tmp_path, capsys, {"jobs": jobs, "output_dir": str(tmp_path / "out")})
+    assert error["type"] == "ParseError" and "job 1" in error["message"]
+
+
+@pytest.mark.parametrize("own", [("--seed", "5"), ("--seed=5",), ("--see", "5"), ()],
+                         ids=["separate", "equals", "prefix", "none"])
+def test_batch_seed_goes_only_to_jobs_without_their_own(tmp_path, capsys, own):
+    """A seeded job that pins its seed in any spelling argparse reads keeps
+    it; the manifest seed used to override --seed=5 and --see 5. A job
+    without one runs with the manifest seed, appended to its args."""
+    job = ["vdc", "--ring", "Z/8", "--subgroup", "full", "--random", "2", *own]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"seed": 7, "jobs": [{"label": "j", "args": job}]}))
+    assert cli.main(["batch", str(path)]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["result"]["jobs"]
+    assert row["args"] == (job if own else [*job, "--seed", "7"])
+    assert cli.main([*job[:7], "--seed", "5" if own else "7"]) == 0
+    assert row["result"] == json.loads(capsys.readouterr().out)["result"]
+
+
 @pytest.mark.parametrize("seed", ["x", 1.5, True, -3])
 def test_batch_seed_not_a_nonnegative_integer_exit_2(tmp_path, capsys, seed):
     """The manifest seed lands in the header, whose schema wants an integer
@@ -1096,6 +1127,68 @@ def test_help_exits_0_and_usage_errors_exit_2(args, code):
     assert proc.returncode == code, proc.stderr
     if code == 0:
         assert proc.stdout.startswith("usage: ringlab")
+
+
+#: Every subcommand parser, by the argv path that selects it.
+LEAF_PATHS = [("ring", "info"), ("poly", "ddeg"), ("subgroup",), ("expsum",), ("tebound",),
+              ("vdc",), ("rootcount",), ("sarkozy",), ("intersective",), ("paley",), ("batch",)]
+
+
+def test_every_leaf_prints_the_help_of_its_tree_subcommand(capsys):
+    """The parser of each subcommand that `_parse` runs alone is the one the
+    whole tree prints the help of for that path."""
+    parser = cli.build_parser()
+    assert sorted(parser.leaves) == sorted(LEAF_PATHS)
+    for path, leaf in parser.leaves.items():
+        with pytest.raises(SystemExit):
+            parser.parse_args([*path, "--help"])
+        assert capsys.readouterr().out == leaf.format_help(), path
+
+
+def _parse_outcome(parse, argv):
+    """What parse(argv) did: its exit code or ParseError message, or the
+    namespace it returned, with what it printed to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns = parse(list(argv))
+            outcome = {k: v for k, v in vars(ns).items() if not k.endswith("command")}
+        except SystemExit as exc:
+            outcome = ("exit", exc.code)
+        except ParseError as exc:
+            outcome = ("ParseError", str(exc))
+    return outcome, out.getvalue(), err.getvalue()
+
+
+TE = ("tebound", "--ring", "Z/5", "--poly", "0,1")
+
+
+@pytest.mark.parametrize("argv", [
+    (*TE, "--bogus"),
+    (*TE, "stray"),
+    ("ring", "info", "Z/5", "stray", "--bogus"),
+    ("tebound", "--rin", "Z/5", "--poly", "0,1"),
+    ("tebound", "--r", "Z/5", "--poly", "0,1"),
+    (*TE, "--mode", "fast"),
+    ("poly", "ddeg", "--ring", "Z/5", "--poly", "0,1", "--mode", "fast"),
+    (*TE, "--random", "x"),
+    (*TE, "--seed", "-1"),
+    (*TE, "--seed"),
+    ("expsum", "--ring"),
+    ("ring", "info"),
+    ("paley", "--ring", "Z/5", "--d", "2", "--sets", "structured", "--edges"),
+    (*TE, "--", "--seed", "3"),
+    (*TE, "--seed=3", "--see", "4"),
+    ("-h",), ("--help",), ("ring", "-h"), ("ring", "info", "-h"), ("poly", "--help"),
+    ("poly", "ddeg", "-h"), ("expsum", "-h"), (*TE, "--help", "--bogus"), ("batch", "-h"),
+    (), ("bogus",), ("--ring", "Z/5"), ("ring",), ("poly",), ("ring", "ddeg"), ("poly", "info"),
+], ids=repr)
+def test_leaf_parse_matches_the_tree(argv):
+    """Through `_parse`, which runs a subcommand's own parser alone, an
+    argv gives what the whole tree's parse_args gives: the same namespace,
+    or the same exit code or ParseError message, with the same output."""
+    tree = _parse_outcome(cli.build_parser().parse_args, argv)
+    assert _parse_outcome(cli._parse, argv) == tree
 
 
 def _result(text):

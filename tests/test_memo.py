@@ -1,14 +1,14 @@
-"""Every value derived from a ring lives in that ring's memo: it is built
-once per ring and key, stored read-only when it is an array or a tuple of
-arrays, and dies with the ring. That covers the value table of each
-polynomial, which every layer reads through `RingPoly.values`. No cache outside the ring holds a ring
-alive or hands one ring's values to another ring with the same spec, and
-nothing in the memo refers back to the ring, so reference counting frees a
-ring as soon as its last user drops it. The three process-wide memos,
-`canonical_irreducible`, the GF(p^e) log tables `field_log_tables` and the
-reduction matrix `_reduction_matrix` of GR and PQ over GF(p), are
-functions of (p, e), (p, e, h) and (characteristic, modulus) alone and
-hold no ring.
+"""One cache policy. `make_ring` keeps one ring per (spec, order guard,
+work guard), and every value derived from a ring lives in that ring's
+memo: it is built once per ring and key, stored read-only when it is an
+array or a tuple of arrays, and counted in the ring's `memo_bytes`. That
+covers the value table of each polynomial, which every layer reads through
+`RingPoly.values`, the GF(p^e) log tables and the sample points of
+`vdc_check`. At each `make_ring` call the least recently used rings are
+dropped, whole, until the memo bytes of the rings kept fit under
+`CACHE_BYTES`. Nothing in a memo refers back to the ring, so reference
+counting frees a dropped ring as soon as its last user lets it go. No
+other process-wide table holds a ring or a value derived from one.
 """
 
 import gc
@@ -20,12 +20,13 @@ import pytest
 
 from poly_oracle import from_int_coeffs
 
+from ringlab import rings
 from ringlab.characters import character_group
-from ringlab.harmonics import character_bound_check, random_functions, te_estimate
+from ringlab.harmonics import character_bound_check, random_functions, te_estimate, vdc_check
 from ringlab.paley import build_paley, spectrum
 from ringlab.polynomials import RingPoly
-from ringlab.rings import Ring, field_log_tables, make_ring
-from ringlab.subgroups import value_subgroup
+from ringlab.rings import Ring, make_ring
+from ringlab.subgroups import full_subgroup, value_subgroup
 
 SPECS = ("Z/12", "GF(8)", "GR(2,2,2)", "PQ(q=2;g=0,0,1)", "prod(Z/4;GF(4))")
 
@@ -34,54 +35,124 @@ def _use_every_layer(ring):
     P = from_int_coeffs(ring, (0, 0, 1))
     character_bound_check(ring, P)
     te_estimate(ring, P, random_functions(ring, 2, 1), seed=1)
+    vdc_check(ring, full_subgroup(ring), random_functions(ring, 2, 1), 2)
     spectrum(build_paley(ring, 3))
     ring.add_table(range(ring.order))
 
 
-@pytest.mark.parametrize("spec", SPECS)
-def test_ring_dies_with_its_derived_values(spec):
-    ring = make_ring(spec)
-    _use_every_layer(ring)
-    ref = weakref.ref(ring)
+def _freed(ref) -> bool:
+    """Whether the object of ref is gone by reference counting alone."""
     gc.disable()
     try:
-        del ring
-        assert ref() is None
+        return ref() is None
     finally:
         gc.enable()
+
+
+def _held(spec: str, nbytes: int) -> Ring:
+    """The ring of spec with nbytes of one memoised array."""
+    ring = make_ring(spec)
+    ring.memo(("held", nbytes), lambda: np.zeros(nbytes, dtype=np.uint8))
+    return ring
+
+
+def test_one_ring_per_spec_and_guards(monkeypatch):
+    """Equal specs, blanks around them aside, under equal guards give one
+    ring; a changed order or work guard gives another, and the first comes
+    back when the guards do."""
+    ring = make_ring("GF(9)")
+    assert make_ring(" GF(9) ") is ring
+    for name in ("RINGLAB_ORDER_GUARD", "RINGLAB_WORK_GUARD"):
+        monkeypatch.setenv(name, str(1 << 22))
+        other = make_ring("GF(9)")
+        assert other is not ring and other == ring and make_ring("GF(9)") is other
+        monkeypatch.delenv(name)
+        assert make_ring("GF(9)") is ring
+    assert make_ring("PQ(q=9;g=1,0,1)").base is ring
+    assert make_ring("prod(GF(9);Z/3)").factors[0] is ring
+
+
+def test_least_recently_used_rings_go_past_the_cap(monkeypatch):
+    """Three rings of 100 memo bytes each under a cap of 250: asking for
+    the first again makes the second the least recently used, so it is
+    the one dropped, and the bytes kept fit under the cap."""
+    monkeypatch.setattr(rings, "CACHE_BYTES", 250)
+    first, second, third = (_held(spec, 100) for spec in ("Z/5", "Z/6", "Z/7"))
+    assert make_ring("Z/5") is first
+    assert list(rings._RINGS.values()) == [third, first]
+    assert sum(r.memo_bytes for r in rings._RINGS.values()) <= 250
+    assert make_ring("Z/6") is not second and make_ring("Z/7") is third
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_ring_dies_with_its_derived_values(spec, monkeypatch):
+    """A ring dropped from the table is freed with its whole memo by
+    reference counting, once its last user lets it go, after every layer
+    has memoised values on it."""
+    ring = make_ring(spec)
+    _use_every_layer(ring)
+    assert ring.memo_bytes > 0
+    ref = weakref.ref(ring)
+    monkeypatch.setattr(rings, "CACHE_BYTES", 0)
+    make_ring("Z/2")
+    assert all(r is not ring for r in rings._RINGS.values())
+    del ring
+    assert _freed(ref)
+
+
+def test_a_ring_over_the_cap_alone_comes_back_fresh(monkeypatch):
+    monkeypatch.setattr(rings, "CACHE_BYTES", 50)
+    ring = _held("GF(4)", 100)
+    again = make_ring("GF(4)")
+    assert again is not ring and again.memo_bytes == 0
+    assert make_ring("GF(4)") is again
+
+
+def test_memo_bytes_count_arrays_of_tuples_and_reports():
+    """memo_bytes adds the nbytes of an array value, of the arrays of a
+    tuple value and of the arrays of a report dataclass, once per key."""
+    ring = make_ring("Z/16")
+    ring.memo("a", lambda: np.zeros(3))
+    ring.memo("b", lambda: (np.zeros(2, dtype=np.int32), "text", np.zeros(5, dtype=np.int8)))
+    ring.memo("a", lambda: np.zeros(99))
+    assert ring.memo_bytes == 24 + 8 + 5
+    graph = build_paley(ring, 3)
+    before = ring.memo_bytes + character_group(ring).unit_table.nbytes
+    report = spectrum(graph)
+    assert ring.memo_bytes == before + report.eigenvalues.nbytes
+    assert not report.eigenvalues.flags.writeable
 
 
 @pytest.mark.parametrize("spec", ("GR(2,2,2)", "GR(3,2,2;f=2,2,1)", "PQ(q=2;g=0,0,1)", "PQ(q=4;g=1,0,1)"))
 def test_reduction_data_is_shared_by_rings_of_one_spec(spec):
-    """GR and PQ over GF(p) rings of one spec read one read-only reduction
-    matrix, built once per process; PQ over GF(p^e) builds none and reads
-    its field's one table pair. Each ring still dies with its last user."""
-    r1, r2 = make_ring(spec), make_ring(spec)
-    assert r1 is not r2
+    """GR and PQ over GF(p) keep one read-only reduction matrix, built by
+    their constructor; PQ over GF(p^e) builds none and reads the log tables
+    in the memo of its base field, the interned GF(q)."""
+    ring = make_ring(spec)
+    assert make_ring(spec) is ring
     if spec == "PQ(q=4;g=1,0,1)":
-        assert not hasattr(r1, "_L") and not hasattr(r2, "_L")
-        tables = field_log_tables(2, 2, r1.base.defining)
-        assert field_log_tables(2, 2, r2.base.defining) is tables
-        assert int(r1.mul_vec(2, 3)) == r2.mul(2, 3)
+        assert not hasattr(ring, "_L") and ring.base is make_ring("GF(4)")
+        assert int(ring.mul_vec(2, 3)) == ring.mul(2, 3)
+        tables = ring.base._log_tables()
+        assert ring.base._log_tables() is tables and not tables[0].flags.writeable
     else:
-        assert r1._L is r2._L and not r1._L.flags.writeable
-    ref = weakref.ref(r1)
-    gc.disable()
-    try:
-        del r1
-        assert ref() is None
-    finally:
-        gc.enable()
+        assert not ring._L.flags.writeable
 
 
 @pytest.mark.parametrize("spec", SPECS)
-def test_character_group_belongs_to_its_own_ring(spec):
-    r1, r2 = make_ring(spec), make_ring(spec)
+def test_character_group_belongs_to_its_own_ring(spec, monkeypatch):
+    """A character group is a new view on each call, on the ring it was
+    asked for; its unit table lives in that ring's memo, and a ring of the
+    same spec under another guard has its own."""
+    r1 = make_ring(spec)
+    monkeypatch.setenv("RINGLAB_ORDER_GUARD", str(1 << 22))
+    r2 = make_ring(spec)
     assert r1 == r2 and r1 is not r2
     assert character_group(r1).ring is r1
     assert character_group(r2).ring is r2
     assert character_group(r2) is not character_group(r1)
     assert character_group(r1).unit_table is character_group(r1).unit_table
+    assert character_group(r2).unit_table is not character_group(r1).unit_table
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -89,12 +160,10 @@ def test_value_subgroup_is_built_once_per_ring(spec):
     ring = make_ring(spec)
     P = from_int_coeffs(ring, (1, 0, 1))
     H = value_subgroup(ring, P)
-    again = value_subgroup(ring, P)
+    again = value_subgroup(make_ring(spec), from_int_coeffs(ring, (1, 0, 1)))
     assert again.elements is H.elements and again.generators is H.generators
     assert not H.elements.flags.writeable and not H.generators.flags.writeable
     assert value_subgroup(ring, P, subtract_constant=False).elements is not H.elements
-    other = make_ring(spec)
-    assert value_subgroup(other, from_int_coeffs(other, (1, 0, 1))).ring is other
 
 
 def test_memo_builds_once_and_freezes_arrays():
@@ -124,9 +193,9 @@ def test_modulus_factors_are_kept_on_the_ring():
 @pytest.mark.parametrize("spec", SPECS)
 def test_value_table_is_built_once_per_ring_and_polynomial(spec, monkeypatch):
     """Every layer that needs P(R) reads one table: a whole bound check
-    evaluates each polynomial once per ring, the table is read-only, another
-    polynomial or another ring of the same spec gets its own, and the ring
-    still dies with its last user."""
+    evaluates each polynomial once per ring, also across calls of
+    make_ring, the table is read-only, and another polynomial, or the ring
+    of the same spec under another guard, gets its own."""
     evaluated = []
     eval_poly_vec = Ring.eval_poly_vec
     monkeypatch.setattr(
@@ -140,21 +209,15 @@ def test_value_table_is_built_once_per_ring_and_polynomial(spec, monkeypatch):
     value_subgroup(ring, P, subtract_constant=False)
     values = P.values()
     assert evaluated == [(spec, P.coeffs)]
-    assert RingPoly(ring, P.coeffs).values() is values
+    assert RingPoly(make_ring(spec), P.coeffs).values() is values
     with pytest.raises(ValueError):
         values[0] = 1
     Q = from_int_coeffs(ring, (0, 0, 0, 1))
     assert Q.values() is not values and len(evaluated) == 2
+    monkeypatch.setenv("RINGLAB_WORK_GUARD", str(1 << 25))
     other = make_ring(spec)
     again = RingPoly(other, P.coeffs).values()
     assert again is not values and (again == values).all() and len(evaluated) == 3
-    ref = weakref.ref(ring)
-    gc.disable()
-    try:
-        del ring, P, Q
-        assert ref() is None
-    finally:
-        gc.enable()
 
 
 def test_memoised_value_subgroup_is_two_small_arrays():

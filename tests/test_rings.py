@@ -676,15 +676,20 @@ def test_pq_builds_its_field_tables_at_its_first_product(monkeypatch):
 
 
 def test_log_tables_are_shared_per_field_and_read_only():
-    """Equal (p, e, h) share one read-only table pair across rings; another
-    modulus of the same field gets its own. The pair is a permutation of
-    the nonzero elements with the zero sentinel past every sum of two logs."""
+    """The one GF(16) of a process, alone or as a factor, keeps one
+    read-only table pair in its memo, built at its first product; another
+    modulus of the same field is another ring with its own. The pair is a
+    permutation of the nonzero elements with the zero sentinel past every
+    sum of two logs."""
     r1, r2 = make_ring("GF(16)"), make_ring("prod(Z/3;GF(16))").factors[1]
-    assert r1 is not r2 and r1.defining == r2.defining == (1, 0, 0, 1, 1)
+    assert r1 is r2 and r1.defining == (1, 0, 0, 1, 1) and r1.memo_bytes == 0
     assert int(r1.mul_vec(3, 5)) == r2.mul(3, 5)
-    log, antilog = field_log_tables(2, 4, r1.defining)
-    assert field_log_tables(2, 4, r2.defining) is field_log_tables(2, 4, r1.defining)
-    other = field_log_tables(2, 4, make_ring("GF(16;h=1,1,0,0,1)").defining)
+    log, antilog = r1._log_tables()
+    assert r1.memo_bytes == log.nbytes + antilog.nbytes
+    again = r1._log_tables()
+    assert again[0] is log and again[1] is antilog
+    np.testing.assert_array_equal(field_log_tables(2, 4, r1.defining)[1], antilog)
+    other = make_ring("GF(16;h=1,1,0,0,1)")._log_tables()
     assert other[0] is not log and other[1] is not antilog
     assert not (np.array_equal(other[0], log) and np.array_equal(other[1], antilog))
     for table in (log, antilog, *other):
