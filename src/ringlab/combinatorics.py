@@ -21,11 +21,13 @@ P is intersective over a ring of integers O (here Z or F_p[t]) iff it has
 a root mod pi^j for every prime pi and every j. The Hensel climb of
 `hensel` checks this for each pi with N(pi) <= B up to N(pi^j) <= B^2. A
 level with no roots is a witness, re-checked here by scanning O/pi^j with
-the ring kernels, which the climb's arrays do not use.
+the ring kernels, which the climb's arrays do not use; over F_p[t] its
+g^j and P mod g^j come from the rings' arithmetic on trimmed tuples.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -37,9 +39,11 @@ from .budget import charge, work_guard
 from .characters import character_table
 from .errors import HypothesisUnmet, ParseError, WorkGuardExceeded
 from .harmonics import BOUND_TOL, exp_sums_all
-from .hensel import _FpPoly, _FptLevels, _IntegerLevels, _irreducibles, _primes_upto, _sweep
+from .hensel import _FptLevels, _IntegerLevels, _irreducibles, _primes_upto, _sweep
 from .polynomials import RingPoly, bound_parameters, derivational_degree
-from .rings import PolyQuotientRing, Ring, ZModRing, distinct, element_set, is_prime, join_index
+from .rings import (
+    PolyQuotientRing, Ring, ZModRing, _pdivmod, _pmul, _ptrim, distinct, element_set, is_prime, join_index
+)
 from .subgroups import constant_in_subgroup
 
 
@@ -365,6 +369,19 @@ class IntersectivityVerdict:
     p: int | None = None
 
 
+def _fpt_coeff(c, p: int) -> tuple[int, ...]:
+    """A coefficient of P as a trimmed tuple over F_p: an integer by its
+    base-p digits, a negative one negated; a sequence by its entries mod p."""
+    if isinstance(c, (list, tuple)):
+        return _ptrim([int(x) % p for x in c])
+    n = int(c)
+    digits, rest = [], abs(n)
+    while rest:
+        rest, d = divmod(rest, p)
+        digits.append(d if n >= 0 else -d % p)
+    return tuple(digits)
+
+
 def _witness_has_no_root(ring: Ring, coeffs: Sequence[int]) -> bool:
     """Independent check of a witness O/pi^j: evaluate P on every element
     with the ring kernels, which share no arithmetic with the climb."""
@@ -410,21 +427,21 @@ def intersectivity_oracle(family: str, coeffs: Sequence, bound: int) -> Intersec
         p = int(m.group(1))
         base, exponent = p, bound
         F = ZModRing(p)
-        P = [_FpPoly.encode(c, F) for c in coeffs]
+        P = [_fpt_coeff(c, p) for c in coeffs]
 
         def levels():
-            return _FptLevels(P, F, _irreducibles(p, bound), p**bound)
+            return _FptLevels(P, p, _irreducibles(p, bound), p**bound)
 
         def quotient(g, j, N):
-            gj = math.prod([g] * j)
-            Q = PolyQuotientRing(F, gj.c, _guard_checked=True)
-            return Q, [join_index((c % gj).c, Q.additive_orders()) for c in P]
+            gj = functools.reduce(lambda a, b: _pmul(a, b, F), [g] * j)
+            Q = PolyQuotientRing(F, gj, _guard_checked=True)
+            return Q, [join_index(_pdivmod(c, gj, F)[1], Q.additive_orders()) for c in P]
 
         def witness_of(g, j, N):
-            return {"g": list(g.c), "exponent": j, "quotient_order": N}
+            return {"g": list(g), "exponent": j, "quotient_order": N}
 
         def capped_of(g, j, N):
-            return {"g": list(g.c), "checked_exponent": j}
+            return {"g": list(g), "checked_exponent": j}
 
     else:
         raise ParseError(f"unknown family {family!r}")
@@ -436,7 +453,7 @@ def intersectivity_oracle(family: str, coeffs: Sequence, bound: int) -> Intersec
     # refused without building the power.
     work = base ** (2 * exponent) if exponent <= work_guard().bit_length() else math.inf
     charge(work, f"the climb to B^2 = {base}^{2 * exponent}")
-    least, resolved, capped = _sweep(P, levels(), base**exponent)
+    least, resolved, capped = _sweep(levels(), base**exponent)
     witness = verified = None
     if least is not None:
         N, pi, j = least
@@ -444,7 +461,7 @@ def intersectivity_oracle(family: str, coeffs: Sequence, bound: int) -> Intersec
         witness = witness_of(pi, j, N)
     return IntersectivityVerdict(
         family="INTEGERS" if p is None else "FPT",
-        poly=[c if p is None else list(c.c) for c in P],
+        poly=[c if p is None else list(c) for c in P],
         bound_checked=bound,
         status=STATUS_INTERSECTIVE if witness is None else STATUS_WITNESS,
         witness=witness,

@@ -8,89 +8,29 @@ surviving root of every prime are evaluated as one array, in blocks of a
 fixed entry count, by Horner on integers mod pi^(j+1), or over F_p[t] on
 coefficient rows, then divided by each row's g^(j+1). Level 1 lifts the
 root 0 mod 1, so it evaluates P on all residues of all primes at once.
-Only the few settle tests on surviving roots run on scalars. The primes
-of F_p[t] come from a sieve that strikes every product of a lower-degree
-irreducible with a monic cofactor.
+The settle tests of a level's roots run on the same arrays, over F_p[t]
+by Horner on rows and division by g^ceil(j/2), over Z on Python ints.
+The primes of F_p[t] come from a sieve that strikes every product of a
+lower-degree irreducible with a monic cofactor.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .budget import blocks
-from .rings import Ring, _pdivmod, _pmul, _ptrim, digits_of
+from .rings import _ptrim, digits_of
 
 
-@dataclass(order=True, slots=True)
-class _FpPoly:
-    """An element of F_p[t], with the + * % // truth value and order that
-    the settle tests also use on Python ints. c holds the ascending
-    coefficients mod p, already trimmed; an int operand stands for the
-    constant it reduces to."""
-
-    c: tuple[int, ...]
-    F: Ring
-
-    @classmethod
-    def encode(cls, c, F: Ring) -> "_FpPoly":
-        """Integers by base-p digits, a negative one negated; sequences as
-        coefficient lists mod p."""
-        if isinstance(c, (list, tuple)):
-            return cls(_ptrim([int(x) % F.order for x in c]), F)
-        digits, rest = [], abs(int(c))
-        while rest:
-            rest, d = divmod(rest, F.order)
-            digits.append(d)
-        return cls(tuple(digits), F) * (1 if int(c) >= 0 else -1)
-
-    def _coeffs(self, other) -> tuple[int, ...]:
-        return other.c if isinstance(other, _FpPoly) else _ptrim((other % self.F.order,))
-
-    def __add__(self, other) -> "_FpPoly":
-        a, b = self.c, self._coeffs(other)
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, y in enumerate(b):
-            out[i] = (out[i] + y) % self.F.order
-        return _FpPoly(_ptrim(out), self.F)
-
-    def __mul__(self, other) -> "_FpPoly":
-        return _FpPoly(_pmul(self.c, self._coeffs(other), self.F), self.F)
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, other: "_FpPoly") -> "_FpPoly":
-        return _FpPoly(_pdivmod(self.c, other.c, self.F)[0], self.F)
-
-    def __mod__(self, other: "_FpPoly") -> "_FpPoly":
-        return _FpPoly(_pdivmod(self.c, other.c, self.F)[1], self.F)
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
-
-def _horner(coeffs: Sequence, x):
-    rest = reversed(coeffs)
-    acc = next(rest)
-    for c in rest:
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def _valuation(value, pi) -> float:
-    """The exponent of pi in value; infinite for zero."""
-    if not value:
-        return math.inf
-    v = 0
-    while not value % pi:
-        value, v = value // pi, v + 1
-    return v
 
 
 def _digit_grid(p: int, e: int) -> np.ndarray:
@@ -117,8 +57,7 @@ def _rows_horner(coeffs: list[np.ndarray], x: np.ndarray, p: int) -> np.ndarray:
         prod = _rows_mul(acc, x)
         if prod.shape[1] < len(c):
             prod = np.hstack([prod, np.zeros((len(x), len(c) - prod.shape[1]), dtype=prod.dtype)])
-        if len(c):
-            prod[:, :len(c)] += c
+        prod[:, :len(c)] += c
         acc = prod % p
     return acc
 
@@ -187,6 +126,7 @@ class _IntegerLevels:
 
     def __init__(self, P: list[int], primes: list[int], B: int):
         self.P = P
+        self.deriv = [i * c for i, c in enumerate(P)][1:]
         self.pi = self.norm = primes
         self.dtype = np.min_scalar_type(-1 - (B * B) ** 2)
 
@@ -217,8 +157,12 @@ class _IntegerLevels:
             acc = (acc * x + coeffs[:, i]) % mod
         return x, acc == 0
 
-    def element(self, x) -> int:
-        return int(x)
+    def settles(self, j: int, o: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Whether each root r mod pi^j of primes o settles, on Python ints:
+        P(r) = 0, or pi^ceil(j/2) does not divide P'(r)."""
+        half = (j + 1) // 2
+        return np.array([not _horner(self.P, x) or _horner(self.deriv, x) % self.pi[i] ** half != 0
+                         for i, x in zip(o.tolist(), r.tolist())], dtype=bool)
 
 
 class _FptLevels:
@@ -230,13 +174,17 @@ class _FptLevels:
     by its own modulus. Level 1's candidates depend on deg g alone, so P is
     evaluated once on the residues of every degree."""
 
-    def __init__(self, P: list[_FpPoly], F: Ring, gs: list[np.ndarray], B: int):
-        p, E = F.order, len(gs)
+    def __init__(self, P: list[tuple[int, ...]], p: int, gs: list[np.ndarray], B: int):
+        E = len(gs)
         # Entries stay below (D + 1) (p-1)^2 + p, where D = deg g^j is at
         # most 2 log_p B < 2 bit_length(B); the narrowest signed type holds them.
         dtype = np.min_scalar_type(-1 - (2 * B.bit_length() * (p - 1) ** 2 + p))
-        self.F, self.p = F, p
-        self.coeffs = [np.array(c.c, dtype=dtype) for c in P]
+        self.p = p
+        self.coeffs = [np.array(c, dtype=dtype) for c in P]
+        # P' with its zero top coefficients dropped; empty when P' = 0.
+        self.deriv = [np.array(_ptrim([i * x % p for x in c]), dtype=dtype) for i, c in enumerate(P)][1:]
+        while self.deriv and not len(self.deriv[-1]):
+            self.deriv.pop()
         self.degree = np.repeat(np.arange(1, E + 1), [len(g) for g in gs])
         self.norm = (p**self.degree).tolist()
         grids = [_digit_grid(p, e) for e in range(1, E + 1)]
@@ -245,26 +193,32 @@ class _FptLevels:
         monic = np.zeros((len(self.degree), E + 1), dtype=dtype)
         monic[:, :E] = _padded(gs, E)
         monic[np.arange(len(monic)), self.degree] = 1
-        self.pi = [_FpPoly(_ptrim(g), F) for g in monic.tolist()]
+        self.pi = [_ptrim(g) for g in monic.tolist()]
         self.powers = [np.ones((len(monic), 1), dtype=dtype), monic]
 
     def start(self) -> np.ndarray:
         return self.powers[0][:, :0]
 
+    def _top(self, k: int) -> np.ndarray:
+        """Each live g^k, shifted so that its leading 1 is in column k times
+        the widest live degree; the rows of wider primes are zero."""
+        while len(self.powers) <= k:
+            self.powers.append(_rows_mul(self.powers[-1], self.powers[1]) % self.p)
+        D = k * self.width
+        top = np.zeros((len(self.degree), D + 1), dtype=self.powers[1].dtype)
+        for e in range(1, self.width + 1):
+            rows = self.degree == e
+            top[rows, D - k * e:] = self.powers[k][rows, :k * e + 1]
+        return top
+
     def level(self, j: int, live: np.ndarray) -> int:
         # Columns past (j + 1) times the widest live degree are zero in
         # every live row; rows of primes no longer live are not read.
         self.width = int(self.degree[live].max())
-        while len(self.powers) <= j + 1:
-            self.powers.append(_rows_mul(self.powers[-1], self.powers[1]) % self.p)
+        self.top = self._top(j + 1)
         self.step = self.powers[j][:, :j * self.width + 1]
         D = (j + 1) * self.width
         self.mod_degree = (j + 1) * self.degree
-        # Each live g^(j+1), shifted so that its leading 1 is in column D.
-        self.top = np.zeros((len(self.degree), D + 1), dtype=self.step.dtype)
-        for e in range(1, self.width + 1):
-            rows = self.degree == e
-            self.top[rows, D - (j + 1) * e:] = self.powers[j + 1][rows, :(j + 1) * e + 1]
         self.first = _rows_horner(self.coeffs, self.residues, self.p) if j == 0 else None
         values_width = (len(self.coeffs) - 1) * (D - 1) + max(map(len, self.coeffs))
         return values_width + D
@@ -281,26 +235,33 @@ class _FptLevels:
             values = _rows_horner(self.coeffs, x, self.p)
         return x, _rows_divisible(values, self.top[o], self.mod_degree[o], self.p)
 
-    def element(self, x: list) -> _FpPoly:
-        return _FpPoly(_ptrim(x), self.F)
+    def settles(self, j: int, o: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Whether each root r mod g^j of primes o settles, on rows: P(r) = 0,
+        or g^ceil(j/2) does not divide P'(r)."""
+        exact = ~_rows_horner(self.coeffs, r, self.p).any(axis=1)
+        if not self.deriv:
+            return exact
+        half = (j + 1) // 2
+        values = _rows_horner(self.deriv, r, self.p)
+        return exact | ~_rows_divisible(values, self._top(half)[o], half * self.degree[o], self.p)
 
 
-def _climb(levels, P: list, tops: list[int]) -> list[tuple[str, int]]:
+def _climb(levels, tops: list[int]) -> list[tuple[str, int]]:
     """The Hensel climb at every prime of levels, one batch a level:
     ('resolved', j), ('witness', j) or ('capped', j) per prime, with j the
     last level examined in full. Level j + 1 lifts each root r mod pi^j to
     the candidates r + pi^j t, t over the residues mod pi, in (r, t) order,
     and keeps those with P = 0 mod pi^(j+1); level 1 lifts the root 0 mod
     1. A root r mod pi^j settles every level when P(r) = 0 or
-    j >= 2 v(P'(r)) + 1, tested on scalars.
+    j >= 2 v(P'(r)) + 1, that is when pi^ceil(j/2) does not divide P'(r).
 
     levels holds the primes pi and their norms N(pi), the number of
     residues mod pi, and their arithmetic: start() gives the root 0 of
     every prime, level(j, live) sets up the lift from pi^j for the live
     primes and returns the entries a candidate takes, lift(o, r, t) gives
     the candidates of roots r of primes o with whether each is a root, and
-    element(x) turns a root into the scalar the settle test takes."""
-    deriv = [i * c for i, c in enumerate(P)][1:]
+    settles(j, o, r) whether each root r mod pi^j of primes o settles, both
+    in blocks of that many entries a row."""
     out: list = [None] * len(tops)
     norm = np.array(levels.norm, dtype=np.int64)
     live = owner = np.arange(len(tops))
@@ -319,39 +280,36 @@ def _climb(levels, P: list, tops: list[int]) -> list[tuple[str, int]]:
             found.append((o[zero], x[zero]))
         owner, roots = (np.concatenate(part) for part in zip(*found))
         j += 1
-        going = []
+        settles = np.zeros(len(owner), dtype=bool)
+        for block in blocks(len(owner), width):
+            settles[block] = levels.settles(j, owner[block], roots[block])
         counts = np.bincount(owner, minlength=len(tops)).tolist()
-        found_roots, start = roots.tolist(), 0
+        settled = np.bincount(owner[settles], minlength=len(tops)).tolist()
+        going = np.zeros(len(tops), dtype=bool)
         for i in live.tolist():
-            # owner is sorted, so the roots of prime i come next.
-            mine, start = found_roots[start:start + counts[i]], start + counts[i]
-            pi = levels.pi[i]
-            if not mine:
+            if not counts[i]:
                 out[i] = ("witness", j)
-            elif any(not _horner(P, r) or j >= 2 * _valuation(_horner(deriv, r), pi) + 1
-                     for r in map(levels.element, mine)):
+            elif settled[i]:
                 out[i] = ("resolved", j)
             elif j == tops[i]:
                 out[i] = ("capped", j)
             else:
-                going.append(i)
-        if not going:
+                going[i] = True
+        if not going.any():
             break
-        kept = np.zeros(len(tops), dtype=bool)
-        kept[going] = True
-        kept = kept[owner]
-        live, owner, roots = np.array(going), owner[kept], roots[kept]
+        kept = going[owner]
+        live, owner, roots = np.flatnonzero(going), owner[kept], roots[kept]
     return out
 
 
-def _sweep(P: list, levels, B: int):
+def _sweep(levels, B: int):
     """The climb at every prime of levels (all with N(pi) <= B) through
     every level with N(pi^j) <= B^2. Returns the least witness
     (N(pi^j), pi, j) or None, the number of resolved primes, and the capped
     ones as (pi, j, N(pi^j))."""
     witnesses, capped, resolved = [], [], 0
     tops = [next(j for j in itertools.count(1) if norm ** (j + 1) > B * B) for norm in levels.norm]
-    for pi, norm, (outcome, j) in zip(levels.pi, levels.norm, _climb(levels, P, tops)):
+    for pi, norm, (outcome, j) in zip(levels.pi, levels.norm, _climb(levels, tops)):
         if outcome == "witness":
             witnesses.append((norm**j, pi, j))
         elif outcome == "resolved":

@@ -118,7 +118,7 @@ def _spectrum(graph: PaleyGraph) -> SpectrumReport:
     indicator = np.bincount(graph.connection_set, minlength=ring.order)
     evals_complex = all_char_sums(ring, indicator)
     imag_max = float(np.abs(evals_complex.imag).max())
-    evals = evals_complex.real
+    evals = evals_complex.real.copy()
     evals.flags.writeable = False
     moduli = np.abs(evals)
     idx = 1 + int(np.argmax(moduli[1:]))

@@ -584,7 +584,7 @@ def test_integer_climb_switches_to_object_integers():
     P = [x0 * (x0 + q), -(2 * x0 + q), 1]
     levels = _IntegerLevels(P, [q], q)
     assert levels.dtype == object
-    assert _sweep(P, levels, q) == (None, 1, [])
+    assert _sweep(levels, q) == (None, 1, [])
     assert _integer_prime_analysis(P, P[1:2] + [2], q, q * q) == ("resolved", 2)
 
 

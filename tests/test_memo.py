@@ -123,6 +123,18 @@ def test_memo_bytes_count_arrays_of_tuples_and_reports():
     assert not report.eigenvalues.flags.writeable
 
 
+def test_memoised_eigenvalues_own_their_data():
+    """The Paley spectrum keeps its real eigenvalues as an array of their
+    own, not as a view that holds the complex transform alive, so
+    memo_bytes counts every byte the memo keeps."""
+    ring = make_ring("GF(4096)")
+    graph = build_paley(ring, 3)
+    before = ring.memo_bytes + character_group(ring).unit_table.nbytes
+    report = spectrum(graph)
+    assert report.eigenvalues.base is None
+    assert ring.memo_bytes == before + report.eigenvalues.nbytes == before + 4096 * 8
+
+
 @pytest.mark.parametrize("spec", ("GR(2,2,2)", "GR(3,2,2;f=2,2,1)", "PQ(q=2;g=0,0,1)", "PQ(q=4;g=1,0,1)"))
 def test_reduction_data_is_shared_by_rings_of_one_spec(spec):
     """GR and PQ over GF(p) keep one read-only reduction matrix, built by
