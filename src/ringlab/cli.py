@@ -273,6 +273,9 @@ def _cmd_sarkozy(args) -> dict:
         size = args.measured
         result["measured_source"] = "external"
     else:
+        # The bound's hypotheses are decided first, so a job that fails them
+        # exits before it pays for the search.
+        combinatorics.sarkozy_hypothesis(ring, P)
         free = combinatorics.difference_free_max(
             ring, P, mode=args.search, seed=args.seed
         )

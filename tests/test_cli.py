@@ -522,6 +522,31 @@ def test_hypothesis_unmet_exit_3():
     assert err["error"]["type"] == "HypothesisUnmet"
 
 
+@pytest.mark.parametrize("search", ["exact", "greedy"])
+@pytest.mark.parametrize(
+    "poly, message",
+    [
+        ("--poly=3", "the size bound needs a nonconstant polynomial"),
+        ("--poly=1,2", "P has no root and P(0) is outside the value subgroup"),
+    ],
+)
+def test_hypothesis_unmet_exits_before_the_search(monkeypatch, capsys, search, poly, message):
+    """A constant P, and 1 + 2x on Z/64 (odd values, so no root, and 1 is
+    outside the subgroup 2 Z/64 that 2x generates), fail the size bound's
+    hypotheses: the job exits 3 without running the search."""
+    from ringlab import combinatorics
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(combinatorics, "difference_free_max", no_search)
+    assert cli.main(["sarkozy", "--ring", "Z/64", poly, "--search", search]) == 3
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)["error"]
+    assert captured.out == ""
+    assert err["type"] == "HypothesisUnmet" and err["message"].startswith(message)
+
+
 def test_false_external_claim_exit_4():
     """An externally measured set size that violates the bound is exactly
     what exit 4 exists for: the bound for x^2 on Z/13 is 5.61, and a set

@@ -3,9 +3,11 @@ intersectivity oracle. The maximum-set sizes asserted here were frozen
 after brute-force sweeps over every subset (see the oracle tests below,
 which repeat that enumeration for rings small enough to afford it).
 
-The greedy search walks the Cayley graph through translates and the exact
-search skips the root's exclude branch; both are checked against the
-bitmask versions they replaced, kept here as oracles. The intersectivity
+The greedy search walks the Cayley graph one degree level at a time and the
+exact search skips the root's exclude branch; both are checked against the
+bitmask versions they replaced, kept here as oracles, and the greedy at
+orders past the bitmask oracle's reach against the translate greedy it
+replaced, kept in greedy_oracle.py. The intersectivity
 oracle runs one level-batched Hensel climb for Z and F_p[t]; it is checked
 against the two scalar climbs it replaced, kept in hensel_oracle.py, and its
 prime sieve against trial division.
@@ -16,11 +18,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from greedy_oracle import translate_greedy
 from hensel_oracle import _integer_prime_analysis, reference_verdict
 from poly_oracle import evaluate
 from test_polynomials import ORACLE_RINGS
 
-from ringlab import budget
+from ringlab import budget, combinatorics
 from ringlab.errors import HypothesisUnmet, ParseError, WorkGuardExceeded
 from ringlab.combinatorics import (
     _clique_cover_bound,
@@ -193,6 +196,24 @@ def test_verify_difference_free_refuses_a_value_difference(spec):
         assert verify_difference_free(ring, P, elems) == pair_scan(elems)
 
 
+@pytest.mark.parametrize(
+    "spec, coeffs",
+    [("Z/64", (0, 32)), ("Z/35", (0, 0, 1)), ("GF(16)", (0, 0, 0, 0, 0, 1)), ("prod(Z/4;GF(4))", (0, 2))],
+)
+def test_verify_difference_free_scans_from_either_side(spec, coeffs):
+    """Sets smaller than the nonzero values of P are scanned by their pairs,
+    larger ones by their translates through the values; both agree with the
+    scalar pair loop on seeded sets of every size."""
+    ring = make_ring(spec)
+    P = RingPoly.make(ring, coeffs)
+    values = set(P.values().tolist()) - {0}
+    rng = np.random.default_rng(7)
+    for size in range(ring.order + 1):
+        elems = rng.choice(ring.order, size=size, replace=False).tolist()
+        free = not any(ring.sub(b, a) in values for a in elems for b in elems)
+        assert verify_difference_free(ring, P, elems) == free, size
+
+
 def greedy_oracle(adj, seed):
     """The bitmask greedy: strip highest-degree vertices first (seeded
     tie-break over the ascending tie list), then add back in reverse order
@@ -273,6 +294,70 @@ def test_greedy_and_root_cut_match_bitmask_oracles(family, data):
     if D.size:
         adj = adjacency_masks(ring, D)
         assert _max_independent_set(adj) == uncut_search_oracle(adj)
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_RINGS))
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_greedy_block_draws_match_bitmask_oracle(family, data):
+    """The block draws and each switch between the greedy's tie-list phases,
+    at small orders: with blocks of 8 and one-by-one filtering from 2 ties
+    down, the rings of order 9 to 64 reach every phase."""
+    ring = make_ring(data.draw(st.sampled_from(ORACLE_RINGS[family]), label="ring"))
+    coeffs = data.draw(
+        st.lists(st.integers(0, ring.order - 1), min_size=2, max_size=5),
+        label="coeffs",
+    )
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(combinatorics, "_GREEDY_BLOCK", 8)
+        mp.setattr(combinatorics, "_GREEDY_SHORT", 2)
+        _assert_greedy_matches_oracle(ring, RingPoly.make(ring, coeffs), seed)
+
+
+ORACLE_SPECS = sorted(spec for specs in ORACLE_RINGS.values() for spec in specs)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    spec=st.sampled_from(ORACLE_SPECS),
+    coeffs=st.lists(st.integers(0, 2**20), min_size=2, max_size=5),
+    seed=st.integers(0, 2**32),
+)
+# GF(64) x^2 is the complete graph: 64 levels of one pick each.
+@example(spec="GF(64)", coeffs=[0, 0, 1], seed=1)
+# Z/1024 x + x^3: 512 levels of two picks each, from 1024 ties down to 2.
+@example(spec="Z/1024", coeffs=[0, 1, 0, 1], seed=2)
+def test_greedy_levels_match_bitmask_oracle(spec, coeffs, seed):
+    ring = make_ring(spec)
+    P = RingPoly.make(ring, [c % ring.order for c in coeffs])
+    _assert_greedy_matches_oracle(ring, P, seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_greedy_matches_translate_oracle_past_the_block_size(seed):
+    """Z/16384 with P = 8192 x: D = {8192}, so each level starts with 16384
+    or 8192 ties, far past the block size, and each pick drops one or two."""
+    ring = make_ring("Z/16384")
+    D = forbidden_differences(ring, RingPoly.make(ring, (0, 8192)).values())
+    assert D.tolist() == [8192] and 8192 > combinatorics._GREEDY_BLOCK
+    chosen = _greedy_independent_set(ring, D, seed)
+    assert np.array_equal(chosen, translate_greedy(ring, D, seed))
+    assert chosen.sum() == 8192
+
+
+def test_greedy_never_draws_in_blocks_up_to_order_1024(monkeypatch):
+    """The batch workload's searches, on orders up to 1024, never reach the
+    block draws: every tie list is at most the block size."""
+    assert combinatorics._GREEDY_BLOCK >= 1024
+
+    def refuse(*args):
+        raise AssertionError("block draws at order 1024")
+
+    monkeypatch.setattr(combinatorics, "_strip_in_blocks", refuse)
+    ring = make_ring("Z/1024")
+    rep = difference_free_max(ring, RingPoly.make(ring, (0, 512)), mode="greedy", seed=1)
+    assert rep.size == 512 and rep.verified
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
