@@ -8,7 +8,8 @@ every (k+1)-fold iterated difference
 vanishes at every point of the ring. The exact route takes the first of
 four rules that applies; each reports method "exact", certified.
 
-  1. Field: GF(q), and Z/p. Since x^q = x, every exponent m >= 1 may be
+  1. Field: any ring whose `is_field` holds, so GF(q), Z/p, and fields
+     spelled PQ or GR(p,1,r). Since x^q = x, every exponent m >= 1 may be
      replaced by (m - 1) mod (q - 1) + 1; like terms then merge with the
      field's addition, and what is left is the unique polynomial of the
      function with exponents below q. In coordinates over F_p, x^m has
@@ -18,32 +19,34 @@ four rules that applies; each reports method "exact", certified.
      and MacWilliams ("On generalized Reed-Muller codes and their
      relatives", Information and Control 16, 1970). The rule reads only
      P's coefficients and evaluates nothing.
-  2. Product of fields: a product whose factors are fields or products of
-     fields, and squarefree Z/N, which is one by CRT. P acts factor by
-     factor, and so does every difference, so k is the largest rule-1
-     degree over the factors, each on P's coefficients projected into it.
-     No ring is built.
-  3. Prime characteristic p, every radix p: PQ over GF(p^e), GR(p,1,r)
-     and products of such rings. (R, +) is F_p^N along the additive basis,
-     and the Newton transform at 0, the forward differences along each axis
-     of the (p,)*N cube of P's values, gives P's coefficients c_J in the
-     basis prod_i binom(x_i, j_i), j_i < p. A difference along axis i
-     lowers j_i by one, so the |J|-fold difference at the largest |J| with
-     c_J != 0 is the constant c_J, and every longer one vanishes: k is the
-     largest digit sum of a nonzero position. For p = 2 this is the binary
-     Moebius transform. Since Frobenius is additive, k is at most the
-     largest base-p digit sum s of P's exponents, so only the sub-cube
+  2. Product: a `prod`, and Z/N with two or more prime factors, which by
+     CRT is the product of its Z/p^e. P acts factor by factor, and so does
+     every difference, so k is the largest degree over the factors, each
+     by these rules on P's coefficients projected into it. A Z/p factor
+     of Z/N takes rule 1 on residues mod p and builds no ring; a Z/p^e
+     factor, e >= 2, is the ring Z/p^e. So rules 3 and 4 run on local
+     rings only.
+  3. Prime characteristic p: PQ over GF(p^e) whose modulus is not
+     irreducible. Every radix is p, so (R, +) is F_p^N along the additive
+     basis, and the Newton transform at 0, the forward differences along
+     each axis of the (p,)*N cube of P's values, gives P's coefficients c_J
+     in the basis prod_i binom(x_i, j_i), j_i < p. A difference along axis
+     i lowers j_i by one, so the |J|-fold difference at the largest |J|
+     with c_J != 0 is the constant c_J, and every longer one vanishes: k is
+     the largest digit sum of a nonzero position. For p = 2 this is the
+     binary Moebius transform. Since Frobenius is additive, k is at most
+     the largest base-p digit sum s of P's exponents, so only the sub-cube
      [0, min(p - 1, s)]^N is transformed. When that work would exceed the
      guard, the search below runs instead.
-  4. Everything else, prime-power characteristic (Z/p^a, Z/N with a square
-     factor, GR with n >= 2) and mixed products, searches differences along
-     the cyclic generators g_1..g_r of (R, +) (r <= log2 |R|). Difference
-     operators commute and d_{a+b} = d_a + d_b + d_a d_b, so every
-     (k+1)-fold difference is a sum of products of at least k+1 generator
-     differences; checking each multiset of k+1 generators once suffices.
-     Confirming degree k evaluates at most C(k+r, r) value tables of length
-     |R|, and the guard refuses once that work exceeds the budget. The
-     search is also the tests' oracle for rules 1-3.
+  4. Everything else, prime-power characteristic (Z/p^a and GR with
+     n >= 2), searches differences along the cyclic generators g_1..g_r of
+     (R, +) (r <= log2 |R|). Difference operators commute and d_{a+b} =
+     d_a + d_b + d_a d_b, so every (k+1)-fold difference is a sum of
+     products of at least k+1 generator differences; checking each
+     multiset of k+1 generators once suffices. Confirming degree k
+     evaluates at most C(k+r, r) value tables of length |R|, and the guard
+     refuses once that work exceeds the budget. The search is also the
+     tests' oracle for rules 1-3.
 
 Mode "bound" estimates k from the exponents of P alone:
 
@@ -72,15 +75,14 @@ import numpy as np
 from .budget import charge, work_guard
 from .errors import ParseError, WorkGuardExceeded
 from .rings import (
-    FiniteFieldRing,
     ProductRing,
     Ring,
     ZModRing,
     _ptrim,
     factorize,
     is_prime,
+    make_ring,
     poly_str,
-    split_index,
 )
 
 @dataclass(frozen=True)
@@ -265,36 +267,27 @@ def derivational_degree(
 
 
 def _exact_ddeg(ring: Ring, P: RingPoly) -> DdegResult:
-    k = _field_product_degree(ring, [(m, c) for m, c in P.monomials() if m >= 1])
-    if k is None and is_prime(ring.characteristic):
-        k = _newton_degree(ring, P)
-    if k is None:
-        return _difference_search(ring, P)
+    """The first rule of the module docstring that applies."""
+    terms = [(m, c) for m, c in P.monomials() if m >= 1]
+    if ring.is_field:
+        k = _field_degree(ring.characteristic, ring.order, terms, ring.add)
+    elif isinstance(ring, ProductRing):
+        parts = [ring.split(c) for c in P.coeffs]
+        k = max(
+            _exact_ddeg(f, RingPoly.make(f, [part[i] for part in parts])).k
+            for i, f in enumerate(ring.factors)
+        )
+    elif isinstance(ring, ZModRing) and len(ring.prime_ideal_profile()) > 1:
+        k = max(
+            _field_degree(p, p, [(m, c % p) for m, c in terms]) if e == 1
+            else _exact_ddeg(Z := make_ring(f"Z/{p**e}"), RingPoly.make(Z, P.coeffs)).k
+            for p, e in ring.prime_ideal_profile()
+        )
+    else:
+        k = _newton_degree(ring, P) if is_prime(ring.characteristic) else None
+        if k is None:
+            return _difference_search(ring, P)
     return DdegResult(k, "exact", True)
-
-
-def _field_product_degree(ring: Ring, terms: list[tuple[int, int]]) -> int | None:
-    """Rules 1 and 2 on the terms (exponent, coefficient) of P: the largest
-    field degree over the field factors of ring, each on the terms projected
-    into it; None when some factor is not a field. Squarefree Z/N splits
-    into its Z/p by residues, and no ring is built."""
-    if isinstance(ring, FiniteFieldRing):
-        return _field_degree(ring.p, ring.q, terms, ring.add)
-    if isinstance(ring, ZModRing):
-        profile = ring.prime_ideal_profile()
-        if any(e > 1 for _, e in profile):
-            return None
-        return max(_field_degree(p, p, [(m, c % p) for m, c in terms]) for p, _ in profile)
-    if isinstance(ring, ProductRing):
-        parts = [split_index(c, [f.order for f in ring.factors]) for _, c in terms]
-        k = 0
-        for i, factor in enumerate(ring.factors):
-            inner = _field_product_degree(factor, [(m, part[i]) for (m, _), part in zip(terms, parts)])
-            if inner is None:
-                return None
-            k = max(k, inner)
-        return k
-    return None
 
 
 def _field_degree(p: int, q: int, terms: list[tuple[int, int]], add=None) -> int:
@@ -310,11 +303,11 @@ def _field_degree(p: int, q: int, terms: list[tuple[int, int]], add=None) -> int
 
 
 def _newton_degree(ring: Ring, P: RingPoly) -> int | None:
-    """Rule 3, on a ring of prime characteristic p: the largest digit sum
-    of a nonzero position of the Newton transform of P's values on the N
-    axes of the (p,)*N cube; axis i is digit i of the index, of place p^i.
-    None when the transform would exceed the work guard, and the search
-    takes over.
+    """Rule 3, on a local ring of prime characteristic p: the largest
+    digit sum of a nonzero position of the Newton transform of P's values
+    on the N axes of the (p,)*N cube; axis i is digit i of the index, of
+    place p^i. None when the transform would exceed the work guard, and
+    the search takes over.
 
     Every c_J with |J| above s, the largest base-p digit sum of P's
     exponents, vanishes (the digit-sum bound), and c_J reads only the values

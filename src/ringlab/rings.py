@@ -489,9 +489,6 @@ class Ring:
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_vec(a, b))
 
-    def pow(self, a: int, e: int) -> int:
-        return _power(self.mul, a, e) if e else self.one
-
     def from_int(self, n: int) -> int:
         ds = self.digits(self.one)
         return self.from_digits([n * d for d in ds])

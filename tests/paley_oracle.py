@@ -57,7 +57,7 @@ def residue_census(ring, d):
         field = make_ring(f"GF({q})")
         hit = set()
         for x in range(q):
-            power = field.pow(x, d)
+            power = int(field.pow_vec(x, d))
             hit.update((power, field.neg(power)))
         out.append((q, len(hit) == q))
     return out

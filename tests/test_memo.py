@@ -205,9 +205,12 @@ def test_modulus_factors_are_kept_on_the_ring():
 @pytest.mark.parametrize("spec", SPECS)
 def test_value_table_is_built_once_per_ring_and_polynomial(spec, monkeypatch):
     """Every layer that needs P(R) reads one table: a whole bound check
-    evaluates each polynomial once per ring, also across calls of
-    make_ring, the table is read-only, and another polynomial, or the ring
-    of the same spec under another guard, gets its own."""
+    builds the spec's own table once, evaluates no (ring, coefficients)
+    pair twice, also across calls of make_ring, the table is read-only,
+    and another polynomial, or the ring of the same spec under another
+    guard, gets its own. The exact degree of Z/12 and prod(Z/4;GF(4)) runs
+    factor by factor, so those two also evaluate P's projection once on
+    their factor Z/4."""
     evaluated = []
     eval_poly_vec = Ring.eval_poly_vec
     monkeypatch.setattr(
@@ -220,16 +223,20 @@ def test_value_table_is_built_once_per_ring_and_polynomial(spec, monkeypatch):
     character_bound_check(ring, P)
     value_subgroup(ring, P, subtract_constant=False)
     values = P.values()
-    assert evaluated == [(spec, P.coeffs)]
+    assert [coeffs for s, coeffs in evaluated if s == spec] == [P.coeffs]
+    assert len(set(evaluated)) == len(evaluated)
+    factors = {"Z/4"} if spec in ("Z/12", "prod(Z/4;GF(4))") else set()
+    assert {s for s, _ in evaluated} == {spec} | factors
     assert RingPoly(make_ring(spec), P.coeffs).values() is values
     with pytest.raises(ValueError):
         values[0] = 1
+    built = len(evaluated)
     Q = from_int_coeffs(ring, (0, 0, 0, 1))
-    assert Q.values() is not values and len(evaluated) == 2
+    assert Q.values() is not values and len(evaluated) == built + 1
     monkeypatch.setenv("RINGLAB_WORK_GUARD", str(1 << 25))
     other = make_ring(spec)
     again = RingPoly(other, P.coeffs).values()
-    assert again is not values and (again == values).all() and len(evaluated) == 3
+    assert again is not values and (again == values).all() and len(evaluated) == built + 2
 
 
 def test_memoised_value_subgroup_is_two_small_arrays():

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poly_oracle import evaluate, from_int_coeffs
@@ -24,7 +24,7 @@ from ringlab.polynomials import (
     digit_sum,
     parse_poly_literal,
 )
-from ringlab.rings import make_ring
+from ringlab.rings import is_prime, make_ring
 
 
 def test_parse_poly_literal_plain():
@@ -238,7 +238,7 @@ def test_basis_search_matches_all_directions(family, data):
 # and over GF(9), rings of characteristic 5 where the Newton transform runs
 # fewer than p - 1 passes, and products: of fields of one and of mixed
 # characteristic, of a field and a PQ of one characteristic, and of a field
-# and Z/9, which only the search covers.
+# and Z/9, whose factor Z/9 only the search covers.
 RULE_RINGS = {
     "Z": ORACLE_RINGS["Z"] + ("Z/2", "Z/30"),
     "GF": ORACLE_RINGS["GF"] + ("GF(27)", "GF(49)"),
@@ -257,11 +257,12 @@ RULE_RINGS = {
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_rules_match_the_difference_search(family, data):
-    """The exact degree (fields and products of fields from P's
-    coefficients, prime characteristic by the Newton transform) equals the
-    difference search along the generators of (R, +), named here as the
-    oracle, on polynomials of degree up to 1, 2, |R| or 3 |R|. A drawn echo adds
-    -c x^(m + j (|R| - 1)) to a term c x^m, which on a field cancels it."""
+    """The exact degree (fields from P's coefficients, products factor by
+    factor, other rings of prime characteristic by the Newton transform)
+    equals the difference search along the generators of (R, +), named
+    here as the oracle, on polynomials of degree up to 1, 2, |R| or 3 |R|.
+    A drawn echo adds -c x^(m + j (|R| - 1)) to a term c x^m, which on a
+    field cancels it."""
     ring = make_ring(data.draw(st.sampled_from(RULE_RINGS[family]), label="ring"))
     n = ring.order
     top = data.draw(st.sampled_from((1, 2, n, 3 * n)), label="top")
@@ -278,6 +279,69 @@ def test_rules_match_the_difference_search(family, data):
     P = RingPoly.make(ring, coeffs)
     got = derivational_degree(ring, P, mode="exact")
     assert got == polynomials._difference_search(ring, P)
+
+
+# Factors of order at most 16 from all five constructors, so that every
+# product of two has order at most 256: local rings that are not fields
+# (Z/4, Z/9, Z/16, GR(2,2,2), GR(2,3,1), PQ with a square modulus), fields
+# under each spelling (GF, Z/p, GR(p,1,r), PQ with an irreducible modulus),
+# and Z/6, Z/10 and PQ(q=2;g=0,1,1), which are products themselves.
+PRODUCT_FACTORS = (
+    "Z/3", "Z/4", "Z/6", "Z/9", "Z/10", "Z/16",
+    "GF(2)", "GF(4)", "GF(8)", "GF(9)", "GF(16)",
+    "GR(2,2,2)", "GR(2,3,1)", "GR(3,1,2)", "GR(2,1,3)",
+    "PQ(q=2;g=0,0,1)", "PQ(q=2;g=1,1,1)", "PQ(q=2;g=0,1,1)", "PQ(q=3;g=0,0,1)", "PQ(q=4;g=0,0,1)",
+)
+
+
+@st.composite
+def product_polys(draw):
+    """(spec, coefficients): a product of two PRODUCT_FACTORS, or Z/N for a
+    composite N <= 1000, with a polynomial of up to six terms of degree at
+    most 3, 8 or 2 |R| given by element indices."""
+    factor = st.sampled_from(PRODUCT_FACTORS)
+    products = st.tuples(factor, factor).map(lambda ab: "prod({};{})".format(*ab))
+    moduli = st.integers(4, 1000).filter(lambda n: not is_prime(n)).map(lambda n: f"Z/{n}")
+    spec = draw(st.one_of(products, moduli), label="ring")
+    n = make_ring(spec).order
+    top = draw(st.sampled_from((3, 8, 2 * n)), label="top")
+    terms = draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, n - 1)), max_size=6), label="terms")
+    coeffs = [0] * (max((m for m, _ in terms), default=0) + 1)
+    for m, c in terms:
+        coeffs[m] = c
+    return spec, tuple(coeffs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=product_polys())
+@example(case=("Z/720", (0, 0, 0, 1)))
+@example(case=("prod(Z/4;GF(9))", (0, 1, 1, 0, 1)))
+@example(case=("PQ(q=2;g=1,1,1)", (0, 1, 1, 1, 0, 1)))
+@example(case=("GR(3,1,2)", (0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1)))
+def test_product_rule_matches_the_difference_search(case):
+    """On products of two rings and on composite Z/N, the exact degree
+    takes the largest degree over the factors, each on P's coefficients
+    projected into it; it equals the difference search on the whole ring,
+    named here as the oracle. The examples add Z/720 = Z/16 x Z/9 x Z/5,
+    a product with a factor Z/4 that only the search covers, and fields
+    spelled PQ and GR, which `Ring.is_field` sends to the field rule."""
+    spec, coeffs = case
+    ring = make_ring(spec)
+    P = RingPoly.make(ring, coeffs)
+    got = derivational_degree(ring, P, mode="exact")
+    assert got == DdegResult(polynomials._difference_search(ring, P).k, "exact", True)
+
+
+def test_product_factors_certify_under_a_small_guard(monkeypatch):
+    """x + x^2 + x^4 on prod(GR(2,2,2);GF(9)) under a work guard of 2000:
+    the search on the factor GR(2,2,2) (order 16) certifies k = 2 with the
+    field GF(9) read from coefficients, where a search on the whole ring
+    (order 144) needs more than the guard and falls back to the bound
+    deg P = 4."""
+    monkeypatch.setenv("RINGLAB_WORK_GUARD", "2000")
+    ring = make_ring("prod(GR(2,2,2);GF(9))")
+    P = from_int_coeffs(ring, (0, 1, 1, 0, 1))
+    assert derivational_degree(ring, P) == DdegResult(2, "exact", True)
 
 
 def test_newton_transform_stays_below_the_search_at_large_p(monkeypatch):
