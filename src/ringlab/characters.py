@@ -16,7 +16,10 @@ All angle arithmetic is exact: angles live in Z/L with L = lcm(m_i), and a
 complex exponential is evaluated only once per angle class. An angle
 separates by axis, so over a cube of digits it is an outer sum
 (`_angle_cube`): `character_table` reads the unit table at it, and
-`annihilator_mask` compares it with 0. The sums over every character
+`annihilator_mask` compares it with 0. `SubgroupSet.annihilator` takes
+that mask for every subgroup H but R itself, whose annihilator is the
+trivial character by duality; the tests hold both answers against the mask
+on H's generators. The sums over every character
 (`all_char_sums`) are one DFT over (R, +), and so is every convolution with
 a measure on (R, +) (`convolve`): numpy's fftn, run axis by axis by `_dft`
 with exact butterflies on length-2 axes. The tests keep the angle-histogram

@@ -19,9 +19,13 @@ estimate. The difference of the two averages is one convolution of f with a
 measure on (R, +), so te_estimate evaluates its norm in O(n log n) twice:
 by the transform route, which forms the convolution and takes its norm, and
 by the Parseval route, which sums |f_hat|^2 |S|^2 over the characters that
-do not annihilate H. A sampled exact check recomputes the convolution at a
-few seeded points from translates, and f_hat and S at a few seeded
-characters from columns of the character table.
+do not annihilate H. Both estimates read H's annihilator from
+`SubgroupSet.annihilator`: by duality it holds |R| / |H| characters, so
+when the values of P generate R it is the trivial character alone, and
+only a proper H takes the exact angle route. A sampled exact check
+recomputes the convolution at a few seeded points from translates, and
+f_hat and S at a few seeded characters from columns of the character
+table.
 
 Also here: the van der Corput inequality along a subgroup, and the root
 count bound (a nonzero polynomial in l variables with per-variable degrees
@@ -42,7 +46,6 @@ import numpy as np
 from .budget import blocks, charge
 from .characters import (
     all_char_sums,
-    annihilator_mask,
     character_group,
     character_table,
     convolve,
@@ -154,7 +157,7 @@ def character_bound_check(
     lpf = ring.lpf()
     counts = np.bincount(recentred, minlength=n)
     S = all_char_sums(ring, counts) / n
-    ann = annihilator_mask(ring, H.generators)
+    ann = H.annihilator()
     moduli = np.abs(S)
 
     power = _power_bound(bp.b, k, lpf)
@@ -283,7 +286,7 @@ def te_estimate(
     # Row 0 gives S(chi, P - P(0)), the other rows the conjugates of f_hat.
     batch = np.vstack([np.bincount(recentred, minlength=n), np.conj(fs)])
     sums = all_char_sums(ring, batch) / n
-    weight = (np.abs(sums[0]) ** 2) * ~annihilator_mask(ring, H.generators)
+    weight = (np.abs(sums[0]) ** 2) * ~H.annihilator()
     fourier = np.sqrt((np.abs(sums[1:]) ** 2) @ weight)
 
     rng = np.random.default_rng((_SAMPLE_SEED, seed or 0))

@@ -374,14 +374,16 @@ def field_log_tables(p: int, e: int, h: tuple[int, ...]) -> tuple[np.ndarray, np
     places = p ** np.arange(e, dtype=np.int64)
     antilog = np.zeros(2 * (2 * n - 1) + 1, dtype=dtype)
     rows = np.zeros((n, e), dtype=np.min_scalar_type(p - 1))
+    # Exact in float64, and reduced in the narrowest unsigned type that
+    # holds them: each entry sums e products of two digits < p.
+    sum_type = np.min_scalar_type(e * (p - 1) ** 2)
     rows[0, 0] = antilog[0] = 1
     k = 1
     while k < n:
         count = min(k, n - k)
-        # Exact in float64: each entry sums e products of two digits < p.
         by = step.T.astype(np.float64)
         for block in blocks(count, e):
-            rows[k:][block] = (rows[block] @ by).astype(np.int64) % p
+            rows[k:][block] = (rows[block] @ by).astype(sum_type) % p
             antilog[k:][block] = rows[k:][block] @ places
         step = step @ step % p
         k += count

@@ -4,9 +4,11 @@ A SubgroupSet is a verified additive subgroup whose elements and
 generators are element sets, sorted read-only int64 arrays
 (`rings.element_set`), with membership by `searchsorted`. The closure
 picks a basis of at most log2 |R| generators and grows the group by
-doubling steps along each; the value subgroup keeps that basis as its
-generators. Sets supplied as already-closed are re-verified unless they
-came from the closure itself.
+doubling steps along each, and stops once the group is all of R; the
+value subgroup keeps that basis as its generators. Sets supplied as
+already-closed are re-verified unless they came from the closure itself.
+A subgroup's annihilator in the character group is decided from its size
+first (`SubgroupSet.annihilator`).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .characters import annihilator_mask
 from .errors import NotASubgroup
 from .polynomials import RingPoly
 from .rings import Ring, distinct, element_set
@@ -49,6 +52,18 @@ class SubgroupSet:
     def is_full(self) -> bool:
         return len(self.elements) == self.ring.order
 
+    def annihilator(self) -> np.ndarray:
+        """Mask over the character enumeration of the characters that kill
+        H, decided from |H| first: by duality there are |R| / |H| of them,
+        so H = R has the trivial character alone and builds no angle cube.
+        Any other H takes the exact angle route, `annihilator_mask` over its
+        generators."""
+        if not self.is_full:
+            return annihilator_mask(self.ring, self.generators)
+        mask = np.zeros(self.ring.order, dtype=bool)
+        mask[0] = True
+        return mask
+
     def coset(self, shift: int) -> np.ndarray:
         """The element set H + shift."""
         if shift == 0:
@@ -78,14 +93,14 @@ def _closure(ring: Ring, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each basis element g is the first generator outside the group S so far,
     so it at least doubles S, which grows by S <- S + {0, step},
     step <- 2 step from step = g until nothing is new (S + 2^j g inside S
-    forces S + g inside S)."""
+    forces S + g inside S). Both loops stop once S is all of R."""
     known = np.zeros(ring.order, dtype=bool)
     known[0] = True
     members, basis = np.zeros(1, dtype=np.int64), []
-    while (pending := gens[~known[gens]]).size:
+    while members.size < ring.order and (pending := gens[~known[gens]]).size:
         step = int(pending[0])
         basis.append(step)
-        while True:
+        while members.size < ring.order:
             shifted = ring.add_vec(members, step)
             fresh = shifted[~known[shifted]]
             if fresh.size == 0:

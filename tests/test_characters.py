@@ -4,6 +4,7 @@ character oracle (`character_oracle.py`) or plain complex arithmetic; and
 the axis-by-axis transform, which must equal numpy's fftn bit for bit.
 """
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import character_oracle as oracle
 from test_polynomials import ORACLE_RINGS
 
-from ringlab import budget
+from ringlab import budget, characters
 from ringlab.characters import (
     all_char_sums,
     annihilator_mask,
@@ -23,7 +24,7 @@ from ringlab.characters import (
     convolve,
 )
 from ringlab.rings import make_ring
-from ringlab.subgroups import full_subgroup, value_subgroup
+from ringlab.subgroups import from_generators, full_subgroup, trivial_subgroup, value_subgroup
 from ringlab.polynomials import RingPoly
 
 SPECS = ("Z/12", "GF(8)", "GR(3,2,2)", "PQ(q=2;g=0,1,1)", "prod(Z/4;GF(4))")
@@ -252,6 +253,31 @@ def test_full_subgroup_annihilator_is_trivial(spec):
     ring = make_ring(spec)
     mask = annihilator_mask(ring, full_subgroup(ring).generators)
     assert np.flatnonzero(mask).tolist() == [0]
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_RINGS))
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_subgroup_annihilator_reads_a_full_h_from_duality(family, data):
+    """SubgroupSet.annihilator against the angle route over H's generators,
+    for value subgroups (of x, with H = R, of a constant, with H = {0}, and
+    of a drawn P) and for subgroups from drawn generators, all of R and
+    none: |H^perp| |H| = |R| each time, and H = R builds no angle cube."""
+    ring = make_ring(data.draw(st.sampled_from(ORACLE_RINGS[family]), label="ring"))
+    n = ring.order
+    coeffs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4), label="coeffs")
+    drawn = data.draw(st.lists(st.integers(0, n - 1), max_size=6), label="generators")
+    subgroups = [value_subgroup(ring, RingPoly.make(ring, c)) for c in ((0, ring.one), (ring.one,), coeffs)]
+    subgroups += [from_generators(ring, gens) for gens in (drawn, range(n), [])]
+    subgroups += [full_subgroup(ring), trivial_subgroup(ring)]
+    assert subgroups[0].is_full and len(subgroups[1]) == 1
+    for H in subgroups:
+        want = annihilator_mask(ring, H.generators)
+        no_cube = mock.patch.object(characters, "_angle_cube", side_effect=AssertionError("angle cube"))
+        with no_cube if H.is_full else contextlib.nullcontext():
+            mask = H.annihilator()
+        np.testing.assert_array_equal(mask, want)
+        assert mask.sum() * len(H) == n
 
 
 WEIGHT_KINDS = ("counts", "real", "complex", "signed zeros")

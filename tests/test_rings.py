@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from additive_oracle import digit_route, scalar_route
 
+from ringlab.budget import blocks
 from ringlab.characters import character_group
 from ringlab.errors import NotIrreducible, NotMonic, OrderTooLarge, ParseError
 from ringlab.polynomials import RingPoly
@@ -30,6 +31,7 @@ from ringlab.rings import (
     ZModRing,
     _monic_polys,
     _power,
+    _primitive_step,
     canonical_irreducible,
     digits_of,
     field_log_tables,
@@ -702,6 +704,41 @@ def test_log_tables_are_shared_per_field_and_read_only():
     assert (antilog[n:2 * n - 1] == antilog[:n - 1]).all()
     assert log[0] == 2 * n - 1 and len(antilog) == 2 * log[0] + 1
     assert not antilog[log[0]:].any()
+
+
+def _int64_powers(p, e, h):
+    """g^i for i < p^e - 1 by field_log_tables' doubling on the digit rows,
+    each block's digit sums reduced mod p in int64."""
+    n = p**e - 1
+    step = _primitive_step(p, e, h)
+    rows = np.zeros((n, e), dtype=np.min_scalar_type(p - 1))
+    rows[0, 0] = 1
+    k = 1
+    while k < n:
+        count = min(k, n - k)
+        by = step.T.astype(np.float64)
+        for block in blocks(count, e):
+            rows[k:][block] = (rows[block] @ by).astype(np.int64) % p
+        step = step @ step % p
+        k += count
+    return rows @ p ** np.arange(e, dtype=np.int64)
+
+
+PRIME_POWER_FIELDS = [(p, e) for p in range(2, 65) if is_prime(p)
+                      for e in range(2, 13) if p**e <= 1 << 12] + [(2, 20)]
+
+
+@pytest.mark.parametrize("p,e", PRIME_POWER_FIELDS, ids=lambda v: str(v))
+def test_log_tables_match_the_int64_reduction(p, e):
+    """The digit sums reduced in the narrowest unsigned type give the same
+    tables as in int64, on every GF(q) with q <= 2^12 not prime and on
+    GF(2^20): the same powers of g, in int32, with log their inverse."""
+    h = canonical_irreducible(p, e)
+    n = p**e - 1
+    log, antilog = field_log_tables(p, e, h)
+    assert log.dtype == antilog.dtype == np.int32
+    np.testing.assert_array_equal(antilog[:n], _int64_powers(p, e, h))
+    np.testing.assert_array_equal(log[antilog[:n]], np.arange(n))
 
 
 def test_zmod_mul_vec_past_int64_products(monkeypatch):
