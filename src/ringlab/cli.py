@@ -29,6 +29,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -674,11 +675,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    doc, code = _run(argv)
-    if "error" in doc:
-        print(_dumps(doc), file=sys.stderr)
-    elif doc:
-        print(_dumps(doc))
+    """Run argv, print its document and return its exit code. A reader that
+    closes stdout early (`| head`) cuts the output short, not the job: the
+    rest goes to devnull, as the `signal` docs advise for SIGPIPE, and the
+    job's code stands (0 for `paley --edges`, whose lines are its output)."""
+    code = EXIT_OK
+    try:
+        doc, code = _run(argv)
+        if "error" in doc:
+            print(_dumps(doc), file=sys.stderr)
+        elif doc:
+            print(_dumps(doc))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

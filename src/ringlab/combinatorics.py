@@ -498,8 +498,8 @@ def intersectivity_oracle(family: str, coeffs: Sequence, bound: int) -> Intersec
         p, base, exponent = None, bound, 1
         P = [int(c) for c in coeffs]
 
-        def levels():
-            return _IntegerLevels(P, _primes_upto(bound), bound)
+        def batches():
+            return [_IntegerLevels(P, _primes_upto(bound), bound)]
 
         def quotient(pi, j, N):
             return ZModRing(N, _guard_checked=True), [c % N for c in P]
@@ -516,13 +516,13 @@ def intersectivity_oracle(family: str, coeffs: Sequence, bound: int) -> Intersec
             raise ParseError(f"FPT family needs a prime, e.g. FPT(5); got {family!r}")
         p = int(m.group(1))
         base, exponent = p, bound
-        F = ZModRing(p)
         P = [_fpt_coeff(c, p) for c in coeffs]
 
-        def levels():
-            return _FptLevels(P, p, _irreducibles(p, bound), p**bound)
+        def batches():
+            return (_FptLevels(P, p, gs, p**bound) for gs in _irreducibles(p, bound))
 
         def quotient(g, j, N):
+            F = ZModRing(p, _guard_checked=True)
             gj = functools.reduce(lambda a, b: _pmul(a, b, F), [g] * j)
             Q = PolyQuotientRing(F, gj, _guard_checked=True)
             return Q, [join_index(_pdivmod(c, gj, F)[1], Q.additive_orders()) for c in P]
@@ -543,7 +543,7 @@ def intersectivity_oracle(family: str, coeffs: Sequence, bound: int) -> Intersec
     # refused without building the power.
     work = base ** (2 * exponent) if exponent <= work_guard().bit_length() else math.inf
     charge(work, f"the climb to B^2 = {base}^{2 * exponent}")
-    least, resolved, capped = _sweep(levels(), base**exponent)
+    least, resolved, capped = _sweep(batches(), base**exponent)
     witness = verified = None
     if least is not None:
         N, pi, j = least

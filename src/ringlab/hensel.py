@@ -4,14 +4,16 @@ A polynomial P has a root mod pi^j for every j once a root r mod pi^j has
 P(r) = 0 or j >= 2 v(P'(r)) + 1; other roots are extended one level at a
 time. The climb runs at every prime pi with N(pi) <= B up to
 N(pi^j) <= B^2 and is batched by level: the lifts r + pi^j t of every
-surviving root of every prime are evaluated as one array, in blocks of a
-fixed entry count, by Horner on integers mod pi^(j+1), or over F_p[t] on
-coefficient rows, then divided by each row's g^(j+1). Level 1 lifts the
-root 0 mod 1, so it evaluates P on all residues of all primes at once.
-The settle tests of a level's roots run on the same arrays, over F_p[t]
-by Horner on rows and division by g^ceil(j/2), over Z on Python ints.
-The primes of F_p[t] come from a sieve that strikes every product of a
-lower-degree irreducible with a monic cofactor.
+surviving root of every prime in one batch are evaluated as one array, in
+blocks of a fixed entry count, by Horner on integers mod pi^(j+1), or over
+F_p[t] on coefficient rows, then divided by each row's g^(j+1). Over Z one
+batch holds every prime; over F_p[t] one batch holds the irreducibles of
+one degree e, so every row of a level is (j + 1) e wide and unpadded.
+Level 1 lifts the root 0 mod 1, so it evaluates P on all residues of a
+batch at once. The settle tests of a level's roots run on the same
+arrays, over F_p[t] by Horner on rows and division by g^ceil(j/2), over Z
+on Python ints. The primes of F_p[t] come from a sieve that strikes every
+product of a lower-degree irreducible with a monic cofactor.
 """
 
 from __future__ import annotations
@@ -62,28 +64,16 @@ def _rows_horner(coeffs: list[np.ndarray], x: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-def _rows_divisible(a: np.ndarray, top: np.ndarray, degree: np.ndarray, p: int) -> np.ndarray:
+def _rows_divisible(a: np.ndarray, top: np.ndarray, p: int) -> np.ndarray:
     """Whether each row of a (m, L) is divisible over F_p by the monic
-    polynomial of degree degree[i] in row i of top (m, D + 1), stored with
-    its leading 1 in column D. Long division from the top coefficient down,
-    each row stopping at its own degree."""
+    polynomial in the same row of top (m, D + 1), its leading 1 in column
+    D. Long division from the top coefficient down to column D, on
+    transposed copies, so that each step reads and writes whole columns."""
     D = top.shape[1] - 1
-    out = np.zeros((len(a), D + a.shape[1]), dtype=top.dtype)
-    out[:, D:] = a
-    for i in range(a.shape[1] - 1, int(degree.min(initial=a.shape[1])) - 1, -1):
-        c = out[:, D + i] % p * (degree <= i)
-        out[:, i:D + i + 1] -= c[:, None] * top
-    return ~(out % p).any(axis=1)
-
-
-def _padded(parts: list[np.ndarray], width: int) -> np.ndarray:
-    """The rows of parts stacked, each padded with zeros to width."""
-    out = np.zeros((sum(map(len, parts)), width), dtype=parts[0].dtype)
-    row = 0
-    for b in parts:
-        out[row:row + len(b), :b.shape[1]] = b
-        row += len(b)
-    return out
+    a, low = a.T.copy(), top[:, :D].T.copy()
+    for i in range(len(a) - 1, D - 1, -1):
+        a[i - D:i] -= a[i] % p * low
+    return ~(a[:D] % p).any(axis=0)
 
 
 def _monic(rows: np.ndarray) -> np.ndarray:
@@ -166,16 +156,14 @@ class _IntegerLevels:
 
 
 class _FptLevels:
-    """The climb's arrays over F_p[t] at the monic irreducibles g of degree 1
-    to E, given per degree as rows of low coefficients. A residue mod g^j is
-    a row of coefficients, padded with zeros to the widest live prime, and
-    the residues of g are the rows of `_digit_grid(p, deg g)`. P(x) is
-    evaluated exactly, by Horner on rows, then divided by g^(j+1), each row
-    by its own modulus. Level 1's candidates depend on deg g alone, so P is
-    evaluated once on the residues of every degree."""
+    """The climb's arrays over F_p[t] at the monic irreducibles g of one
+    degree e, given as rows of low coefficients. A residue mod g^j is a row
+    of j e coefficients, and the residues of g are the rows of
+    `_digit_grid(p, e)`. P(x) is evaluated exactly, by Horner on rows, then
+    divided by g^(j+1), which is (j + 1) e + 1 wide in every row. Level 1's
+    candidates are the residues of g alone, so P is evaluated once on them."""
 
-    def __init__(self, P: list[tuple[int, ...]], p: int, gs: list[np.ndarray], B: int):
-        E = len(gs)
+    def __init__(self, P: list[tuple[int, ...]], p: int, gs: np.ndarray, B: int):
         # Entries stay below (D + 1) (p-1)^2 + p, where D = deg g^j is at
         # most 2 log_p B < 2 bit_length(B); the narrowest signed type holds them.
         dtype = np.min_scalar_type(-1 - (2 * B.bit_length() * (p - 1) ** 2 + p))
@@ -185,55 +173,36 @@ class _FptLevels:
         self.deriv = [np.array(_ptrim([i * x % p for x in c]), dtype=dtype) for i, c in enumerate(P)][1:]
         while self.deriv and not len(self.deriv[-1]):
             self.deriv.pop()
-        self.degree = np.repeat(np.arange(1, E + 1), [len(g) for g in gs])
-        self.norm = (p**self.degree).tolist()
-        grids = [_digit_grid(p, e) for e in range(1, E + 1)]
-        self.residues = _padded(grids, E).astype(dtype)
-        self.first_residue = np.cumsum([0] + [len(grid) for grid in grids])[self.degree - 1]
-        monic = np.zeros((len(self.degree), E + 1), dtype=dtype)
-        monic[:, :E] = _padded(gs, E)
-        monic[np.arange(len(monic)), self.degree] = 1
-        self.pi = [_ptrim(g) for g in monic.tolist()]
-        self.powers = [np.ones((len(monic), 1), dtype=dtype), monic]
+        monic = _monic(gs.astype(dtype))
+        self.pi = list(map(tuple, monic.tolist()))
+        self.norm = [p ** gs.shape[1]] * len(gs)
+        self.residues = _digit_grid(p, gs.shape[1]).astype(dtype)
+        self.powers = [np.ones((len(gs), 1), dtype=dtype), monic]
 
     def start(self) -> np.ndarray:
         return self.powers[0][:, :0]
 
-    def _top(self, k: int) -> np.ndarray:
-        """Each live g^k, shifted so that its leading 1 is in column k times
-        the widest live degree; the rows of wider primes are zero."""
+    def _power(self, k: int) -> np.ndarray:
+        """g^k of every prime, its leading 1 in column k e."""
         while len(self.powers) <= k:
             self.powers.append(_rows_mul(self.powers[-1], self.powers[1]) % self.p)
-        D = k * self.width
-        top = np.zeros((len(self.degree), D + 1), dtype=self.powers[1].dtype)
-        for e in range(1, self.width + 1):
-            rows = self.degree == e
-            top[rows, D - k * e:] = self.powers[k][rows, :k * e + 1]
-        return top
+        return self.powers[k]
 
     def level(self, j: int, live: np.ndarray) -> int:
-        # Columns past (j + 1) times the widest live degree are zero in
-        # every live row; rows of primes no longer live are not read.
-        self.width = int(self.degree[live].max())
-        self.top = self._top(j + 1)
-        self.step = self.powers[j][:, :j * self.width + 1]
-        D = (j + 1) * self.width
-        self.mod_degree = (j + 1) * self.degree
+        self.step, self.top = self._power(j), self._power(j + 1)
         self.first = _rows_horner(self.coeffs, self.residues, self.p) if j == 0 else None
-        values_width = (len(self.coeffs) - 1) * (D - 1) + max(map(len, self.coeffs))
-        return values_width + D
+        D = self.top.shape[1] - 1
+        return (len(self.coeffs) - 1) * (D - 1) + max(map(len, self.coeffs)) + D
 
     def lift(self, o: np.ndarray, r: np.ndarray, t: np.ndarray):
-        index = self.first_residue[o] + t
         if self.first is not None:
-            x, values = self.residues[index, :self.width], self.first[index]
+            x, values = self.residues[t], self.first[t]
         else:
-            x = _rows_mul(self.residues[index, :self.width], self.step[o])
-            w = min(r.shape[1], x.shape[1])
-            x[:, :w] += r[:, :w]
+            x = _rows_mul(self.residues[t], self.step[o])
+            x[:, :r.shape[1]] += r
             x %= self.p
             values = _rows_horner(self.coeffs, x, self.p)
-        return x, _rows_divisible(values, self.top[o], self.mod_degree[o], self.p)
+        return x, _rows_divisible(values, self.top[o], self.p)
 
     def settles(self, j: int, o: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Whether each root r mod g^j of primes o settles, on rows: P(r) = 0,
@@ -241,9 +210,8 @@ class _FptLevels:
         exact = ~_rows_horner(self.coeffs, r, self.p).any(axis=1)
         if not self.deriv:
             return exact
-        half = (j + 1) // 2
         values = _rows_horner(self.deriv, r, self.p)
-        return exact | ~_rows_divisible(values, self._top(half)[o], half * self.degree[o], self.p)
+        return exact | ~_rows_divisible(values, self._power((j + 1) // 2)[o], self.p)
 
 
 def _climb(levels, tops: list[int]) -> list[tuple[str, int]]:
@@ -302,18 +270,20 @@ def _climb(levels, tops: list[int]) -> list[tuple[str, int]]:
     return out
 
 
-def _sweep(levels, B: int):
-    """The climb at every prime of levels (all with N(pi) <= B) through
-    every level with N(pi^j) <= B^2. Returns the least witness
-    (N(pi^j), pi, j) or None, the number of resolved primes, and the capped
-    ones as (pi, j, N(pi^j))."""
+def _sweep(batches, B: int):
+    """The climb at every prime of each batch of levels (all with
+    N(pi) <= B) through every level with N(pi^j) <= B^2, one batch after
+    another. Returns the least witness (N(pi^j), pi, j) or None, the number
+    of resolved primes, and the capped ones as (pi, j, N(pi^j)) in batch
+    order."""
     witnesses, capped, resolved = [], [], 0
-    tops = [next(j for j in itertools.count(1) if norm ** (j + 1) > B * B) for norm in levels.norm]
-    for pi, norm, (outcome, j) in zip(levels.pi, levels.norm, _climb(levels, tops)):
-        if outcome == "witness":
-            witnesses.append((norm**j, pi, j))
-        elif outcome == "resolved":
-            resolved += 1
-        else:
-            capped.append((pi, j, norm**j))
+    for levels in batches:
+        tops = [next(j for j in itertools.count(1) if norm ** (j + 1) > B * B) for norm in levels.norm]
+        for pi, norm, (outcome, j) in zip(levels.pi, levels.norm, _climb(levels, tops)):
+            if outcome == "witness":
+                witnesses.append((norm**j, pi, j))
+            elif outcome == "resolved":
+                resolved += 1
+            else:
+                capped.append((pi, j, norm**j))
     return min(witnesses, default=None), resolved, capped

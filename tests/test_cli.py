@@ -452,6 +452,34 @@ def test_intersective_norm_cap_work_guard_exit_3(family, poly, bound):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "poly, status", [("0,0,1", "INTERSECTIVE_UP_TO_BOUND"), ("-2,0,1", "WITNESS_FOUND")]
+)
+def test_intersective_fpt_base_field_skips_the_order_guard(poly, status):
+    """Z/p is built only for the witness quotient, after the B^2 charge and
+    past the order guard, as the INTEGERS quotient is; FPT(101) used to
+    exit 3 with OrderTooLarge under an order guard of 100. 2 is no square
+    mod 101, so x^2 - 2 has its witness at g = t, of quotient order 101."""
+    proc = run_cli("intersective", "--family", "FPT(101)", f"--poly={poly}", "--bound", "1",
+                   env={"RINGLAB_ORDER_GUARD": "100"})
+    assert proc.returncode == 0, proc.stderr
+    r = json.loads(proc.stdout)["result"]
+    assert r["status"] == status
+    if r["witness"] is not None:
+        assert r["witness"] == {"g": [0, 1], "exponent": 1, "quotient_order": 101}
+        assert r["witness_verified"] is True
+
+
+def test_intersective_fpt_large_prime_is_refused_by_the_climb_charge():
+    """FPT(1000000007) at bound 1 charges B^2 = p^2 and is refused by the
+    work guard; it used to be refused by the order guard on Z/p."""
+    proc = run_cli("intersective", "--family", "FPT(1000000007)", "--poly=0,0,1", "--bound", "1")
+    assert proc.returncode == 3, proc.stderr
+    err = json.loads(proc.stderr)["error"]
+    assert err["type"] == "WorkGuardExceeded"
+    assert err["message"].startswith("the climb to B^2 = 1000000007^2 needs")
+
+
 @pytest.mark.parametrize("spec", ["GF(2305843009213693951)", "Z/2305843009213693951"])
 def test_trial_division_past_work_guard_exit_3(spec):
     """Factoring the Mersenne prime 2^61 - 1 under a raised order guard is
@@ -781,6 +809,23 @@ def test_paley_edges_plain_text():
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()
     assert lines == ["0 1", "0 4", "1 2", "2 3", "3 4"]
+
+
+def test_paley_edges_cut_off_by_its_reader_exits_0():
+    """A reader that closes stdout after one line (`| head -n 1`) ends the
+    edge list quietly: no traceback, exit 0. It used to end in a
+    BrokenPipeError traceback and exit 1."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ringlab.cli", "paley", "--ring", "Z/4096", "--d", "2", "--edges"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": _PYTHONPATH},
+    )
+    assert proc.stdout.readline() == "0 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert err == ""
 
 
 def test_paley_edges_with_sets_exit_2():

@@ -9,8 +9,9 @@ bitmask versions they replaced, kept here as oracles, and the greedy at
 orders past the bitmask oracle's reach against the translate greedy it
 replaced, kept in greedy_oracle.py. The intersectivity
 oracle runs one level-batched Hensel climb for Z and F_p[t]; it is checked
-against the two scalar climbs it replaced, kept in hensel_oracle.py, and its
-prime sieve against trial division.
+against the two scalar climbs it replaced, kept in hensel_oracle.py, its
+prime sieve against trial division, and its long division of coefficient
+rows against `_pdivmod`.
 """
 
 import numpy as np
@@ -39,9 +40,11 @@ from ringlab.combinatorics import (
     sarkozy_bound_check,
     verify_difference_free,
 )
-from ringlab.hensel import _IntegerLevels, _irreducibles, _sweep
+from ringlab.hensel import _IntegerLevels, _irreducibles, _rows_divisible, _sweep
 from ringlab.polynomials import RingPoly
-from ringlab.rings import PolyQuotientRing, ZModRing, _monic_polys, make_ring, poly_is_irreducible
+from ringlab.rings import (
+    PolyQuotientRing, ZModRing, _monic_polys, _pdivmod, _pmul, _ptrim, make_ring, poly_is_irreducible
+)
 
 
 def test_config_count_full_sets():
@@ -604,8 +607,8 @@ def test_intersective_integers_match_oracle(coeffs, bound):
 
 @st.composite
 def fpt_cases(draw):
-    p = draw(st.sampled_from([2, 3, 5]), label="p")
-    bound = draw(st.integers(1, {2: 4, 3: 3, 5: 2}[p]), label="bound")
+    p = draw(st.sampled_from([2, 3, 5, 7]), label="p")
+    bound = draw(st.integers(1, {2: 4, 3: 3, 5: 2, 7: 2}[p]), label="bound")
     coeffs = draw(st.lists(st.integers(-300, 300), min_size=2, max_size=4), label="coeffs")
     return p, coeffs, bound
 
@@ -615,6 +618,17 @@ def fpt_cases(draw):
 @example(case=(5, [0, 1, 1], 3))
 @example(case=(3, [1, 0, 1], 4))
 @example(case=(2, [0, 0, 1], 6))
+# The climb runs one degree class at a time. Capped primes in degrees 1
+# and 2, with resolved primes in degree 1 (over F_2) or in degree 3 alone:
+@example(case=(2, [168, 0, 0, 1], 2))
+@example(case=(3, [-729, 729, 1], 3))
+# The least witness in a class above resolved ones: of degree 3 over F_2,
+# of degree 2 over F_7, and of degree 2 where a degree-1 prime squared has
+# the same norm 9 (over F_3) or 25 (over F_5, primes capped in both classes).
+@example(case=(2, [-44, 33, -20, 174], 3))
+@example(case=(7, [-30, -234], 2))
+@example(case=(3, [-114, 98, -137], 3))
+@example(case=(5, [-421331, 0, 0, 1], 2))
 def test_intersective_fpt_match_oracle(case):
     p, coeffs, bound = case
     family = f"FPT({p})"
@@ -638,6 +652,7 @@ CLIMB_CASES = [
     ("FPT(3)", [1, 0, 1], 3),
     ("FPT(5)", [0, 1, 1], 2),
     ("FPT(5)", [2, 0, 1], 2),
+    ("FPT(7)", [-30, -234], 2),
 ]
 
 
@@ -658,6 +673,28 @@ def test_irreducible_sieve_matches_trial_division(p):
     assert sieved == trial
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    degree=st.integers(1, 6),
+    width=st.integers(0, 14),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rows_divisible_matches_long_division(p, degree, width, seed):
+    """Each row against its own monic modulus, every other row a multiple
+    of it, decided as by `_pdivmod` on tuples."""
+    rng = np.random.default_rng(seed)
+    F = ZModRing(p)
+    top = np.hstack([rng.integers(0, p, (12, degree)), np.ones((12, 1), dtype=np.int64)])
+    a = rng.integers(0, p, (12, width))
+    for i in range(0, 12, 2):
+        multiple = _pmul(tuple(rng.integers(0, p, max(width - degree, 0)).tolist()), tuple(top[i].tolist()), F)
+        a[i] = 0
+        a[i, :len(multiple)] = multiple
+    want = [not _pdivmod(_ptrim(row), tuple(g), F)[1] for row, g in zip(a.tolist(), top.tolist())]
+    assert _rows_divisible(a, top, p).tolist() == want
+
+
 def test_integer_climb_switches_to_object_integers():
     """At the prime q = 65537 the level-2 modulus q^2 squared overflows
     int64. P = (x - x0)(x - x0 - q) with x0 = q^2 - 1 has the double root
@@ -669,7 +706,7 @@ def test_integer_climb_switches_to_object_integers():
     P = [x0 * (x0 + q), -(2 * x0 + q), 1]
     levels = _IntegerLevels(P, [q], q)
     assert levels.dtype == object
-    assert _sweep(levels, q) == (None, 1, [])
+    assert _sweep([levels], q) == (None, 1, [])
     assert _integer_prime_analysis(P, P[1:2] + [2], q, q * q) == ("resolved", 2)
 
 
