@@ -28,19 +28,18 @@ its radices in `Ring.__init__`: XOR, residues mod M, bit lanes, or place
 by place. Every add, sub and neg, scalar or vector, calls it, and GF(p)
 adds residues as Z/p does.
 
-Each ring has one multiplication route. Z/N and GF(p) multiply
-residues mod their characteristic (`Ring._mul_residues`). GF(p^e) with
-e >= 2 reads log and antilog tables (`field_log_tables`), built at its
-first product and kept in the field's memo. GR and PQ are one
-class, `PolyQuotientRing`: base[t]/(g) over a base Z/p^n or GF(q), GR being
-its spelling over Z/p^n with g irreducible mod p. Over Z/M its
-`mul_vec` is the digit kernel: the integer convolution of the operands'
-coefficients, reduced mod M, with each coefficient of t^b, b >= m = deg g,
-added back through t^b mod g (`_reduction_matrix`, built by the ring's
-constructor). Over GF(p^e), e >= 2, it multiplies coefficient by
-coefficient through that field. Products multiply factor by factor. Scalar
-`mul` is `mul_vec` on 0-d arrays except on Z/N and GF(q), which multiply
-Python ints.
+Each ring has one multiplication route. Z/N multiplies residues mod N
+(`_mul_residues`). GF, GR and PQ are one class, `PolyQuotientRing`:
+base[t]/(g) over a base Z/p^n or GF(q), GF(p^e;h) and GR(p,n,r;f) being its
+spellings over Z/p^n with g irreducible mod p, so PQ(q=p;g=h), GR(p,1,e;f=h)
+and GF(p^e;h) are one ring. Its route follows from its structure, not its
+spelling, and is kept in its memo at its first product (`_product_rule`):
+over Z/M, residues mod M when m = deg g = 1, the log and antilog tables
+(`field_log_tables`) of a field, and the digit kernel (`_digit_product`),
+with its reduction rows, on every other quotient; over GF(q), q not prime,
+coefficient by coefficient through that field. Products multiply factor by
+factor. Scalar `mul` is `mul_vec` on 0-d arrays except on Z/N, fields over
+Z/p and quotients of degree 1 over Z/M, which multiply Python ints.
 
 `make_ring` keeps one ring per spec and guards, whose memo is the one
 cache: its arrays stay under `budget.CACHE_BYTES` by dropping whole rings.
@@ -59,6 +58,7 @@ Ring specs use a small textual grammar:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import operator
@@ -333,25 +333,6 @@ def canonical_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible of degree {e} over Z/{p}")
 
 
-def _defining_polynomial(
-    p: int, e: int, modulus: int, given: Sequence[int] | None, what: str
-) -> tuple[tuple[int, ...], bool]:
-    """(defining polynomial, whether it is the canonical one) of degree e
-    over Z/modulus, a power of the prime p: `canonical_irreducible(p, e)`
-    when none is given, else the given one mod modulus, which must have
-    degree e, be monic and be irreducible mod p. Errors begin with what."""
-    if given is not None:
-        f = tuple(c % modulus for c in given)
-        if len(f) != e + 1:
-            raise ParseError(f"{what} must have degree {e}")
-        if f[-1] != 1:
-            raise NotMonic(f"{what} must be monic")
-        if not poly_is_irreducible(tuple(c % p for c in f), ZModRing(p)):
-            raise NotIrreducible(f"{what} {list(f)} is reducible mod {p}")
-    canonical = tuple(c % modulus for c in canonical_irreducible(p, e))
-    return (canonical, True) if given is None else (f, f == canonical)
-
-
 def field_log_tables(p: int, e: int, h: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(log, antilog) of GF(p^e) = (Z/p)[u]/(h), e >= 2, for the product
     a*b = antilog[log[a] + log[b]] (Lidl & Niederreiter, *Finite Fields*,
@@ -557,24 +538,6 @@ class Ring:
     def mul_vec(self, a, b) -> np.ndarray:
         raise NotImplementedError
 
-    def _reduce(self, x: np.ndarray) -> np.ndarray:
-        """x mod the characteristic, for rings whose every radix is the
-        characteristic; a mask when it is a power of two, which two's
-        complement makes right for negative x too."""
-        M = self.characteristic
-        return x & (M - 1) if M & (M - 1) == 0 else x % M
-
-    def _mul_residues(self, a, b) -> np.ndarray:
-        """a * b mod the characteristic M, for Z/N and GF(p), whose one
-        radix is M: in int64 while (M - 1)^2 fits it, and in object
-        integers past that edge, which keep the product exact. An array
-        always, 0-d for 0-d operands, where numpy's operators give scalars."""
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        M = self.characteristic
-        if (M - 1) ** 2 >= 1 << 63:
-            return np.asarray(a.astype(object) * b.astype(object) % M, dtype=np.int64)
-        return np.asarray(self._reduce(a * b))
-
     def pow_vec(self, a, e: int) -> np.ndarray:
         """a^e elementwise, always as a new array."""
         a = np.asarray(a, dtype=np.int64)
@@ -635,7 +598,7 @@ def _power(mul, a, e: int):
 
 
 # ---------------------------------------------------------------------------
-# Z/N and GF(q) = (Z/p)[u]/(h)
+# Z/N
 # ---------------------------------------------------------------------------
 
 
@@ -660,7 +623,7 @@ class ZModRing(Ring):
         return (a * b) % self.n
 
     def mul_vec(self, a, b) -> np.ndarray:
-        return self._mul_residues(a, b)
+        return _mul_residues(self.n, a, b)
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         return [(p, e) for p, e in self._factorization]
@@ -669,61 +632,31 @@ class ZModRing(Ring):
         return f"Z/{self.n}"
 
 
-class FiniteFieldRing(Ring):
-    """GF(p^e) as Z/p[u] modulo a monic irreducible h of degree e. GF(p)
-    multiplies residues mod p; for e >= 2 products read the field's log
-    tables, kept in its memo at its first product."""
+def _reduce(x: np.ndarray, M: int) -> np.ndarray:
+    """x mod M; a mask when M is a power of two, which two's complement
+    makes right for negative x too."""
+    return x & (M - 1) if M & (M - 1) == 0 else x % M
 
-    def __init__(self, q: int, h: tuple[int, ...] | None = None):
-        _check_order(q)
-        p, e = prime_power(q)
-        self.defining, self._canonical = _defining_polynomial(
-            p, e, p, h, f"GF({q}): defining polynomial")
-        self.p = p
-        self.e = e
-        self.q = q
-        self.order = q
-        self.characteristic = p
-        self.one = 1
-        self._radices = (p,) * e
-        super().__init__()
 
-    def mul_vec(self, a, b) -> np.ndarray:
-        if self.e == 1:
-            return self._mul_residues(a, b)
-        log, antilog = self._log_tables()
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        return np.asarray(antilog[log[a] + log[b]], dtype=np.int64)
-
-    def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return a * b % self.p
-        log, antilog = self._log_tables()
-        return antilog.item(log.item(a) + log.item(b))
-
-    def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.memo("log_tables", lambda: field_log_tables(self.p, self.e, self.defining))
-
-    def prime_ideal_profile(self) -> list[tuple[int, int]]:
-        return [(self.q, 1)]
-
-    def spec_string(self) -> str:
-        if self._canonical:
-            return f"GF({self.q})"
-        return f"GF({self.q};h={','.join(str(c) for c in self.defining)})"
-
-    def element_str(self, x: int) -> str:
-        return poly_str(self.digits(x), "u", _digit_head)
+def _mul_residues(M: int, a, b) -> np.ndarray:
+    """a * b mod M: in int64 while (M - 1)^2 fits it, and in object
+    integers past that edge, which keep the product exact. An array
+    always, 0-d for 0-d operands, where numpy's operators give scalars."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    if (M - 1) ** 2 >= 1 << 63:
+        return np.asarray(a.astype(object) * b.astype(object) % M, dtype=np.int64)
+    return np.asarray(_reduce(a * b, M))
 
 
 # ---------------------------------------------------------------------------
-# base[t] / (g): a base Z/p^n or GF(q), g monic; GR is one spelling of it
+# base[t] / (g): a base Z/p^n or GF(q), g monic; GF and GR are spellings
 # ---------------------------------------------------------------------------
 
 
 class PolyQuotientRing(Ring):
     """base[t]/(g) for a base Z/p^n or GF(q) and a monic modulus g of
-    degree m, which need not be irreducible: PQ(q;g), and GR over Z/p^n.
+    degree m, which need not be irreducible: PQ(q;g), and GF and GR over
+    Z/p^n.
 
     Elements are polynomials in t of degree < m with coefficients in the
     base, encoded base q = |base|: coefficient j occupies digit-place q^j.
@@ -732,6 +665,8 @@ class PolyQuotientRing(Ring):
     (Z/4)[x]/(x^2), and the PQ spec would name GF(p^n)[t]/(g) instead.
     `_guard_checked` skips the order guard, as in ZModRing.
     """
+
+    _variable = "t"
 
     def __init__(self, base: Ring, g: tuple[int, ...], _guard_checked: bool = False):
         g = tuple(int(c) for c in g)
@@ -760,55 +695,60 @@ class PolyQuotientRing(Ring):
         self.characteristic = base.characteristic
         self.one = 1
         self._radices = base.additive_orders() * m
-        if self.q == self.characteristic:
-            self._L = _reduction_matrix(self.q, g)
         super().__init__()
 
+    def _spell(self, p: int, n: int, r: int, given: Sequence[int] | None, what: str) -> None:
+        """The constructor of the GF and GR spellings, whose callers guard
+        the order: (Z/p^n)[w]/(f) for f = `canonical_irreducible(p, r)` when
+        none is given, else the given f mod p^n, which must have degree r, be
+        monic and be irreducible mod p; errors begin with what. Its one
+        factor mod p, f mod p, is then known without trial division."""
+        if given is not None:
+            given = tuple(c % p**n for c in given)
+            if len(given) != r + 1:
+                raise ParseError(f"{what} must have degree {r}")
+            if given[-1] != 1:
+                raise NotMonic(f"{what} must be monic")
+            if not poly_is_irreducible(tuple(c % p for c in given), ZModRing(p)):
+                raise NotIrreducible(f"{what} {list(given)} is reducible mod {p}")
+        canonical = tuple(c % p**n for c in canonical_irreducible(p, r))
+        self.defining = canonical if given is None else given
+        self._canonical = self.defining == canonical
+        PolyQuotientRing.__init__(self, ZModRing(p**n, _guard_checked=True), self.defining,
+                                  _guard_checked=True)
+        self.memo("modulus_factors", lambda: ((tuple(c % p for c in self.defining), 1),))
+
+    def _product_rule(self):
+        """(mul, mul_vec), the ring's one product rule, picked from its
+        structure at its first product and kept in its memo: over Z/M,
+        residues mod M when m = 1, the log tables (`field_log_tables`) of a
+        field with m >= 2, and the digit kernel (`_digit_product`) on every
+        other quotient; over GF(q), q not prime, coefficient by coefficient
+        through that field (`_coefficient_product`). Neither refers back to
+        the ring."""
+        M, m, g = self.characteristic, self.m, self.g
+        if self.q != M:
+            vec = functools.partial(_coefficient_product, self.base, g)
+        elif m == 1:
+            return (lambda a, b: a * b % M), functools.partial(_mul_residues, M)
+        elif self.is_field:
+            log, antilog = self.memo("log_tables", lambda: field_log_tables(M, m, g))
+
+            def vec(a, b):
+                a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+                return np.asarray(antilog[log[a] + log[b]], dtype=np.int64)
+
+            return (lambda a, b: antilog.item(log.item(a) + log.item(b))), vec
+        else:
+            L = self.memo("reduction_rows", lambda: _reduction_matrix(M, g))
+            vec = functools.partial(_digit_product, M, L, self._places)
+        return (lambda a, b: int(vec(a, b))), vec
+
+    def mul(self, a: int, b: int) -> int:
+        return self.memo("product", self._product_rule)[0](a, b)
+
     def mul_vec(self, a, b) -> np.ndarray:
-        """Over Z/M, the digit kernel: the integer convolution of the two
-        operands' m coefficients, reduced mod M; each coefficient of t^b
-        with b >= m is then added in times row b - m of the reduction matrix
-        L, t^b mod g, and the sum reduced mod M. Over GF(p^e), e >= 2, the
-        schoolbook product of the m coefficients through the base field's
-        products and sums, reduced by g from the top coefficient down."""
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        m, q = self.m, self.q
-        if q == self.characteristic:
-            # Digit rows of at least one entry: an object row takes their
-            # entries as Python ints, where a 0-d array would be stored whole.
-            da, db = np.empty((2, m, a.size), dtype=self._L.dtype)
-            for rest, digits in ((a.reshape(-1), da), (b.reshape(-1), db)):
-                for i in range(m - 1):
-                    high = rest // q
-                    digits[i] = rest - high * q
-                    rest = high
-                digits[-1] = rest
-            conv = np.zeros((2 * m - 1, a.size), dtype=self._L.dtype)
-            term = np.empty_like(db)
-            for j in range(m):
-                conv[j:j + m] += np.multiply(da[j], db, out=term)
-            conv = self._reduce(conv)
-            out = conv[:m]
-            for high, row in zip(conv[m:], self._L):
-                out += row[:, None] * high
-            return (self._places @ self._reduce(out)).astype(np.int64).reshape(a.shape)
-        F = self.base
-        # One array per coefficient: the field's gathers read the strided
-        # columns of `digits_of` about twice as slowly.
-        ca, cb = [], []
-        for _ in range(m):
-            (a, ai), (b, bi) = np.divmod(a, q), np.divmod(b, q)
-            ca.append(ai)
-            cb.append(bi)
-        c = [None] * (2 * m - 1)
-        for i, j in itertools.product(range(m), repeat=2):
-            term = F.mul_vec(ca[i], cb[j])
-            c[i + j] = term if c[i + j] is None else F.add_vec(c[i + j], term)
-        for top in range(2 * m - 2, m - 1, -1):
-            for j, g in enumerate(self.g[:-1], start=top - m):
-                if g:
-                    c[j] = F.sub_vec(c[j], F.mul_vec(c[top], g))
-        return np.asarray(sum(cj * q**j for j, cj in enumerate(c[:m])), dtype=np.int64)
+        return self.memo("product", self._product_rule)[1](a, b)
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         return split_index(x, (self.q,) * self.m)
@@ -832,7 +772,7 @@ class PolyQuotientRing(Ring):
 
     def element_str(self, x: int) -> str:
         if self.q == self.characteristic:
-            return poly_str(self.coeffs(x), "t", _digit_head)
+            return poly_str(self.coeffs(x), self._variable, _digit_head)
 
         def part(c: int) -> str:
             return f"({self.base.element_str(c)})"
@@ -840,11 +780,62 @@ class PolyQuotientRing(Ring):
         return poly_str(self.coeffs(x), "t", part, const=part)
 
 
+def _digit_product(M: int, L: np.ndarray, places: np.ndarray, a, b) -> np.ndarray:
+    """The digit kernel of a quotient over Z/M with m = len(places) >= 2:
+    the integer convolution of the two operands' m coefficients, reduced
+    mod M; each coefficient of t^b with b >= m is then added in times row
+    b - m of the reduction matrix L, t^b mod g, and the sum reduced mod M."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    m = len(places)
+    # Digit rows of at least one entry: an object row takes their entries
+    # as Python ints, where a 0-d array would be stored whole.
+    da, db = np.empty((2, m, a.size), dtype=L.dtype)
+    for rest, digits in ((a.reshape(-1), da), (b.reshape(-1), db)):
+        for i in range(m - 1):
+            high = rest // M
+            digits[i] = rest - high * M
+            rest = high
+        digits[-1] = rest
+    conv = np.zeros((2 * m - 1, a.size), dtype=L.dtype)
+    term = np.empty_like(db)
+    for j in range(m):
+        conv[j:j + m] += np.multiply(da[j], db, out=term)
+    conv = _reduce(conv, M)
+    out = conv[:m]
+    for high, row in zip(conv[m:], L):
+        out += row[:, None] * high
+    return (places @ _reduce(out, M)).astype(np.int64).reshape(a.shape)
+
+
+def _coefficient_product(F: Ring, g: tuple[int, ...], a, b) -> np.ndarray:
+    """The product of F[t]/(g) for a field F = GF(q), q not prime: the
+    schoolbook product of the m = deg g coefficients through F's products
+    and sums, reduced by g from the top coefficient down."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    q, m = F.order, len(g) - 1
+    # One array per coefficient: the field's gathers read the strided
+    # columns of `digits_of` about twice as slowly.
+    ca, cb = [], []
+    for _ in range(m):
+        (a, ai), (b, bi) = np.divmod(a, q), np.divmod(b, q)
+        ca.append(ai)
+        cb.append(bi)
+    c = [None] * (2 * m - 1)
+    for i, j in itertools.product(range(m), repeat=2):
+        term = F.mul_vec(ca[i], cb[j])
+        c[i + j] = term if c[i + j] is None else F.add_vec(c[i + j], term)
+    for top in range(2 * m - 2, m - 1, -1):
+        for j, gj in enumerate(g[:-1], start=top - m):
+            if gj:
+                c[j] = F.sub_vec(c[j], F.mul_vec(c[top], gj))
+    return np.asarray(sum(cj * q**j for j, cj in enumerate(c[:m])), dtype=np.int64)
+
+
 def _reduction_matrix(M: int, modulus: tuple[int, ...]) -> np.ndarray:
     """Row b - m holds t^b mod the monic modulus of degree m over Z/M, for
-    m <= b < 2m - 1, read-only, in the narrowest signed dtype that keeps
-    the digit kernel's sums exact. The quotient ring's constructor builds
-    it."""
+    m <= b < 2m - 1, in the narrowest signed dtype that keeps the digit
+    kernel's sums exact. The quotient ring keeps it in its memo, built at
+    its first digit product."""
     m = len(modulus) - 1
     rows, row = [], [int(j == m - 1) for j in range(m)]
     for _ in range(m - 1):
@@ -854,9 +845,24 @@ def _reduction_matrix(M: int, modulus: tuple[int, ...]) -> np.ndarray:
     # Every sum the kernel forms has at most 2m - 1 terms, each a product of
     # two digits below M (object past int64: exact, slow).
     dtype = np.min_scalar_type(-1 - (2 * m - 1) * (M - 1) ** 2)
-    L = np.array(rows, dtype=dtype).reshape(m - 1, m)
-    L.flags.writeable = False
-    return L
+    return np.array(rows, dtype=dtype).reshape(m - 1, m)
+
+
+class FiniteFieldRing(PolyQuotientRing):
+    """GF(p^e) = (Z/p)[u]/(h), h monic and irreducible of degree e: the
+    quotient ring over Z/p, spelled with its order guard, defining
+    polynomial, spec and variable u."""
+
+    _variable = "u"
+
+    def __init__(self, q: int, h: tuple[int, ...] | None = None):
+        _check_order(q)
+        p, e = prime_power(q)
+        self._spell(p, 1, e, h, f"GF({q}): defining polynomial")
+
+    def spec_string(self) -> str:
+        h = "" if self._canonical else f";h={','.join(str(c) for c in self.defining)}"
+        return f"GF({self.order}{h})"
 
 
 class GaloisRingRing(PolyQuotientRing):
@@ -865,6 +871,8 @@ class GaloisRingRing(PolyQuotientRing):
     the quotient ring over Z/p^n, spelled with its own guards, defining
     polynomial, spec and variable w. Order p^(n r), characteristic p^n,
     residue field GF(p^r)."""
+
+    _variable = "w"
 
     def __init__(self, p: int, n: int, r: int, f: tuple[int, ...] | None = None):
         if n < 1 or r < 1:
@@ -876,18 +884,12 @@ class GaloisRingRing(PolyQuotientRing):
         if not is_prime(p):
             raise ParseError(f"GR({p},{n},{r}): {p} is not prime")
         _check_order(p ** (n * r))
-        self.defining, self._canonical = _defining_polynomial(p, r, p**n, f, f"GR({p},{n},{r}): f")
-        super().__init__(ZModRing(p**n, _guard_checked=True), self.defining, _guard_checked=True)
-        # f mod p is irreducible, canonical or checked: no trial division.
-        self.memo("modulus_factors", lambda: ((tuple(c % p for c in self.defining), 1),))
+        self._spell(p, n, r, f, f"GR({p},{n},{r}): f")
 
     def spec_string(self) -> str:
         (p, n), = self.base.prime_ideal_profile()
         f = "" if self._canonical else f";f={','.join(str(c) for c in self.defining)}"
         return f"GR({p},{n},{self.m}{f})"
-
-    def element_str(self, x: int) -> str:
-        return poly_str(self.digits(x), "w", _digit_head)
 
 
 # ---------------------------------------------------------------------------
@@ -1054,13 +1056,10 @@ def _build_ring(spec: str) -> Ring:
     if m:
         return ZModRing(_spec_size(m.group(1)))
 
-    m = re.fullmatch(r"GF\((\d+)\)", spec)
+    m = re.fullmatch(r"GF\((\d+)(?:;h=([^)]+))?\)", spec)
     if m:
-        return FiniteFieldRing(_spec_size(m.group(1)))
-
-    m = re.fullmatch(r"GF\((\d+);h=([^)]+)\)", spec)
-    if m:
-        return FiniteFieldRing(_spec_size(m.group(1)), h=_parse_int_list(m.group(2), "GF h"))
+        q = _spec_size(m.group(1))
+        return FiniteFieldRing(q, h=m.group(2) and _parse_int_list(m.group(2), "GF h"))
 
     m = re.fullmatch(r"PQ\(q=(\d+);g=([^)]+)\)", spec)
     if m:
@@ -1068,15 +1067,10 @@ def _build_ring(spec: str) -> Ring:
         g = _parse_int_list(m.group(2), "PQ g")
         return PolyQuotientRing(make_ring(f"GF({q})"), g)
 
-    m = re.fullmatch(r"GR\((\d+),(\d+),(\d+)\)", spec)
+    m = re.fullmatch(r"GR\((\d+),(\d+),(\d+)(?:;f=([^)]+))?\)", spec)
     if m:
-        return GaloisRingRing(*(_spec_size(d) for d in m.group(1, 2, 3)))
-
-    m = re.fullmatch(r"GR\((\d+),(\d+),(\d+);f=([^)]+)\)", spec)
-    if m:
-        return GaloisRingRing(
-            *(_spec_size(d) for d in m.group(1, 2, 3)), f=_parse_int_list(m.group(4), "GR f")
-        )
+        sizes = [_spec_size(d) for d in m.group(1, 2, 3)]
+        return GaloisRingRing(*sizes, f=m.group(4) and _parse_int_list(m.group(4), "GR f"))
 
     if spec.startswith("prod(") and spec.endswith(")"):
         body = spec[len("prod(") : -1]

@@ -137,18 +137,23 @@ def test_memoised_eigenvalues_own_their_data():
 
 @pytest.mark.parametrize("spec", ("GR(2,2,2)", "GR(3,2,2;f=2,2,1)", "PQ(q=2;g=0,0,1)", "PQ(q=4;g=1,0,1)"))
 def test_reduction_data_is_shared_by_rings_of_one_spec(spec):
-    """GR and PQ over GF(p) keep one read-only reduction matrix, built by
-    their constructor; PQ over GF(p^e) builds none and reads the log tables
-    in the memo of its base field, the interned GF(q)."""
+    """GR and PQ over GF(p) that are not fields keep one read-only
+    reduction matrix in their memo, counted in `memo_bytes` and built at
+    their first product; PQ over GF(p^e) builds none and reads the log
+    tables in the memo of its base field, the interned GF(q)."""
     ring = make_ring(spec)
-    assert make_ring(spec) is ring
+    assert make_ring(spec) is ring and ring.memo_bytes == 0
+    assert int(ring.mul_vec(2, 3)) == ring.mul(2, 3)
     if spec == "PQ(q=4;g=1,0,1)":
-        assert not hasattr(ring, "_L") and ring.base is make_ring("GF(4)")
-        assert int(ring.mul_vec(2, 3)) == ring.mul(2, 3)
-        tables = ring.base._log_tables()
-        assert ring.base._log_tables() is tables and not tables[0].flags.writeable
+        assert "reduction_rows" not in ring._memo and ring.base is make_ring("GF(4)")
+        tables = ring.base._memo["log_tables"]
+        assert ring.base.mul(2, 3) == int(ring.mul_vec(2, 3))
+        assert ring.base._memo["log_tables"] is tables and not tables[0].flags.writeable
     else:
-        assert not ring._L.flags.writeable
+        rows = ring._memo["reduction_rows"]
+        assert not rows.flags.writeable and ring.memo_bytes == rows.nbytes
+        ring.mul_vec(np.arange(ring.order), 3)
+        assert make_ring(spec)._memo["reduction_rows"] is rows
 
 
 @pytest.mark.parametrize("spec", SPECS)

@@ -18,6 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from additive_oracle import digit_route, scalar_route
+from test_acceptance import run_cli
 
 from ringlab.budget import blocks
 from ringlab.characters import character_group
@@ -29,9 +30,11 @@ from ringlab.rings import (
     ProductRing,
     Ring,
     ZModRing,
+    _digit_product,
     _monic_polys,
     _power,
     _primitive_step,
+    _reduction_matrix,
     canonical_irreducible,
     digits_of,
     field_log_tables,
@@ -150,8 +153,8 @@ def _poly_oracle_tables(p, n, defining, inner=None):
 def _tower_oracle(ring):
     """(encode, mul): an element index as coefficient tuples (nested for PQ
     over GF(p^e), one per factor for a product), and the oracle product of
-    two encoded elements. GR is a PolyQuotientRing over Z/p^n, whose
-    coefficients the oracle multiplies mod p^n."""
+    two encoded elements. GF and GR are PolyQuotientRings over Z/p^n,
+    whose coefficients the oracle multiplies mod p^n."""
     if isinstance(ring, ProductRing):
         parts = [_tower_oracle(f) for f in ring.factors]
         return (
@@ -160,15 +163,12 @@ def _tower_oracle(ring):
         )
     if isinstance(ring, ZModRing):
         return (lambda x: x), (lambda a, b: a * b % ring.n)
-    if isinstance(ring, PolyQuotientRing):
-        base, p = ring.base, ring.characteristic
-        if base.order == p:
-            return ring.digits, _poly_oracle_tables(p, 1, ring.g)[1]
-        g = tuple(base.digits(c) for c in ring.g)
-        _, mul = _poly_oracle_tables(p, 1, g, inner=base.defining)
-        return (lambda x: tuple(base.digits(c) for c in ring.coeffs(x))), mul
-    _, mul = _poly_oracle_tables(ring.p, 1, ring.defining)
-    return ring.digits, mul
+    base, p = ring.base, ring.characteristic
+    if base.order == p:
+        return ring.digits, _poly_oracle_tables(p, 1, ring.g)[1]
+    g = tuple(base.digits(c) for c in ring.g)
+    _, mul = _poly_oracle_tables(p, 1, g, inner=base.defining)
+    return (lambda x: tuple(base.digits(c) for c in ring.coeffs(x))), mul
 
 
 def test_galois_ring_tables_match_oracle():
@@ -377,7 +377,7 @@ def test_additive_kernels_match_digit_route(spec, seed):
         ):
             assert np.shape(got) == np.shape(want)
             np.testing.assert_array_equal(got, want)
-    if isinstance(ring, FiniteFieldRing) and ring.e == 1:
+    if isinstance(ring, FiniteFieldRing) and ring.m == 1:
         zp = make_ring(f"Z/{n}")
         xs = np.arange(n) if n <= 64 else rng.integers(0, n, 64)
         for name in ("add_vec", "sub_vec"):
@@ -581,7 +581,7 @@ def _extension_fields(ring):
     parts += [make_ring(f"GF({q})") for q, _ in ring.prime_ideal_profile() if not is_prime(q)]
     found = {}
     for part in parts:
-        if isinstance(part, FiniteFieldRing) and part.e >= 2:
+        if isinstance(part, FiniteFieldRing) and part.m >= 2:
             found[part.spec_string()] = part
     return list(found.values())
 
@@ -594,21 +594,29 @@ def _extension_fields(ring):
 @example(spec="PQ(q=16;g=3,1,1)", seed=4)
 @example(spec="prod(GF(4);GF(27;h=1,2,0,1))", seed=5)
 def test_log_tables_match_digit_kernel(spec, seed):
-    """Products of GF(p^e), e >= 2, through the log tables equal the digit
-    kernel of PQ(q=p;g=h), which encodes elements as GF(p^e;h) does: on
-    every pair of a field of order <= 64 and on drawn operands of the larger
-    ones: flat arrays with zeros, broadcast grids, 0-d arrays, plain ints
-    and empty arrays, and scalar `mul`."""
+    """Products of GF(p^e;h), e >= 2, and of its spellings PQ(q=p;g=h) and
+    GR(p,1,e;f=h), all of which read the log tables, equal the digit
+    kernel called directly on Z/p and h, the oracle that shares no table
+    with them: on every pair of a field of order <= 64 and on drawn
+    operands of the larger ones: flat arrays with zeros, broadcast grids,
+    0-d arrays, plain ints and empty arrays, and scalar `mul`."""
     fields = _extension_fields(make_ring(spec))
     assume(fields)
     rng = np.random.default_rng(seed)
     for field in fields:
-        q = field.order
-        kernel = PolyQuotientRing(ZModRing(field.p), field.defining)
-        assert kernel.order == q and kernel.one == field.one
-        assert kernel.additive_orders() == field.additive_orders()
+        q, p, e, h = field.order, field.characteristic, field.m, field.defining
+        text = ",".join(map(str, h))
+        L = _reduction_matrix(p, h)
+
+        def kernel(a, b):
+            return _digit_product(p, L, field._places, a, b)
+
+        spellings = (field, make_ring(f"PQ(q={p};g={text})"), make_ring(f"GR({p},1,{e};f={text})"))
         xs = np.arange(min(q, 4096), dtype=np.int64)
-        np.testing.assert_array_equal(kernel.add_vec(xs, xs[::-1]), field.add_vec(xs, xs[::-1]))
+        for ring in spellings:
+            assert ring.order == q and ring.one == field.one and ring.is_field
+            assert ring.additive_orders() == field.additive_orders()
+            np.testing.assert_array_equal(ring.add_vec(xs, xs[::-1]), field.add_vec(xs, xs[::-1]))
 
         def draw(shape):
             out = rng.integers(0, q, shape, dtype=np.int64)
@@ -627,35 +635,92 @@ def test_log_tables_match_digit_kernel(spec, seed):
         ]
         if q <= 64:
             pairs.append((xs[:, None], xs[None, :]))
-        for a, b in pairs:
-            got = field.mul_vec(a, b)
-            want = kernel.mul_vec(a, b)
-            assert got.dtype == np.int64 and got.shape == want.shape == np.broadcast(a, b).shape
-            np.testing.assert_array_equal(got, want, err_msg=spec)
-        for x, y in zip(draw(20).tolist() + [0, 0, q - 1], draw(20).tolist() + [0, q - 1, 0]):
-            z = field.mul(x, y)
-            assert type(z) is int and z == int(kernel.mul_vec(x, y)), (spec, x, y)
+        scalars = list(zip(draw(20).tolist() + [0, 0, q - 1], draw(20).tolist() + [0, q - 1, 0]))
+        for ring in spellings:
+            for a, b in pairs:
+                got = ring.mul_vec(a, b)
+                want = kernel(a, b)
+                assert got.dtype == np.int64 and got.shape == want.shape == np.broadcast(a, b).shape
+                np.testing.assert_array_equal(got, want, err_msg=ring.spec_string())
+            for x, y in scalars:
+                z = ring.mul(x, y)
+                assert type(z) is int and z == int(kernel(x, y)), (ring.spec_string(), x, y)
 
 
 def test_fields_build_no_digit_kernel(monkeypatch):
-    """GF(q), products of fields and PQ over GF(p^e), e >= 2, neither build
-    nor read the digit kernel's reduction matrix: with `_reduction_matrix`
-    made to raise they still build and multiply, while GR and PQ over
-    GF(p), which use it, reach the patch."""
+    """The digit kernel's reduction rows are built at the first digit
+    product, and no field or quotient of degree 1 builds them: with
+    `_reduction_matrix` made to raise, GF(q), its PQ and GR spellings,
+    products of fields, PQ over GF(p^e), e >= 2, and the m = 1 quotients
+    PQ(q=7;g=3,1) and GR(3,2,1) still build and multiply, while GR(2,2,2)
+    and PQ(q=2;g=0,0,1), which are not fields, build and then reach the
+    patch at their first product."""
     def refuse(M, modulus):
         raise RuntimeError("digit kernel built")
 
     monkeypatch.setattr("ringlab.rings._reduction_matrix", refuse)
     for spec in ("GF(4)", "GF(7)", "GF(9;h=2,2,1)", "GF(1048576)", "prod(GF(4);GF(9))",
-                 "PQ(q=4;g=0,0,1)", "PQ(q=9;g=1,2,3,1)", "PQ(q=16;g=3,1)"):
+                 "PQ(q=4;g=0,0,1)", "PQ(q=9;g=1,2,3,1)", "PQ(q=16;g=3,1)", "PQ(q=2;g=1,1,1)",
+                 "PQ(q=3;g=1,2,0,1)", "GR(2,1,2)", "GR(3,1,3;f=1,2,0,1)", "PQ(q=7;g=3,1)",
+                 "GR(3,2,1)"):
         ring = make_ring(spec)
         a = np.arange(min(ring.order, 64), dtype=np.int64)
         products = ring.mul_vec(a, a[::-1])
         assert products.dtype == np.int64
         assert [ring.mul(x, y) for x, y in zip(a.tolist(), a[::-1].tolist())] == products.tolist()
-    for spec in ("GR(2,2,2)", "PQ(q=2;g=0,0,1)", "PQ(q=7;g=3,1)"):
+    for spec in ("GR(2,2,2)", "PQ(q=2;g=0,0,1)"):
+        ring = make_ring(spec)
         with pytest.raises(RuntimeError, match="digit kernel built"):
-            make_ring(spec)
+            ring.mul(1, 1)
+
+
+@st.composite
+def field_spellings(draw):
+    """The GF, PQ and GR spellings of one field (Z/p)[u]/(h), p <= 7 and
+    order <= 4096: h is the first monic irreducible of its degree at or
+    after a drawn monic polynomial, in the order of `_monic_polys`."""
+    p = draw(st.sampled_from([2, 3, 5, 7]), label="p")
+    e = draw(st.integers(1, max(e for e in range(1, 13) if p**e <= 4096)), label="e")
+    F = ZModRing(p)
+    monic = list(_monic_polys(F, e))
+    start = draw(st.integers(0, len(monic) - 1), label="start")
+    h = next(g for g in monic[start:] + monic[:start] if poly_is_irreducible(g, F))
+    text = ",".join(map(str, h))
+    return f"GF({p**e};h={text})", f"PQ(q={p};g={text})", f"GR({p},1,{e};f={text})"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(specs=field_spellings(), low=st.lists(st.integers(0, 12), min_size=1, max_size=3),
+       lead=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(specs=("GF(4;h=1,1,1)", "PQ(q=2;g=1,1,1)", "GR(2,1,2;f=1,1,1)"), low=[0, 0, 0], lead=1, seed=0)
+@example(specs=("GF(7;h=3,1)", "PQ(q=7;g=3,1)", "GR(7,1,1;f=3,1)"), low=[5, 0], lead=3, seed=1)
+@example(specs=("GF(4096;h=1,0,0,0,0,0,0,0,0,1,0,0,1)", "PQ(q=2;g=1,0,0,0,0,0,0,0,0,1,0,0,1)",
+                "GR(2,1,12;f=1,0,0,0,0,0,0,0,0,1,0,0,1)"), low=[0, 1, 1], lead=1, seed=2)
+def test_isomorphic_spellings_agree(specs, low, lead, seed):
+    """GF(p^e;h), PQ(q=p;g=h) and GR(p,1,e;f=h) are one ring under three
+    spellings, and each multiplies by the route of its structure: equal
+    `mul_vec` and scalar `mul` on every pair up to order 64 and on drawn
+    operands past it, equal `ring info` apart from `spec`, and equal
+    `expsum`, `poly ddeg` and `subgroup` results apart from `ring_spec` for
+    a drawn P = low + lead x^len(low), lead a unit."""
+    rings = [make_ring(spec) for spec in specs]
+    q, p = rings[0].order, rings[0].characteristic
+    assume(lead % p)
+    if q <= 64:
+        a, b = np.meshgrid(np.arange(q), np.arange(q))
+    else:
+        a, b = np.random.default_rng(seed).integers(0, q, (2, 300))
+    for ring in rings:
+        np.testing.assert_array_equal(ring.mul_vec(a, b), rings[0].mul_vec(a, b), err_msg=ring.spec_string())
+        for x, y in zip(a.ravel().tolist(), b.ravel().tolist()):
+            assert ring.mul(x, y) == rings[0].mul(x, y), (ring.spec_string(), x, y)
+    poly = "--poly=" + ",".join(map(str, low + [lead]))
+    for args, drop in ((["ring", "info"], "spec"), (["expsum", poly, "--ring"], "ring_spec"),
+                       (["poly", "ddeg", poly, "--ring"], "ring_spec"),
+                       (["subgroup", poly, "--ring"], "ring_spec")):
+        reports = [run_cli(args + [spec]) for spec in specs]
+        results = [(code, {k: v for k, v in doc["result"].items() if k != drop}) for code, doc in reports]
+        assert results[0][0] == 0 and results[0] == results[1] == results[2], (args, specs)
 
 
 def test_pq_builds_its_field_tables_at_its_first_product(monkeypatch):
@@ -686,13 +751,17 @@ def test_log_tables_are_shared_per_field_and_read_only():
     sum of two logs."""
     r1, r2 = make_ring("GF(16)"), make_ring("prod(Z/3;GF(16))").factors[1]
     assert r1 is r2 and r1.defining == (1, 0, 0, 1, 1) and r1.memo_bytes == 0
+    assert "log_tables" not in r1._memo
     assert int(r1.mul_vec(3, 5)) == r2.mul(3, 5)
-    log, antilog = r1._log_tables()
+    log, antilog = r1._memo["log_tables"]
     assert r1.memo_bytes == log.nbytes + antilog.nbytes
-    again = r1._log_tables()
+    assert r1.mul(7, 9) == int(r1.mul_vec(7, 9))
+    again = r1._memo["log_tables"]
     assert again[0] is log and again[1] is antilog
     np.testing.assert_array_equal(field_log_tables(2, 4, r1.defining)[1], antilog)
-    other = make_ring("GF(16;h=1,1,0,0,1)")._log_tables()
+    r3 = make_ring("GF(16;h=1,1,0,0,1)")
+    r3.mul(2, 3)
+    other = r3._memo["log_tables"]
     assert other[0] is not log and other[1] is not antilog
     assert not (np.array_equal(other[0], log) and np.array_equal(other[1], antilog))
     for table in (log, antilog, *other):
