@@ -312,7 +312,9 @@ def _cmd_paley(args) -> dict:
     if args.edges:
         sys.stdout.writelines(paley.edge_lines(graph))
         return {}
-    result: dict = {"graph": graph.spec_dict(), "spectrum": _fields(paley.spectrum(graph))}
+    fields = _fields(graph)
+    result: dict = {"graph": {"ring_spec": fields.pop("ring").spec_string(), **fields},
+                    "spectrum": _fields(paley.spectrum(graph))}
     if graph.char_divides_degree:
         result["verdict"] = None
         result["warning"] = (

@@ -184,9 +184,7 @@ def character_bound_check(
         satisfied = True
         margin = float(power)
 
-    nontrivial = np.ones(n, dtype=bool)
-    nontrivial[0] = False
-    max_nontrivial = float(moduli[nontrivial].max()) if n > 1 else 0.0
+    max_nontrivial = float(moduli[1:].max())
     ann_err = float(np.abs(S[ann] - 1.0).max()) if ann.any() else 0.0
 
     return CharacterBoundReport(

@@ -28,18 +28,19 @@ its radices in `Ring.__init__`: XOR, residues mod M, bit lanes, or place
 by place. Every add, sub and neg, scalar or vector, calls it, and GF(p)
 adds residues as Z/p does.
 
-Each ring has one multiplication route. Z/N multiplies residues mod N
-(`_mul_residues`). GF, GR and PQ are one class, `PolyQuotientRing`:
-base[t]/(g) over a base Z/p^n or GF(q), GF(p^e;h) and GR(p,n,r;f) being its
-spellings over Z/p^n with g irreducible mod p, so PQ(q=p;g=h), GR(p,1,e;f=h)
-and GF(p^e;h) are one ring. Its route follows from its structure, not its
-spelling, and is kept in its memo at its first product (`_product_rule`):
-over Z/M, residues mod M when m = deg g = 1, the log and antilog tables
-(`field_log_tables`) of a field, and the digit kernel (`_digit_product`),
-with its reduction rows, on every other quotient; over GF(q), q not prime,
-coefficient by coefficient through that field. Products multiply factor by
-factor. Scalar `mul` is `mul_vec` on 0-d arrays except on Z/N, fields over
-Z/p and quotients of degree 1 over Z/M, which multiply Python ints.
+Each ring has one product kernel, `_mul`, one expression for Python ints
+and int64 arrays as the additive kernel is, and scalar `mul` and `mul_vec`
+both call it. Z/N picks it from N when it is built (`_residue_product`),
+and binds it as its scalar `mul` too. GF, GR and PQ are one class,
+`PolyQuotientRing`: base[t]/(g) over a base Z/p^n or GF(q), GF(p^e;h) and
+GR(p,n,r;f) being its spellings over Z/p^n with g irreducible mod p, so
+PQ(q=p;g=h), GR(p,1,e;f=h) and GF(p^e;h) are one ring. Its kernel follows
+from its structure, not its spelling, and is picked at its first product
+(`_product_rule`): over Z/M, residues mod M when m = deg g = 1, the log and
+antilog tables (`field_log_tables`) of a field, and the digit kernel
+(`_digit_product`), with its reduction rows, on every other quotient; over
+GF(q), q not prime, coefficient by coefficient through that field.
+Products multiply factor by factor.
 
 `make_ring` keeps one ring per spec and guards, whose memo is the one
 cache: its arrays stay under `budget.CACHE_BYTES` by dropping whole rings.
@@ -409,13 +410,15 @@ def _primitive_step(p: int, e: int, h: tuple[int, ...]) -> np.ndarray:
 class Ring:
     """Common element-index arithmetic over a fixed additive coordinate system.
 
-    Subclasses must set `order`, `characteristic`, `_radices` and implement
-    `mul_vec`, `prime_ideal_profile` and `spec_string`; no ring builds its
-    residue fields, which the profile gives by their sizes alone.
+    Subclasses must set `order`, `characteristic`, `_radices` and `_mul`,
+    and implement `prime_ideal_profile` and `spec_string`; no ring builds
+    its residue fields, which the profile gives by their sizes alone.
     Addition is generic: `__init__` picks one kernel from the radices
     (`_additive_kernels`), and every add, sub and neg, scalar or vector,
-    calls it; a subclass defines no additive method. Scalar `mul` is
-    `mul_vec` on 0-d arrays unless a subclass overrides it.
+    calls it; a subclass defines no additive method. Products are too:
+    `_mul` is the ring's one product kernel, on Python ints and int64
+    arrays alike, holding no reference to the ring, and scalar `mul` and
+    `mul_vec` both call it; a subclass defines neither.
     """
 
     order: int
@@ -470,7 +473,7 @@ class Ring:
         return self._sub(a, b)
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.mul_vec(a, b))
+        return int(self._mul(a, b))
 
     def from_int(self, n: int) -> int:
         ds = self.digits(self.one)
@@ -536,7 +539,10 @@ class Ring:
         return self._sub(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
 
     def mul_vec(self, a, b) -> np.ndarray:
-        raise NotImplementedError
+        """a * b elementwise, broadcasting, by the ring's one kernel: an
+        int64 array, 0-d for 0-d operands, where numpy gives scalars."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        return np.asarray(self._mul(a, b), dtype=np.int64)
 
     def pow_vec(self, a, e: int) -> np.ndarray:
         """a^e elementwise, always as a new array."""
@@ -617,13 +623,9 @@ class ZModRing(Ring):
         self.one = 1
         self._radices = (n,)
         self._factorization = factorize(n)
+        # The kernel gives Python ints on Python ints: it is scalar `mul`.
+        self._mul = self.mul = _residue_product(n)
         super().__init__()
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.n
-
-    def mul_vec(self, a, b) -> np.ndarray:
-        return _mul_residues(self.n, a, b)
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         return [(p, e) for p, e in self._factorization]
@@ -638,14 +640,17 @@ def _reduce(x: np.ndarray, M: int) -> np.ndarray:
     return x & (M - 1) if M & (M - 1) == 0 else x % M
 
 
-def _mul_residues(M: int, a, b) -> np.ndarray:
-    """a * b mod M: in int64 while (M - 1)^2 fits it, and in object
-    integers past that edge, which keep the product exact. An array
-    always, 0-d for 0-d operands, where numpy's operators give scalars."""
-    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+def _residue_product(M: int):
+    """a * b mod M, one expression for Python ints and int64 arrays that
+    holds no ring and gives Python ints on Python ints: by a mask when M is
+    a power of two, by % M otherwise, and in object integers, which keep
+    the product exact, once (M - 1)^2 no longer fits in int64."""
     if (M - 1) ** 2 >= 1 << 63:
-        return np.asarray(a.astype(object) * b.astype(object) % M, dtype=np.int64)
-    return np.asarray(_reduce(a * b, M))
+        return lambda a, b: np.asarray(a, dtype=object) * b % M
+    mask = M - 1
+    if M & mask == 0:
+        return lambda a, b: a * b & mask
+    return lambda a, b: a * b % M
 
 
 # ---------------------------------------------------------------------------
@@ -718,37 +723,30 @@ class PolyQuotientRing(Ring):
                                   _guard_checked=True)
         self.memo("modulus_factors", lambda: ((tuple(c % p for c in self.defining), 1),))
 
+    def _mul(self, a, b):
+        """The first product: the kernel that `_product_rule` picks takes
+        this method's place on the ring, and every later product calls it
+        directly."""
+        self._mul = self._product_rule()
+        return self._mul(a, b)
+
     def _product_rule(self):
-        """(mul, mul_vec), the ring's one product rule, picked from its
-        structure at its first product and kept in its memo: over Z/M,
-        residues mod M when m = 1, the log tables (`field_log_tables`) of a
-        field with m >= 2, and the digit kernel (`_digit_product`) on every
-        other quotient; over GF(q), q not prime, coefficient by coefficient
-        through that field (`_coefficient_product`). Neither refers back to
-        the ring."""
+        """The ring's one product kernel, picked from its structure: over
+        Z/M, residues mod M when m = 1 (`_residue_product`), the log tables
+        (`field_log_tables`) of a field with m >= 2, and the digit kernel
+        (`_digit_product`) on every other quotient; over GF(q), q not prime,
+        coefficient by coefficient through that field
+        (`_coefficient_product`). None refers back to the ring."""
         M, m, g = self.characteristic, self.m, self.g
         if self.q != M:
-            vec = functools.partial(_coefficient_product, self.base, g)
-        elif m == 1:
-            return (lambda a, b: a * b % M), functools.partial(_mul_residues, M)
-        elif self.is_field:
+            return functools.partial(_coefficient_product, self.base, g)
+        if m == 1:
+            return _residue_product(M)
+        if self.is_field:
             log, antilog = self.memo("log_tables", lambda: field_log_tables(M, m, g))
-
-            def vec(a, b):
-                a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-                return np.asarray(antilog[log[a] + log[b]], dtype=np.int64)
-
-            return (lambda a, b: antilog.item(log.item(a) + log.item(b))), vec
-        else:
-            L = self.memo("reduction_rows", lambda: _reduction_matrix(M, g))
-            vec = functools.partial(_digit_product, M, L, self._places)
-        return (lambda a, b: int(vec(a, b))), vec
-
-    def mul(self, a: int, b: int) -> int:
-        return self.memo("product", self._product_rule)[0](a, b)
-
-    def mul_vec(self, a, b) -> np.ndarray:
-        return self.memo("product", self._product_rule)[1](a, b)
+            return lambda a, b: antilog[log[a] + log[b]]
+        L = self.memo("reduction_rows", lambda: _reduction_matrix(M, g))
+        return functools.partial(_digit_product, M, L, self._places)
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         return split_index(x, (self.q,) * self.m)
@@ -828,7 +826,7 @@ def _coefficient_product(F: Ring, g: tuple[int, ...], a, b) -> np.ndarray:
         for j, gj in enumerate(g[:-1], start=top - m):
             if gj:
                 c[j] = F.sub_vec(c[j], F.mul_vec(c[top], gj))
-    return np.asarray(sum(cj * q**j for j, cj in enumerate(c[:m])), dtype=np.int64)
+    return sum(cj * q**j for j, cj in enumerate(c[:m]))
 
 
 def _reduction_matrix(M: int, modulus: tuple[int, ...]) -> np.ndarray:
@@ -915,22 +913,11 @@ class ProductRing(Ring):
             m for f in factors for m in f.additive_orders()
         )
         self.one = join_index([f.one for f in factors], [f.order for f in factors])
+        self._mul = functools.partial(_factor_product, self.factors)
         super().__init__()
 
     def split(self, x: int) -> tuple[int, ...]:
         return split_index(x, [f.order for f in self.factors])
-
-    def mul_vec(self, a, b) -> np.ndarray:
-        """Factor by factor; each factor's kernel broadcasts a against b."""
-        rest_a, rest_b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        result, place = 0, 1
-        for f in self.factors:
-            rest_a, ca = np.divmod(rest_a, f.order)
-            rest_b, cb = np.divmod(rest_b, f.order)
-            result = result + place * f.mul_vec(ca, cb)
-            place *= f.order
-        # numpy gives 0-d sums as scalars; an array, as every ring returns.
-        return np.asarray(result)
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
         profile = [
@@ -947,6 +934,18 @@ class ProductRing(Ring):
             f.element_str(c) for f, c in zip(self.factors, self.split(x))
         ]
         return "(" + ", ".join(parts) + ")"
+
+
+def _factor_product(factors: Sequence[Ring], a, b):
+    """The product kernel of a direct product: factor by factor, each
+    factor's `mul_vec` broadcasting a against b."""
+    result, place = 0, 1
+    for f in factors:
+        a, ca = np.divmod(a, f.order)
+        b, cb = np.divmod(b, f.order)
+        result = result + place * f.mul_vec(ca, cb)
+        place *= f.order
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -854,6 +854,48 @@ def test_zmod_mul_vec_matches_scalar_on_large_moduli(n, seed):
             assert int(z) == ring.mul(int(x), int(y)), (n, x, y)
 
 
+def test_products_read_one_kernel(monkeypatch):
+    """`Ring` alone defines `mul` and `mul_vec`, and each ring's one kernel
+    `_mul` serves both. After a first product, which picks a quotient's
+    kernel, the kernel sits on the ring, and neither product reads a memo;
+    a recording stub put in its place (and in the place of Z/N's `mul`,
+    which is the kernel itself) is then called by scalar `mul` on ints and
+    by `mul_vec` on arrays. Z/4294967311, under a raised order guard,
+    multiplies object residues."""
+    def subclasses(cls):
+        return [cls] + [s for sub in cls.__subclasses__() for s in subclasses(sub)]
+
+    assert "mul" in vars(Ring) and "mul_vec" in vars(Ring)
+    assert not any("mul" in vars(cls) or "mul_vec" in vars(cls) for cls in subclasses(Ring)[1:])
+    monkeypatch.setenv("RINGLAB_ORDER_GUARD", str(1 << 33))
+    for spec in ("Z/12", "Z/4294967311", "GF(7)", "GF(256)", "GR(2,2,3)", "PQ(q=2;g=0,0,1)",
+                 "PQ(q=4;g=0,0,1)", "prod(Z/4;GF(4))"):
+        ring = make_ring(spec)
+        x, y = 3, ring.order - 2
+        want = ring.mul(x, y)
+        kernel = vars(ring)["_mul"]
+
+        def refuse(key, build):
+            raise AssertionError(f"{spec}: a product read a memo")
+
+        for part in (ring, getattr(ring, "base", None), *getattr(ring, "factors", ())):
+            if part is not None:
+                monkeypatch.setitem(vars(part), "memo", refuse)
+        assert ring.mul(x, y) == want and int(ring.mul_vec(x, y)) == want, spec
+        calls = []
+
+        def stub(a, b):
+            calls.append(type(a))
+            return kernel(a, b)
+
+        for name in [name for name, value in vars(ring).items() if value is kernel]:
+            monkeypatch.setitem(vars(ring), name, stub)
+        assert ring.mul(x, y) == want
+        got = ring.mul_vec(np.array([x, y]), np.array([y, x]))
+        assert got.dtype == np.int64 and got.tolist() == [want, want], spec
+        assert calls == [int, np.ndarray], (spec, calls)
+
+
 @pytest.mark.parametrize(
     "spec", ["Z/12", "GF(9)", "PQ(q=2;g=1,0,1)", "GR(2,2,2)", "prod(Z/3;GF(4))"]
 )
@@ -878,8 +920,7 @@ def test_pow_makes_the_fewest_multiplications(spec, monkeypatch):
         assert not np.shares_memory(got, xs)
         calls.clear()
         assert [_power(ring.mul, int(x), d) if d else ring.one for x in xs] == want.tolist()
-        # Scalar mul may itself call mul_vec on 0-d arrays: count its layer only.
-        assert calls.count("scalar") == fewest * ring.order, d
+        assert calls == ["scalar"] * (fewest * ring.order), d
         want = mul_vec(want, xs)
     with pytest.raises(ValueError):
         ring.pow_vec(xs, -1)
