@@ -488,8 +488,8 @@ def intersectivity_oracle(family: str, coeffs: Sequence, bound: int) -> Intersec
     are base-p encodings of polynomials in t. The witness is the least
     (N(pi^j), pi, j) with no root. B^2 bounds the first level's
     sum_{N(pi) <= B} N(pi) evaluations and the witness re-check's N(pi^j),
-    so it is charged against the work guard before any prime is enumerated,
-    and the witness quotient skips the order guard.
+    so it is charged against the work guard before any prime is enumerated;
+    the witness quotient is built from no spec, so no order guard applies.
     """
     fam = family.strip().upper()
     if bound < 1:
@@ -502,7 +502,7 @@ def intersectivity_oracle(family: str, coeffs: Sequence, bound: int) -> Intersec
             return [_IntegerLevels(P, _primes_upto(bound), bound)]
 
         def quotient(pi, j, N):
-            return ZModRing(N, _guard_checked=True), [c % N for c in P]
+            return ZModRing(N), [c % N for c in P]
 
         def witness_of(pi, j, N):
             return {"prime": pi, "exponent": j, "modulus": N}
@@ -522,9 +522,9 @@ def intersectivity_oracle(family: str, coeffs: Sequence, bound: int) -> Intersec
             return (_FptLevels(P, p, gs, p**bound) for gs in _irreducibles(p, bound))
 
         def quotient(g, j, N):
-            F = ZModRing(p, _guard_checked=True)
+            F = ZModRing(p)
             gj = functools.reduce(lambda a, b: _pmul(a, b, F), [g] * j)
-            Q = PolyQuotientRing(F, gj, _guard_checked=True)
+            Q = PolyQuotientRing(F, gj)
             return Q, [join_index(_pdivmod(c, gj, F)[1], Q.additive_orders()) for c in P]
 
         def witness_of(g, j, N):

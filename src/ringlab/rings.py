@@ -33,9 +33,10 @@ and int64 arrays as the additive kernel is, and scalar `mul` and `mul_vec`
 both call it. Z/N picks it from N when it is built (`_residue_product`),
 and binds it as its scalar `mul` too. GF, GR and PQ are one class,
 `PolyQuotientRing`: base[t]/(g) over a base Z/p^n or GF(q), GF(p^e;h) and
-GR(p,n,r;f) being its spellings over Z/p^n with g irreducible mod p, so
-PQ(q=p;g=h), GR(p,1,e;f=h) and GF(p^e;h) are one ring. Its kernel follows
-from its structure, not its spelling, and is picked at its first product
+GR(p,n,r;f) being quotients over Z/p^n with g irreducible mod p that carry
+their spec and variable as data, so PQ(q=p;g=h), GR(p,1,e;f=h) and
+GF(p^e;h) are one ring. Its kernel follows from its structure, not its
+spelling, and is picked at its first product
 (`_product_rule`): over Z/M, residues mod M when m = deg g = 1, the log and
 antilog tables (`field_log_tables`) of a field, and the digit kernel
 (`_digit_product`), with its reduction rows, on every other quotient; over
@@ -44,8 +45,8 @@ Products multiply factor by factor.
 
 `make_ring` keeps one ring per spec and guards, whose memo is the one
 cache: its arrays stay under `budget.CACHE_BYTES` by dropping whole rings.
-
-Ring specs use a small textual grammar:
+`_build_ring` alone checks a spec, against the order guard too; no
+constructor reads a guard. Ring specs use a small textual grammar:
 
     Z/12
     GF(9)                    canonical defining polynomial
@@ -54,6 +55,8 @@ Ring specs use a small textual grammar:
     GR(2,3,2)                Galois ring Z[w]/(2^3, f(w)), deg f = 2
     GR(2,3,2;f=1,1,1)        explicit f, irreducible mod p
     prod(Z/4;GF(4))          finite product, first factor least significant
+
+Each coefficient of h, f and g is an element index of the base, 0..|base|-1.
 """
 
 from __future__ import annotations
@@ -198,16 +201,6 @@ def is_prime(n: int) -> bool:
     return factorize(n) == [(n, 1)]
 
 
-def prime_power(q: int) -> tuple[int, int]:
-    """Return (p, e) with q = p^e, or raise ParseError if q is not one."""
-    if q < 2:
-        raise ParseError(f"{q} is not a prime power")
-    fac = factorize(q)
-    if len(fac) != 1:
-        raise ParseError(f"{q} is not a prime power")
-    return fac[0]
-
-
 # ---------------------------------------------------------------------------
 # Dense univariate polynomial helpers over a coefficient ring.
 #
@@ -323,7 +316,7 @@ def canonical_irreducible(p: int, e: int) -> tuple[int, ...]:
     For e >= 2 the search starts at constant term 1: a candidate with
     constant term 0 is divisible by u, and all of those come first in the
     order. The search takes milliseconds at e = 20; it runs once per
-    interned field or Galois ring, whose `defining` keeps the result.
+    interned field or Galois ring, whose `g` keeps the result.
     """
     if e == 1:
         return (0, 1)
@@ -609,14 +602,9 @@ def _power(mul, a, e: int):
 
 
 class ZModRing(Ring):
-    """Integers modulo N, N >= 2. `_guard_checked` skips the order guard,
-    for a ring whose order a work charge has already covered."""
+    """Integers modulo N, N >= 2."""
 
-    def __init__(self, n: int, _guard_checked: bool = False):
-        if n < 2:
-            raise ParseError(f"Z/{n}: modulus must be at least 2")
-        if not _guard_checked:
-            _check_order(n)
+    def __init__(self, n: int):
         self.n = n
         self.order = n
         self.characteristic = n
@@ -660,68 +648,33 @@ def _residue_product(M: int):
 
 class PolyQuotientRing(Ring):
     """base[t]/(g) for a base Z/p^n or GF(q) and a monic modulus g of
-    degree m, which need not be irreducible: PQ(q;g), and GF and GR over
-    Z/p^n.
+    degree m >= 1, which need not be irreducible: PQ(q;g). GF and GR pass
+    their `spelling`, the pair (spec, variable); their g is irreducible
+    mod p, as `_build_ring` checks.
 
     Elements are polynomials in t of degree < m with coefficients in the
     base, encoded base q = |base|: coefficient j occupies digit-place q^j.
     A base Z/p^n with n >= 2 builds only as GR, whose f is irreducible mod
     p: other g may give a ring that is not a principal ideal ring, such as
     (Z/4)[x]/(x^2), and the PQ spec would name GF(p^n)[t]/(g) instead.
-    `_guard_checked` skips the order guard, as in ZModRing.
     """
 
-    _variable = "t"
-
-    def __init__(self, base: Ring, g: tuple[int, ...], _guard_checked: bool = False):
-        g = tuple(int(c) for c in g)
-        if len(g) < 2:
-            raise ParseError("PQ: modulus must have degree at least 1")
-        if any(not 0 <= c < base.order for c in g):
-            raise ParseError("PQ: modulus coefficients must be base field indices")
-        if g[-1] != base.one:
-            raise NotMonic("PQ: modulus must be monic")
-        if not isinstance(base, (ZModRing, FiniteFieldRing)) or len(base.prime_ideal_profile()) != 1:
-            raise ParseError("PQ: coefficient ring must be Z/p^n or GF(q)")
-        if base.prime_ideal_profile()[0][1] > 1 and not isinstance(self, GaloisRingRing):
+    def __init__(self, base: Ring, g: tuple[int, ...], spelling: tuple[str, str] | None = None):
+        if base.prime_ideal_profile()[0][1] > 1 and spelling is None:
             raise ParseError(
                 f"PQ: coefficient ring Z/{base.order} is not a field; a quotient over Z/p^n "
                 "with n >= 2 builds only as GR(p,n,r), whose modulus is irreducible mod p"
             )
-        m = len(g) - 1
-        order = base.order**m
-        if not _guard_checked:
-            _check_order(order)
         self.base = base
-        self.g = g
-        self.m = m
+        self.g = tuple(int(c) for c in g)
+        self.m = m = len(self.g) - 1
         self.q = base.order
-        self.order = order
+        self.order = base.order**m
         self.characteristic = base.characteristic
         self.one = 1
         self._radices = base.additive_orders() * m
+        self._spec, self._variable = spelling or (None, "t")
         super().__init__()
-
-    def _spell(self, p: int, n: int, r: int, given: Sequence[int] | None, what: str) -> None:
-        """The constructor of the GF and GR spellings, whose callers guard
-        the order: (Z/p^n)[w]/(f) for f = `canonical_irreducible(p, r)` when
-        none is given, else the given f mod p^n, which must have degree r, be
-        monic and be irreducible mod p; errors begin with what. Its one
-        factor mod p, f mod p, is then known without trial division."""
-        if given is not None:
-            given = tuple(c % p**n for c in given)
-            if len(given) != r + 1:
-                raise ParseError(f"{what} must have degree {r}")
-            if given[-1] != 1:
-                raise NotMonic(f"{what} must be monic")
-            if not poly_is_irreducible(tuple(c % p for c in given), ZModRing(p)):
-                raise NotIrreducible(f"{what} {list(given)} is reducible mod {p}")
-        canonical = tuple(c % p**n for c in canonical_irreducible(p, r))
-        self.defining = canonical if given is None else given
-        self._canonical = self.defining == canonical
-        PolyQuotientRing.__init__(self, ZModRing(p**n, _guard_checked=True), self.defining,
-                                  _guard_checked=True)
-        self.memo("modulus_factors", lambda: ((tuple(c % p for c in self.defining), 1),))
 
     def _mul(self, a, b):
         """The first product: the kernel that `_product_rule` picks takes
@@ -753,10 +706,13 @@ class PolyQuotientRing(Ring):
 
     def modulus_factors(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """g over the residue field of the base, Z/p or GF(q), factored
-        into monic irreducibles with their multiplicities."""
+        into monic irreducibles with their multiplicities: g mod p alone
+        for GF and GR, whose g is irreducible mod p, without trial
+        division."""
         def build():
-            (k, n), = self.base.prime_ideal_profile()
-            return tuple(factor_poly([c % k for c in self.g], self.base if n == 1 else ZModRing(k)))
+            (k, _), = self.base.prime_ideal_profile()
+            g = tuple(c % k for c in self.g)
+            return ((g, 1),) if self._spec else tuple(factor_poly(g, self.base))
         return self.memo("modulus_factors", build)
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
@@ -766,7 +722,7 @@ class PolyQuotientRing(Ring):
         return sorted((k ** (len(h) - 1), n * e) for h, e in self.modulus_factors())
 
     def spec_string(self) -> str:
-        return f"PQ(q={self.q};g={','.join(str(c) for c in self.g)})"
+        return self._spec or f"PQ(q={self.q};g={','.join(str(c) for c in self.g)})"
 
     def element_str(self, x: int) -> str:
         if self.q == self.characteristic:
@@ -846,50 +802,6 @@ def _reduction_matrix(M: int, modulus: tuple[int, ...]) -> np.ndarray:
     return np.array(rows, dtype=dtype).reshape(m - 1, m)
 
 
-class FiniteFieldRing(PolyQuotientRing):
-    """GF(p^e) = (Z/p)[u]/(h), h monic and irreducible of degree e: the
-    quotient ring over Z/p, spelled with its order guard, defining
-    polynomial, spec and variable u."""
-
-    _variable = "u"
-
-    def __init__(self, q: int, h: tuple[int, ...] | None = None):
-        _check_order(q)
-        p, e = prime_power(q)
-        self._spell(p, 1, e, h, f"GF({q}): defining polynomial")
-
-    def spec_string(self) -> str:
-        h = "" if self._canonical else f";h={','.join(str(c) for c in self.defining)}"
-        return f"GF({self.order}{h})"
-
-
-class GaloisRingRing(PolyQuotientRing):
-    """Galois ring GR(p,n,r) = (Z/p^n)[w]/(f), f monic of degree r and
-    irreducible mod p (Wan, *Lectures on Finite Fields and Galois Rings*):
-    the quotient ring over Z/p^n, spelled with its own guards, defining
-    polynomial, spec and variable w. Order p^(n r), characteristic p^n,
-    residue field GF(p^r)."""
-
-    _variable = "w"
-
-    def __init__(self, p: int, n: int, r: int, f: tuple[int, ...] | None = None):
-        if n < 1 or r < 1:
-            raise ParseError(f"GR({p},{n},{r}): n and r must be positive")
-        # For p >= 2, p^(n r) >= p and >= 2^(n r): bound both before the power.
-        limit = order_guard()
-        if p > limit or (p > 1 and n * r > limit.bit_length()):
-            raise OrderTooLarge(f"GR({p},{n},{r}): order {p}^{n * r} exceeds the enumeration guard {limit}")
-        if not is_prime(p):
-            raise ParseError(f"GR({p},{n},{r}): {p} is not prime")
-        _check_order(p ** (n * r))
-        self._spell(p, n, r, f, f"GR({p},{n},{r}): f")
-
-    def spec_string(self) -> str:
-        (p, n), = self.base.prime_ideal_profile()
-        f = "" if self._canonical else f";f={','.join(str(c) for c in self.defining)}"
-        return f"GR({p},{n},{self.m}{f})"
-
-
 # ---------------------------------------------------------------------------
 # Finite products
 # ---------------------------------------------------------------------------
@@ -900,14 +812,8 @@ class ProductRing(Ring):
     element index."""
 
     def __init__(self, factors: Sequence[Ring]):
-        if not factors:
-            raise ParseError("prod: at least one factor required")
-        order = 1
-        for f in factors:
-            order *= f.order
-        _check_order(order)
         self.factors = tuple(factors)
-        self.order = order
+        self.order = math.prod(f.order for f in factors)
         self.characteristic = math.lcm(*(f.characteristic for f in factors))
         self._radices = tuple(
             m for f in factors for m in f.additive_orders()
@@ -920,11 +826,7 @@ class ProductRing(Ring):
         return split_index(x, [f.order for f in self.factors])
 
     def prime_ideal_profile(self) -> list[tuple[int, int]]:
-        profile = [
-            entry for f in self.factors for entry in f.prime_ideal_profile()
-        ]
-        profile.sort()
-        return profile
+        return sorted(entry for f in self.factors for entry in f.prime_ideal_profile())
 
     def spec_string(self) -> str:
         return f"prod({';'.join(f.spec_string() for f in self.factors)})"
@@ -1016,7 +918,7 @@ def _split_top_level(body: str, sep: str) -> list[str]:
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     items = [t.strip() for t in text.split(",")]
-    if not items or any(not re.fullmatch(r"-?\d+", t) for t in items):
+    if any(not re.fullmatch(r"-?\d+", t) for t in items):
         raise ParseError(f"{what}: expected a comma-separated integer list, got {text!r}")
     try:
         return tuple(int(t) for t in items)
@@ -1036,7 +938,7 @@ def make_ring(spec: str) -> Ring:
 
     Raises ParseError for malformed specs, NotMonic / NotIrreducible for bad
     defining polynomials, and OrderTooLarge when the order exceeds the guard
-    (default 2^20, set by RINGLAB_ORDER_GUARD).
+    (default 2^20, set by RINGLAB_ORDER_GUARD); `_build_ring` checks them all.
     """
     key = (spec.strip(), order_guard(), work_guard())
     if key in _RINGS:
@@ -1050,32 +952,87 @@ def make_ring(spec: str) -> Ring:
 
 
 def _build_ring(spec: str) -> Ring:
-    """A new ring of the stripped spec."""
+    """A new ring of the stripped spec, which this function alone checks:
+    its numbers, its modulus and its order against the order guard. PQ's
+    modulus is checked before its order; GF's and GR's order before their
+    prime power is factored and their modulus checked or searched for."""
     m = re.fullmatch(r"Z/(\d+)", spec)
     if m:
-        return ZModRing(_spec_size(m.group(1)))
-
-    m = re.fullmatch(r"GF\((\d+)(?:;h=([^)]+))?\)", spec)
-    if m:
-        q = _spec_size(m.group(1))
-        return FiniteFieldRing(q, h=m.group(2) and _parse_int_list(m.group(2), "GF h"))
+        n = _spec_size(m.group(1))
+        if n < 2:
+            raise ParseError(f"Z/{n}: modulus must be at least 2")
+        _check_order(n)
+        return ZModRing(n)
 
     m = re.fullmatch(r"PQ\(q=(\d+);g=([^)]+)\)", spec)
     if m:
         q = _spec_size(m.group(1))
         g = _parse_int_list(m.group(2), "PQ g")
-        return PolyQuotientRing(make_ring(f"GF({q})"), g)
-
-    m = re.fullmatch(r"GR\((\d+),(\d+),(\d+)(?:;f=([^)]+))?\)", spec)
-    if m:
-        sizes = [_spec_size(d) for d in m.group(1, 2, 3)]
-        return GaloisRingRing(*sizes, f=m.group(4) and _parse_int_list(m.group(4), "GR f"))
+        base = make_ring(f"GF({q})")
+        if len(g) < 2:
+            raise ParseError("PQ: modulus must have degree at least 1")
+        if any(not 0 <= c < q for c in g):
+            raise ParseError("PQ: modulus coefficients must be base field indices")
+        if g[-1] != 1:
+            raise NotMonic("PQ: modulus must be monic")
+        _check_order(q ** (len(g) - 1))
+        return PolyQuotientRing(base, g)
 
     if spec.startswith("prod(") and spec.endswith(")"):
         body = spec[len("prod(") : -1]
         parts = _split_top_level(body, ";")
         if any(not p.strip() for p in parts):
             raise ParseError(f"prod: empty factor in {spec!r}")
-        return ProductRing([make_ring(p) for p in parts])
+        factors = [make_ring(p) for p in parts]
+        _check_order(math.prod(f.order for f in factors))
+        return ProductRing(factors)
 
-    raise ParseError(f"unrecognised ring spec {spec!r}")
+    # GF(p^r;h) and GR(p,n,r;f), n = 1 for GF: (Z/p^n)[x]/(f).
+    m = re.fullmatch(r"GF\((\d+)(?:;h=([^)]+))?\)", spec)
+    if m:
+        q = _spec_size(m.group(1))
+        given = m.group(2) and _parse_int_list(m.group(2), "GF h")
+        _check_order(q)
+        factors = factorize(max(q, 1))
+        if len(factors) != 1:
+            raise ParseError(f"{q} is not a prime power")
+        (p, r), = factors
+        n, head, args = 1, "GF", f"{q}"
+    else:
+        m = re.fullmatch(r"GR\((\d+),(\d+),(\d+)(?:;f=([^)]+))?\)", spec)
+        if not m:
+            raise ParseError(f"unrecognised ring spec {spec!r}")
+        p, n, r = (_spec_size(d) for d in m.group(1, 2, 3))
+        given = m.group(4) and _parse_int_list(m.group(4), "GR f")
+        head, args = "GR", f"{p},{n},{r}"
+        if n < 1 or r < 1:
+            raise ParseError(f"GR({args}): n and r must be positive")
+        # For p >= 2, p^(n r) >= p and >= 2^(n r): bound both before the power.
+        limit = order_guard()
+        if p > limit or (p > 1 and n * r > limit.bit_length()):
+            raise OrderTooLarge(f"GR({args}): order {p}^{n * r} exceeds the enumeration guard {limit}")
+        if not is_prime(p):
+            raise ParseError(f"GR({args}): {p} is not prime")
+        _check_order(p ** (n * r))
+    key, noun, variable = _SPELLINGS[head]
+    what = f"{head}({args}): {noun}"
+    if given is not None:
+        if len(given) != r + 1:
+            raise ParseError(f"{what} must have degree {r}")
+        if any(not 0 <= c < p**n for c in given):
+            raise ParseError(f"{what} coefficients must lie in 0..{p**n - 1}")
+        if given[-1] != 1:
+            raise NotMonic(f"{what} must be monic")
+        if not poly_is_irreducible(tuple(c % p for c in given), ZModRing(p)):
+            raise NotIrreducible(f"{what} {list(given)} is reducible mod {p}")
+    # The canonical modulus is searched for only once the spec is checked,
+    # and a given modulus equal to it is left out of the spec.
+    canonical = canonical_irreducible(p, r)
+    f = canonical if given is None else given
+    pinned = "" if f == canonical else f";{key}={','.join(map(str, f))}"
+    return PolyQuotientRing(ZModRing(p**n), f, (f"{head}({args}{pinned})", variable))
+
+
+#: GF's and GR's given modulus: its key in the spec, its name in errors, and
+#: the variable.
+_SPELLINGS = {"GF": ("h", "defining polynomial", "u"), "GR": ("f", "f", "w")}

@@ -10,7 +10,8 @@ import pytest
 
 import ringlab
 from ringlab import budget
-from ringlab.errors import WorkGuardExceeded
+from ringlab.errors import OrderTooLarge, WorkGuardExceeded
+from ringlab.rings import PolyQuotientRing, ZModRing, make_ring
 
 
 def test_charge_refuses_one_unit_past_the_work_guard(monkeypatch):
@@ -39,16 +40,26 @@ def _callables():
 
 
 def test_guards_have_one_source():
-    """No `guard` parameter anywhere, guards that take no arguments, and the
-    order-guard skip only on ZModRing and PolyQuotientRing: the
-    intersectivity witness builds them after charging their order as work,
-    and GR builds its base ZModRing(p^n) and its quotient after checking
-    its order."""
+    """No `guard` parameter anywhere, guards that take no arguments, and
+    no function that skips the order guard: no constructor reads it, and
+    `rings._build_ring` checks every spec against it."""
     found = dict(_callables())
     assert "ringlab.rings.make_ring" in found and "ringlab.rings.ZModRing.__init__" in found
     with_guard = [q for q, fn in found.items() if "guard" in inspect.signature(fn).parameters]
     assert with_guard == []
     assert not inspect.signature(budget.order_guard).parameters
     assert not inspect.signature(budget.work_guard).parameters
-    skips = {q for q, fn in found.items() if "_guard_checked" in inspect.signature(fn).parameters}
-    assert skips == {"ringlab.rings.ZModRing.__init__", "ringlab.rings.PolyQuotientRing.__init__"}
+    skips = [q for q, fn in found.items() if "_guard_checked" in inspect.signature(fn).parameters]
+    assert skips == []
+
+
+def test_order_guard_caps_specs_not_constructors(monkeypatch):
+    """Under a guard of 16, the constructors build rings of order 64, as a
+    computation may, while the specs that name those rings are refused
+    where `make_ring` parses them."""
+    monkeypatch.setenv("RINGLAB_ORDER_GUARD", "16")
+    assert ZModRing(64).order == 64
+    assert PolyQuotientRing(ZModRing(2), (0,) * 6 + (1,)).order == 64
+    for spec in ("Z/64", "PQ(q=2;g=0,0,0,0,0,0,1)"):
+        with pytest.raises(OrderTooLarge):
+            make_ring(spec)

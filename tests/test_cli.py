@@ -360,6 +360,57 @@ def test_huge_spec_integers_refused_fast(spec, code, capsys):
     assert error["exit_code"] == code and out == ""
 
 
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        ("GF(4;h=1,1,3)", "GF(4): defining polynomial coefficients must lie in 0..1"),
+        ("GR(2,2,2;f=-1,1,1)", "GR(2,2,2): f coefficients must lie in 0..3"),
+        ("GF(9;h=-1,0,1)", "GF(9): defining polynomial coefficients must lie in 0..2"),
+        ("PQ(q=2;g=1,1,3)", "PQ: modulus coefficients must be base field indices"),
+    ],
+    ids=["gf-lead-3", "gr-minus-1", "gf-minus-1", "pq-lead-3"],
+)
+def test_modulus_coefficients_are_base_indices(spec, error, capsys):
+    """A coefficient of GF's h, GR's f or PQ's g outside 0..|base| - 1 is
+    refused, not read mod |base|: GF(4;h=1,1,3) printed GF(4), and
+    GF(9;h=-1,0,1) was refused about [2, 0, 1], which no one wrote."""
+    assert cli.main(["ring", "info", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == {
+        "exit_code": 2, "message": error, "type": "ParseError"}
+
+
+_PQ_ZEROS = "PQ(q=2;g=" + ",".join(["0"] * 31)
+
+
+@pytest.mark.parametrize(
+    "spec, code, want",
+    [
+        (_PQ_ZEROS + ")", 2, "NotMonic"),
+        (_PQ_ZEROS + ",1)", 3, "OrderTooLarge"),
+        ("GR(99999,99,99)", 3, "order 99999^9801 exceeds"),
+        ("prod(Z/1024;Z/1024;Z/2)", 3, "OrderTooLarge"),
+        ("GF(2;h=1,1)", 0, "GF(2;h=1,1)"),
+    ],
+    ids=["pq-modulus-before-order", "pq-order", "gr-order-before-power", "prod-order",
+         "gf2-pinned"],
+)
+def test_spec_checks_run_in_order(spec, code, want, capsys):
+    """The builder's checks in their order: PQ's modulus before its order,
+    so a non-monic g of degree 30 is NotMonic although 2^30 is past the
+    guard; GR's order before p^(n r) is formed; a product's order after its
+    factors'; and a pinned modulus of GF(2) is printed back."""
+    start = time.perf_counter()
+    assert cli.main(["ring", "info", spec]) == code
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and want in err
+    else:
+        assert err == "" and json.loads(out)["result"]["spec"] == want
+
+
 def test_exact_ddeg_work_guard_exit_3():
     """The difference search of a ring of prime-power characteristic stops
     at the guard: Z/128 needs more than 300 work for x^2."""
