@@ -41,7 +41,7 @@ from .characters import character_table
 from .errors import HypothesisUnmet, ParseError, WorkGuardExceeded
 from .harmonics import BOUND_TOL, exp_sums_all
 from .hensel import _FptLevels, _IntegerLevels, _irreducibles, _primes_upto, _sweep
-from .polynomials import RingPoly, bound_parameters, derivational_degree
+from .polynomials import RingPoly, bound_parameters
 from .rings import (
     PolyQuotientRing, Ring, ZModRing, _pdivmod, _pmul, _ptrim, distinct, element_set, is_prime, join_index
 )
@@ -417,16 +417,10 @@ def sarkozy_bound_check(
     """
     hypothesis = sarkozy_hypothesis(ring, P)
     d = P.degree
-    dres = derivational_degree(ring, P)
-    bp = bound_parameters(ring, d, dres)
-    k = bp.k
-    lpf = ring.lpf()
-    if k >= 1:
-        C = (bp.b * (k - 1)) ** (2.0 ** (1 - k))
-        bound = C * ring.order * lpf ** -(2.0 ** (1 - k)) + d * ring.order / lpf
-    else:
-        C = 0.0
-        bound = d * ring.order / lpf
+    bp = bound_parameters(ring, P)
+    k, lpf = bp.k, bp.lpf
+    C = (bp.b * (k - 1)) ** (2.0 ** (1 - k)) if k >= 1 else 0.0
+    bound = C * ring.order * lpf ** -(2.0 ** (1 - k)) + d * ring.order / lpf
     return SarkozyReport(
         ring_spec=ring.spec_string(),
         poly=str(P),

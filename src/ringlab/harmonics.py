@@ -12,20 +12,22 @@ characters that do not annihilate the subgroup H generated by the
 
     |S(chi, P)|^(2^(k-1)) <= B(d, char R) (k-1) / lpf(R),
 
-where d = deg P and k is the derivational degree. The same constant controls
-how far the polynomial average E_y f(x + P(y)) sits from the average of f
-over the coset H + P(0) in L^2, which is the quantitative total ergodicity
-estimate. The difference of the two averages is one convolution of f with a
-measure on (R, +), so te_estimate evaluates its norm in O(n log n) twice:
-by the transform route, which forms the convolution and takes its norm, and
-by the Parseval route, which sums |f_hat|^2 |S|^2 over the characters that
-do not annihilate H. Both estimates read H's annihilator from
-`SubgroupSet.annihilator`: by duality it holds |R| / |H| characters, so
-when the values of P generate R it is the trivial character alone, and
-only a proper H takes the exact angle route. A sampled exact check
-recomputes the convolution at a few seeded points from translates, and
-f_hat and S at a few seeded characters from columns of the character
-table.
+where d = deg P and k is the derivational degree (deg P outside prime
+characteristic), chosen once by `polynomials.bound_parameters`: the
+estimates here read the bound from its record alone. The same constant
+controls how far the polynomial average E_y f(x + P(y)) sits
+from the average of f over the coset H + P(0) in L^2, which is the
+quantitative total ergodicity estimate. The difference of the two averages
+is one convolution of f with a measure on (R, +), so te_estimate evaluates
+its norm in O(n log n) twice: by the transform route, which forms the
+convolution and takes its norm, and by the Parseval route, which sums
+|f_hat|^2 |S|^2 over the characters that do not annihilate H. Both
+estimates read H's annihilator from `SubgroupSet.annihilator`: by duality
+it holds |R| / |H| characters, so when the values of P generate R it is the
+trivial character alone, and only a proper H takes the exact angle route. A
+sampled exact check recomputes the convolution at a few seeded points from
+translates, and f_hat and S at a few seeded characters from columns of the
+character table.
 
 Also here: the van der Corput inequality along a subgroup, and the root
 count bound (a nonzero polynomial in l variables with per-variable degrees
@@ -51,7 +53,7 @@ from .characters import (
     convolve,
 )
 from .errors import ZeroPolynomial
-from .polynomials import RingPoly, bound_parameters, derivational_degree
+from .polynomials import RingPoly, bound_parameters
 from .rings import Ring
 from .subgroups import SubgroupSet, value_subgroup
 
@@ -95,23 +97,6 @@ def _test_functions(f, n: int) -> np.ndarray:
     return fs
 
 
-def _poly_setup(ring: Ring, P: RingPoly, ddeg_mode: str):
-    """Shared preprocessing: values, recentring, subgroup, degree data."""
-    values = P.values()
-    shift = int(values[0])
-    recentred = ring.sub_vec(values, shift) if shift != 0 else values
-    H = value_subgroup(ring, P, subtract_constant=True)
-    bp = bound_parameters(ring, P.degree, derivational_degree(ring, P, mode=ddeg_mode))
-    return values, recentred, shift, H, bp
-
-
-def _power_bound(B: int, k: int, lpf: int) -> float:
-    """B (k-1) / lpf, the bound on |S|^(2^(k-1)); zero in degenerate cases."""
-    if k <= 1:
-        return 0.0
-    return B * (k - 1) / lpf
-
-
 @dataclass
 class CharacterBoundReport:
     ring_spec: str
@@ -152,57 +137,56 @@ def character_bound_check(
     unchanged but makes the annihilator consistency check exact.
     """
     n = ring.order
-    _, recentred, _, H, bp = _poly_setup(ring, P, ddeg_mode)
-    k = bp.k
-    lpf = ring.lpf()
-    counts = np.bincount(recentred, minlength=n)
-    S = all_char_sums(ring, counts) / n
+    values = P.values()
+    recentred = ring.sub_vec(values, int(values[0])) if values[0] != 0 else values
+    H = value_subgroup(ring, P, subtract_constant=True)
+    bp = bound_parameters(ring, P, ddeg_mode)
+    S = all_char_sums(ring, np.bincount(recentred, minlength=n)) / n
     ann = H.annihilator()
+    annihilator_size = int(ann.sum())
     moduli = np.abs(S)
-
-    power = _power_bound(bp.b, k, lpf)
-    checked = ~ann
+    max_nontrivial = float(moduli[1:].max())
+    # The trivial character kills every H, so ann is never empty.
+    ann_err = float(np.abs(S[ann] - 1.0).max())
     flags = []
     if not bp.certified:
         flags.append("CONSERVATIVE")
-    if k == 0:
+    if bp.k == 0:
         flags.append("DEGENERATE")
 
-    if checked.any():
+    if annihilator_size < n:
+        # Exempt characters, masked to -1, never win. Some checked one
+        # means H != {0}, so k >= 1.
+        moduli[ann] = -1.0
+        worst = int(np.argmax(moduli))
+        max_checked = float(moduli[worst])
+        max_coeffs = tuple(character_group(ring).coeffs(worst).tolist())
         # x ** 2^j in floats is 0, 1 or inf for x below, at or above 1 once
         # j >= 1023, as for j = 1023, and 2^1024 itself overflows a float.
-        lhs_powers = moduli[checked] ** (2.0 ** min(k - 1, 1023)) if k >= 1 else moduli[checked]
-        worst = int(np.argmax(lhs_powers))
-        checked_idx = np.flatnonzero(checked)
-        max_checked = float(moduli[checked_idx[worst]])
-        max_coeffs = tuple(character_group(ring).coeffs(checked_idx[worst]).tolist())
-        satisfied = bool(lhs_powers.max() <= power + BOUND_TOL)
-        margin = float(power - lhs_powers.max())
+        # The one-entry slice takes numpy's array power, whose last bit
+        # can differ from the scalar pow's.
+        lhs = (moduli[worst:worst + 1] ** (2.0 ** min(bp.k - 1, 1023)))[0]
+        satisfied = bool(lhs <= bp.power + BOUND_TOL)
+        margin = float(bp.power - lhs)
     else:
-        max_checked = 0.0
-        max_coeffs = None
-        satisfied = True
-        margin = float(power)
-
-    max_nontrivial = float(moduli[1:].max())
-    ann_err = float(np.abs(S[ann] - 1.0).max()) if ann.any() else 0.0
+        max_checked, max_coeffs, satisfied, margin = 0.0, None, True, bp.power
 
     return CharacterBoundReport(
         ring_spec=ring.spec_string(),
         poly=str(P),
         coeffs=P.coeffs,
         degree=P.degree,
-        k=k,
+        k=bp.k,
         k_method=bp.method,
         k_certified=bp.certified,
         functional_ddeg=bp.functional_k,
         b_const=bp.b,
-        lpf=lpf,
+        lpf=bp.lpf,
         characteristic=ring.characteristic,
         subgroup_size=H.size,
-        annihilator_size=int(ann.sum()),
-        checked_characters=int(checked.sum()),
-        power_bound=power,
+        annihilator_size=annihilator_size,
+        checked_characters=n - annihilator_size,
+        power_bound=bp.power,
         max_checked_modulus=max_checked,
         max_checked_coeffs=max_coeffs,
         max_nontrivial_modulus=max_nontrivial,
@@ -271,9 +255,11 @@ def te_estimate(
     """
     n = ring.order
     fs = _test_functions(f, n)
-    values, recentred, shift, H, bp = _poly_setup(ring, P, ddeg_mode)
-    k = bp.k
-    lpf = ring.lpf()
+    values = P.values()
+    shift = int(values[0])
+    recentred = ring.sub_vec(values, shift) if shift != 0 else values
+    H = value_subgroup(ring, P, subtract_constant=True)
+    bp = bound_parameters(ring, P, ddeg_mode)
 
     coset = H.coset(shift)
     mu = np.bincount(values, minlength=n) / n
@@ -305,8 +291,7 @@ def te_estimate(
     sample_gap = np.maximum(np.maximum(row_gap, char_gap[1:]), char_gap[0])
 
     f_norm = np.sqrt(np.mean(np.abs(fs) ** 2, axis=1))
-    power = _power_bound(bp.b, k, lpf)
-    rhs = power ** (2.0 ** (1 - k)) * f_norm if k >= 1 else np.zeros(len(fs))
+    rhs = bp.root * f_norm
     fallback = np.where(lhs <= BOUND_TOL, 0.0, np.inf)
     ratio = np.divide(lhs, rhs, out=fallback, where=rhs > 0)
     return TEReport(
@@ -319,12 +304,12 @@ def te_estimate(
         route_gap=np.abs(lhs - fourier),
         sample_gap=sample_gap,
         sample_rows=m,
-        k=k,
+        k=bp.k,
         k_method=bp.method,
         k_certified=bp.certified,
         functional_ddeg=bp.functional_k,
         b_const=bp.b,
-        lpf=lpf,
+        lpf=bp.lpf,
         subgroup_size=H.size,
         shift=shift,
         f_norm=f_norm,

@@ -30,7 +30,7 @@ from .budget import charge
 from .characters import all_char_sums, character_group
 from .combinatorics import forbidden_differences
 from .errors import CharDividesDegree, ParseError, WorkGuardExceeded
-from .polynomials import RingPoly, bound_parameters, derivational_degree
+from .polynomials import RingPoly, bound_parameters
 from .rings import Ring, element_set, factorize
 
 #: exhaustive uniformity sweeps iterate all 2^|R| subsets; 10 keeps the
@@ -322,14 +322,12 @@ def quasirandomness_verdict(graph: PaleyGraph) -> QuasirandomnessVerdict:
     d = graph.d
     charge(d + 1, f"building the {d + 1} coefficients of x^{d}")
     monomial = RingPoly.make(ring, (0,) * d + (ring.one,))
-    dres = derivational_degree(ring, monomial)
-    bp = bound_parameters(ring, d, dres)
+    bp = bound_parameters(ring, monomial)
     k = bp.k
-    B = bp.b
     u = ring.units_count() / ring.order
     notes = []
     if k >= 2:
-        sufficient = 3 * d * B * (k - 1) * (1 - u) ** (2.0 ** (1 - k))
+        sufficient = 3 * d * bp.b * (k - 1) * (1 - u) ** (2.0 ** (1 - k))
     else:
         sufficient = None
         notes.append(
@@ -369,7 +367,7 @@ def quasirandomness_verdict(graph: PaleyGraph) -> QuasirandomnessVerdict:
         k=k,
         k_certified=bp.certified,
         fallback_reason=bp.fallback_reason,
-        b_const=B,
+        b_const=bp.b,
         unit_density=u,
         sufficient_epsilon=None if sufficient is None else float(sufficient),
         bad_prime_sizes=sorted(bad_sizes),

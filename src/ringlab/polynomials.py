@@ -202,25 +202,36 @@ class DdegResult:
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Exponent and constant actually used in the exponential-sum bound
-    B(d, c) (k - 1) / lpf and its derived estimates.
+    """The exponential-sum bound |S|^(2^(k-1)) <= B (k - 1) / lpf chosen
+    for one ring and polynomial, read by every report that prints it.
 
-    `k`, `method`, `certified` describe the exponent; `b` is the constant;
-    `functional_k` is the derivational degree of P as a function on the
-    ring (or its certified-or-not upper bound, per the DdegResult it came
-    from), kept for reporting, and `fallback_reason` is that DdegResult's.
+    `k`, `method`, `certified` describe the exponent; `b` is B and `lpf` the
+    ring's least residue field size; `functional_k` is the derivational
+    degree of P as a function on the ring (or its certified-or-not upper
+    bound, per the DdegResult it came from), kept for reporting, and
+    `fallback_reason` is that DdegResult's. `power` is the right side (0.0
+    for k <= 1), `root` its 2^(k-1)-th root.
     """
 
     k: int
     method: str
     certified: bool
     b: int
+    lpf: int
     functional_k: int
     fallback_reason: str | None = None
 
+    @property
+    def power(self) -> float:
+        return self.b * (self.k - 1) / self.lpf if self.k > 1 else 0.0
 
-def bound_parameters(ring: Ring, degree: int, dres: DdegResult) -> BoundParams:
-    """Select the exponent k and constant B for the exponential-sum bound.
+    @property
+    def root(self) -> float:
+        return self.power ** (2.0 ** (1 - self.k))
+
+
+def bound_parameters(ring: Ring, P: RingPoly, mode: str = "auto") -> BoundParams:
+    """The exponential-sum bound for P, from its derivational degree in mode.
 
     A ring of prime characteristic p is an algebra over its prime field,
     and the difference induction behind the bound runs on functions there,
@@ -233,13 +244,12 @@ def bound_parameters(ring: Ring, degree: int, dres: DdegResult) -> BoundParams:
     functionally of degree 2, yet the character supported on the GF(9)
     factor has |S|^2 = 1/3, above (k - 1)/lpf = 1/4.
     """
-    why = dres.fallback_reason
-    if dres.k == 0:
-        return BoundParams(0, dres.method, dres.certified, 1, 0, why)
-    if is_prime(ring.characteristic):
-        b = b_constant(degree, ring.characteristic)
-        return BoundParams(dres.k, dres.method, dres.certified, b, dres.k, why)
-    return BoundParams(degree, "degree", True, 1, dres.k, why)
+    dres = derivational_degree(ring, P, mode=mode)
+    why, lpf = dres.fallback_reason, ring.lpf()
+    if dres.k == 0 or is_prime(ring.characteristic):
+        b = b_constant(P.degree, ring.characteristic) if dres.k else 1
+        return BoundParams(dres.k, dres.method, dres.certified, b, lpf, dres.k, why)
+    return BoundParams(P.degree, "degree", True, 1, lpf, dres.k, why)
 
 
 def derivational_degree(

@@ -954,8 +954,8 @@ def make_ring(spec: str) -> Ring:
 def _build_ring(spec: str) -> Ring:
     """A new ring of the stripped spec, which this function alone checks:
     its numbers, its modulus and its order against the order guard. PQ's
-    modulus is checked before its order; GF's and GR's order before their
-    prime power is factored and their modulus checked or searched for."""
+    modulus before its base field and order; GF's and GR's order before
+    their prime power is factored and their modulus checked or searched for."""
     m = re.fullmatch(r"Z/(\d+)", spec)
     if m:
         n = _spec_size(m.group(1))
@@ -968,13 +968,13 @@ def _build_ring(spec: str) -> Ring:
     if m:
         q = _spec_size(m.group(1))
         g = _parse_int_list(m.group(2), "PQ g")
-        base = make_ring(f"GF({q})")
         if len(g) < 2:
             raise ParseError("PQ: modulus must have degree at least 1")
         if any(not 0 <= c < q for c in g):
             raise ParseError("PQ: modulus coefficients must be base field indices")
         if g[-1] != 1:
             raise NotMonic("PQ: modulus must be monic")
+        base = make_ring(f"GF({q})")
         _check_order(q ** (len(g) - 1))
         return PolyQuotientRing(base, g)
 

@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 import character_oracle as oracle
 
 import ringlab
-from ringlab import cli
+from ringlab import cli, rings
 from ringlab.cli import parse_element_set
 from ringlab.errors import ParseError, WorkGuardExceeded
 from ringlab.paley import build_paley, spectrum
@@ -409,6 +409,30 @@ def test_spec_checks_run_in_order(spec, code, want, capsys):
         assert out == "" and want in err
     else:
         assert err == "" and json.loads(out)["result"]["spec"] == want
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        ("PQ(q=1048576;g=5)", ("ParseError", "PQ: modulus must have degree at least 1")),
+        ("PQ(q=2097152;g=5)", ("ParseError", "PQ: modulus must have degree at least 1")),
+        ("PQ(q=6;g=5)", ("ParseError", "PQ: modulus must have degree at least 1")),
+        ("PQ(q=9;g=1,9,1)", ("ParseError", "PQ: modulus coefficients must be base field indices")),
+        ("PQ(q=9;g=1,0,2)", ("NotMonic", "PQ: modulus must be monic")),
+    ],
+    ids=["degree-at-guard", "degree-past-guard", "degree-not-prime-power", "range", "monic"],
+)
+def test_pq_modulus_is_checked_before_its_base(spec, error, capsys):
+    """PQ's modulus is checked before GF(q) is built: a refused spec
+    interns no base field, and its modulus error comes before the base's
+    own. PQ(q=1048576;g=5) searched for GF(2^20)'s canonical modulus
+    first; PQ(q=2097152;g=5) exited 3 for the order of its base and
+    PQ(q=6;g=5) was refused as 6 is not a prime power."""
+    assert cli.main(["ring", "info", spec]) == 2
+    out, err = capsys.readouterr()
+    got = json.loads(err)["error"]
+    assert out == "" and (got["type"], got["message"]) == error
+    assert not [key for key in rings._RINGS if key[0].startswith("GF(")]
 
 
 def test_exact_ddeg_work_guard_exit_3():

@@ -12,7 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from character_oracle import char_sum
+from test_polynomials import ORACLE_RINGS
 
+from ringlab.characters import annihilator_mask
+from ringlab.combinatorics import sarkozy_bound_check
 from ringlab.errors import WorkGuardExceeded, ZeroPolynomial
 from ringlab.harmonics import (
     character_bound_check,
@@ -23,9 +26,10 @@ from ringlab.harmonics import (
     te_sweep,
     vdc_check,
 )
-from ringlab.polynomials import RingPoly
+from ringlab.paley import build_paley, quasirandomness_verdict
+from ringlab.polynomials import RingPoly, bound_parameters
 from ringlab.rings import make_ring
-from ringlab.subgroups import from_generators, full_subgroup, trivial_subgroup
+from ringlab.subgroups import from_generators, full_subgroup, trivial_subgroup, value_subgroup
 
 
 def test_exp_sums_all_matches_single():
@@ -110,6 +114,65 @@ def test_character_bound_across_variants():
         for coeffs in polys:
             rep = character_bound_check(ring, RingPoly.make(ring, coeffs))
             assert rep.bound_satisfied, (spec, coeffs)
+
+
+@st.composite
+def _oracle_polys(draw):
+    """(spec, coefficients): a ring of ORACLE_RINGS, all five constructors,
+    with up to six terms of degree at most 2 |R| given by element indices."""
+    spec = draw(st.sampled_from([s for specs in ORACLE_RINGS.values() for s in specs]), label="ring")
+    n = make_ring(spec).order
+    terms = draw(st.lists(st.tuples(st.integers(0, 2 * n), st.integers(0, n - 1)), max_size=6),
+                 label="terms")
+    coeffs = [0] * (max((m for m, _ in terms), default=0) + 1)
+    for m, c in terms:
+        coeffs[m] = c
+    return spec, tuple(coeffs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_oracle_polys())
+@example(case=("GF(4096)", (0,) * 4092 + (1,)))
+@example(case=("GF(4096)", (0,) * 4090 + (1,)))
+def test_worst_checked_character_is_the_largest_modulus(case):
+    """max_checked_modulus is the largest |S| over the characters outside
+    the annihilator of the value subgroup, at every k. The examples are
+    x^4092 and x^4090 on GF(4096), k = 10: every checked |S|^512
+    underflows to 0.0, and an argmax over those powers took the first
+    checked character, 0.015625, where the largest are 0.03125 and
+    0.0625."""
+    spec, coeffs = case
+    ring = make_ring(spec)
+    P = RingPoly.make(ring, coeffs)
+    rep = character_bound_check(ring, P)
+    H = value_subgroup(ring, P, subtract_constant=True)
+    checked = ~annihilator_mask(ring, H.generators)
+    want = np.abs(exp_sums_all(ring, P))[checked].max() if checked.any() else 0.0
+    assert rep.max_checked_modulus == pytest.approx(want, rel=1e-12)
+
+
+# One ring per constructor, of characteristic prime to 6, so that the
+# Paley verdict holds for x^2 and x^3.
+BOUND_SPECS = ("Z/35", "GF(25)", "GR(5,2,1)", "PQ(q=5;g=0,0,1)", "prod(Z/5;Z/7)")
+
+
+@pytest.mark.parametrize("coeffs", [(0, 0, 1), (0, 0, 0, 1), (0, 1, 1)], ids=["x2", "x3", "x+x2"])
+@pytest.mark.parametrize("spec", BOUND_SPECS)
+def test_every_report_reads_one_bound(spec, coeffs):
+    """expsum's power bound, tebound's constant rhs / ||f||, sarkozy's k
+    and lpf, and for x^d the Paley verdict's k and B are those that
+    bound_parameters chose."""
+    ring = make_ring(spec)
+    P = RingPoly.make(ring, coeffs)
+    bp = bound_parameters(ring, P)
+    assert character_bound_check(ring, P).power_bound == bp.power
+    te = te_estimate(ring, P, random_functions(ring, 2, 1))
+    assert te.rhs / te.f_norm == pytest.approx(bp.root, rel=1e-12)
+    sarkozy = sarkozy_bound_check(ring, P, 0)
+    assert (sarkozy.k, sarkozy.lpf) == (bp.k, bp.lpf)
+    if coeffs[1] == 0:
+        verdict = quasirandomness_verdict(build_paley(ring, P.degree))
+        assert (verdict.k, verdict.b_const) == (bp.k, bp.b)
 
 
 def test_random_functions_deterministic():
