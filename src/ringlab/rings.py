@@ -23,28 +23,33 @@ constructor, `element_set`. Every translate x -> x + v is an `add_vec`:
 the one count of translates that land in a set, builds them in blocks of
 at most `budget.BLOCK_ENTRIES` entries.
 
-Each ring has one additive kernel (`_additive_kernels`), chosen once from
-its radices in `Ring.__init__`: XOR, residues mod M, bit lanes, or place
-by place. Every add, sub and neg, scalar or vector, calls it, and GF(p)
-adds residues as Z/p does.
+Each ring has one additive kernel (`_additive_kernels`), chosen from its
+radices at its first add, sub or neg: XOR, residues mod M, bit lanes, or
+place by place. Every add, sub and neg, scalar or vector, calls it, and
+GF(p) adds residues as Z/p does.
 
 Each ring has one product kernel, `_mul`, one expression for Python ints
 and int64 arrays as the additive kernel is, and scalar `mul` and `mul_vec`
-both call it. Z/N picks it from N when it is built (`_residue_product`),
-and binds it as its scalar `mul` too. GF, GR and PQ are one class,
-`PolyQuotientRing`: base[t]/(g) over a base Z/p^n or GF(q), GF(p^e;h) and
-GR(p,n,r;f) being quotients over Z/p^n with g irreducible mod p that carry
-their spec and variable as data, so PQ(q=p;g=h), GR(p,1,e;f=h) and
-GF(p^e;h) are one ring. Its kernel follows from its structure, not its
-spelling, and is picked at its first product
+both call it. Z/N picks its kernels from N when it is built
+(`_residue_product`), and binds them as its scalar operations too. GF, GR
+and PQ are one class, `PolyQuotientRing`: base[t]/(g) over a base Z/p^n
+or GF(q), GF(p^e;h) and GR(p,n,r;f) being quotients over Z/p^n with g
+irreducible mod p that carry their spec and variable as data, so
+PQ(q=p;g=h), GR(p,1,e;f=h) and GF(p^e;h) are one ring. Its kernel follows
+from its structure, not its spelling, and is picked at its first product
 (`_product_rule`): over Z/M, residues mod M when m = deg g = 1, the log and
 antilog tables (`field_log_tables`) of a field, and the digit kernel
 (`_digit_product`), with its reduction rows, on every other quotient; over
 GF(q), q not prime, coefficient by coefficient through that field.
 Products multiply factor by factor.
 
-`make_ring` keeps one ring per spec and guards, whose memo is the one
-cache: its arrays stay under `budget.CACHE_BYTES` by dropping whole rings.
+Up to `TABLE_ORDER` elements, bit lanes and place by place, and the digit,
+coefficient and factor products, are one gather from a table in the
+ring's memo, which the kernel builds in one call over every pair of
+elements at the ring's first use of it (`Ring._tabled`).
+
+`make_ring` keeps one ring per printed spec and guards, whose memo is the
+one cache: its arrays stay under `budget.CACHE_BYTES` by dropping whole rings.
 `_build_ring` alone checks a spec, against the order guard too; no
 constructor reads a guard. Ring specs use a small textual grammar:
 
@@ -134,6 +139,14 @@ def _additive_kernels(radices: Sequence[int], places: Sequence[int]):
     return (lambda a, b: sum((a // P + b // P) % m * P for m, P, _ in cut),
             lambda a, b: sum((a // P - b // P + R) % m * P for m, P, R in cut),
             lambda a: sum(-(a // P) % m * P for m, P, _ in cut))
+
+
+#: The largest order at which bit lanes and place by place (add, sub and
+#: neg) and the digit, coefficient and factor products are read from
+#: tables (`Ring._tabled`): there one gather costs less than their numpy
+#: calls. XOR, residues and the log tables are one expression each, and
+#: as fast as a gather, so they stay as they are at every order.
+TABLE_ORDER = 128
 
 
 def distinct(*arrays) -> np.ndarray:
@@ -403,15 +416,16 @@ def _primitive_step(p: int, e: int, h: tuple[int, ...]) -> np.ndarray:
 class Ring:
     """Common element-index arithmetic over a fixed additive coordinate system.
 
-    Subclasses must set `order`, `characteristic`, `_radices` and `_mul`,
-    and implement `prime_ideal_profile` and `spec_string`; no ring builds
-    its residue fields, which the profile gives by their sizes alone.
-    Addition is generic: `__init__` picks one kernel from the radices
-    (`_additive_kernels`), and every add, sub and neg, scalar or vector,
-    calls it; a subclass defines no additive method. Products are too:
-    `_mul` is the ring's one product kernel, on Python ints and int64
-    arrays alike, holding no reference to the ring, and scalar `mul` and
-    `mul_vec` both call it; a subclass defines neither.
+    Subclasses must set `order`, `characteristic` and `_radices`, set `_mul`
+    or implement `_product_rule`, and implement `prime_ideal_profile` and
+    `spec_string`; no ring builds its residue fields, which the profile
+    gives by their sizes alone. Addition is generic: the first add, sub or
+    neg picks its kernel from the radices (`_additive`), and every add,
+    sub and neg, scalar or vector, calls it; a subclass defines no
+    additive method. Products are too: `_mul` is the ring's one product
+    kernel, on Python ints and int64 arrays alike, holding no reference to
+    the ring, and scalar `mul` and `mul_vec` both call it; a subclass
+    defines neither. The scalar operations return Python ints.
     """
 
     order: int
@@ -424,7 +438,6 @@ class Ring:
         self.memo_bytes = 0
         places = list(itertools.accumulate(self._radices[:-1], operator.mul, initial=1))
         self._places = np.array(places, dtype=np.int64)
-        self._add, self._sub, self._neg = _additive_kernels(self._radices, places)
 
     def memo(self, key, build):
         """The value of `build()` for this ring and key: built on the first
@@ -445,6 +458,53 @@ class Ring:
             self._memo[key] = value
         return self._memo[key]
 
+    # -- the kernels, each bound at its first call ---------------------------
+
+    def _add(self, a, b):
+        """The first add: the kernel that `_additive` picks takes this
+        method's place on the ring, and every later add calls it directly;
+        so do sub, neg and the first product."""
+        self._add = self._additive("add")
+        return self._add(a, b)
+
+    def _sub(self, a, b):
+        self._sub = self._additive("sub")
+        return self._sub(a, b)
+
+    def _neg(self, a):
+        self._neg = self._additive("neg")
+        return self._neg(a)
+
+    def _mul(self, a, b):
+        self._mul = self._product_rule()
+        return self._mul(a, b)
+
+    def _additive(self, name: str):
+        """The add, sub or neg kernel of `_additive_kernels`, from its table
+        (`_tabled`) when it is bit lanes or place by place: more than one
+        radix, not all of them 2."""
+        kernels = _additive_kernels(self._radices, self._places.tolist())
+        kernel = kernels[("add", "sub", "neg").index(name)]
+        if len(self._radices) == 1 or set(self._radices) == {2}:
+            return kernel
+        return self._tabled(name, kernel, arity=1 if name == "neg" else 2)
+
+    def _tabled(self, name: str, kernel, arity: int = 2):
+        """kernel on a ring of more than `TABLE_ORDER` elements; else a
+        gather from its table over every element (arity 1) or every pair
+        of elements (arity 2), built by one broadcast call of kernel and
+        kept in the memo under ("table", name). The gather holds the table
+        alone and gives an np.int64 on Python ints."""
+        if self.order > TABLE_ORDER:
+            return kernel
+
+        def build():
+            x = np.arange(self.order, dtype=np.int64)
+            return np.asarray(kernel(*((x,) if arity == 1 else (x[:, None], x))), dtype=np.int64)
+
+        table = self.memo(("table", name), build)
+        return lambda *operands: table[operands]
+
     # -- scalar coordinate arithmetic --------------------------------------
 
     def additive_orders(self) -> tuple[int, ...]:
@@ -457,13 +517,13 @@ class Ring:
         return join_index(ds, self._radices)
 
     def add(self, a: int, b: int) -> int:
-        return self._add(a, b)
+        return int(self._add(a, b))
 
     def neg(self, a: int) -> int:
-        return self._neg(a)
+        return int(self._neg(a))
 
     def sub(self, a: int, b: int) -> int:
-        return self._sub(a, b)
+        return int(self._sub(a, b))
 
     def mul(self, a: int, b: int) -> int:
         return int(self._mul(a, b))
@@ -611,7 +671,11 @@ class ZModRing(Ring):
         self.one = 1
         self._radices = (n,)
         self._factorization = factorize(n)
-        # The kernel gives Python ints on Python ints: it is scalar `mul`.
+        # Residues give Python ints on Python ints, so each kernel is its
+        # scalar operation too, which the trial division of the canonical
+        # modulus search runs on.
+        kernels = _additive_kernels((n,), (1,))
+        self._add, self._sub, self._neg = self.add, self.sub, self.neg = kernels
         self._mul = self.mul = _residue_product(n)
         super().__init__()
 
@@ -634,7 +698,8 @@ def _residue_product(M: int):
     a power of two, by % M otherwise, and in object integers, which keep
     the product exact, once (M - 1)^2 no longer fits in int64."""
     if (M - 1) ** 2 >= 1 << 63:
-        return lambda a, b: np.asarray(a, dtype=object) * b % M
+        return lambda a, b: (a * b % M if type(a) is type(b) is int
+                             else np.asarray(a, dtype=object) * b % M)
     mask = M - 1
     if M & mask == 0:
         return lambda a, b: a * b & mask
@@ -676,30 +741,25 @@ class PolyQuotientRing(Ring):
         self._spec, self._variable = spelling or (None, "t")
         super().__init__()
 
-    def _mul(self, a, b):
-        """The first product: the kernel that `_product_rule` picks takes
-        this method's place on the ring, and every later product calls it
-        directly."""
-        self._mul = self._product_rule()
-        return self._mul(a, b)
-
     def _product_rule(self):
         """The ring's one product kernel, picked from its structure: over
         Z/M, residues mod M when m = 1 (`_residue_product`), the log tables
         (`field_log_tables`) of a field with m >= 2, and the digit kernel
         (`_digit_product`) on every other quotient; over GF(q), q not prime,
         coefficient by coefficient through that field
-        (`_coefficient_product`). None refers back to the ring."""
+        (`_coefficient_product`). The last two are read from their tables
+        (`_tabled`) up to `TABLE_ORDER` elements. None refers back to the
+        ring."""
         M, m, g = self.characteristic, self.m, self.g
         if self.q != M:
-            return functools.partial(_coefficient_product, self.base, g)
+            return self._tabled("mul", functools.partial(_coefficient_product, self.base, g))
         if m == 1:
             return _residue_product(M)
         if self.is_field:
             log, antilog = self.memo("log_tables", lambda: field_log_tables(M, m, g))
             return lambda a, b: antilog[log[a] + log[b]]
         L = self.memo("reduction_rows", lambda: _reduction_matrix(M, g))
-        return functools.partial(_digit_product, M, L, self._places)
+        return self._tabled("mul", functools.partial(_digit_product, M, L, self._places))
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         return split_index(x, (self.q,) * self.m)
@@ -819,8 +879,12 @@ class ProductRing(Ring):
             m for f in factors for m in f.additive_orders()
         )
         self.one = join_index([f.one for f in factors], [f.order for f in factors])
-        self._mul = functools.partial(_factor_product, self.factors)
         super().__init__()
+
+    def _product_rule(self):
+        """Factor by factor (`_factor_product`), from its table (`_tabled`)
+        up to `TABLE_ORDER` elements."""
+        return self._tabled("mul", functools.partial(_factor_product, self.factors))
 
     def split(self, x: int) -> tuple[int, ...]:
         return split_index(x, [f.order for f in self.factors])
@@ -926,28 +990,37 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise ParseError(f"{what}: an integer has too many digits") from None
 
 
-#: The interned rings by (spec, order guard, work guard), least recent first.
+#: The interned rings by (printed spec, order guard, work guard), least
+#: recent first, and the key of the ring that each stripped spec text gave
+#: under those guards.
 _RINGS: dict[tuple[str, int, int], Ring] = {}
+_TEXTS: dict[tuple[str, int, int], tuple[str, int, int]] = {}
 
 
 def make_ring(spec: str) -> Ring:
     """The one ring of spec under the current guards, built at its first
-    call. Each call first drops whole rings, least recently used first, until
-    the `memo_bytes` of those kept fit under `budget.CACHE_BYTES`: a ring
-    over the cap alone too, which is then rebuilt empty.
+    call: equal spellings, such as GF(16), GF(016) and GF(16;h=1,0,0,1,1),
+    whose `spec_string` is one, give one ring. Each call first drops whole
+    rings, least recently used first, until the `memo_bytes` of those kept
+    fit under `budget.CACHE_BYTES`: a ring over the cap alone too, which is
+    then rebuilt empty.
 
     Raises ParseError for malformed specs, NotMonic / NotIrreducible for bad
     defining polynomials, and OrderTooLarge when the order exceeds the guard
     (default 2^20, set by RINGLAB_ORDER_GUARD); `_build_ring` checks them all.
     """
-    key = (spec.strip(), order_guard(), work_guard())
+    text = (spec.strip(), order_guard(), work_guard())
+    key = _TEXTS.get(text)
     if key in _RINGS:
         _RINGS[key] = _RINGS.pop(key)
     held = sum(r.memo_bytes for r in _RINGS.values())
     while held > CACHE_BYTES:
         held -= _RINGS.pop(next(iter(_RINGS))).memo_bytes
     if key not in _RINGS:
-        _RINGS[key] = _build_ring(key[0])
+        ring = _build_ring(text[0])
+        key = _TEXTS[text] = (ring.spec_string(), *text[1:])
+        # A spelling seen first keeps its ring, now the most recent.
+        _RINGS[key] = _RINGS.pop(key, ring)
     return _RINGS[key]
 
 

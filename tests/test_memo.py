@@ -72,6 +72,23 @@ def test_one_ring_per_spec_and_guards(monkeypatch):
     assert make_ring("prod(GF(9);Z/3)").factors[0] is ring
 
 
+def test_equal_spellings_give_one_ring(monkeypatch):
+    """Spec texts that print one spec are one ring, kept once in the table
+    and counted once against the cap: GF(16), GF(016) and GF(16) with its
+    canonical modulus given, also as a factor or a PQ base. Two spellings
+    of a ring with 100 memo bytes stay under a cap of 150."""
+    monkeypatch.setattr(rings, "CACHE_BYTES", 150)
+    ring = _held("GF(16)", 100)
+    for text in ("GF(016)", " GF(16;h=1,0,0,1,1) ", "GF(16)"):
+        assert make_ring(text) is ring
+    assert make_ring("prod(GF(016);Z/03)").factors[0] is ring
+    assert make_ring("prod(GF(16);Z/3)") is make_ring("prod(GF(016);Z/03)")
+    assert make_ring("PQ(q=016;g=1,0,1)").base is ring
+    assert make_ring("GF(16;h=1,1,0,0,1)") is not ring
+    assert [spec for spec, *_ in rings._RINGS].count("GF(16)") == 1
+    assert make_ring("GF(16)") is ring
+
+
 def test_least_recently_used_rings_go_past_the_cap(monkeypatch):
     """Three rings of 100 memo bytes each under a cap of 250: asking for
     the first again makes the second the least recently used, so it is
@@ -139,8 +156,9 @@ def test_memoised_eigenvalues_own_their_data():
 def test_reduction_data_is_shared_by_rings_of_one_spec(spec):
     """GR and PQ over GF(p) that are not fields keep one read-only
     reduction matrix in their memo, counted in `memo_bytes` and built at
-    their first product; PQ over GF(p^e) builds none and reads the log
-    tables in the memo of its base field, the interned GF(q)."""
+    their first product, with the product table that the matrix builds at
+    orders up to `TABLE_ORDER`; PQ over GF(p^e) builds no matrix and reads
+    the log tables in the memo of its base field, the interned GF(q)."""
     ring = make_ring(spec)
     assert make_ring(spec) is ring and ring.memo_bytes == 0
     assert int(ring.mul_vec(2, 3)) == ring.mul(2, 3)
@@ -150,8 +168,10 @@ def test_reduction_data_is_shared_by_rings_of_one_spec(spec):
         assert ring.base.mul(2, 3) == int(ring.mul_vec(2, 3))
         assert ring.base._memo["log_tables"] is tables and not tables[0].flags.writeable
     else:
-        rows = ring._memo["reduction_rows"]
-        assert not rows.flags.writeable and ring.memo_bytes == rows.nbytes
+        rows, table = ring._memo["reduction_rows"], ring._memo["table", "mul"]
+        assert not rows.flags.writeable and not table.flags.writeable
+        assert table.shape == (ring.order, ring.order)
+        assert ring.memo_bytes == rows.nbytes + table.nbytes
         ring.mul_vec(np.arange(ring.order), 3)
         assert make_ring(spec)._memo["reduction_rows"] is rows
 

@@ -853,6 +853,29 @@ def test_zmod_mul_vec_matches_scalar_on_large_moduli(n, seed):
             assert int(z) == ring.mul(int(x), int(y)), (n, x, y)
 
 
+def test_scalar_mul_past_int64_multiplies_python_ints(monkeypatch):
+    """Z/N and GF(p) with (N - 1)^2 past int64, under a raised order
+    guard: scalar `mul` multiplies two ints as Python ints, with no numpy
+    array made, and returns the exact product mod N as an int, while
+    arrays keep the exact object route."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scalar product made an array")
+
+    monkeypatch.setenv("RINGLAB_ORDER_GUARD", str(1 << 33))
+    n = 4294967311
+    xs = [n - 1, 3, 123456789, 0, 2**32]
+    ys = [n - 1, n - 2, 987654321, n - 1, 2**32 + 7]
+    for spec in ("Z/4294967311", "GF(4294967311)"):
+        ring = make_ring(spec)
+        ring.mul(1, 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "asarray", refuse)
+            got = [ring.mul(x, y) for x, y in zip(xs, ys)]
+        assert all(type(z) is int for z in got) and got == [x * y % n for x, y in zip(xs, ys)]
+        got = ring.mul_vec(np.array(xs), np.array(ys))
+        assert got.dtype == np.int64 and got.tolist() == [x * y % n for x, y in zip(xs, ys)]
+
+
 def test_products_read_one_kernel(monkeypatch):
     """`Ring` alone defines `mul` and `mul_vec`, and each ring's one kernel
     `_mul` serves both. After a first product, which picks a quotient's
