@@ -42,7 +42,7 @@ from . import combinatorics, harmonics, paley, polynomials, subgroups
 from .characters import character_group
 from .errors import ParseError, RingLabError
 from .polynomials import RingPoly, parse_poly_literal
-from .rings import Ring, element_set, make_ring
+from .rings import Ring, element_set, make_ring, parse_int, parse_int_list
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -84,10 +84,7 @@ def parse_element_set(ring: Ring, text: str) -> np.ndarray:
         if len(parts) not in (2, 3):
             raise ParseError(f"bad coset family {text!r}")
         P = parse_poly_literal(ring, parts[1])
-        try:
-            shift = int(parts[2]) if len(parts) == 3 else 0
-        except ValueError as exc:
-            raise ParseError(f"bad coset shift in {text!r}") from exc
+        shift = parse_int(parts[2], "coset shift") if len(parts) == 3 else 0
         if not 0 <= shift < ring.order:
             raise ParseError(f"coset shift {shift} out of range")
         return subgroups.value_subgroup(ring, P).coset(shift)
@@ -95,20 +92,14 @@ def parse_element_set(ring: Ring, text: str) -> np.ndarray:
         parts = text.split(":")
         if len(parts) != 3:
             raise ParseError(f"bad random family {text!r}, want random:<k>:<seed>")
-        try:
-            k, seed = int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ParseError(f"bad random family {text!r}") from exc
+        k, seed = (parse_int(part, "random family") for part in parts[1:])
         if not 0 <= k <= ring.order:
             raise ParseError(f"random family size {k} out of range")
         if seed < 0:
             raise ParseError(f"random family seed {seed} is negative")
         rng = np.random.default_rng(seed)
         return element_set(ring, rng.choice(ring.order, size=k, replace=False))
-    try:
-        tokens = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ParseError(f"bad element set {text!r}") from exc
+    tokens = [parse_int(tok, "element") for tok in text.split(",") if tok.strip() != ""]
     return element_set(ring, tokens)
 
 
@@ -190,8 +181,8 @@ def _cmd_expsum(args) -> dict:
     if args.char is not None or args.table:
         S = harmonics.exp_sums_all(ring, P)
     if args.char is not None:
+        coeffs = parse_int_list(args.char, "character coefficient")
         try:
-            coeffs = tuple(int(c) for c in args.char.split(","))
             position = character_group(ring).position(coeffs)
         except ValueError as exc:
             raise ParseError(f"bad character coefficients {args.char!r}: {exc}") from exc
@@ -298,10 +289,7 @@ def _cmd_sarkozy(args) -> dict:
 
 
 def _cmd_intersective(args) -> dict:
-    try:
-        coeffs = [int(tok) for tok in args.poly.split(",")]
-    except ValueError as exc:
-        raise ParseError(f"bad coefficient list {args.poly!r}") from exc
+    coeffs = parse_int_list(args.poly, "coefficient")
     verdict = combinatorics.intersectivity_oracle(args.family, coeffs, args.bound)
     return _envelope("intersective", _fields(verdict))
 
@@ -328,11 +316,10 @@ def _cmd_paley(args) -> dict:
         if spec in ("exhaustive", "structured"):
             uni = paley.uniformity_measure(graph, mode=spec)
         elif spec.startswith("sampled:"):
-            try:
-                _, count, seed = spec.split(":")
-                count, seed = int(count), int(seed)
-            except ValueError as exc:
-                raise ParseError("want sampled:<count>:<seed>") from exc
+            parts = spec.split(":")
+            if len(parts) != 3:
+                raise ParseError("want sampled:<count>:<seed>")
+            count, seed = (parse_int(part, "sampled uniformity") for part in parts[1:])
             if count < 1:
                 raise ParseError("sampled uniformity needs a count of at least 1")
             if seed < 0:
@@ -477,9 +464,18 @@ def _parse_job(argv: list[str], seed: int | None = None) -> argparse.Namespace:
     return ns
 
 
+def _integer(text: str) -> int:
+    """argparse type of every integer flag: `parse_int`'s rule, refused
+    through argparse, whose message names the flag."""
+    try:
+        return parse_int(text, "value")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _seed(text: str) -> int:
     """argparse type of every --seed flag: a nonnegative integer."""
-    seed = int(text)
+    seed = _integer(text)
     if seed < 0:
         raise ParseError(f"--seed {seed} is negative")
     return seed
@@ -602,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_te = sub.add_parser("tebound", help="total ergodicity estimate on random f")
     p_te.add_argument("--ring", required=True)
     p_te.add_argument("--poly", required=True)
-    p_te.add_argument("--random", type=int, default=20, help="number of test functions")
+    p_te.add_argument("--random", type=_integer, default=20, help="number of test functions")
     p_te.add_argument("--seed", type=_seed, default=0)
     p_te.add_argument("--mode", choices=("auto", "exact", "bound"), default="auto")
     p_te.set_defaults(handler=_cmd_tebound)
@@ -614,8 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="full | trivial | poly:<literal> | gen:<elems> | explicit elements",
     )
-    p_vdc.add_argument("--k", type=int, default=1)
-    p_vdc.add_argument("--random", type=int, default=20)
+    p_vdc.add_argument("--k", type=_integer, default=1)
+    p_vdc.add_argument("--random", type=_integer, default=20)
     p_vdc.add_argument("--seed", type=_seed, default=0)
     p_vdc.set_defaults(handler=_cmd_vdc)
 
@@ -635,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sk.add_argument("--seed", type=_seed, default=0)
     p_sk.add_argument(
         "--measured",
-        type=int,
+        type=_integer,
         help="check an externally measured size instead of searching",
     )
     p_sk.add_argument(
@@ -649,12 +645,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_int = sub.add_parser("intersective", help="bounded intersectivity oracle")
     p_int.add_argument("--family", required=True, help="INTEGERS or FPT(p)")
     p_int.add_argument("--poly", required=True, help="integer coefficients c0,c1,...")
-    p_int.add_argument("--bound", type=int, required=True)
+    p_int.add_argument("--bound", type=_integer, required=True)
     p_int.set_defaults(handler=_cmd_intersective)
 
     p_pal = sub.add_parser("paley", help="Paley-type graph spectrum and verdicts")
     p_pal.add_argument("--ring", required=True)
-    p_pal.add_argument("--d", type=int, required=True)
+    p_pal.add_argument("--d", type=_integer, required=True)
     # The edge list replaces the report, so it cannot carry a sweep.
     pal_output = p_pal.add_mutually_exclusive_group()
     pal_output.add_argument(

@@ -505,7 +505,7 @@ def intersectivity_oracle(family: str, coeffs: Sequence, bound: int) -> Intersec
             return {"prime": pi, "checked_through": N}
 
     elif fam.startswith("FPT"):
-        m = re.fullmatch(r"FPT\((\d+)\)", fam)
+        m = re.fullmatch(r"FPT\(([0-9]+)\)", fam)
         if not m or not is_prime(int(m.group(1))):
             raise ParseError(f"FPT family needs a prime, e.g. FPT(5); got {family!r}")
         p = int(m.group(1))

@@ -82,6 +82,7 @@ from .rings import (
     factorize,
     is_prime,
     make_ring,
+    parse_int,
     poly_str,
 )
 
@@ -136,26 +137,21 @@ class RingPoly:
 
 
 def parse_poly_literal(ring: Ring, text: str) -> RingPoly:
-    """Parse 'c0,c1,...,cd'. Plain integers map through the canonical image
-    of Z in the ring; a '#' prefix gives a raw element index instead."""
+    """Parse 'c0,c1,...,cd', each written as `parse_int` reads it. Plain
+    integers map through the canonical image of Z in the ring; a '#' prefix
+    gives a raw element index instead."""
     items = [t.strip() for t in text.split(",")]
     coeffs = []
     for item in items:
         if item.startswith("#"):
-            body = item[1:]
-            if not body.isdigit():
-                raise ParseError(f"bad raw element index {item!r}")
-            idx = int(body)
+            idx = parse_int(item[1:], "raw element index")
             if not 0 <= idx < ring.order:
                 raise ParseError(
                     f"raw index {idx} out of range for order {ring.order}"
                 )
             coeffs.append(idx)
         else:
-            try:
-                coeffs.append(ring.from_int(int(item)))
-            except ValueError:
-                raise ParseError(f"bad polynomial coefficient {item!r}") from None
+            coeffs.append(ring.from_int(parse_int(item, "polynomial coefficient")))
     return RingPoly(ring, _ptrim(coeffs))
 
 

@@ -980,14 +980,26 @@ def _split_top_level(body: str, sep: str) -> list[str]:
     return parts
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    items = [t.strip() for t in text.split(",")]
-    if any(not re.fullmatch(r"-?\d+", t) for t in items):
-        raise ParseError(f"{what}: expected a comma-separated integer list, got {text!r}")
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str, what: str) -> int:
+    """The integer that text writes as -?[0-9]+, whitespace around it
+    aside: the one rule of every integer in a spec, a literal, a set or a
+    CLI flag. int() alone would also read '+3', '1_0' and digits of other
+    scripts, such as '٣'."""
+    text = text.strip()
+    if not _INTEGER.fullmatch(text):
+        raise ParseError(f"{what} {text!r} is not an integer")
     try:
-        return tuple(int(t) for t in items)
+        return int(text)
     except ValueError:  # past Python's limit on the digits of an int
         raise ParseError(f"{what}: an integer has too many digits") from None
+
+
+def parse_int_list(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated integers of text, each by `parse_int`."""
+    return tuple(parse_int(t, what) for t in text.split(","))
 
 
 #: The interned rings by (printed spec, order guard, work guard), least
@@ -1029,7 +1041,7 @@ def _build_ring(spec: str) -> Ring:
     its numbers, its modulus and its order against the order guard. PQ's
     modulus before its base field and order; GF's and GR's order before
     their prime power is factored and their modulus checked or searched for."""
-    m = re.fullmatch(r"Z/(\d+)", spec)
+    m = re.fullmatch(r"Z/([0-9]+)", spec)
     if m:
         n = _spec_size(m.group(1))
         if n < 2:
@@ -1037,10 +1049,10 @@ def _build_ring(spec: str) -> Ring:
         _check_order(n)
         return ZModRing(n)
 
-    m = re.fullmatch(r"PQ\(q=(\d+);g=([^)]+)\)", spec)
+    m = re.fullmatch(r"PQ\(q=([0-9]+);g=([^)]+)\)", spec)
     if m:
         q = _spec_size(m.group(1))
-        g = _parse_int_list(m.group(2), "PQ g")
+        g = parse_int_list(m.group(2), "PQ g")
         if len(g) < 2:
             raise ParseError("PQ: modulus must have degree at least 1")
         if any(not 0 <= c < q for c in g):
@@ -1061,10 +1073,10 @@ def _build_ring(spec: str) -> Ring:
         return ProductRing(factors)
 
     # GF(p^r;h) and GR(p,n,r;f), n = 1 for GF: (Z/p^n)[x]/(f).
-    m = re.fullmatch(r"GF\((\d+)(?:;h=([^)]+))?\)", spec)
+    m = re.fullmatch(r"GF\(([0-9]+)(?:;h=([^)]+))?\)", spec)
     if m:
         q = _spec_size(m.group(1))
-        given = m.group(2) and _parse_int_list(m.group(2), "GF h")
+        given = m.group(2) and parse_int_list(m.group(2), "GF h")
         _check_order(q)
         factors = factorize(max(q, 1))
         if len(factors) != 1:
@@ -1072,11 +1084,11 @@ def _build_ring(spec: str) -> Ring:
         (p, r), = factors
         n, head, args = 1, "GF", f"{q}"
     else:
-        m = re.fullmatch(r"GR\((\d+),(\d+),(\d+)(?:;f=([^)]+))?\)", spec)
+        m = re.fullmatch(r"GR\(([0-9]+),([0-9]+),([0-9]+)(?:;f=([^)]+))?\)", spec)
         if not m:
             raise ParseError(f"unrecognised ring spec {spec!r}")
         p, n, r = (_spec_size(d) for d in m.group(1, 2, 3))
-        given = m.group(4) and _parse_int_list(m.group(4), "GR f")
+        given = m.group(4) and parse_int_list(m.group(4), "GR f")
         head, args = "GR", f"{p},{n},{r}"
         if n < 1 or r < 1:
             raise ParseError(f"GR({args}): n and r must be positive")

@@ -120,6 +120,24 @@ BAD_INPUTS = [
     ("sarkozy", "--ring", "Z/13", "--poly=0,0,1", "--measured", "3", "--sets", "coset:0,1:x", "1"),
     ("vdc", "--ring", "Z/12", "--subgroup", "gen:coset:0,1:zz", "--k", "1", "--random", "2"),
     ("paley", "--ring", "Z/13", "--d", "2", "--seed", "5"),
+    # An integer is -?[0-9]+ wherever it is written: int() also read each
+    # of these, as 3, 9, 2, 10, +3 or a digit of another script.
+    ("ring", "info", "Z/\u0663"),
+    ("ring", "info", "GF(\u0669;h=\u0662,\u0662,\u0661)"),
+    ("expsum", "--ring", "Z/13", "--poly=\u0661,\u0662"),
+    ("expsum", "--ring", "Z/13", "--poly=1_0,1"),
+    ("expsum", "--ring", "Z/13", "--poly=#\u0661"),
+    ("expsum", "--ring", "Z/13", "--poly=+3,1"),
+    ("paley", "--ring", "Z/13", "--d", "\u0662"),
+    ("sarkozy", "--ring", "Z/13", "--poly=0,0,1", "--measured", "1_0"),
+    ("tebound", "--ring", "Z/8", "--poly=0,0,1", "--seed", "\u0661"),
+    ("intersective", "--family", "FPT(\u0663)", "--poly=0,0,1", "--bound", "2"),
+    ("intersective", "--family", "INTEGERS", "--poly=\u0662,0,1", "--bound", "20"),
+    ("expsum", "--ring", "Z/13", "--poly=0,0,1", "--char", "\u0661"),
+    ("sarkozy", "--ring", "Z/13", "--poly=0,0,1", "--measured", "3", "--sets", "\u0661,2", "1"),
+    ("sarkozy", "--ring", "Z/13", "--poly=0,0,1", "--measured", "3", "--sets", "random:1_0:1", "1"),
+    ("sarkozy", "--ring", "Z/13", "--poly=0,0,1", "--measured", "3", "--sets", "coset:0,1:\u0663", "1"),
+    ("paley", "--ring", "Z/13", "--d", "2", "--sets", "sampled:\u0663:1"),
 ]
 BAD_INPUT_IDS = [
     "vdc-k0", "vdc-random0", "paley-sampled", "expsum-char", "sarkozy-measured",
@@ -128,6 +146,10 @@ BAD_INPUT_IDS = [
     "fpt-not-a-number", "fpt-empty", "rootcount-float", "rootcount-bool",
     "rootcount-beyond-int64", "rootcount-infinity", "vdc-k11", "vdc-k12", "vdc-k990",
     "sarkozy-coset-shift", "vdc-coset-shift", "paley-has-no-seed",
+    "z-arabic-digit", "gf-arabic-digits", "poly-arabic-digits", "poly-underscore", "poly-raw-arabic",
+    "poly-plus-sign", "paley-d-arabic", "sarkozy-measured-underscore", "tebound-seed-arabic",
+    "fpt-arabic", "intersective-poly-arabic", "expsum-char-arabic", "explicit-set-arabic",
+    "random-size-underscore", "coset-shift-arabic", "sampled-count-arabic",
 ]
 
 
