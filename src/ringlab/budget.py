@@ -5,6 +5,8 @@ ring construction and a work guard on exhaustive sweeps (difference spaces,
 root counting, subgroup duals). They are set only through the environment
 variables RINGLAB_ORDER_GUARD and RINGLAB_WORK_GUARD, which must hold
 positive integers when set; this module is the one place that reads them.
+It also holds `parse_int`, the one rule of every integer ringlab reads,
+the guards' values included, here because `rings` imports this module.
 Arrays whose size grows with a caller's input are built in blocks of at
 most BLOCK_ENTRIES entries, sliced by `blocks`.
 """
@@ -12,6 +14,7 @@ most BLOCK_ENTRIES entries, sliced by `blocks`.
 from __future__ import annotations
 
 import os
+import re
 
 from .errors import ParseError, WorkGuardExceeded
 
@@ -25,16 +28,31 @@ BLOCK_ENTRIES = 1 << 18
 CACHE_BYTES = 1 << 28
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str, what: str) -> int:
+    """The integer that text writes as -?[0-9]+, whitespace around it
+    aside: the one rule of every integer in a spec, a literal, a set, a
+    CLI flag or a guard variable. int() alone would also read '+3', '1_0'
+    and digits of other scripts, such as '٣'."""
+    text = text.strip()
+    if not _INTEGER.fullmatch(text):
+        raise ParseError(f"{what} {text!r} is not an integer")
+    try:
+        return int(text)
+    except ValueError:  # past Python's limit on the digits of an int
+        raise ParseError(f"{what}: an integer has too many digits") from None
+
+
 def _from_env(name: str, fallback: int) -> int:
-    """The positive integer in environment variable name, or fallback when
-    it is unset. Any other value raises ParseError."""
+    """The positive integer in environment variable name, read by
+    `parse_int`, or fallback when it is unset. Any other value raises
+    ParseError."""
     raw = os.environ.get(name)
     if raw is None:
         return fallback
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParseError(f"{name}={raw!r} is not an integer") from None
+    value = parse_int(raw, name)
     if value <= 0:
         raise ParseError(f"{name}={raw!r} must be positive")
     return value

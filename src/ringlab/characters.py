@@ -15,15 +15,19 @@ character is position 0. `CharacterGroup.coeffs` decodes a position and
 All angle arithmetic is exact: angles live in Z/L with L = lcm(m_i), and a
 complex exponential is evaluated only once per angle class. An angle
 separates by axis, so over a cube of digits it is an outer sum
-(`_angle_cube`): `character_table` reads the unit table at it, and
-`annihilator_mask` compares it with 0. `SubgroupSet.annihilator` takes
-that mask for every subgroup H but R itself, whose annihilator is the
-trivial character by duality; the tests hold both answers against the mask
-on H's generators. The sums over every character
-(`all_char_sums`) are one DFT over (R, +), and so is every convolution with
-a measure on (R, +) (`convolve`): numpy's fftn, run axis by axis by `_dft`
-with exact butterflies on length-2 axes. The tests keep the angle-histogram
-sum of one character, the transform's independent check.
+(`_angle_cube`), built by runs of consecutive axes whose radices multiply
+to at most RUN_SIZE: each run's angles summed on a small block, then one
+broadcast per run over the cube. `character_table` reads the unit table at
+the cube, and `annihilator_mask` compares it with 0.
+`SubgroupSet.annihilator` takes that mask for every subgroup H but R
+itself, whose annihilator is the trivial character by duality; the tests
+hold both answers against the mask on H's generators. The sums over every
+character (`all_char_sums`) are one DFT over (R, +), and so is every
+convolution with a measure on (R, +) (`convolve`): numpy's fftn, run axis by
+axis by `_dft`, with an exact butterfly on each length-2 axis: three
+numpy passes over a (rows, 2, rest) view, four on the inverse. The tests
+keep the angle-histogram sum of one character, the transform's independent
+check.
 
 A CharacterGroup is a light view on its ring; its unit table is built once,
 kept read-only in the ring's memo (`Ring.memo`) and freed with the ring.
@@ -68,14 +72,50 @@ class CharacterGroup:
         return join_index(coeffs[::-1], self.radices[::-1])
 
 
+#: largest product of radices in one run of axes of `_angle_cube`: 32 to
+#: 128 time alike; one run per axis is 30-50% slower at order 2^20
+RUN_SIZE = 64
+
+
+def _runs(radices: Sequence[int]) -> list[slice]:
+    """radices cut into runs of consecutive axes, the last run first: each
+    run as long as its product stays within RUN_SIZE, an axis above it a run
+    by itself."""
+    runs, stop = [], len(radices)
+    while stop > 0:
+        start, size = stop - 1, radices[stop - 1]
+        while start > 0 and size * radices[start - 1] <= RUN_SIZE:
+            start -= 1
+            size *= radices[start]
+        runs.append(slice(start, stop))
+        stop = start
+    return runs
+
+
+def _outer_sum(a: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """a[:, i] + b[:, j] at column i len(b[0]) + j, in one broadcast whose
+    inner loop runs along b; a itself when there is no b yet."""
+    if b is None:
+        return a
+    return (a[:, :, None] + b[:, None, :]).reshape(len(a), a.shape[1] * b.shape[1])
+
+
 def _angle_cube(steps: np.ndarray, radices: Sequence[int], L: int) -> np.ndarray:
     """sum_i steps[:, i] j_i mod L over every j < radices, first radix slowest,
-    shape (len(steps), prod(radices)), reduced once: each term is below L m_i."""
-    cube = np.zeros((len(steps), 1), dtype=np.int64)
-    for i, m in enumerate(radices):
-        axis = steps[:, i, None, None] * np.arange(m)
-        cube = (cube[:, :, None] + axis).reshape(len(steps), cube.shape[1] * m)
-    return cube % L
+    shape (len(steps), prod(radices)), reduced once: each term is below L m_i.
+    Each run of axes (`_runs`) is summed axis by axis on its own (rows x run)
+    block, and each block joins the cube in one outer sum, so the passes over
+    the whole cube grow with the runs, not the axes. Axes and blocks go in
+    front, last first, so each broadcast runs along the longer operand."""
+    cube = None
+    for run in _runs(radices):
+        block = None
+        for i in reversed(range(run.start, run.stop)):
+            block = _outer_sum(steps[:, i, None] * np.arange(radices[i]), block)
+        cube = _outer_sum(block, cube)
+    if L & (L - 1) == 0:  # the low bits, as % reads these sums, without a division
+        return np.bitwise_and(cube, L - 1, out=cube)
+    return np.remainder(cube, L, out=cube)
 
 
 def character_group(ring: Ring) -> CharacterGroup:
@@ -97,22 +137,26 @@ def _element_cube(ring: Ring, w: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
 def _dft(cube: np.ndarray, axes: tuple[int, ...], inverse: bool = False) -> np.ndarray:
     """np.fft.fftn(cube, axes=axes), or ifftn, bit for bit on int, float64 and
     complex128 data: axis by axis in fftn's order (last first), a length-2
-    axis an in-place butterfly (a + b, a - b), halved on the inverse, real
-    while the data are; any other one 1-D pocketfft call. Never writes cube."""
+    axis an in-place butterfly (a + b, a - b) on a (rows, 2, rest) view of a
+    C-ordered copy, halved on the inverse, real while the data are; any
+    other one 1-D pocketfft call. Never writes cube."""
     fft, given = (np.fft.ifft if inverse else np.fft.fft), cube
     for axis in reversed(axes):
         if cube.shape[axis] != 2:
             cube = fft(cube, axis=axis)
             continue
-        if cube is given:
-            cube = cube.astype(np.result_type(cube, float))
-        a, b = (cube[(slice(None),) * axis + (half, ...)] for half in (0, 1))
+        if cube is given or not cube.flags.c_contiguous:
+            cube = cube.astype(np.result_type(cube, float), order="C")
+        halves = cube.reshape(math.prod(cube.shape[:axis]), 2, math.prod(cube.shape[axis + 1:]))
+        a, b = halves[:, 0], halves[:, 1]
         d = a - b
         a += b
         b[...] = d
-        if inverse:  # part by part, as pocketfft: (-0.0 - 1j) * (0.5 + 0j) = 0.0 - 0.5j
-            for part in (cube.real, cube.imag) if np.iscomplexobj(cube) else (cube,):
-                part *= 0.5
+        if inverse:
+            # part by part on the float64 view, as pocketfft: a complex
+            # product gives (-0.0 - 1j) * (0.5 + 0j) = 0.0 - 0.5j
+            parts = cube.view(np.float64)
+            parts *= 0.5
     return cube.astype(complex, copy=False)
 
 

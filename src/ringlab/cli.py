@@ -39,10 +39,11 @@ import numpy as np
 
 from . import __version__
 from . import combinatorics, harmonics, paley, polynomials, subgroups
+from .budget import parse_int
 from .characters import character_group
 from .errors import ParseError, RingLabError
 from .polynomials import RingPoly, parse_poly_literal
-from .rings import Ring, element_set, make_ring, parse_int, parse_int_list
+from .rings import Ring, element_set, make_ring, parse_int_list
 
 EXIT_OK = 0
 EXIT_PARSE = 2

@@ -72,7 +72,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .budget import charge, work_guard
+from .budget import charge, parse_int, work_guard
 from .errors import ParseError, WorkGuardExceeded
 from .rings import (
     ProductRing,
@@ -82,7 +82,6 @@ from .rings import (
     factorize,
     is_prime,
     make_ring,
-    parse_int,
     poly_str,
 )
 

@@ -76,7 +76,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .budget import CACHE_BYTES, blocks, charge, order_guard, work_guard
+from .budget import CACHE_BYTES, blocks, charge, order_guard, parse_int, work_guard
 from .errors import NotIrreducible, NotMonic, OrderTooLarge, ParseError
 
 
@@ -978,23 +978,6 @@ def _split_top_level(body: str, sep: str) -> list[str]:
         raise ParseError(f"unbalanced parentheses in {body!r}")
     parts.append("".join(current))
     return parts
-
-
-_INTEGER = re.compile(r"-?[0-9]+")
-
-
-def parse_int(text: str, what: str) -> int:
-    """The integer that text writes as -?[0-9]+, whitespace around it
-    aside: the one rule of every integer in a spec, a literal, a set or a
-    CLI flag. int() alone would also read '+3', '1_0' and digits of other
-    scripts, such as '٣'."""
-    text = text.strip()
-    if not _INTEGER.fullmatch(text):
-        raise ParseError(f"{what} {text!r} is not an integer")
-    try:
-        return int(text)
-    except ValueError:  # past Python's limit on the digits of an int
-        raise ParseError(f"{what}: an integer has too many digits") from None
 
 
 def parse_int_list(text: str, what: str) -> tuple[int, ...]:

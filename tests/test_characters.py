@@ -246,6 +246,37 @@ def test_outer_sum_angles_match_the_digit_route(family, data):
             np.testing.assert_array_equal(annihilator_mask(ring, gens), want)
 
 
+@pytest.mark.parametrize(
+    "spec, runs",
+    [("GF(256)", 2), ("GR(2,2,4)", 2), ("prod(Z/32;GF(32))", 2), ("prod(Z/9;GF(4);Z/5)", 2), ("GF(8192)", 3)],
+)
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_angles_across_runs_match_the_digit_route(spec, runs, data):
+    """Rings whose axes split into several runs: a boundary inside radix-2
+    axes, runs of radix 4, a one-axis Z/32 beside a run of 2s, mixed radices
+    (9, 2, 2, 5), and three runs on GF(8192). character_table at drawn
+    positions (whole too up to order 1024) and annihilator_mask of drawn
+    generators against the digit route, again with every axis a run of its
+    own and with runs of 8; GF(8192) gets no n x n oracle."""
+    ring = make_ring(spec)
+    n = ring.order
+    assert len(characters._runs(ring.additive_orders())) == runs
+    group = character_group(ring)
+    elements = np.arange(n, dtype=np.int64)
+    chars = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12), label="chars"))
+    gens = np.asarray(data.draw(st.lists(st.integers(0, n - 1), max_size=12), label="generators"), dtype=np.int64)
+    mask = (oracle.angles(ring, gens) == 0).all(axis=0)
+    table = group.unit_table[oracle.angles(ring, elements, chars)]
+    whole = group.unit_table[oracle.angles(ring, elements)] if n <= 1024 else None
+    for size in (characters.RUN_SIZE, 1, 8):
+        with mock.patch.object(characters, "RUN_SIZE", size):
+            np.testing.assert_array_equal(character_table(ring, chars=chars), table)
+            np.testing.assert_array_equal(annihilator_mask(ring, gens), mask)
+            if whole is not None:
+                np.testing.assert_array_equal(character_table(ring), whole)
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_full_subgroup_annihilator_is_trivial(spec):
     """The full subgroup's generators generate all of R, so only the
@@ -329,11 +360,12 @@ def test_transforms_equal_numpy_fftn(family, data):
 
 
 @pytest.mark.parametrize(
-    "spec", ["Z/2", "prod(Z/2;Z/4)", "prod(Z/32;GF(32))", "GF(4096)"]
+    "spec", ["Z/2", "prod(Z/2;Z/4)", "prod(Z/32;GF(32))", "GF(4096)", "prod(Z/3;Z/2;Z/5)"]
 )
 def test_butterfly_rings_equal_numpy_fftn(spec):
     """One axis of length 2; a length-2 axis beside a longer one; a
-    pocketfft axis before the butterflies; twelve butterflies."""
+    pocketfft axis before the butterflies; twelve butterflies; a length-2
+    axis between two pocketfft axes."""
     ring = make_ring(spec)
     for seed, kind in enumerate(WEIGHT_KINDS):
         for batch in ((), (2, 3)):

@@ -605,7 +605,7 @@ def test_trial_division_charges_only_the_divisors_it_reaches(monkeypatch):
         make_ring("Z/4194301")
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "١٦", "1_6", "+16"])
 @pytest.mark.parametrize(
     "name, args",
     [

@@ -35,6 +35,18 @@ def test_runner_fails_a_cell_whose_check_does_not_hold(step, reason, capsys):
     assert total == "2 cells, 1 failed"
 
 
+def test_a_peak_ceiling_fails_its_cell_above_it(capsys):
+    """peak_below reads the largest child of the cell so far: a ceiling of
+    1 MB fails after any CLI job, one of 10,000 MB holds."""
+    holds = scale.report("ring", "info", "Z/4", order=4)
+    cells = [scale.Cell("roomy", "a high ceiling", [holds, scale.peak_below(10_000)]),
+             scale.Cell("tight", "a ceiling below any job", [holds, scale.peak_below(1)])]
+    assert scale.run_cells(cells) == 1
+    first, second, _ = capsys.readouterr().out.splitlines()
+    assert first.endswith(" MB  ok")
+    assert "MB  FAIL peak RSS " in second and second.endswith(" MB, want below 1")
+
+
 def test_ci_runs_the_cli_only_through_the_harness():
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
     assert "ringlab.cli" not in workflow
